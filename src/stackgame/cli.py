@@ -112,7 +112,10 @@ def _validate_types(cfg: RunConfig) -> None:
         raise ConfigurationError(f"unknown model {cfg.model!r}; expected one of {MODELS}")
     if cfg.action and cfg.action not in ACTIONS:
         raise ConfigurationError(f"unknown action {cfg.action!r}; expected one of {ACTIONS}")
-    for key, val in [("grid.n_steps", cfg.grid["n_steps"]), ("mc.n_paths", cfg.mc["n_paths"])]:
+    checked = [("grid.n_steps", cfg.grid["n_steps"]), ("mc.n_paths", cfg.mc["n_paths"])]
+    if "n_steps" in cfg.mc:
+        checked.append(("mc.n_steps", cfg.mc["n_steps"]))
+    for key, val in checked:
         if not isinstance(val, int) or val < 2:
             raise ConfigurationError(f"{key} must be an integer >= 2, got {val!r}")
     for name, val in cfg.params.items():

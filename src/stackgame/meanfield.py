@@ -17,7 +17,7 @@ removes every explicit e^{-rt} factor from the drift terms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable
 
 import numpy as np
@@ -30,14 +30,13 @@ from .errors import (
 )
 from .numerics import (
     AffineSystem,
-    PathEnsemble,
     TimeGrid,
     TrajectoryGrid,
-    em_paths,
+    _em_functionals,
+    euler_mean,
     path_normals,
     rk4_solve_general,
     solve_affine_bvp,
-    wright_fisher_sigma,
 )
 from .results import PenaltySearchResult
 
@@ -60,6 +59,13 @@ __all__ = [
     "growth_order_check",
     "min_k_meanfield",
 ]
+
+
+def _require_finite(record, names: list[str]) -> None:
+    for name in names:
+        value = getattr(record, name)
+        if not math.isfinite(value):
+            raise ParameterError(f"{name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -92,6 +98,7 @@ class MfgParams:
     xbar_init: float
 
     def __post_init__(self):
+        _require_finite(self, [f.name for f in fields(self)])
         if self.a0 <= 0 or self.a <= 0:
             raise ParameterError(f"control weights must be > 0, got a0={self.a0}, a={self.a}")
         if self.T <= 0:
@@ -116,6 +123,7 @@ class McConfig:
     zero_noise: bool = False
 
     def __post_init__(self):
+        _require_finite(self, ["n_paths", "n_steps"])
         if self.n_paths < 2:
             raise ParameterError(f"n_paths must be >= 2, got {self.n_paths}")
         if self.n_steps < 2:
@@ -393,13 +401,6 @@ def _defection_offset(p: MfgParams, k: float, sol: MeanFieldSolution) -> Defecti
     return DefectionSolution(grid=grid, k=k, Q=Q.values, q=q)
 
 
-def _discounted_trapezoid(times: np.ndarray, integrand: np.ndarray, rate: float) -> np.ndarray:
-    """Trapezoid quadrature of e^{-rate t} integrand(t) per path (rows)."""
-    w = np.exp(-rate * times)
-    vals = integrand * w
-    return np.trapezoid(vals, times, axis=-1)
-
-
 def _estimate(samples: np.ndarray, seed: int) -> McEstimate:
     n = len(samples)
     return McEstimate(
@@ -410,49 +411,9 @@ def _estimate(samples: np.ndarray, seed: int) -> McEstimate:
     )
 
 
-def _leader_diffusion(mc: McConfig):
-    if mc.zero_noise:
-        return lambda t, x: np.zeros_like(x)
-    return lambda t, x: wright_fisher_sigma(x)
-
-
-def _euler_mean(drift, x0: float, grid: TimeGrid) -> np.ndarray:
-    """Exact ensemble mean of an Euler-Maruyama march with affine drift.
-
-    The noise increments have mean zero and are independent of the current
-    state, so the mean follows the noise-free Euler recursion.
-    """
-    times = grid.times()
-    m = np.empty_like(times)
-    m[0] = x0
-    h = grid.h
-    for j in range(grid.n_steps):
-        m[j + 1] = m[j] + drift(times[j], m[j]) * h
-    return m
-
-
-def _payoff_split(
-    times: np.ndarray, integrand, paths: np.ndarray, mean: np.ndarray, rate: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-path (certainty-equivalent, variance-channel) parts of a payoff.
-
-    `integrand` maps states to the running reward and is quadratic in the
-    state, so its three values at m and m +- 1 give Q'(m) and Q''/2 exactly.
-    The quadrature is _discounted_trapezoid's, written as node weights so
-    that each part costs one matrix-vector product.
-    """
-    q0, q_up, q_down = integrand(mean), integrand(mean + 1.0), integrand(mean - 1.0)
-    dt = np.diff(times)
-    w = np.exp(-rate * times) * (np.append(dt, 0.0) + np.append(0.0, dt)) / 2.0
-    dev = paths - mean
-    ce = q0 @ w + dev @ (0.5 * (q_up - q_down) * w)
-    var = (dev * dev) @ ((0.5 * (q_up + q_down) - q0) * w)
-    return ce, var
-
-
-def _split_estimate(plus, minus, theta: float, seed: int) -> SplitEstimate:
+def _split_estimate(plus: np.ndarray, minus: np.ndarray, theta: float, seed: int) -> SplitEstimate:
     """Central difference of per-path (total, certainty-equivalent, variance) payoffs."""
-    samples = np.stack([(a - b) / (2.0 * theta) for a, b in zip(plus, minus)])
+    samples = (plus - minus) / (2.0 * theta)
     total, ce, var = (_estimate(row, seed) for row in samples)
     return SplitEstimate(
         mean=total.mean, stderr=total.stderr, n_paths=total.n_paths, seed=seed,
@@ -460,22 +421,40 @@ def _split_estimate(plus, minus, theta: float, seed: int) -> SplitEstimate:
     )
 
 
-def _leader_drift(p: MfgParams, u0: np.ndarray, xbar: np.ndarray, grid: TimeGrid):
+def _simulate(
+    alpha: np.ndarray, beta: np.ndarray, x0: float, grid: TimeGrid, mc: McConfig,
+    normals: np.ndarray | None, integrand, rate: float, split: bool = False,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Streams one population with drift alpha x + beta and its discounted payoff.
+
+    The running reward `integrand` maps node states to node rewards and is
+    quadratic in the state, so about the Euler mean m it is exactly
+    Q(m) + Q'(m)(x - m) + Q''(x - m)^2 / 2, and its values at m and m +- 1
+    give the three coefficients.  The quadrature is the trapezoid rule
+    discounted at `rate`, written as node weights.  Returns the per-path
+    payoffs, one row, or with split three rows: the total and its
+    certainty-equivalent and variance-channel parts (see SplitEstimate).
+    Also returns the per-node ensemble mean.  `normals` comes from _noise,
+    so it is None for a zero-noise run.
+    """
     times = grid.times()
-    u0i, xbari = _interp(times, u0), _interp(times, xbar)
+    m = euler_mean(alpha, beta, x0, grid.h)
+    q0, up, down = integrand(m), integrand(m + 1.0), integrand(m - 1.0)
+    dt = np.diff(times)
+    w = np.exp(-rate * times) * (np.append(dt, 0.0) + np.append(0.0, dt)) / 2.0
+    total = np.stack([q0, 0.5 * (up - down), 0.5 * (up + down) - q0]) * w
+    rows = [total]
+    if split:  # certainty-equivalent (c0, c1) and variance-channel (c2) parts
+        rows += [total * [[1.0], [1.0], [0.0]], total * [[0.0], [0.0], [1.0]]]
+    payoffs, mean, _ = _em_functionals(alpha, beta, x0, grid.h, mc.n_paths, normals, m, rows)
+    return payoffs, mean
 
-    def drift(t, x):
-        return p.A0 * x + p.B0 * u0i(t) + p.C0 * xbari(t)
 
-    return drift
-
-
-def _simulate_leader_open_loop(
-    p: MfgParams, u0: np.ndarray, xbar: np.ndarray, grid: TimeGrid, mc: McConfig,
-    normals: np.ndarray | None,
-) -> PathEnsemble:
-    drift = _leader_drift(p, u0, xbar, grid)
-    return em_paths(drift, _leader_diffusion(mc), p.x0_init, grid, mc.n_paths, mc.seed, normals)
+def _noise(mc: McConfig, normals: np.ndarray | None) -> np.ndarray | None:
+    """The driving normals: none for a zero-noise run, else the shared ones or a fresh draw."""
+    if mc.zero_noise:
+        return None
+    return path_normals(mc.seed, mc.n_paths, mc.n_steps) if normals is None else normals
 
 
 def _follower_response(p: MfgParams, u0: np.ndarray, grid: TimeGrid) -> TrajectoryGrid:
@@ -503,27 +482,37 @@ def _follower_response(p: MfgParams, u0: np.ndarray, grid: TimeGrid) -> Trajecto
     return solve_affine_bvp(system, grid)
 
 
-def _leader_payoff_paths(
-    p: MfgParams, u0: np.ndarray, grid: TimeGrid, mc: McConfig, normals: np.ndarray | None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-path equilibrium-side payoff under an open-loop leader control.
-
-    The follower population re-optimizes against u0 (mean response), so this
-    is the correct objective for first-order optimality checks at u0_star.
-    Returns the total with its certainty-equivalent and variance-channel
-    parts (see SplitEstimate).
-    """
-    resp = _follower_response(p, u0, grid)
-    ens = _simulate_leader_open_loop(p, u0, resp["xbar"], grid, mc, normals)
-    times = grid.times()
-    target = p.l0 * resp["xbar"] - p.b0
+def _leader_payoff(
+    p: MfgParams, u0: np.ndarray, xbar: np.ndarray, grid: TimeGrid, mc: McConfig,
+    normals: np.ndarray | None, split: bool = False,
+) -> np.ndarray:
+    """Per-path leader payoff under an open-loop control u0 against the mean field xbar."""
+    target = p.l0 * xbar - p.b0
 
     def integrand(x):
         return -p.a0 * u0**2 + (x - target) ** 2
 
-    mean = _euler_mean(_leader_drift(p, u0, resp["xbar"], grid), p.x0_init, grid)
-    total = _discounted_trapezoid(times, integrand(ens.paths), p.r)
-    return (total, *_payoff_split(times, integrand, ens.paths, mean, p.r))
+    alpha = np.full_like(u0, p.A0)
+    return _simulate(alpha, p.B0 * u0 + p.C0 * xbar, p.x0_init, grid, mc, normals,
+                     integrand, p.r, split)[0]
+
+
+def _defection_payoff(
+    p: MfgParams, k: float, sol: MeanFieldSolution, grid: TimeGrid, mc: McConfig,
+    normals: np.ndarray | None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-path defection payoff at rate r + k, and the ensemble mean path."""
+    dfx = _defection_offset(p, k, sol)
+    c = p.B0 / (2.0 * p.a0)
+    target = p.l0 * sol["xbar"] - p.b0
+
+    def integrand(x):
+        return -p.a0 * (c * (dfx.Q * x + dfx.q)) ** 2 + (x - target) ** 2
+
+    alpha = p.A0 + p.B0 * c * dfx.Q
+    beta = p.B0 * c * dfx.q + p.C0 * sol["xbar"]
+    (payoff,), mean = _simulate(alpha, beta, p.x0_init, grid, mc, normals, integrand, p.r + k)
+    return payoff, mean
 
 
 def mc_payoffs(
@@ -544,47 +533,10 @@ def mc_payoffs(
         sol = mean_field_bvp(p, grid)
     elif sol.grid.n_steps != mc.n_steps or sol.grid.t1 != p.T:
         raise ParameterError("mean-field solution grid does not match the MC grid")
-    if normals is None:
-        normals = path_normals(mc.seed, mc.n_paths, mc.n_steps)
-    times = grid.times()
-
-    j_eq = _estimate(
-        _payoff_equilibrium_paths(p, sol, grid, mc, normals), mc.seed
-    )
-
-    samples, _ = _defection_payoff_samples(p, k, sol, grid, mc, normals)
-    return j_eq, _estimate(samples, mc.seed)
-
-
-def _defection_payoff_samples(
-    p: MfgParams, k: float, sol: MeanFieldSolution, grid: TimeGrid, mc: McConfig,
-    normals: np.ndarray | None,
-) -> tuple[np.ndarray, PathEnsemble]:
-    times = grid.times()
-    dfx = _defection_offset(p, k, sol)
-    Qi, qi = _interp(times, dfx.Q), _interp(times, dfx.q)
-    xbari = _interp(times, sol["xbar"])
-    c = p.B0 / (2.0 * p.a0)
-
-    def drift(t, x):
-        return p.A0 * x + p.B0 * c * (Qi(t) * x + qi(t)) + p.C0 * xbari(t)
-
-    ens = em_paths(drift, _leader_diffusion(mc), p.x0_init, grid, mc.n_paths, mc.seed, normals)
-    u_hat = c * (dfx.Q[None, :] * ens.paths + dfx.q[None, :])
-    track = ens.paths - (p.l0 * sol["xbar"] - p.b0)
-    integrand = -p.a0 * u_hat**2 + track**2
-    return _discounted_trapezoid(times, integrand, p.r + k), ens
-
-
-def _payoff_equilibrium_paths(
-    p: MfgParams, sol: MeanFieldSolution, grid: TimeGrid, mc: McConfig, normals: np.ndarray,
-) -> np.ndarray:
-    times = grid.times()
-    u0 = sol["u0_star"]
-    ens = _simulate_leader_open_loop(p, u0, sol["xbar"], grid, mc, normals)
-    track = ens.paths - (p.l0 * sol["xbar"] - p.b0)
-    integrand = -p.a0 * u0**2 + track**2
-    return _discounted_trapezoid(times, integrand, p.r)
+    normals = _noise(mc, normals)
+    (j_eq,) = _leader_payoff(p, sol["u0_star"], sol["xbar"], grid, mc, normals)
+    j_def, _ = _defection_payoff(p, k, sol, grid, mc, normals)
+    return _estimate(j_eq, mc.seed), _estimate(j_def, mc.seed)
 
 
 def mean_payoffs(p: MfgParams, k: float, mc: McConfig) -> tuple[float, float]:
@@ -599,58 +551,45 @@ def mean_payoffs(p: MfgParams, k: float, mc: McConfig) -> tuple[float, float]:
     return j_eq.mean, j_def.mean
 
 
-def follower_feedback_check(
-    p: MfgParams, grid: TimeGrid, mc: McConfig, literal_diffusion: bool = False
-) -> dict[str, float]:
+def _follower_drift(p: MfgParams, sol: MeanFieldSolution) -> tuple[np.ndarray, np.ndarray]:
+    """Node coefficients (alpha, beta) of a follower's drift under the feedback rule.
+
+    The rule u = -(B/a)(F x + fbar) - (sigma/a) u0 turns
+    A x + B u + C xbar + D x0 into alpha x + beta.
+    """
+    alpha = p.A - p.B * (p.B / p.a) * sol["F"]
+    beta = (-p.B * ((p.B / p.a) * sol["fbar"] + (p.sigma / p.a) * sol["u0_star"])
+            + p.C * sol["xbar"] + p.D * sol["x0"])
+    return alpha, beta
+
+
+def follower_feedback_check(p: MfgParams, grid: TimeGrid, mc: McConfig) -> dict[str, float]:
     """Simulates followers under the feedback rule and checks the adjoint mean.
 
     Along each path p_i = F x_i + fbar is reconstructed; its ensemble mean
     must match the Euler-discretized deterministic mean of the same dynamics
     (exactly, up to Monte Carlo error, because the feedback drift is affine).
-    With literal_diffusion=True the follower noise coefficient is evaluated
-    on the leader's mean state instead of the follower's own state.
+    The residual is averaged over time per path.
     """
     sol = mean_field_bvp(p, grid)
-    times = grid.times()
     F, fbar = sol["F"], sol["fbar"]
-    u0, xbar, x0 = sol["u0_star"], sol["xbar"], sol["x0"]
-    Fi, fi = _interp(times, F), _interp(times, fbar)
-    u0i, xbari, x0i = _interp(times, u0), _interp(times, xbar), _interp(times, x0)
-
-    def control(t, x):
-        return -(p.B / p.a) * (Fi(t) * x + fi(t)) - (p.sigma / p.a) * u0i(t)
-
-    def drift(t, x):
-        return p.A * x + p.B * control(t, x) + p.C * xbari(t) + p.D * x0i(t)
-
-    if mc.zero_noise:
-        diffusion = lambda t, x: np.zeros_like(x)
-    elif literal_diffusion:
-        diffusion = lambda t, x: wright_fisher_sigma(np.full_like(x, x0i(t)))
-    else:
-        diffusion = lambda t, x: wright_fisher_sigma(x)
-
-    ens = em_paths(drift, diffusion, p.xbar_init, grid, mc.n_paths, mc.seed)
-    p_paths = F[None, :] * ens.paths + fbar[None, :]
-    p_ref = F * _euler_mean(drift, p.xbar_init, grid) + fbar
-
-    diff = p_paths - p_ref[None, :]
-    avg = diff.mean(axis=1)  # per-path time-averaged residual
-    n = mc.n_paths
+    alpha, beta = _follower_drift(p, sol)
+    m = euler_mean(alpha, beta, p.xbar_init, grid.h)
+    zero = np.zeros_like(F)
+    # Per-path time average of p_i - (F m + fbar) = F (x_i - m).
+    coef = [[zero, F / len(F), zero]]
+    (avg,), mean, x_end = _em_functionals(
+        alpha, beta, p.xbar_init, grid.h, mc.n_paths, _noise(mc, None), m, coef
+    )
     mean_resid = float(avg.mean())
-    se = float(avg.std(ddof=1) / math.sqrt(n)) if not mc.zero_noise else 0.0
-    per_node_se = p_paths.std(axis=0, ddof=1) / math.sqrt(n)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        z = np.where(per_node_se > 0, np.abs(diff.mean(axis=0)) / per_node_se, 0.0)
+    se = float(avg.std(ddof=1) / math.sqrt(mc.n_paths)) if not mc.zero_noise else 0.0
+    # Without noise every path is the mean path.
+    within = abs(mean_resid) <= 3.0 * se if se > 0 else np.abs(F * (mean - m)).max() < 1e-6
     return {
         "mean_residual": mean_resid,
         "stderr": se,
-        "within_3se": bool(abs(mean_resid) <= 3.0 * se) if se > 0 else bool(
-            np.abs(diff).max() < 1e-6
-        ),
-        "max_pathwise_residual": float(np.abs(diff).max()),
-        "max_node_z": float(z[1:].max()) if n > 2 else 0.0,
-        "terminal_adjoint": float(np.abs(p_paths[:, -1]).max()),
+        "within_3se": bool(within),
+        "terminal_adjoint": float(np.abs(F[-1] * x_end + fbar[-1]).max()),
     }
 
 
@@ -666,23 +605,28 @@ def euler_condition_check(
 
     Evaluates (J(u + theta v) - J(u - theta v)) / (2 theta) path by path with
     common random numbers; the follower mean response is re-solved for each
-    of the two perturbed controls.  The result also carries the exact split
-    of that derivative into its certainty-equivalent and variance-channel
-    parts (SplitEstimate).  mean_field_bvp's u0_star is stationary for the
-    noise-free payoff, so there the certainty-equivalent part sits within
-    sampling error of zero (up to an O(h) discretization gap), while under
-    Wright-Fisher noise the variance channel leaves a small nonzero total.
+    of the two perturbed controls, so this is the correct objective for
+    first-order optimality checks at u0_star.  The result also carries the
+    exact split of that derivative into its certainty-equivalent and
+    variance-channel parts (SplitEstimate).  mean_field_bvp's u0_star is
+    stationary for the noise-free payoff, so there the certainty-equivalent
+    part sits within sampling error of zero (up to an O(h) discretization
+    gap), while under Wright-Fisher noise the variance channel leaves a small
+    nonzero total.
     """
     grid = TimeGrid(0.0, p.T, mc.n_steps)
     control = np.asarray(control, dtype=float)
     perturbation = np.asarray(perturbation, dtype=float)
     if control.shape != (mc.n_steps + 1,) or perturbation.shape != control.shape:
         raise ParameterError("control and perturbation must be sampled on the MC grid nodes")
-    if normals is None and not mc.zero_noise:
-        normals = path_normals(mc.seed, mc.n_paths, mc.n_steps)
-    j_plus = _leader_payoff_paths(p, control + theta * perturbation, grid, mc, normals)
-    j_minus = _leader_payoff_paths(p, control - theta * perturbation, grid, mc, normals)
-    return _split_estimate(j_plus, j_minus, theta, mc.seed)
+    normals = _noise(mc, normals)
+
+    def payoff(u0):
+        xbar = _follower_response(p, u0, grid)["xbar"]
+        return _leader_payoff(p, u0, xbar, grid, mc, normals, split=True)
+
+    return _split_estimate(payoff(control + theta * perturbation),
+                           payoff(control - theta * perturbation), theta, mc.seed)
 
 
 def follower_euler_check(
@@ -691,7 +635,6 @@ def follower_euler_check(
     perturbation: np.ndarray,
     mc: McConfig,
     theta: float = 1e-4,
-    literal_diffusion: bool = False,
     normals: np.ndarray | None = None,
 ) -> McEstimate:
     """Directional payoff derivative for a representative follower.
@@ -702,59 +645,30 @@ def follower_euler_check(
     certainty-equivalent / variance-channel split as euler_condition_check.
 
     The feedback rule is the optimum of the noise-free (mean) problem in
-    continuous time.  With literal_diffusion=True the follower noise is
-    driven by the leader's mean state, which the follower's control cannot
-    move, so the variance channel vanishes; what remains is the O(h) gap
-    between the continuous-time rule and the Euler-discretized payoff, and
-    a 10^4-path estimator resolves it.  On the README parameters at 1000
-    steps, along criterion 9's direction 3, that gap is -1.8e-3 against a
-    standard error of 5e-4 (z -3.2 to -6.1 at seeds 42 and 1-5).  Under
-    the default own-state noise the rule also carries a variance-channel
-    gap, because the noise level responds to the control through the state.
+    continuous time, so the certainty-equivalent part carries only the O(h)
+    gap to the Euler-discretized payoff.  The total also carries a
+    variance-channel gap, because the follower's own-state noise level
+    responds to the control through the state.
     """
     grid = sol.grid
     if grid.n_steps != mc.n_steps:
         raise ParameterError("solution grid does not match the MC grid")
-    times = grid.times()
     perturbation = np.asarray(perturbation, dtype=float)
-    if perturbation.shape != times.shape:
+    if perturbation.shape != (grid.n_steps + 1,):
         raise ParameterError("perturbation must be sampled on the grid nodes")
     F, fbar = sol["F"], sol["fbar"]
-    u0, xbar, x0 = sol["u0_star"], sol["xbar"], sol["x0"]
-    Fi, fi = _interp(times, F), _interp(times, fbar)
-    u0i, xbari, x0i = _interp(times, u0), _interp(times, xbar), _interp(times, x0)
-    perti = _interp(times, perturbation)
-    if normals is None:
-        normals = path_normals(mc.seed, mc.n_paths, mc.n_steps)
-    if mc.zero_noise:
-        diffusion = lambda t, x: np.zeros_like(x)
-    elif literal_diffusion:
-        diffusion = lambda t, x: wright_fisher_sigma(np.full_like(x, x0i(t)))
-    else:
-        diffusion = lambda t, x: wright_fisher_sigma(x)
+    u0, xbar = sol["u0_star"], sol["xbar"]
+    alpha, beta = _follower_drift(p, sol)
+    normals = _noise(mc, normals)
 
-    def payoff(shift: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        def ctrl(t, x):
-            return (
-                -(p.B / p.a) * (Fi(t) * x + fi(t))
-                - (p.sigma / p.a) * u0i(t)
-                + shift * perti(t)
-            )
-
-        def drift(t, x):
-            return p.A * x + p.B * ctrl(t, x) + p.C * xbari(t) + p.D * x0i(t)
-
+    def payoff(shift: float) -> np.ndarray:
         def integrand(x):
-            # Same control as `ctrl`, evaluated on all nodes at once (the path
-            # nodes coincide with the solution grid, so no interpolation needed).
             u = -(p.B / p.a) * (F * x + fbar) - (p.sigma / p.a) * u0 + shift * perturbation
             track = x - (p.l * xbar - p.b)
             return -p.a * u**2 + track**2 - 2.0 * p.sigma * u0 * u
 
-        ens = em_paths(drift, diffusion, p.xbar_init, grid, mc.n_paths, mc.seed, normals)
-        mean = _euler_mean(drift, p.xbar_init, grid)
-        total = _discounted_trapezoid(times, integrand(ens.paths), p.r)
-        return (total, *_payoff_split(times, integrand, ens.paths, mean, p.r))
+        return _simulate(alpha, beta + p.B * shift * perturbation, p.xbar_init, grid, mc,
+                         normals, integrand, p.r, split=True)[0]
 
     return _split_estimate(payoff(theta), payoff(-theta), theta, mc.seed)
 
@@ -798,19 +712,18 @@ def min_k_meanfield(
     grid = TimeGrid(0.0, p.T, mc.n_steps)
     times = grid.times()
     sol = mean_field_bvp(p, grid)
-    normals = None
-    if not mc.zero_noise:
-        normals = path_normals(mc.seed, mc.n_paths, mc.n_steps)
-    j_eq = _estimate(_payoff_equilibrium_paths(p, sol, grid, mc, normals), mc.seed)
+    normals = _noise(mc, None)
+    (j_eq,) = _leader_payoff(p, sol["u0_star"], sol["xbar"], grid, mc, normals)
+    j_eq = _estimate(j_eq, mc.seed)
 
     trace: list[tuple[float, float, float]] = []
     growth: dict[float, float] = {}
 
     def evaluate(k: float) -> tuple[McEstimate, bool]:
-        samples, ens = _defection_payoff_samples(p, k, sol, grid, mc, normals)
+        samples, mean = _defection_payoff(p, k, sol, grid, mc, normals)
         jd = _estimate(samples, mc.seed)
         trace.append((k, jd.mean, jd.stderr))
-        ok, rate = growth_order_check(times, ens.mean_path(), p.r + k)
+        ok, rate = growth_order_check(times, mean, p.r + k)
         growth[k] = rate
         return jd, ok
 

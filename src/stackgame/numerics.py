@@ -304,17 +304,28 @@ def eig_2x2(m: np.ndarray) -> tuple[float, float, np.ndarray]:
     return float(s1), float(s2), vecs
 
 
+_NORMALS_BLOCK = 256
+
+
 def path_normals(seed: int, n_paths: int, n_steps: int) -> np.ndarray:
-    """Deterministic (n_paths, n_steps) standard-normal matrix.
+    """Deterministic (n_paths, n_steps) standard-normal matrix, stored step-major.
 
     Row i is drawn from its own child stream of SeedSequence(seed), so the
     matrix is identical no matter how paths are later chunked across workers.
+    The values live in an (n_steps, n_paths) buffer and the matrix is its
+    transpose, so column j, which a path march reads at step j, is
+    contiguous.  Rows are drawn into a small path-major block and copied
+    over block by block.
     """
     children = np.random.SeedSequence(seed).spawn(n_paths)
-    out = np.empty((n_paths, n_steps))
-    for i, child in enumerate(children):
-        out[i] = np.random.default_rng(child).standard_normal(n_steps)
-    return out
+    out = np.empty((n_steps, n_paths))
+    block = np.empty((min(n_paths, _NORMALS_BLOCK), n_steps))
+    for start in range(0, n_paths, len(block)):
+        rows = block[: min(len(block), n_paths - start)]
+        for row, child in zip(rows, children[start : start + len(rows)]):
+            np.random.default_rng(child).standard_normal(out=row)
+        out[:, start : start + len(rows)] = rows.T
+    return out.T
 
 
 def em_paths(
@@ -369,3 +380,80 @@ def wright_fisher_sigma(x: np.ndarray) -> np.ndarray:
     peaks at 1.31.
     """
     return np.sqrt(np.maximum(0.0, x * (1.0 - x)))
+
+
+def euler_mean(alpha: np.ndarray, beta: np.ndarray, x0: float, h: float) -> np.ndarray:
+    """Noise-free Euler recursion m_{j+1} = m_j + (alpha_j m_j + beta_j) h.
+
+    It is the exact ensemble mean of an Euler-Maruyama march with the affine
+    drift alpha x + beta, because the noise increments have mean zero and are
+    independent of the current state.  The arithmetic is _em_functionals',
+    so a zero-noise path of that march equals it bit for bit.
+    """
+    m = np.empty(len(alpha))
+    x = m[0] = float(x0)
+    for j, (a, b) in enumerate(zip(alpha[:-1].tolist(), beta[:-1].tolist()), start=1):
+        x = m[j] = x + (a * x + b) * h
+    return m
+
+
+def _em_functionals(
+    alpha: np.ndarray,
+    beta: np.ndarray,
+    x0: float,
+    h: float,
+    n_paths: int,
+    normals: np.ndarray | None,
+    center: np.ndarray,
+    coef,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Streamed Euler-Maruyama march that keeps per-path quadratic functionals.
+
+    Every path starts at x0 and steps dx = (alpha_j x + beta_j) h +
+    wright_fisher_sigma(x) sqrt(h) Z_j, where Z = normals (n_paths, n_steps)
+    reads fastest as path_normals' step-major matrix; normals=None switches
+    the noise off.  alpha, beta and center are node arrays (n_steps + 1 nodes).
+    For each coef[k] = (c0, c1, c2), node arrays that already include any
+    quadrature weights, it adds up per path
+        F_k = sum_j c0_kj + c1_kj d_j + c2_kj d_j^2,   d_j = x_j - center_j,
+    over all nodes while it marches, so memory is O(n_paths): no path array
+    is stored.  Per-path outputs depend only on that path's normals.
+
+    Returns F (K, n_paths), the per-node ensemble mean and the final state.
+    Raises SimulationBlowupError at the first step that leaves a path
+    non-finite, naming the first such path.
+    """
+    n_steps = len(alpha) - 1
+    if normals is not None and normals.shape != (n_paths, n_steps):
+        raise ParameterError(f"normals shape {normals.shape} != {(n_paths, n_steps)}")
+    coef = np.asarray(coef, dtype=float)
+    out = np.repeat(coef[:, 0].sum(axis=1)[:, None], n_paths, axis=1)
+    linear = [(acc, c1) for acc, c1 in zip(out, coef[:, 1]) if c1.any()]
+    quadratic = [(acc, c2) for acc, c2 in zip(out, coef[:, 2]) if c2.any()]
+    sqrt_h = np.sqrt(h)
+    sums = np.empty(n_steps + 1)
+    x = np.full(n_paths, float(x0))
+
+    def add_node(j: int) -> None:
+        d = x - center[j]
+        for acc, c1 in linear:
+            acc += c1[j] * d
+        if quadratic:
+            d2 = d * d
+            for acc, c2 in quadratic:
+                acc += c2[j] * d2
+
+    sums[0] = x.sum()
+    add_node(0)
+    for j in range(n_steps):
+        step = x + (alpha[j] * x + beta[j]) * h
+        if normals is not None:
+            step += wright_fisher_sigma(x) * sqrt_h * normals[:, j]
+        x = step
+        total = sums[j + 1] = x.sum()
+        if not np.isfinite(total):
+            bad = np.flatnonzero(~np.isfinite(x))
+            if bad.size:
+                raise SimulationBlowupError(path_index=int(bad[0]), step=j + 1)
+        add_node(j + 1)
+    return out, sums / n_paths, x

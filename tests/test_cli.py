@@ -154,6 +154,18 @@ class TestMain:
         assert rc == 2
         assert "b must be > 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("old, new", [
+        ("sigma: 0.1", "sigma: .nan"),
+        ("r: 0.05", "r: .nan"),
+        ("T: 1.0", "T: .inf"),
+        ("n_steps: 200", "n_steps: .nan"),
+    ])
+    def test_non_finite_meanfield_value_exits_2(self, tmp_path, capsys, old, new):
+        cfg = self._write(tmp_path, MEANFIELD_YAML.replace(old, new))
+        rc = main(["meanfield", "defect", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert new.split(":")[0] in capsys.readouterr().err
+
     def test_numerical_failure_exits_3(self, tmp_path, capsys):
         # gamma = 1 with r = 1 breaks the saddle hypothesis of the dynamic model.
         text = DYNAMIC_YAML.replace("gamma: 0.02", "gamma: 1.0").replace("r: 0.05", "r: 1.0")

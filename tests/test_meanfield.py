@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from stackgame import meanfield, numerics
 from stackgame.errors import NoDeterrentError, ParameterError, RiccatiBlowupError
 from stackgame.meanfield import (
     McConfig,
@@ -133,8 +134,24 @@ class TestMonteCarlo:
 
     def test_follower_feedback_mean_matches_reference(self, mfg, mc_small):
         out = follower_feedback_check(mfg, TimeGrid(0.0, mfg.T, mc_small.n_steps), mc_small)
+        assert set(out) == {"mean_residual", "stderr", "within_3se", "terminal_adjoint"}
         assert out["within_3se"]
         assert out["terminal_adjoint"] < 1e-10
+
+    def test_zero_noise_draws_no_normals(self, mfg, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("zero-noise run drew normals")
+
+        monkeypatch.setattr(meanfield, "path_normals", refuse)
+        monkeypatch.setattr(numerics, "path_normals", refuse)
+        mc = McConfig(n_paths=3, n_steps=100, seed=42, zero_noise=True)
+        grid = TimeGrid(0.0, mfg.T, mc.n_steps)
+        sol = mean_field_bvp(mfg, grid)
+        v = np.ones(mc.n_steps + 1)
+        mean_payoffs(mfg, 0.0, mc)
+        euler_condition_check(mfg, sol["u0_star"], v, mc)
+        follower_euler_check(mfg, sol, v, mc)
+        assert follower_feedback_check(mfg, grid, mc)["within_3se"]
 
     def test_zero_noise_stationarity_of_leader_control(self, mfg):
         # With the noise switched off the derived control is a stationary
@@ -226,8 +243,17 @@ class TestParamValidation:
             with pytest.raises(ParameterError):
                 mfg_with(mfg_kwargs, **{key: val})
 
+    def test_rejects_non_finite_parameters(self, mfg_kwargs):
+        for key in mfg_kwargs:
+            for val in (math.nan, math.inf, -math.inf):
+                with pytest.raises(ParameterError, match=key):
+                    mfg_with(mfg_kwargs, **{key: val})
+
     def test_mc_config_validation(self):
         with pytest.raises(ParameterError):
             McConfig(n_paths=1)
         with pytest.raises(ParameterError):
             McConfig(n_steps=1)
+        for key in ("n_paths", "n_steps"):
+            with pytest.raises(ParameterError, match=key):
+                McConfig(**{key: math.nan})

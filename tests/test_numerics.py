@@ -8,13 +8,16 @@ from stackgame.errors import (
     ConfigurationError,
     IllPosedBVPError,
     ParameterError,
+    SimulationBlowupError,
     SpectralError,
 )
 from stackgame.numerics import (
     AffineSystem,
     TimeGrid,
+    _em_functionals,
     eig_2x2,
     em_paths,
+    euler_mean,
     find_root_bisect,
     find_threshold_bisect,
     path_normals,
@@ -176,6 +179,16 @@ class TestPathNoise:
         many = path_normals(7, 8, 16)
         assert np.array_equal(few, many[:3])
 
+    def test_values_are_the_per_path_child_streams(self):
+        # Step-major storage changes the layout only: row i is still the
+        # first n_steps draws of child stream i, across block boundaries too.
+        normals = path_normals(11, 300, 4)
+        children = np.random.SeedSequence(11).spawn(300)
+        for i in (0, 255, 256, 299):
+            expected = np.random.default_rng(children[i]).standard_normal(4)
+            assert np.array_equal(normals[i], expected)
+        assert normals[:, 2].flags.c_contiguous
+
     def test_zero_diffusion_matches_euler(self):
         grid = TimeGrid(0.0, 1.0, 100)
         ens = em_paths(
@@ -211,3 +224,76 @@ class TestPathNoise:
         assert np.all(s >= 0.0) and np.all(np.isfinite(s))
         assert abs(s[2] - 0.5) < 1e-15
         assert s[0] == 0.0 and s[4] == 0.0
+
+
+def _kernel_case(n_paths=50, n_steps=200, seed=5):
+    """Affine drift, Wright-Fisher noise and a time-varying quadratic reward."""
+    grid = TimeGrid(0.0, 1.0, n_steps)
+    t = grid.times()
+    alpha = -0.3 + 0.2 * np.sin(3.0 * t)
+    beta = 0.4 * np.cos(t)
+    g, c = 1.0 + 0.5 * t, 0.3 - 0.1 * t
+
+    def reward(x):
+        return g * (x - c) ** 2 - 0.5 * x
+
+    rate = 0.05
+    dt = np.diff(t)
+    w = np.exp(-rate * t) * (np.append(dt, 0.0) + np.append(0.0, dt)) / 2.0
+    m = euler_mean(alpha, beta, 0.5, grid.h)
+    q0, up, down = reward(m), reward(m + 1.0), reward(m - 1.0)
+    coef = [np.stack([q0, 0.5 * (up - down), 0.5 * (up + down) - q0]) * w]
+    normals = path_normals(seed, n_paths, n_steps)
+    return grid, alpha, beta, reward, rate, m, coef, normals
+
+
+class TestStreamedKernel:
+    def test_payoff_matches_trapezoid_of_full_paths(self):
+        grid, alpha, beta, reward, rate, m, coef, normals = _kernel_case()
+        t = grid.times()
+        (payoff,), mean, x_end = _em_functionals(
+            alpha, beta, 0.5, grid.h, 50, normals, m, coef
+        )
+        ens = em_paths(
+            lambda s, x: np.interp(s, t, alpha) * x + np.interp(s, t, beta),
+            lambda s, x: wright_fisher_sigma(x), 0.5, grid, 50, seed=5, normals=normals,
+        )
+        reference = np.trapezoid(np.exp(-rate * t) * reward(ens.paths), t, axis=1)
+        np.testing.assert_allclose(payoff, reference, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(mean, ens.mean_path(), rtol=1e-13, atol=0.0)
+        np.testing.assert_allclose(x_end, ens.paths[:, -1], rtol=1e-13, atol=0.0)
+
+    def test_per_path_outputs_are_chunk_invariant(self):
+        grid, alpha, beta, _, _, m, coef, normals = _kernel_case(n_paths=8)
+        many, _, x_many = _em_functionals(alpha, beta, 0.5, grid.h, 8, normals, m, coef)
+        few, _, x_few = _em_functionals(
+            alpha, beta, 0.5, grid.h, 3, path_normals(5, 3, grid.n_steps), m, coef
+        )
+        assert np.array_equal(many[:, :3], few)
+        assert np.array_equal(x_many[:3], x_few)
+
+    def test_zero_noise_path_is_the_euler_mean(self):
+        grid, alpha, beta, _, _, m, coef, _ = _kernel_case()
+        zero = np.zeros_like(m)
+        stack = [[zero, np.ones_like(m), zero], [zero, zero, np.ones_like(m)]]
+        (lin, quad), mean, x_end = _em_functionals(alpha, beta, 0.5, grid.h, 4, None, m, stack)
+        assert np.array_equal(mean, m)
+        assert np.all(x_end == m[-1])
+        assert np.all(lin == 0.0) and np.all(quad == 0.0)
+
+    def test_non_finite_state_names_path_and_step(self):
+        grid, alpha, beta, _, _, m, coef, normals = _kernel_case(n_paths=6, n_steps=50)
+        normals[4:, 9] = np.nan  # paths 4 and 5 turn non-finite at step 10
+        normals[1, 20] = np.nan
+        with pytest.raises(SimulationBlowupError) as streamed:
+            _em_functionals(alpha, beta, 0.5, grid.h, 6, normals, m, coef)
+        assert (streamed.value.path_index, streamed.value.step) == (4, 10)
+        with pytest.raises(SimulationBlowupError) as full:
+            em_paths(lambda s, x: 0.0 * x, lambda s, x: wright_fisher_sigma(x), 0.5,
+                     grid, 6, seed=5, normals=normals)
+        assert (full.value.path_index, full.value.step) == (4, 10)
+
+    def test_wrong_normals_shape_rejected(self):
+        grid, alpha, beta, _, _, m, coef, _ = _kernel_case()
+        with pytest.raises(ParameterError):
+            _em_functionals(alpha, beta, 0.5, grid.h, 4, np.zeros((4, 199)), m, coef)
