@@ -118,6 +118,8 @@ def _validate_types(cfg: RunConfig) -> None:
     for key, val in checked:
         if not isinstance(val, int) or val < 2:
             raise ConfigurationError(f"{key} must be an integer >= 2, got {val!r}")
+    if not isinstance(cfg.mc["seed"], int):
+        raise ConfigurationError(f"mc.seed must be an integer, got {cfg.mc['seed']!r}")
     for name, val in cfg.params.items():
         if not isinstance(val, (int, float)) or isinstance(val, bool):
             raise ConfigurationError(f"params.{name} must be a number, got {val!r}")

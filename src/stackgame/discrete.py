@@ -61,7 +61,9 @@ class DuopolyParams:
             )
         if self.margin < 0:
             raise ParameterError(f"a + c1 - 2 c0 = {self.margin} < 0 (negative leader output)")
-        if self.a + 2 * self.c0 - 3 * self.c1 < 0:
+        # Compared as a bound on c1, so c1 = (a + 2 c0) / 3 itself, a zero
+        # follower output, is not rejected for a rounding error in the sum.
+        if self.c1 > (self.a + 2 * self.c0) / 3:
             raise ParameterError(
                 f"a + 2 c0 - 3 c1 = {self.a + 2 * self.c0 - 3 * self.c1} < 0 "
                 "(negative follower output)"

@@ -159,6 +159,7 @@ class TestMain:
         ("r: 0.05", "r: .nan"),
         ("T: 1.0", "T: .inf"),
         ("n_steps: 200", "n_steps: .nan"),
+        ("seed: 42", "seed: .nan"),
     ])
     def test_non_finite_meanfield_value_exits_2(self, tmp_path, capsys, old, new):
         cfg = self._write(tmp_path, MEANFIELD_YAML.replace(old, new))
