@@ -101,7 +101,7 @@ def parse_config(document: str) -> RunConfig:
         mc={"n_paths": 10_000, "seed": 42, **raw.get("mc", {})},
         penalty=dict(raw.get("penalty", {})),
         out=str(raw.get("out", ".")),
-        seed=int(raw.get("seed", 42)),
+        seed=raw.get("seed", 42),
     )
     _validate_types(cfg)
     return cfg
@@ -118,8 +118,9 @@ def _validate_types(cfg: RunConfig) -> None:
     for key, val in checked:
         if not isinstance(val, int) or val < 2:
             raise ConfigurationError(f"{key} must be an integer >= 2, got {val!r}")
-    if not isinstance(cfg.mc["seed"], int):
-        raise ConfigurationError(f"mc.seed must be an integer, got {cfg.mc['seed']!r}")
+    for key, val in (("seed", cfg.seed), ("mc.seed", cfg.mc["seed"])):
+        if isinstance(val, bool) or not isinstance(val, int) or val < 0:
+            raise ConfigurationError(f"{key} must be an integer >= 0, got {val!r}")
     for name, val in cfg.params.items():
         if not isinstance(val, (int, float)) or isinstance(val, bool):
             raise ConfigurationError(f"params.{name} must be a number, got {val!r}")

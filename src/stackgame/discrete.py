@@ -13,11 +13,11 @@ Handy exact ratios (margin s = a + c1 - 2 c0):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import NoDeterrentError, ParameterError
+from .errors import NoDeterrentError, ParameterError, require_finite
 from .results import PenaltySearchResult
 
 __all__ = [
@@ -51,6 +51,7 @@ class DuopolyParams:
     x1_0: float = 0.0
 
     def __post_init__(self):
+        require_finite(self, [f.name for f in fields(self)])
         if self.a <= 0:
             raise ParameterError(f"a must be > 0, got {self.a}")
         if self.b <= 0:

@@ -15,11 +15,11 @@ obtained by solving the two boundary conditions x1(0) = x1_0, lambda(T) = 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import HypothesisViolationError, NoDeterrentError, ParameterError
+from .errors import HypothesisViolationError, NoDeterrentError, ParameterError, require_finite
 from .numerics import (
     AffineSystem,
     TimeGrid,
@@ -74,6 +74,7 @@ class DynamicParams:
     x1_0: float = 0.0
 
     def __post_init__(self):
+        require_finite(self, [f.name for f in fields(self)])
         if self.b <= 0:
             raise ParameterError(f"b must be > 0, got {self.b}")
         if self.gamma < 0:
@@ -302,8 +303,8 @@ def defection_payoff(p: DynamicParams, k: float, t0: float, grid: TimeGrid) -> f
     """
     if not 0.0 <= t0 <= p.T:
         raise ParameterError(f"defection time t0={t0} outside [0, {p.T}]")
-    if k < 0:
-        raise ParameterError(f"penalty rate k={k} must be >= 0")
+    if not (math.isfinite(k) and k >= 0):
+        raise ParameterError(f"penalty rate k={k} must be finite and >= 0")
     ss = saddle_structure(p)
     cx, cl = trajectory_coefficients(p, ss.s1, ss.s2, ss.q1, ss.q2)
 

@@ -1,5 +1,7 @@
 """Exception hierarchy shared by all solver modules."""
 
+import math
+
 
 class StackgameError(Exception):
     """Base class for all errors raised by this package."""
@@ -7,6 +9,14 @@ class StackgameError(Exception):
 
 class ParameterError(StackgameError):
     """A parameter record violates its validity invariants."""
+
+
+def require_finite(record, names) -> None:
+    """Raise ParameterError naming the first of record's fields that is not finite."""
+    for name in names:
+        value = getattr(record, name)
+        if not math.isfinite(value):
+            raise ParameterError(f"{name} must be finite, got {value}")
 
 
 class ConfigurationError(StackgameError):

@@ -27,6 +27,7 @@ from .errors import (
     NoDeterrentError,
     ParameterError,
     RiccatiBlowupError,
+    require_finite,
 )
 from .numerics import (
     AffineSystem,
@@ -61,13 +62,6 @@ __all__ = [
 ]
 
 
-def _require_finite(record, names: list[str]) -> None:
-    for name in names:
-        value = getattr(record, name)
-        if not math.isfinite(value):
-            raise ParameterError(f"{name} must be finite, got {value}")
-
-
 @dataclass(frozen=True)
 class MfgParams:
     """Coefficients of the major/minor knowledge-stock game.
@@ -98,7 +92,7 @@ class MfgParams:
     xbar_init: float
 
     def __post_init__(self):
-        _require_finite(self, [f.name for f in fields(self)])
+        require_finite(self, [f.name for f in fields(self)])
         if self.a0 <= 0 or self.a <= 0:
             raise ParameterError(f"control weights must be > 0, got a0={self.a0}, a={self.a}")
         if self.T <= 0:
@@ -115,7 +109,10 @@ class MfgParams:
 
 @dataclass(frozen=True)
 class McConfig:
-    """Monte Carlo settings: path count, grid resolution, base seed."""
+    """Monte Carlo settings: path count, grid resolution, base seed.
+
+    The seed is a non-negative int, the entropy numpy's SeedSequence takes.
+    """
 
     n_paths: int = 10_000
     n_steps: int = 1000
@@ -123,7 +120,9 @@ class McConfig:
     zero_noise: bool = False
 
     def __post_init__(self):
-        _require_finite(self, ["n_paths", "n_steps"])
+        require_finite(self, ["n_paths", "n_steps"])
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
+            raise ParameterError(f"seed must be a non-negative int, got {self.seed!r}")
         if self.n_paths < 2:
             raise ParameterError(f"n_paths must be >= 2, got {self.n_paths}")
         if self.n_steps < 2:
@@ -193,13 +192,6 @@ class DefectionSolution:
     Q: np.ndarray
     q: np.ndarray
 
-    @property
-    def r_tilde_gain(self):
-        return self.Q
-
-    def control(self, t_index: int, x0: np.ndarray, p: MfgParams) -> np.ndarray:
-        return (p.B0 / (2.0 * p.a0)) * (self.Q[t_index] * x0 + self.q[t_index])
-
 
 _BLOWUP_LIMIT = 1e6
 
@@ -238,8 +230,8 @@ def defection_riccati(p: MfgParams, k: float, grid: TimeGrid) -> RiccatiSolution
 
     r~ = r + k is the leader's raised discount rate under punishment.
     """
-    if k < 0:
-        raise ParameterError(f"penalty rate k must be >= 0, got {k}")
+    if not (math.isfinite(k) and k >= 0):
+        raise ParameterError(f"penalty rate k must be finite and >= 0, got {k}")
     rt = p.r + k
     c = p.B0**2 / (2.0 * p.a0)
 
@@ -709,6 +701,8 @@ def min_k_meanfield(
     trace is checked for monotone-decreasing defection payoffs (up to 6 SE
     slack, two estimates).
     """
+    if not (math.isfinite(tol) and tol > 0):
+        raise ParameterError(f"tol must be finite and > 0, got {tol}")
     grid = TimeGrid(0.0, p.T, mc.n_steps)
     times = grid.times()
     sol = mean_field_bvp(p, grid)

@@ -7,6 +7,7 @@ so results never depend on scheduling or worker count.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -312,18 +313,29 @@ def path_normals(seed: int, n_paths: int, n_steps: int) -> np.ndarray:
 
     Row i is drawn from its own child stream of SeedSequence(seed), so the
     matrix is identical no matter how paths are later chunked across workers.
+    The children's seed words are hashed in one vectorised pass
+    (_seeding.child_seed_words) and each row is drawn by numpy's own PCG64 and
+    normal sampler, so the values are those of
+    default_rng(SeedSequence(seed).spawn(n_paths)[i]).
     The values live in an (n_steps, n_paths) buffer and the matrix is its
     transpose, so column j, which a path march reads at step j, is
     contiguous.  Rows are drawn into a small path-major block and copied
     over block by block.
     """
-    children = np.random.SeedSequence(seed).spawn(n_paths)
+    # Imported here: _seeding loads numpy.random, which importing stackgame need not.
+    from ._seeding import SeedWords, child_seed_words
+
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ParameterError(f"seed must be >= 0, got {seed}")
+    seed_words = child_seed_words(seed, n_paths)
     out = np.empty((n_steps, n_paths))
     block = np.empty((min(n_paths, _NORMALS_BLOCK), n_steps))
     for start in range(0, n_paths, len(block)):
         rows = block[: min(len(block), n_paths - start)]
-        for row, child in zip(rows, children[start : start + len(rows)]):
-            np.random.default_rng(child).standard_normal(out=row)
+        for row, words in zip(rows, seed_words[start : start + len(rows)]):
+            bits = np.random.PCG64(SeedWords(words))
+            np.random.Generator(bits).standard_normal(out=row)
         out[:, start : start + len(rows)] = rows.T
     return out.T
 

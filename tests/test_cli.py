@@ -167,6 +167,37 @@ class TestMain:
         assert rc == 2
         assert new.split(":")[0] in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text, extra", [
+        (MEANFIELD_YAML.replace("seed: 42", "seed: -1"), []),
+        (MEANFIELD_YAML, ["--seed", "-1"]),
+        (MEANFIELD_YAML + "seed: .nan\n", []),
+    ])
+    def test_bad_seed_exits_2(self, tmp_path, capsys, text, extra):
+        cfg = self._write(tmp_path, text)
+        rc = main(["meanfield", "defect", "--config", str(cfg),
+                   "--out", str(tmp_path / "out"), *extra])
+        assert rc == 2
+        assert "seed must be an integer >= 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("action, penalty", [
+        ("defect", "k: .nan"),
+        ("defect", "k: .inf"),
+        ("defect", "k: -0.5"),
+        ("threshold-k", "tol: .nan"),
+        ("threshold-k", "tol: 0.0"),
+    ])
+    def test_bad_meanfield_penalty_exits_2(self, tmp_path, capsys, action, penalty):
+        cfg = self._write(tmp_path, MEANFIELD_YAML.replace("k: 0.5", penalty))
+        rc = main(["meanfield", action, "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert penalty.split(":")[0] + " must be finite" in capsys.readouterr().err
+
+    def test_non_finite_dynamic_parameter_exits_2(self, tmp_path, capsys):
+        cfg = self._write(tmp_path, DYNAMIC_YAML.replace("r: 0.05", "r: .nan"))
+        rc = main(["dynamic", "threshold-k", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert "r must be finite" in capsys.readouterr().err
+
     def test_numerical_failure_exits_3(self, tmp_path, capsys):
         # gamma = 1 with r = 1 breaks the saddle hypothesis of the dynamic model.
         text = DYNAMIC_YAML.replace("gamma: 0.02", "gamma: 1.0").replace("r: 0.05", "r: 1.0")

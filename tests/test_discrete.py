@@ -1,5 +1,7 @@
 """Unit and property tests for the repeated discrete duopoly model."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -195,6 +197,13 @@ class TestParamValidation:
             DuopolyParams(a=10.0, b=1.0, c0=2.0, c1=1.0)
         with pytest.raises(ParameterError):
             DuopolyParams(a=10.0, b=1.0, c0=-1.0, c1=1.0)
+
+    def test_rejects_non_finite_parameters(self):
+        good = dict(a=10.0, b=1.0, c0=1.0, c1=2.0, delta=0.1, x1_0=0.0)
+        for key in good:
+            for val in (math.nan, math.inf, -math.inf):
+                with pytest.raises(ParameterError, match=key):
+                    DuopolyParams(**dict(good, **{key: val}))
 
     def test_rejects_negative_follower_output(self):
         with pytest.raises(ParameterError):

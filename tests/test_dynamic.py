@@ -115,6 +115,9 @@ class TestPayoffs:
             defection_payoff(dyn, -0.1, 0.0, grid)
         with pytest.raises(ParameterError):
             defection_payoff(dyn, 0.1, dyn.T + 1.0, grid)
+        for k in (math.nan, math.inf):
+            with pytest.raises(ParameterError, match="finite"):
+                defection_payoff(dyn, k, 0.0, grid)
 
 
 class TestIdentityAndClosedForm:
@@ -175,6 +178,14 @@ class TestParamValidation:
             bad = dict(good, **{key: val})
             with pytest.raises(ParameterError):
                 DynamicParams(**bad)
+
+    def test_rejects_non_finite_parameters(self):
+        good = dict(a=10.0, b=1.0, cbar1=2.0, gamma=0.02, delta=0.1, r=0.05, T=10.0,
+                    c0=0.0, x1_0=0.0)
+        for key in good:
+            for val in (math.nan, math.inf, -math.inf):
+                with pytest.raises(ParameterError, match=key):
+                    DynamicParams(**dict(good, **{key: val}))
 
     def test_cost_normalization(self):
         p = DynamicParams(a=10.0, b=1.0, cbar1=2.0, gamma=0.02, delta=0.1, r=0.05,

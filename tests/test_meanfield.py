@@ -62,6 +62,11 @@ class TestRiccati:
         with pytest.raises(ParameterError):
             defection_riccati(mfg, -0.5, TimeGrid(0.0, mfg.T, 100))
 
+    @pytest.mark.parametrize("k", [math.nan, math.inf])
+    def test_non_finite_rate_rejected(self, mfg, k):
+        with pytest.raises(ParameterError, match="k must be finite"):
+            defection_riccati(mfg, k, TimeGrid(0.0, mfg.T, 100))
+
 
 class TestMeanFieldBvp:
     def test_benchmark_residuals(self, mfg):
@@ -220,6 +225,11 @@ class TestMinK:
         # Unpunished defection pays, certifying the bracket is non-trivial.
         assert res.details["j_tilde_at_zero"] > res.j_star
 
+    @pytest.mark.parametrize("tol", [0.0, -0.1, math.nan, math.inf])
+    def test_non_positive_or_non_finite_tol_rejected(self, mfg, tol):
+        with pytest.raises(ParameterError, match="tol"):
+            min_k_meanfield(mfg, McConfig(n_paths=2, n_steps=50, zero_noise=True), tol=tol)
+
     def test_search_is_seed_reproducible(self, mfg):
         mc = McConfig(n_paths=1500, n_steps=300, seed=42)
         a = min_k_meanfield(mfg, mc, tol=0.02)
@@ -257,3 +267,7 @@ class TestParamValidation:
         for key in ("n_paths", "n_steps"):
             with pytest.raises(ParameterError, match=key):
                 McConfig(**{key: math.nan})
+        for seed in (-1, 1.5, math.nan, True, "42"):
+            with pytest.raises(ParameterError, match="seed"):
+                McConfig(seed=seed)
+        assert McConfig(seed=2**130 + 7).seed == 2**130 + 7

@@ -189,6 +189,21 @@ class TestPathNoise:
             assert np.array_equal(normals[i], expected)
         assert normals[:, 2].flags.c_contiguous
 
+    @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 + 5, 2**130 + 7])
+    def test_vectorised_seeding_matches_numpy_spawn(self, seed):
+        # One to five entropy words (2^130 + 7 has more than the pool's
+        # four), and rows on both sides of the 256-path block edge.
+        n = 257
+        normals = path_normals(seed, n, 7)
+        children = np.random.SeedSequence(seed).spawn(n)
+        for i in (0, 255, 256, n - 1):
+            expected = np.random.default_rng(children[i]).standard_normal(7)
+            assert np.array_equal(normals[i], expected)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ParameterError, match="seed"):
+            path_normals(-1, 4, 3)
+
     def test_zero_diffusion_matches_euler(self):
         grid = TimeGrid(0.0, 1.0, 100)
         ens = em_paths(
