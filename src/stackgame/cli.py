@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import os
 import sys
 import time
@@ -122,8 +123,21 @@ def _validate_types(cfg: RunConfig) -> None:
         if isinstance(val, bool) or not isinstance(val, int) or val < 0:
             raise ConfigurationError(f"{key} must be an integer >= 0, got {val!r}")
     for name, val in cfg.params.items():
-        if not isinstance(val, (int, float)) or isinstance(val, bool):
+        if not _is_number(val):
             raise ConfigurationError(f"params.{name} must be a number, got {val!r}")
+    for name, val in cfg.penalty.items():
+        if name == "mode":
+            ok, want = isinstance(val, str), "a string"
+        elif name in ("N", "m"):
+            ok, want = isinstance(val, int) and not isinstance(val, bool), "an integer"
+        else:  # k, t0, tol
+            ok, want = _is_number(val) and math.isfinite(val), "finite and real"
+        if not ok:
+            raise ConfigurationError(f"penalty.{name} must be {want}, got {val!r}")
+
+
+def _is_number(val) -> bool:
+    return isinstance(val, (int, float)) and not isinstance(val, bool)
 
 
 def emit_config(cfg: RunConfig) -> str:
@@ -156,7 +170,7 @@ def _discrete_params(cfg: RunConfig) -> discrete.DuopolyParams:
 
 def _run_discrete(cfg: RunConfig):
     p = _discrete_params(cfg)
-    N = int(cfg.penalty.get("N", 10))
+    N = cfg.penalty.get("N", 10)
     results, certs, warnings, traj, sweep = {}, {}, [], None, None
     eq = discrete.one_shot_equilibrium(p)
     u0_hat, j_hat, gain = discrete.one_shot_defection(p)
@@ -171,7 +185,7 @@ def _run_discrete(cfg: RunConfig):
         pass
     elif cfg.action == "defect":
         k = float(cfg.penalty.get("k", 0.1))
-        m = int(cfg.penalty.get("m", 1))
+        m = cfg.penalty.get("m", 1)
         sched = discrete.discount_schedule(p, k, m, N)
         results.update(k=k, m=m, N=N, total_defection_payoff=sched.total,
                        total_equilibrium_payoff=N * eq.J0,
@@ -184,7 +198,7 @@ def _run_discrete(cfg: RunConfig):
             "payoff": sched.ledger,
         }
     elif cfg.action == "threshold-k":
-        mode = str(cfg.penalty.get("mode", "worst-case"))
+        mode = cfg.penalty.get("mode", "worst-case")
         m = cfg.penalty.get("m")
         res = discrete.min_k_discrete(p, N, mode=mode, m=m)
         results.update(k_min=res.k_min, N=N, mode=mode,
@@ -193,9 +207,7 @@ def _run_discrete(cfg: RunConfig):
         sweep = []
         k_hi = 1.0 / gain if gain > 0 else 1.0
         for k in np.linspace(max(1e-6, res.k_min / 5), min(2 * res.k_min + 1e-6, k_hi * 0.999), 25):
-            worst = max(
-                discrete.discount_schedule(p, float(k), m0, N).total for m0 in range(1, N + 1)
-            )
+            worst = float(discrete.ledger_totals(p, float(k), N).max())
             sweep.append((float(k), res.j_star, worst, worst <= res.j_star + 1e-9))
     elif cfg.action == "verify":
         certs["ratio_9"] = _cert("ratio_9", j_hat / gain, 9.0, 1e-12, op="~")[1]

@@ -29,6 +29,7 @@ __all__ = [
     "one_shot_defection",
     "brute_force_oracle",
     "discount_schedule",
+    "ledger_totals",
     "theorem1_condition",
     "min_k_discrete",
 ]
@@ -155,6 +156,35 @@ def brute_force_oracle(
     return OneShotOutcome(u0=float(u0[i]), u1=float(u1[i]), J0=float(J0[i]), J1=float(J1))
 
 
+def _recursive_factors(k: float, d: float, n: int) -> np.ndarray:
+    """rho(i) = rho(i-1) - k * dJ~(i-1) with dJ~(i) = rho(i) dJ0(1), from rho(0) = 1."""
+    rho = np.ones(n)
+    for i in range(1, n):
+        rho[i] = rho[i - 1] - k * (rho[i - 1] * d)
+    return rho
+
+
+def _tail_factors(
+    p: DuopolyParams, k: float, n: int, allow_zero_k: bool = False
+) -> np.ndarray:
+    """Penalty factors (1 - k dJ0(1))^i, i < n, of a defection's first n punished periods.
+
+    The recursion (_recursive_factors) runs alongside as a cross-check; the
+    two must agree to rounding.
+    """
+    d = p.defection_gain
+    k_hi = 1.0 / d if d > 0 else math.inf
+    if allow_zero_k:
+        if not 0.0 <= k < k_hi:
+            raise ParameterError(f"k={k} outside [0, 1/dJ0(1)={k_hi:.6g})")
+    elif not 0.0 < k < k_hi:
+        raise ParameterError(f"k={k} outside (0, 1/dJ0(1)={k_hi:.6g})")
+    closed = (1.0 - k * d) ** np.arange(n)
+    if float(np.abs(_recursive_factors(k, d, n) - closed).max()) > 1e-12:
+        raise ParameterError("recursive and closed-form discount factors disagree")
+    return closed
+
+
 def discount_schedule(
     p: DuopolyParams, k: float, m: int, N: int, allow_zero_k: bool = False
 ) -> DiscountSchedule:
@@ -167,36 +197,36 @@ def discount_schedule(
     forfeited deposit dJ0(1) is subtracted, making a last-period defection
     exactly payoff-neutral.
     """
-    d = p.defection_gain
     if not (1 <= m <= N):
         raise ParameterError(f"need 1 <= m <= N, got m={m}, N={N}")
-    k_hi = 1.0 / d if d > 0 else math.inf
-    if allow_zero_k:
-        if not 0.0 <= k < k_hi:
-            raise ParameterError(f"k={k} outside [0, 1/dJ0(1)={k_hi:.6g})")
-    elif not 0.0 < k < k_hi:
-        raise ParameterError(f"k={k} outside (0, 1/dJ0(1)={k_hi:.6g})")
-
-    j_star = one_shot_equilibrium(p).J0
-    _, j_hat, _ = one_shot_defection(p)
-    x = k * d
-    n_idx = np.arange(1, N + 1)
-    rho_closed = np.where(n_idx < m, 1.0, (1.0 - x) ** np.maximum(0, n_idx - m))
-    # Recursion cross-check: d~J0(n) = rho(n) dJ0(1) on the defection tail.
-    rho_rec = np.ones(N)
-    for n in range(m, N):  # 0-based index n holds period n+1
-        rho_rec[n] = rho_rec[n - 1] - k * (rho_rec[n - 1] * d)
-    if float(np.abs(rho_rec - rho_closed).max()) > 1e-12:
-        raise ParameterError("recursive and closed-form discount factors disagree")
-
-    ledger = np.where(n_idx < m, j_star, rho_closed * j_hat)
+    tail = _tail_factors(p, k, N - m + 1, allow_zero_k)
+    rho = np.concatenate([np.ones(m - 1), tail])
+    _, j_hat, d = one_shot_defection(p)
+    ledger = np.concatenate([np.full(m - 1, one_shot_equilibrium(p).J0), tail * j_hat])
     total = float(ledger.sum())
     deposit = m == N
     if deposit:
         total -= d
     return DiscountSchedule(
-        k=k, m=m, N=N, rho=rho_closed, ledger=ledger, total=total, deposit_forfeited=deposit
+        k=k, m=m, N=N, rho=rho, ledger=ledger, total=total, deposit_forfeited=deposit
     )
+
+
+def ledger_totals(p: DuopolyParams, k: float, N: int) -> np.ndarray:
+    """discount_schedule(p, k, m, N).total for every defection start m = 1..N, in one pass.
+
+    The start-m tail is a prefix of the start-1 tail, so the penalty
+    factors and their recursion cross-check are computed once, and
+    totals[m - 1] = (m - 1) J0*(1) + J0^(1) * (sum of the first N - m + 1
+    factors), less the forfeited deposit at m = N.
+    """
+    if N < 1:
+        raise ParameterError(f"N must be >= 1, got {N}")
+    _, j_hat, d = one_shot_defection(p)
+    tail_sums = np.cumsum(_tail_factors(p, k, N) * j_hat)[::-1]
+    totals = np.arange(N) * one_shot_equilibrium(p).J0 + tail_sums
+    totals[-1] -= d
+    return totals
 
 
 def theorem1_condition(x: float, M: int) -> bool:
@@ -271,13 +301,9 @@ def min_k_discrete(
 
     j_star = one_shot_equilibrium(p).J0
     k_cert = min(k_min + tol, k_hi)
-    totals = {}
-    deterred = True
-    for mi in ms + [N]:
-        sched = discount_schedule(p, k_cert, mi, N)
-        totals[mi] = sched.total
-        if sched.total > N * j_star + 1e-9 * (1.0 + N * j_star):
-            deterred = False
+    all_totals = ledger_totals(p, k_cert, N)
+    totals = {mi: float(all_totals[mi - 1]) for mi in ms + [N]}
+    deterred = max(totals.values()) <= N * j_star + 1e-9 * (1.0 + N * j_star)
     return PenaltySearchResult(
         k_min=k_min,
         bracket=(eps, k_hi),

@@ -165,8 +165,8 @@ def affine_system(p: DynamicParams) -> AffineSystem:
     v = _offset_vector(p)
     return AffineSystem(
         dimension=2,
-        matrix=lambda t: m,
-        offset=lambda t: v,
+        matrix=m,
+        offset=v,
         boundary=[(0, "t0", p.x1_0), (1, "t1", 0.0)],
         names=("x1", "lam"),
     )

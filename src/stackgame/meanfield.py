@@ -18,12 +18,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import Callable
 
 import numpy as np
 
 from .errors import (
-    IntegrationBlowupError,
     NoDeterrentError,
     ParameterError,
     RiccatiBlowupError,
@@ -34,9 +32,9 @@ from .numerics import (
     TimeGrid,
     TrajectoryGrid,
     _em_functionals,
+    _rk4_linear_backward,
     euler_mean,
     path_normals,
-    rk4_solve_general,
     solve_affine_bvp,
 )
 from .results import PenaltySearchResult
@@ -196,18 +194,32 @@ class DefectionSolution:
 _BLOWUP_LIMIT = 1e6
 
 
-def _backward_riccati(rhs, grid: TimeGrid, kind: str) -> RiccatiSolution:
-    def f(t, y):
-        if abs(float(y[0])) > _BLOWUP_LIMIT:
-            raise IntegrationBlowupError(step=-1, t=float(t))
-        return np.array([rhs(t, float(y[0]))])
+def _backward_riccati(
+    c0: float, c1: float, c2: float, grid: TimeGrid, kind: str
+) -> RiccatiSolution:
+    """Classical RK4 for y' = c0 + c1 y + c2 y^2 from y(T) = 0 back to t0.
 
-    try:
-        vals = rk4_solve_general(f, [0.0], grid, backward=True)[:, 0]
-    except IntegrationBlowupError as exc:
-        raise RiccatiBlowupError(t_blowup=exc.t) from exc
-    if np.abs(vals).max() > _BLOWUP_LIMIT:
-        raise RiccatiBlowupError(t_blowup=float(grid.times()[int(np.abs(vals).argmax())]))
+    The march runs on Python floats.  A stage whose state has left
+    [-_BLOWUP_LIMIT, _BLOWUP_LIMIT] raises RiccatiBlowupError at its time.
+    """
+    def f(y: float, t: float) -> float:
+        if not abs(y) <= _BLOWUP_LIMIT:
+            raise RiccatiBlowupError(t_blowup=t)
+        return c1 * y + c2 * y * y + c0
+
+    times = grid.times()
+    vals = np.empty(len(times))
+    y = vals[-1] = 0.0
+    for j in range(len(times) - 1, 0, -1):
+        t = float(times[j])
+        h = float(times[j - 1]) - t
+        k1 = f(y, t)
+        k2 = f(y + 0.5 * h * k1, t + 0.5 * h)
+        k3 = f(y + 0.5 * h * k2, t + 0.5 * h)
+        k4 = f(y + h * k3, t + h)
+        y = vals[j - 1] = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    if not np.abs(vals).max() <= _BLOWUP_LIMIT:
+        raise RiccatiBlowupError(t_blowup=float(times[int(np.abs(vals).argmax())]))
     return RiccatiSolution(grid=grid, values=vals, kind=kind)
 
 
@@ -217,12 +229,7 @@ def follower_riccati(p: MfgParams, grid: TimeGrid) -> RiccatiSolution:
     The adjoint ansatz p_i = F x_i + f_i together with the current-value
     adjoint equation p_i' = (r - A) p_i + (x_i - l xbar + b) forces this ODE.
     """
-    c = p.B**2 / p.a
-
-    def rhs(t, F):
-        return (p.r - 2.0 * p.A) * F + c * F * F + 1.0
-
-    return _backward_riccati(rhs, grid, "followerF")
+    return _backward_riccati(1.0, p.r - 2.0 * p.A, p.B**2 / p.a, grid, "followerF")
 
 
 def defection_riccati(p: MfgParams, k: float, grid: TimeGrid) -> RiccatiSolution:
@@ -232,13 +239,8 @@ def defection_riccati(p: MfgParams, k: float, grid: TimeGrid) -> RiccatiSolution
     """
     if not (math.isfinite(k) and k >= 0):
         raise ParameterError(f"penalty rate k must be finite and >= 0, got {k}")
-    rt = p.r + k
-    c = p.B0**2 / (2.0 * p.a0)
-
-    def rhs(t, Q):
-        return (rt - 2.0 * p.A0) * Q - c * Q * Q - 2.0
-
-    return _backward_riccati(rhs, grid, "leaderQ")
+    return _backward_riccati(-2.0, p.r + k - 2.0 * p.A0, -(p.B0**2 / (2.0 * p.a0)), grid,
+                             "leaderQ")
 
 
 def _equilibrium_matrix(p: MfgParams) -> np.ndarray:
@@ -273,10 +275,6 @@ def _equilibrium_offset(p: MfgParams) -> np.ndarray:
     return np.array([0.0, 0.0, p.b, -p.b0, p.l0 * p.b0, 0.0])
 
 
-def _interp(times: np.ndarray, values: np.ndarray) -> Callable[[float], float]:
-    return lambda t: float(np.interp(t, times, values))
-
-
 def mean_field_bvp(p: MfgParams, grid: TimeGrid, xi_at_start: bool = True) -> MeanFieldSolution:
     """Equilibrium mean system with controls and feedback offset recovered.
 
@@ -296,8 +294,8 @@ def mean_field_bvp(p: MfgParams, grid: TimeGrid, xi_at_start: bool = True) -> Me
     xi_end = "t0" if xi_at_start else "t1"
     system = AffineSystem(
         dimension=6,
-        matrix=lambda t: matrix,
-        offset=lambda t: offset,
+        matrix=matrix,
+        offset=offset,
         boundary=[
             (0, "t0", p.x0_init),
             (1, "t0", p.xbar_init),
@@ -310,7 +308,6 @@ def mean_field_bvp(p: MfgParams, grid: TimeGrid, xi_at_start: bool = True) -> Me
     )
     traj = solve_affine_bvp(system, grid)
     ch = dict(traj.channels)
-    times = grid.times()
 
     u0 = (p.B0 / p.a0) * ch["p0"] - (p.B * p.sigma / (p.a * p.a0)) * ch["lam"]
     ui = -(1.0 / p.a) * (
@@ -323,22 +320,15 @@ def mean_field_bvp(p: MfgParams, grid: TimeGrid, xi_at_start: bool = True) -> Me
     # Feedback offset: fbar' = (r - A + (B^2/a) F) fbar
     #                          + (B sigma/a) F u0 - (C F + l) xbar - D F x0 + b
     F = follower_riccati(p, grid)
-    Fi = _interp(times, F.values)
-    u0i, xbari, x0i = _interp(times, u0), _interp(times, ch["xbar"]), _interp(times, ch["x0"])
     Ba = p.B**2 / p.a
 
-    def fbar_rhs(t, y):
-        Ft = Fi(t)
-        return np.array([
-            (p.r - p.A + Ba * Ft) * y[0]
-            + (p.B * p.sigma / p.a) * Ft * u0i(t)
-            - (p.C * Ft + p.l) * xbari(t)
-            - p.D * Ft * x0i(t)
-            + p.b
-        ])
+    def fbar_coefficients(F, u0, xbar, x0):
+        return (p.r - p.A + Ba * F,
+                (p.B * p.sigma / p.a) * F * u0 - (p.C * F + p.l) * xbar - p.D * F * x0 + p.b)
 
     ch["F"] = F.values
-    ch["fbar"] = rk4_solve_general(fbar_rhs, [0.0], grid, backward=True)[:, 0]
+    ch["fbar"] = _rk4_linear_backward(fbar_coefficients, (F.values, u0, ch["xbar"], ch["x0"]),
+                                      grid)
 
     boundary = {
         "x0(0)": abs(ch["x0"][0] - p.x0_init),
@@ -376,20 +366,14 @@ def _ode_residuals(matrix, offset, traj: TrajectoryGrid, grid: TimeGrid) -> dict
 def _defection_offset(p: MfgParams, k: float, sol: MeanFieldSolution) -> DefectionSolution:
     """Backward solve of q against the equilibrium mean path xbar*."""
     grid = sol.grid
-    times = grid.times()
     Q = defection_riccati(p, k, grid)
-    Qi = _interp(times, Q.values)
-    xbari = _interp(times, sol["xbar"])
     rt = p.r + k
     c = p.B0**2 / (2.0 * p.a0)
 
-    def q_rhs(t, y):
-        Qt = Qi(t)
-        return np.array([
-            (rt - p.A0 - c * Qt) * y[0] + (2.0 * p.l0 - p.C0 * Qt) * xbari(t) - 2.0 * p.b0
-        ])
+    def q_coefficients(Q, xbar):
+        return rt - p.A0 - c * Q, (2.0 * p.l0 - p.C0 * Q) * xbar - 2.0 * p.b0
 
-    q = rk4_solve_general(q_rhs, [0.0], grid, backward=True)[:, 0]
+    q = _rk4_linear_backward(q_coefficients, (Q.values, sol["xbar"]), grid)
     return DefectionSolution(grid=grid, k=k, Q=Q.values, q=q)
 
 
@@ -451,22 +435,16 @@ def _noise(mc: McConfig, normals: np.ndarray | None) -> np.ndarray | None:
 
 def _follower_response(p: MfgParams, u0: np.ndarray, grid: TimeGrid) -> TrajectoryGrid:
     """Mean follower system (m0, xbar, pbar) reacting to an open-loop u0."""
-    times = grid.times()
-    u0i = _interp(times, u0)
     Ba = p.B**2 / p.a
     m = np.array([
         [p.A0, p.C0, 0.0],
         [p.D, p.A + p.C, -Ba],
         [0.0, 1.0 - p.l, p.r - p.A],
     ])
-
-    def offset(t):
-        u = u0i(t)
-        return np.array([p.B0 * u, -(p.B * p.sigma / p.a) * u, p.b])
-
+    offset = np.stack([p.B0 * u0, -(p.B * p.sigma / p.a) * u0, np.full_like(u0, p.b)], axis=1)
     system = AffineSystem(
         dimension=3,
-        matrix=lambda t: m,
+        matrix=m,
         offset=offset,
         boundary=[(0, "t0", p.x0_init), (1, "t0", p.xbar_init), (2, "t1", 0.0)],
         names=("m0", "xbar", "pbar"),

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -63,16 +63,19 @@ class TimeGrid:
 
 @dataclass(frozen=True)
 class AffineSystem:
-    """Linear-affine ODE system y' = M(t) y + v(t) with d boundary constraints.
+    """Linear-affine ODE system y' = M y + v(t) with d boundary constraints.
 
-    Each boundary constraint is a triple (variable index, endpoint, value)
-    where endpoint is "t0" or "t1".  Exactly d constraints are required and
-    each index must be a distinct variable < d.
+    The matrix M is a constant (d, d) array.  The offset v is a constant (d,)
+    array or an (n_steps + 1, d) array of its values on the grid nodes, taken
+    as linear between nodes.  Each boundary constraint is a triple
+    (variable index, endpoint, value) where endpoint is "t0" or "t1".
+    Exactly d constraints are required and each index must be a distinct
+    variable < d.
     """
 
     dimension: int
-    matrix: Callable[[float], np.ndarray]
-    offset: Callable[[float], np.ndarray]
+    matrix: np.ndarray
+    offset: np.ndarray
     boundary: Sequence[tuple[int, str, float]]
     names: Sequence[str] | None = None
 
@@ -88,6 +91,17 @@ class AffineSystem:
                 raise ParameterError(f"boundary endpoint must be 't0' or 't1', got {endpoint!r}")
         if self.names is not None and len(self.names) != self.dimension:
             raise ParameterError("names must have one entry per variable")
+        d = self.dimension
+        matrix = np.asarray(self.matrix, dtype=float)
+        offset = np.asarray(self.offset, dtype=float)
+        if matrix.shape != (d, d):
+            raise ParameterError(f"matrix must have shape {(d, d)}, got {matrix.shape}")
+        if offset.ndim not in (1, 2) or offset.shape[-1] != d:
+            raise ParameterError(
+                f"offset must have shape ({d},) or (n_nodes, {d}), got {offset.shape}"
+            )
+        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "offset", offset)
 
     def channel_names(self) -> list[str]:
         if self.names is not None:
@@ -122,7 +136,6 @@ class PathEnsemble:
 
     grid: TimeGrid
     paths: np.ndarray
-    seed: int
 
     @property
     def times(self) -> np.ndarray:
@@ -163,6 +176,59 @@ def rk4_solve_general(f, y0, grid: TimeGrid, backward: bool = False) -> np.ndarr
     return _rk4_march(f, np.atleast_1d(np.asarray(y0, dtype=float)), times)
 
 
+def _rk4_step_map(system: AffineSystem, grid: TimeGrid) -> tuple[np.ndarray, np.ndarray]:
+    """Classical RK4 on y' = M y + v(t) as the affine step map y_{j+1} = P y_j + c_j.
+
+    With M constant the four stages collapse to one matrix, built once,
+        P = I + hM + (hM)^2/2 + (hM)^3/6 + (hM)^4/24,
+    and to the offsets, all built in one vectorised pass,
+        c_j = (h/6) [(I + hM + (hM)^2/2 + (hM)^3/4) v_j
+                     + (4I + 2hM + (hM)^2/2) v_{j+1/2} + v_{j+1}]
+    from the offset at node j, at the midpoint and at node j+1.  Node offsets
+    are linear between nodes, so the midpoint value is the mean of the two.
+    Returns P and c as (n_steps, d); a constant offset gives a broadcast view.
+    """
+    n, d, h = grid.n_steps, system.dimension, grid.h
+    eye = np.eye(d)
+    hm = h * system.matrix
+    hm2 = hm @ hm
+    hm3 = hm2 @ hm
+    step = eye + hm + hm2 / 2.0 + hm3 / 6.0 + hm3 @ hm / 24.0
+    at_start = eye + hm + hm2 / 2.0 + hm3 / 4.0
+    at_mid = 4.0 * eye + 2.0 * hm + hm2 / 2.0
+    v = system.offset
+    if v.ndim == 1:
+        return step, np.broadcast_to((h / 6.0) * ((at_start + at_mid + eye) @ v), (n, d))
+    if len(v) != n + 1:
+        raise ParameterError(f"offset has {len(v)} nodes, the grid has {n + 1}")
+    start, end = v[:-1], v[1:]
+    c = start @ at_start.T
+    c += (0.5 * (start + end)) @ at_mid.T
+    c += end
+    c *= h / 6.0
+    return step, c
+
+
+def _affine_march(system: AffineSystem, grid: TimeGrid, y0: np.ndarray) -> np.ndarray:
+    """RK4 march of Y' = M Y + v(t) e_0^T from Y(t0) = y0, a (d, m) array.
+
+    The offset drives column 0 only, so the other columns are homogeneous
+    solutions.  Each step is one small matrix product with the step map.
+    Returns the (n_steps + 1, d, m) node values.
+    """
+    step, c = _rk4_step_map(system, grid)
+    vals = np.empty((grid.n_steps + 1,) + y0.shape)
+    vals[0] = y0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j, cj in enumerate(c):
+            y = np.matmul(step, vals[j], out=vals[j + 1])
+            y[:, 0] += cj
+    if not np.isfinite(vals).all():
+        bad = int(np.argmin(np.isfinite(vals).reshape(len(vals), -1).all(axis=1)))
+        raise IntegrationBlowupError(step=bad, t=float(grid.times()[bad]))
+    return vals
+
+
 def rk4_solve(system: AffineSystem, grid: TimeGrid) -> TrajectoryGrid:
     """Integrate an affine system with full initial data by classical RK4."""
     for _, endpoint, _ in system.boundary:
@@ -175,11 +241,7 @@ def rk4_solve(system: AffineSystem, grid: TimeGrid) -> TrajectoryGrid:
             raise ParameterError(f"duplicate initial constraint for variable {idx}")
         seen.add(idx)
         y0[idx] = value
-
-    def f(t, y):
-        return system.matrix(t) @ y + system.offset(t)
-
-    vals = _rk4_march(f, y0, grid.times())
+    vals = _affine_march(system, grid, y0[:, None])[:, :, 0]
     names = system.channel_names()
     return TrajectoryGrid(grid, {n: vals[:, i].copy() for i, n in enumerate(names)})
 
@@ -187,23 +249,16 @@ def rk4_solve(system: AffineSystem, grid: TimeGrid) -> TrajectoryGrid:
 def solve_affine_bvp(system: AffineSystem, grid: TimeGrid) -> TrajectoryGrid:
     """Two-point solve of an affine system by fundamental-matrix superposition.
 
-    Integrates one particular solution (zero initial data) plus d homogeneous
-    basis solutions in a single matrix RK4 sweep, then solves the d x d linear
-    system the boundary constraints impose on the superposition coefficients.
+    Marches one particular solution (zero initial data) plus d homogeneous
+    basis solutions together through the RK4 step map, then solves the d x d
+    linear system the boundary constraints impose on the superposition
+    coefficients.
     """
     d = system.dimension
-    times = grid.times()
-
     # Columns: 0 = particular (with offset), 1..d = homogeneous basis e_i.
     Y0 = np.zeros((d, d + 1))
     Y0[:, 1:] = np.eye(d)
-
-    def f(t, Y):
-        out = system.matrix(t) @ Y
-        out[:, 0] += system.offset(t)
-        return out
-
-    vals = _rk4_march(f, Y0, times)  # (n+1, d, d+1)
+    vals = _affine_march(system, grid, Y0)  # (n+1, d, d+1)
 
     B = np.empty((d, d))
     rhs = np.empty(d)
@@ -219,6 +274,38 @@ def solve_affine_bvp(system: AffineSystem, grid: TimeGrid) -> TrajectoryGrid:
     traj = vals[:, :, 0] + vals[:, :, 1:] @ c  # (n+1, d)
     names = system.channel_names()
     return TrajectoryGrid(grid, {n: traj[:, i].copy() for i, n in enumerate(names)})
+
+
+def _rk4_linear_backward(
+    coefficients, channels: Sequence[np.ndarray], grid: TimeGrid
+) -> np.ndarray:
+    """Classical RK4 for the scalar y' = a(t) y + b(t), y(t1) = 0, marched to t0.
+
+    a and b depend on t through node channels: coefficients(*values) maps
+    the channels' values to (a, b).  The stages read them at the nodes and,
+    by np.interp, at the march's own midpoint times, so every step is the
+    affine map y_j = A_j y_{j+1} + B_j.  All A_j and B_j come from one
+    vectorised pass and the march is a plain float recurrence.  Returns y on
+    the nodes, ordered t0..t1.
+    """
+    times = grid.times()
+    back = times[::-1]
+    h = np.diff(back)
+    half = 0.5 * h
+    a, b = coefficients(*(ch[::-1] for ch in channels))
+    a_mid, b_mid = coefficients(*(np.interp(back[:-1] + half, times, ch) for ch in channels))
+    # Stage slopes k_i = ka_i y + kb_i of one step.
+    ka1, kb1 = a[:-1], b[:-1]
+    ka2, kb2 = a_mid * (1.0 + half * ka1), a_mid * (half * kb1) + b_mid
+    ka3, kb3 = a_mid * (1.0 + half * ka2), a_mid * (half * kb2) + b_mid
+    ka4, kb4 = a[1:] * (1.0 + h * ka3), a[1:] * (h * kb3) + b[1:]
+    step_a = 1.0 + h / 6.0 * (ka1 + 2.0 * ka2 + 2.0 * ka3 + ka4)
+    step_b = h / 6.0 * (kb1 + 2.0 * kb2 + 2.0 * kb3 + kb4)
+    y = np.empty(len(times))
+    x = y[0] = 0.0
+    for j, (A, B) in enumerate(zip(step_a, step_b), start=1):
+        x = y[j] = A * x + B
+    return y[::-1]
 
 
 def quad_simpson(values: np.ndarray, h: float) -> float:
@@ -376,7 +463,7 @@ def em_paths(
             bad = int(np.flatnonzero(~np.isfinite(x))[0])
             raise SimulationBlowupError(path_index=bad, step=j + 1)
         paths[:, j + 1] = x
-    return PathEnsemble(grid=grid, paths=paths, seed=seed)
+    return PathEnsemble(grid=grid, paths=paths)
 
 
 def wright_fisher_sigma(x: np.ndarray) -> np.ndarray:

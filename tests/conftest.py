@@ -1,8 +1,10 @@
+import numpy as np
 import pytest
 
 from stackgame.discrete import DuopolyParams
 from stackgame.dynamic import DynamicParams
 from stackgame.meanfield import McConfig, MfgParams
+from stackgame.numerics import rk4_solve_general
 
 
 @pytest.fixture
@@ -39,3 +41,32 @@ def mfg_kwargs():
 def mc_small():
     """Cheap Monte Carlo settings for unit tests (seconds, not minutes)."""
     return McConfig(n_paths=2000, n_steps=400, seed=42)
+
+
+def _closure_bvp(matrix, offset, boundary, grid):
+    """Superposition two-point solve over RK4 stage callbacks.
+
+    offset(t) is a Python callable evaluated at every stage, as the solvers
+    did before the RK4 step map; it serves as the oracle for that map.
+    Returns the (n_steps + 1, d) node values.
+    """
+    d = len(matrix)
+    Y0 = np.zeros((d, d + 1))
+    Y0[:, 1:] = np.eye(d)
+
+    def f(t, Y):
+        out = matrix @ Y
+        out[:, 0] += offset(t)
+        return out
+
+    vals = rk4_solve_general(f, Y0, grid)
+    node = [0 if endpoint == "t0" else -1 for _, endpoint, _ in boundary]
+    B = np.array([vals[j, idx, 1:] for j, (idx, _, _) in zip(node, boundary)])
+    rhs = np.array([value - vals[j, idx, 0] for j, (idx, _, value) in zip(node, boundary)])
+    return vals[:, :, 0] + vals[:, :, 1:] @ np.linalg.solve(B, rhs)
+
+
+@pytest.fixture
+def closure_bvp():
+    return _closure_bvp
+

@@ -173,8 +173,8 @@ def test_08_mean_field_bvp_residuals_and_decoupling():
         solo = solve_affine_bvp(
             AffineSystem(
                 dimension=2,
-                matrix=lambda t: np.array([[p.A0, p.B0**2 / p.a0], [-1.0, p.r - p.A0]]),
-                offset=lambda t: np.array([0.0, -p.b0]),
+                matrix=np.array([[p.A0, p.B0**2 / p.a0], [-1.0, p.r - p.A0]]),
+                offset=np.array([0.0, -p.b0]),
                 boundary=[(0, "t0", p.x0_init), (1, "t1", 0.0)],
                 names=("x0", "p0"),
             ),

@@ -192,6 +192,26 @@ class TestMain:
         assert rc == 2
         assert penalty.split(":")[0] + " must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("model, action, penalty, message", [
+        ("discrete", "defect", "{N: .nan}", "penalty.N must be an integer"),
+        ("discrete", "defect", "{m: .nan}", "penalty.m must be an integer"),
+        ("discrete", "defect", "{N: 2.5}", "penalty.N must be an integer"),
+        ("discrete", "defect", "{N: true}", "penalty.N must be an integer"),
+        ("discrete", "defect", "{k: abc}", "penalty.k must be finite and real"),
+        ("dynamic", "defect", "{k: abc}", "penalty.k must be finite and real"),
+        ("dynamic", "defect", "{t0: .inf}", "penalty.t0 must be finite and real"),
+        ("discrete", "threshold-k", "{mode: fixed, m: 2.5}", "penalty.m must be an integer"),
+        ("discrete", "threshold-k", "{mode: 3}", "penalty.mode must be a string"),
+        ("meanfield", "threshold-k", "{tol: abc}", "penalty.tol must be finite and real"),
+    ])
+    def test_bad_penalty_value_exits_2(self, tmp_path, capsys, model, action, penalty, message):
+        base = {"discrete": DISCRETE_YAML, "dynamic": DYNAMIC_YAML,
+                "meanfield": MEANFIELD_YAML.replace("penalty: {k: 0.5}\n", "")}[model]
+        cfg = self._write(tmp_path, base + f"penalty: {penalty}\n")
+        rc = main([model, action, "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+
     def test_non_finite_dynamic_parameter_exits_2(self, tmp_path, capsys):
         cfg = self._write(tmp_path, DYNAMIC_YAML.replace("r: 0.05", "r: .nan"))
         rc = main(["dynamic", "threshold-k", "--config", str(cfg), "--out", str(tmp_path / "out")])

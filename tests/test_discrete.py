@@ -7,11 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stackgame import discrete
 from stackgame.discrete import (
     DuopolyParams,
     best_reply_follower,
     brute_force_oracle,
     discount_schedule,
+    ledger_totals,
     min_k_discrete,
     one_shot_defection,
     one_shot_equilibrium,
@@ -131,6 +133,31 @@ class TestDiscountSchedule:
         # Explicitly allowed zero rate leaves the defection undiscounted.
         sched = discount_schedule(duopoly, 0.0, 1, 5, allow_zero_k=True)
         assert np.all(sched.rho == 1.0)
+
+
+class TestLedgerTotals:
+    @pytest.mark.parametrize("N", [2, 3, 400])
+    @pytest.mark.parametrize("k", [1e-6, 0.05, 0.3, 0.63])
+    def test_matches_one_schedule_per_start(self, duopoly, N, k):
+        expected = [discount_schedule(duopoly, k, m, N).total for m in range(1, N + 1)]
+        np.testing.assert_allclose(ledger_totals(duopoly, k, N), expected, rtol=1e-12, atol=0.0)
+
+    def test_recursion_disagreement_raises(self, duopoly, monkeypatch):
+        recursive = discrete._recursive_factors
+        monkeypatch.setattr(discrete, "_recursive_factors",
+                            lambda k, d, n: recursive(k, d, n) + 1e-11)
+        with pytest.raises(ParameterError, match="disagree"):
+            ledger_totals(duopoly, 0.1, 10)
+        with pytest.raises(ParameterError, match="disagree"):
+            discount_schedule(duopoly, 0.1, 4, 10)
+
+    def test_rejects_out_of_range_inputs(self, duopoly):
+        with pytest.raises(ParameterError):
+            ledger_totals(duopoly, 0.0, 5)
+        with pytest.raises(ParameterError):
+            ledger_totals(duopoly, 1.0 / duopoly.defection_gain, 5)
+        with pytest.raises(ParameterError):
+            ledger_totals(duopoly, 0.1, 0)
 
 
 class TestDeterrenceCondition:

@@ -21,7 +21,7 @@ from stackgame.meanfield import (
     mean_payoffs,
     min_k_meanfield,
 )
-from stackgame.numerics import AffineSystem, TimeGrid, solve_affine_bvp
+from stackgame.numerics import AffineSystem, TimeGrid, rk4_solve_general, solve_affine_bvp
 
 
 def mfg_with(base: dict, **overrides) -> MfgParams:
@@ -98,16 +98,110 @@ class TestMeanFieldBvp:
         # p0' = (r - A0) p0 - (x0 + b0), with x0(0) given and p0(T) = 0.
         system = AffineSystem(
             dimension=2,
-            matrix=lambda t: np.array(
+            matrix=np.array(
                 [[p.A0, p.B0**2 / p.a0], [-1.0, p.r - p.A0]]
             ),
-            offset=lambda t: np.array([0.0, -p.b0]),
+            offset=np.array([0.0, -p.b0]),
             boundary=[(0, "t0", p.x0_init), (1, "t1", 0.0)],
             names=("x0", "p0"),
         )
         solo = solve_affine_bvp(system, grid)
         assert np.abs(sol["x0"] - solo["x0"]).max() < 1e-8
         assert np.abs(sol["p0"] - solo["p0"]).max() < 1e-8
+
+
+def _close(a, b, rel=1e-11):
+    """Agreement to `rel`, relative to the largest reference value."""
+    np.testing.assert_allclose(a, b, rtol=0.0, atol=rel * np.abs(b).max())
+
+
+class TestStepMapsMatchCallbacks:
+    """The callback-free deterministic solves against RK4 over np.interp callbacks."""
+
+    @pytest.mark.parametrize("n_steps", [250, 2000])
+    def test_equilibrium_bvp(self, mfg, closure_bvp, n_steps):
+        p = mfg
+        grid = TimeGrid(0.0, p.T, n_steps)
+        sol = mean_field_bvp(p, grid)
+        offset = meanfield._equilibrium_offset(p)
+        boundary = [(0, "t0", p.x0_init), (1, "t0", p.xbar_init), (2, "t1", 0.0),
+                    (3, "t1", 0.0), (4, "t1", 0.0), (5, "t0", 0.0)]
+        oracle = closure_bvp(meanfield._equilibrium_matrix(p), lambda t: offset, boundary, grid)
+        for i, name in enumerate(("x0", "xbar", "pbar", "p0", "lam", "xi")):
+            _close(sol[name], oracle[:, i])
+
+    def test_riccati_gains_are_bit_identical(self, mfg):
+        p, k = mfg, 0.5
+        grid = TimeGrid(0.0, p.T, 1000)
+        c, c0 = p.B**2 / p.a, p.B0**2 / (2.0 * p.a0)
+        F = rk4_solve_general(lambda t, y: (p.r - 2.0 * p.A) * y + c * y * y + 1.0,
+                              [0.0], grid, backward=True)[:, 0]
+        Q = rk4_solve_general(lambda t, y: (p.r + k - 2.0 * p.A0) * y - c0 * y * y - 2.0,
+                              [0.0], grid, backward=True)[:, 0]
+        assert np.array_equal(follower_riccati(p, grid).values, F)
+        assert np.array_equal(defection_riccati(p, k, grid).values, Q)
+
+    def test_feedback_offset(self, mfg):
+        p = mfg
+        grid = TimeGrid(0.0, p.T, 1000)
+        sol = mean_field_bvp(p, grid)
+        t = grid.times()
+
+        def rhs(s, y):
+            F, u0, xbar, x0 = (np.interp(s, t, sol[n]) for n in ("F", "u0_star", "xbar", "x0"))
+            return ((p.r - p.A + p.B**2 / p.a * F) * y + (p.B * p.sigma / p.a) * F * u0
+                    - (p.C * F + p.l) * xbar - p.D * F * x0 + p.b)
+
+        _close(sol["fbar"], rk4_solve_general(rhs, [0.0], grid, backward=True)[:, 0])
+
+    def test_defection_offset(self, mfg):
+        p, k = mfg, 0.5
+        grid = TimeGrid(0.0, p.T, 1000)
+        sol = mean_field_bvp(p, grid)
+        dfx = meanfield._defection_offset(p, k, sol)
+        t, c = grid.times(), p.B0**2 / (2.0 * p.a0)
+
+        def rhs(s, y):
+            Q, xbar = np.interp(s, t, dfx.Q), np.interp(s, t, sol["xbar"])
+            return (p.r + k - p.A0 - c * Q) * y + (2.0 * p.l0 - p.C0 * Q) * xbar - 2.0 * p.b0
+
+        _close(dfx.q, rk4_solve_general(rhs, [0.0], grid, backward=True)[:, 0])
+
+    def test_follower_response_with_node_offset(self, mfg, closure_bvp):
+        p = mfg
+        grid = TimeGrid(0.0, p.T, 1000)
+        t = grid.times()
+        u0 = mean_field_bvp(p, grid)["u0_star"] + 0.3 * np.sin(5.0 * t)
+        got = meanfield._follower_response(p, u0, grid)
+        m = np.array([[p.A0, p.C0, 0.0], [p.D, p.A + p.C, -p.B**2 / p.a],
+                      [0.0, 1.0 - p.l, p.r - p.A]])
+
+        def offset(s):
+            u = np.interp(s, t, u0)
+            return np.array([p.B0 * u, -(p.B * p.sigma / p.a) * u, p.b])
+
+        boundary = [(0, "t0", p.x0_init), (1, "t0", p.xbar_init), (2, "t1", 0.0)]
+        oracle = closure_bvp(m, offset, boundary, grid)
+        for i, name in enumerate(("m0", "xbar", "pbar")):
+            _close(got[name], oracle[:, i])
+
+    def test_no_per_step_interpolation(self, mfg, monkeypatch):
+        # A callback per RK4 stage would make the count grow with the grid.
+        calls = []
+        interp = np.interp
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return interp(*args, **kwargs)
+
+        monkeypatch.setattr(np, "interp", counting)
+        counts = []
+        for n_steps in (100, 1000):
+            calls.clear()
+            sol = mean_field_bvp(mfg, TimeGrid(0.0, mfg.T, n_steps))
+            meanfield._defection_offset(mfg, 0.5, sol)
+            counts.append(len(calls))
+        assert counts[0] == counts[1]
 
 
 class TestMonteCarlo:

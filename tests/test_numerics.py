@@ -7,6 +7,7 @@ from stackgame.errors import (
     BracketError,
     ConfigurationError,
     IllPosedBVPError,
+    IntegrationBlowupError,
     ParameterError,
     SimulationBlowupError,
     SpectralError,
@@ -61,8 +62,8 @@ class TestRk4:
         # y' = -y + 1, y(0) = 0 has y(t) = 1 - e^{-t}.
         system = AffineSystem(
             dimension=1,
-            matrix=lambda t: np.array([[-1.0]]),
-            offset=lambda t: np.array([1.0]),
+            matrix=np.array([[-1.0]]),
+            offset=np.array([1.0]),
             boundary=[(0, "t0", 0.0)],
             names=("y",),
         )
@@ -73,8 +74,8 @@ class TestRk4:
     def test_initial_value_solve_rejects_terminal_constraints(self):
         system = AffineSystem(
             dimension=1,
-            matrix=lambda t: np.array([[0.0]]),
-            offset=lambda t: np.array([0.0]),
+            matrix=np.array([[0.0]]),
+            offset=np.array([0.0]),
             boundary=[(0, "t1", 0.0)],
         )
         with pytest.raises(ParameterError):
@@ -84,8 +85,8 @@ class TestRk4:
 def _oscillator(two_point):
     return AffineSystem(
         dimension=2,
-        matrix=lambda t: np.array([[0.0, 1.0], [-1.0, 0.0]]),
-        offset=lambda t: np.zeros(2),
+        matrix=np.array([[0.0, 1.0], [-1.0, 0.0]]),
+        offset=np.zeros(2),
         boundary=two_point,
         names=("x", "v"),
     )
@@ -120,6 +121,64 @@ class TestAffineBvp:
     def test_constraint_count_enforced(self):
         with pytest.raises(ParameterError):
             _oscillator([(0, "t0", 0.0)])
+
+
+def _close(a, b, rel=1e-11):
+    """Agreement to `rel`, relative to the largest reference value."""
+    np.testing.assert_allclose(a, b, rtol=0.0, atol=rel * np.abs(b).max())
+
+
+class TestRk4StepMap:
+    """The RK4 step map y_{j+1} = P y_j + c_j against RK4 over stage callbacks."""
+
+    M = np.array([[-0.4, 1.0, 0.2], [-1.0, 0.1, 0.0], [0.3, -0.2, 0.5]])
+
+    @staticmethod
+    def _node_offset(grid):
+        t = grid.times()
+        return np.stack([np.sin(3.0 * t), np.cos(t) - t, 0.5 * t**2], axis=1)
+
+    @staticmethod
+    def _interp_offset(grid, v):
+        times = grid.times()
+        return lambda t: np.array([np.interp(t, times, col) for col in v.T])
+
+    @pytest.mark.parametrize("n_steps", [250, 2000])
+    def test_bvp_with_node_offset_matches_callbacks(self, closure_bvp, n_steps):
+        grid = TimeGrid(0.0, 2.0, n_steps)
+        v = self._node_offset(grid)
+        boundary = [(0, "t0", 1.0), (1, "t1", -0.5), (2, "t0", 0.2)]
+        traj = solve_affine_bvp(AffineSystem(3, self.M, v, boundary), grid)
+        oracle = closure_bvp(self.M, self._interp_offset(grid, v), boundary, grid)
+        for i in range(3):
+            _close(traj[f"x{i}"], oracle[:, i])
+
+    def test_initial_value_solve_matches_callbacks(self):
+        grid = TimeGrid(0.0, 2.0, 500)
+        v = self._node_offset(grid)
+        offset = self._interp_offset(grid, v)
+        traj = rk4_solve(AffineSystem(3, self.M, v, [(0, "t0", 1.0), (1, "t0", 0.0),
+                                                     (2, "t0", -1.0)]), grid)
+        oracle = rk4_solve_general(lambda t, y: self.M @ y + offset(t), [1.0, 0.0, -1.0], grid)
+        for i in range(3):
+            _close(traj[f"x{i}"], oracle[:, i])
+
+    def test_shapes_are_checked(self):
+        boundary = [(0, "t0", 0.0), (1, "t1", 0.0)]
+        with pytest.raises(ParameterError, match="matrix"):
+            AffineSystem(2, np.eye(3), np.zeros(2), boundary)
+        with pytest.raises(ParameterError, match="offset"):
+            AffineSystem(2, np.eye(2), np.zeros(3), boundary)
+        system = AffineSystem(2, np.eye(2), np.zeros((11, 2)), boundary)
+        with pytest.raises(ParameterError, match="11 nodes"):
+            solve_affine_bvp(system, TimeGrid(0.0, 1.0, 20))
+
+    def test_overflow_raises_typed_error(self):
+        # P = 1 + 1e5 + ... per step overflows the float range near step 17.
+        system = AffineSystem(1, np.array([[1e5]]), np.array([1.0]), [(0, "t0", 1.0)])
+        with pytest.raises(IntegrationBlowupError) as exc:
+            rk4_solve(system, TimeGrid(0.0, 20.0, 20))
+        assert 10 < exc.value.step < 20
 
 
 class TestQuadSimpson:
