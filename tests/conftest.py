@@ -46,8 +46,8 @@ def mc_small():
 def _closure_bvp(matrix, offset, boundary, grid):
     """Superposition two-point solve over RK4 stage callbacks.
 
-    offset(t) is a Python callable evaluated at every stage, as the solvers
-    did before the RK4 step map; it serves as the oracle for that map.
+    offset(t) is a callable evaluated at every RK4 stage, so this is the
+    stage-by-stage arithmetic that the solvers' step map must reproduce.
     Returns the (n_steps + 1, d) node values.
     """
     d = len(matrix)
