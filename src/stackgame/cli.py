@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import csv
 import math
-import os
 import sys
 import time
 from dataclasses import asdict, dataclass, field
@@ -122,6 +121,9 @@ def _validate_types(cfg: RunConfig) -> None:
     for key, val in (("seed", cfg.seed), ("mc.seed", cfg.mc["seed"])):
         if isinstance(val, bool) or not isinstance(val, int) or val < 0:
             raise ConfigurationError(f"{key} must be an integer >= 0, got {val!r}")
+    if not isinstance(cfg.mc.get("zero_noise", False), bool):
+        raise ConfigurationError(
+            f"mc.zero_noise must be true or false, got {cfg.mc['zero_noise']!r}")
     for name, val in cfg.params.items():
         if not _is_number(val):
             raise ConfigurationError(f"params.{name} must be a number, got {val!r}")
@@ -145,18 +147,10 @@ def emit_config(cfg: RunConfig) -> str:
     return yaml.safe_dump(asdict(cfg), sort_keys=False)
 
 
-def _n_workers() -> int:
-    """Worker-count hint; results are worker-count independent by contract."""
-    try:
-        return max(1, int(os.environ.get("STACKGAME_WORKERS", "1")))
-    except ValueError:
-        return 1
-
-
-def _cert(label: str, lhs: float, rhs: float, tol: float, op: str = "<=") -> tuple[str, str]:
+def _cert(lhs: float, rhs: float, tol: float, op: str = "<=") -> str:
     ok = lhs <= rhs + tol if op == "<=" else abs(lhs - rhs) <= tol
     mid = f"{lhs:.10g} {op} {rhs:.10g}" if op == "<=" else f"|{lhs:.10g} - {rhs:.10g}| <= {tol:g}"
-    return label, f"{mid} (tol {tol:g}) : {'PASS' if ok else 'FAIL'}"
+    return f"{mid} (tol {tol:g}) : {'PASS' if ok else 'FAIL'}"
 
 
 # ---------------------------------------------------------------- discrete
@@ -181,17 +175,14 @@ def _run_discrete(cfg: RunConfig):
     if eq.boundary:
         warnings.append("boundary-equilibrium (an output clamped at zero)")
 
-    if cfg.action == "equilibrium":
-        pass
-    elif cfg.action == "defect":
+    if cfg.action == "defect":
         k = float(cfg.penalty.get("k", 0.1))
         m = cfg.penalty.get("m", 1)
         sched = discrete.discount_schedule(p, k, m, N)
         results.update(k=k, m=m, N=N, total_defection_payoff=sched.total,
                        total_equilibrium_payoff=N * eq.J0,
                        deposit_forfeited=sched.deposit_forfeited)
-        certs["deterred"] = _cert(
-            "deterred", sched.total, N * eq.J0, 1e-9)[1]
+        certs["deterred"] = _cert(sched.total, N * eq.J0, 1e-9)
         traj = {
             "t": np.arange(1, N + 1, dtype=float),
             "rho": sched.rho,
@@ -203,18 +194,18 @@ def _run_discrete(cfg: RunConfig):
         res = discrete.min_k_discrete(p, N, mode=mode, m=m)
         results.update(k_min=res.k_min, N=N, mode=mode,
                        J_star_total=res.j_star, J_tilde_at_k=res.j_tilde_at_k)
-        certs["ledger"] = _cert("ledger", res.j_tilde_at_k, res.j_star, 1e-9)[1]
+        certs["ledger"] = _cert(res.j_tilde_at_k, res.j_star, 1e-9)
         sweep = []
         k_hi = 1.0 / gain if gain > 0 else 1.0
         for k in np.linspace(max(1e-6, res.k_min / 5), min(2 * res.k_min + 1e-6, k_hi * 0.999), 25):
             worst = float(discrete.ledger_totals(p, float(k), N).max())
             sweep.append((float(k), res.j_star, worst, worst <= res.j_star + 1e-9))
     elif cfg.action == "verify":
-        certs["ratio_9"] = _cert("ratio_9", j_hat / gain, 9.0, 1e-12, op="~")[1]
-        certs["ratio_8"] = _cert("ratio_8", eq.J0 / gain, 8.0, 1e-12, op="~")[1]
+        certs["ratio_9"] = _cert(j_hat / gain, 9.0, 1e-12, op="~")
+        certs["ratio_8"] = _cert(eq.J0 / gain, 8.0, 1e-12, op="~")
         oracle = discrete.brute_force_oracle(p, 10**6)
-        certs["oracle_u0"] = _cert("oracle_u0", oracle.u0, eq.u0, 1e-5, op="~")[1]
-        certs["oracle_J0"] = _cert("oracle_J0", oracle.J0, eq.J0, 1e-5, op="~")[1]
+        certs["oracle_u0"] = _cert(oracle.u0, eq.u0, 1e-5, op="~")
+        certs["oracle_J0"] = _cert(oracle.J0, eq.J0, 1e-5, op="~")
     return results, certs, warnings, traj, sweep
 
 
@@ -234,38 +225,37 @@ def _run_dynamic(cfg: RunConfig):
     ss = dynamic.saddle_structure(p)
     results.update(Delta=ss.Delta, s1=ss.s1, s2=ss.s2, lambda0=ss.lambda0)
     traj = dynamic.equilibrium_trajectories(p, grid)
-    warnings.extend(getattr(traj, "warnings", []))
+    warnings.extend(traj.warnings)
     j_star = dynamic.equilibrium_payoff(p, grid)
     results["J0_star"] = j_star
-
-    if cfg.action == "equilibrium":
+    if cfg.action in ("equilibrium", "defect"):
+        traj_out = {"t": grid.times(), **traj.channels}
+    if cfg.action in ("equilibrium", "verify"):
         oracle = dynamic.bvp_oracle_trajectories(p, grid)
         sup = max(
             float(np.abs(traj["x1"] - oracle["x1"]).max()),
             float(np.abs(traj["lam"] - oracle["lam"]).max()),
         )
-        certs["bvp_oracle"] = _cert("bvp_oracle", sup, 0.0, 1e-6, op="~")[1]
-        certs["lambda_T"] = _cert("lambda_T", abs(traj["lam"][-1]), 0.0, 1e-8, op="~")[1]
-        traj_out = {"t": grid.times(), **traj.channels}
+        certs["bvp_oracle"] = _cert(sup, 0.0, 1e-6, op="~")
+
+    if cfg.action == "equilibrium":
+        certs["lambda_T"] = _cert(abs(traj["lam"][-1]), 0.0, 1e-8, op="~")
     elif cfg.action == "defect":
         k = float(cfg.penalty.get("k", 0.1))
         t0 = float(cfg.penalty.get("t0", 0.0))
         j_tilde = dynamic.defection_payoff(p, k, t0, grid)
         results.update(k=k, t0=t0, J_tilde=j_tilde)
-        certs["deterred"] = _cert("deterred", j_tilde, j_star, 1e-9)[1]
-        certs["identity"] = _cert(
-            "identity", dynamic.check_equ20_identity(p, k, grid), 0.0, 1e-10, op="~")[1]
-        traj_out = {"t": grid.times(), **traj.channels}
+        certs["deterred"] = _cert(j_tilde, j_star, 1e-9)
+        certs["identity"] = _cert(dynamic.check_equ20_identity(p, k, grid), 0.0, 1e-10, op="~")
     elif cfg.action == "threshold-k":
         res = dynamic.min_k_dynamic(p, grid)
         res_q = dynamic.min_k_dynamic(p, grid, use_quadrature=True)
         results.update(k_min=res.k_min, k_min_quadrature=res_q.k_min,
                        J_tilde_at_k=res.j_tilde_at_k)
-        certs["closed_vs_quadrature"] = _cert(
-            "closed_vs_quadrature", res.k_min, res_q.k_min, 1e-6, op="~")[1]
-        certs["deterred_t0_0"] = _cert("deterred_t0_0", res.j_tilde_at_k, j_star, 1e-9)[1]
+        certs["closed_vs_quadrature"] = _cert(res.k_min, res_q.k_min, 1e-6, op="~")
+        certs["deterred_t0_0"] = _cert(res.j_tilde_at_k, j_star, 1e-9)
         for t0, j in res.details["t0_scan"].items():
-            certs[f"deterred_t0_{t0:g}"] = _cert(f"t0={t0:g}", j, j_star, 1e-9)[1]
+            certs[f"deterred_t0_{t0:g}"] = _cert(j, j_star, 1e-9)
         if not res.deterred:
             warnings.append(
                 "threshold certified for a defection at t0=0 only; later defection "
@@ -276,22 +266,14 @@ def _run_dynamic(cfg: RunConfig):
             j = dynamic.defection_payoff(p, float(k), 0.0, grid)
             sweep.append((float(k), j_star, j, j <= j_star + 1e-9))
     elif cfg.action == "verify":
-        oracle = dynamic.bvp_oracle_trajectories(p, grid)
-        sup = max(
-            float(np.abs(traj["x1"] - oracle["x1"]).max()),
-            float(np.abs(traj["lam"] - oracle["lam"]).max()),
-        )
-        certs["bvp_oracle"] = _cert("bvp_oracle", sup, 0.0, 1e-6, op="~")[1]
         for k in (0.0, 0.1, 0.3, 1.0):
-            certs[f"identity_k_{k:g}"] = _cert(
-                f"identity_k_{k:g}", dynamic.check_equ20_identity(p, k, grid), 0.0,
-                1e-10, op="~")[1]
+            certs[f"identity_k_{k:g}"] = _cert(dynamic.check_equ20_identity(p, k, grid), 0.0,
+                                               1e-10, op="~")
         for k in (0.05, 0.1, 0.3, 1.0):
             lhs = dynamic.theorem2_lhs(p, k)
             quad = 64.0 * p.b * (j_star - dynamic.defection_payoff(p, k, 0.0, grid))
             rel = abs(lhs - quad) / (abs(quad) + 1e-30)
-            certs[f"reconciliation_k_{k:g}"] = _cert(
-                f"reconciliation_k_{k:g}", rel, 0.0, 1e-4, op="~")[1]
+            certs[f"reconciliation_k_{k:g}"] = _cert(rel, 0.0, 1e-4, op="~")
     return results, certs, warnings, traj_out, sweep
 
 
@@ -309,7 +291,7 @@ def _mc_config(cfg: RunConfig) -> meanfield.McConfig:
         n_paths=int(cfg.mc["n_paths"]),
         n_steps=int(cfg.mc.get("n_steps", 1000)),
         seed=int(cfg.mc["seed"]),
-        zero_noise=bool(cfg.mc.get("zero_noise", False)),
+        zero_noise=cfg.mc.get("zero_noise", False),
     )
 
 
@@ -319,24 +301,23 @@ def _run_meanfield(cfg: RunConfig):
     grid = TimeGrid(0.0, p.T, mc.n_steps)
     results, certs, warnings, traj_out, sweep = {}, {}, [], None, None
     sol = meanfield.mean_field_bvp(p, grid)
-
-    if cfg.action == "equilibrium":
-        for name, v in sol.boundary_residuals.items():
-            certs[f"boundary_{name}"] = _cert(name, v, 0.0, 1e-8, op="~")[1]
-        for name, v in sol.ode_residuals.items():
-            certs[f"ode_{name}"] = _cert(name, v, 0.0, 1e-6, op="~")[1]
+    if cfg.action in ("equilibrium", "defect"):
         traj_out = {"t": grid.times(), **sol.channels}
-    elif cfg.action == "defect":
+    if cfg.action in ("equilibrium", "verify"):
+        for name, v in sol.boundary_residuals.items():
+            certs[f"boundary_{name}"] = _cert(v, 0.0, 1e-8, op="~")
+        for name, v in sol.ode_residuals.items():
+            certs[f"ode_{name}"] = _cert(v, 0.0, 1e-6, op="~")
+
+    if cfg.action == "defect":
         k = float(cfg.penalty.get("k", 0.0))
         j_eq, j_def = meanfield.mc_payoffs(p, k, mc, sol=sol)
         results.update(
             k=k, J0_star=j_eq.mean, J0_star_se=j_eq.stderr,
             J_tilde=j_def.mean, J_tilde_se=j_def.stderr,
         )
-        certs["deterred_3se"] = _cert(
-            "deterred_3se", j_def.mean + 3 * j_def.stderr,
-            j_eq.mean - 3 * j_eq.stderr, 0.0)[1]
-        traj_out = {"t": grid.times(), **sol.channels}
+        certs["deterred_3se"] = _cert(j_def.mean + 3 * j_def.stderr,
+                                      j_eq.mean - 3 * j_eq.stderr, 0.0)
     elif cfg.action == "threshold-k":
         tol = float(cfg.penalty.get("tol", 0.01))
         res = meanfield.min_k_meanfield(p, mc, tol=tol)
@@ -347,23 +328,16 @@ def _run_meanfield(cfg: RunConfig):
             growth_rate=res.details["growth_rate"],
             growth_bound=res.details["growth_bound"],
         )
-        certs["deterred_3se"] = _cert(
-            "deterred_3se",
-            res.j_tilde_at_k + 3 * res.details["j_tilde_stderr"],
-            res.j_star - 3 * res.details["j_star_stderr"], 0.0)[1]
+        certs["deterred_3se"] = _cert(res.j_tilde_at_k + 3 * res.details["j_tilde_stderr"],
+                                      res.j_star - 3 * res.details["j_star_stderr"], 0.0)
         warnings.extend(res.details["warnings"])
         sweep = [
             (k, res.j_star, jt, jt + 3 * se < res.j_star - 3 * res.details["j_star_stderr"])
             for k, jt, se in res.details["trace"]
         ]
     elif cfg.action == "verify":
-        for name, v in sol.boundary_residuals.items():
-            certs[f"boundary_{name}"] = _cert(name, v, 0.0, 1e-8, op="~")[1]
-        for name, v in sol.ode_residuals.items():
-            certs[f"ode_{name}"] = _cert(name, v, 0.0, 1e-6, op="~")[1]
         fb = meanfield.follower_feedback_check(p, grid, mc)
-        certs["feedback_mean_3se"] = _cert(
-            "feedback_mean_3se", abs(fb["mean_residual"]), 3 * fb["stderr"], 0.0)[1]
+        certs["feedback_mean_3se"] = _cert(abs(fb["mean_residual"]), 3 * fb["stderr"], 0.0)
         je0, jd0 = meanfield.mean_payoffs(p, 0.0, mc)
         results.update(J0_star_mean=je0, J_tilde_mean_at_0=jd0)
     return results, certs, warnings, traj_out, sweep
@@ -403,7 +377,7 @@ def write_report(report: RunReport, out_dir: Path) -> None:
     for section in ("params", "grid", "mc", "penalty"):
         for k, v in cfg[section].items():
             lines.append(f"{section}.{k} = {_fmt(v)}")
-    lines.append(f"workers = {_n_workers()}")
+    lines.append("workers = 1")  # the program is single-threaded; the line keeps the layout
     lines.append("")
     lines.append("[results]")
     for k, v in report.results.items():
@@ -482,12 +456,9 @@ def main(argv: list[str] | None = None) -> int:
         return 3
     out_dir = Path(cfg.out) if cfg.out != "." else Path(args.config).resolve().parent
     write_report(report, out_dir)
-    print(f"wrote {out_dir / 'report.txt'}")
-    for name in ("trajectory.csv", "sweep.csv"):
-        if (out_dir / name).exists() and (
-            (name == "trajectory.csv" and report.trajectory is not None)
-            or (name == "sweep.csv" and report.sweep is not None)
-        ):
+    for name, data in (("report.txt", report), ("trajectory.csv", report.trajectory),
+                       ("sweep.csv", report.sweep)):
+        if data is not None:
             print(f"wrote {out_dir / name}")
     return 0
 

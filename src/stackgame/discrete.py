@@ -18,6 +18,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import NoDeterrentError, ParameterError, require_finite
+from .numerics import find_root_bisect
 from .results import PenaltySearchResult
 
 __all__ = [
@@ -164,9 +165,7 @@ def _recursive_factors(k: float, d: float, n: int) -> np.ndarray:
     return rho
 
 
-def _tail_factors(
-    p: DuopolyParams, k: float, n: int, allow_zero_k: bool = False
-) -> np.ndarray:
+def _tail_factors(p: DuopolyParams, k: float, n: int) -> np.ndarray:
     """Penalty factors (1 - k dJ0(1))^i, i < n, of a defection's first n punished periods.
 
     The recursion (_recursive_factors) runs alongside as a cross-check; the
@@ -174,10 +173,7 @@ def _tail_factors(
     """
     d = p.defection_gain
     k_hi = 1.0 / d if d > 0 else math.inf
-    if allow_zero_k:
-        if not 0.0 <= k < k_hi:
-            raise ParameterError(f"k={k} outside [0, 1/dJ0(1)={k_hi:.6g})")
-    elif not 0.0 < k < k_hi:
+    if not 0.0 < k < k_hi:
         raise ParameterError(f"k={k} outside (0, 1/dJ0(1)={k_hi:.6g})")
     closed = (1.0 - k * d) ** np.arange(n)
     if float(np.abs(_recursive_factors(k, d, n) - closed).max()) > 1e-12:
@@ -185,9 +181,7 @@ def _tail_factors(
     return closed
 
 
-def discount_schedule(
-    p: DuopolyParams, k: float, m: int, N: int, allow_zero_k: bool = False
-) -> DiscountSchedule:
+def discount_schedule(p: DuopolyParams, k: float, m: int, N: int) -> DiscountSchedule:
     """Per-period penalty factors for a defection starting in period m.
 
     rho follows the recursion rho(n) = rho(n-1) - k * dJ~(n-1), which has the
@@ -199,7 +193,7 @@ def discount_schedule(
     """
     if not (1 <= m <= N):
         raise ParameterError(f"need 1 <= m <= N, got m={m}, N={N}")
-    tail = _tail_factors(p, k, N - m + 1, allow_zero_k)
+    tail = _tail_factors(p, k, N - m + 1)
     rho = np.concatenate([np.ones(m - 1), tail])
     _, j_hat, d = one_shot_defection(p)
     ledger = np.concatenate([np.full(m - 1, one_shot_equilibrium(p).J0), tail * j_hat])
@@ -246,7 +240,9 @@ def _threshold_x(M: int, tol_x: float) -> float:
     """Smallest x in (0, 1) satisfying the deterrence condition for given M.
 
     g(x) = (1-x)^M - 1 + (8/9) M x has g(0) = 0, dips negative, then rises to
-    g(1) = (8/9) M - 1 > 0 for M >= 2; bisect on the recrossing.
+    g(1) = (8/9) M - 1 > 0 for M >= 2; bisect on the recrossing.  The
+    recrossing falls strictly as M grows, so the shortest punished tail
+    needs the largest x.
     """
     def g(x: float) -> float:
         return (1.0 - x) ** M - 1.0 + (8.0 / 9.0) * M * x
@@ -254,8 +250,6 @@ def _threshold_x(M: int, tol_x: float) -> float:
     # Left edge of the bracket: the minimum of g, where g' = 0.
     lo = 1.0 - (8.0 / 9.0) ** (1.0 / (M - 1))
     hi = 1.0 - 1e-15
-    from .numerics import find_root_bisect
-
     return find_root_bisect(g, lo, hi, tol_x)
 
 
@@ -267,8 +261,10 @@ def min_k_discrete(
     mode="fixed": deter a defection starting at the given period m.
     mode="worst-case": deter every defection start m in [1, N-1] (the
     last-period m = N case is covered by the forfeited deposit, not by the
-    condition).  The certificate re-verifies the full payoff ledger at
-    k_min + tol by direct summation for every relevant m.
+    condition).  The latest start punishes the fewest periods, so its
+    threshold is the largest (see _threshold_x) and it alone is bisected.
+    The certificate re-verifies the full payoff ledger at k_min + tol by
+    direct summation for every relevant m.
     """
     if N < 2:
         raise ParameterError(f"N must be >= 2, got {N}")
@@ -276,7 +272,7 @@ def min_k_discrete(
     if d <= 0:
         # Zero margin: defection gains nothing, any k > 0 works.
         return PenaltySearchResult(
-            k_min=0.0, bracket=(0.0, 0.0), tol=tol, j_star=0.0, j_tilde_at_k=0.0,
+            k_min=0.0, j_star=0.0, j_tilde_at_k=0.0,
             deterred=True, details={"mode": mode, "degenerate": True},
         )
     eps = 1e-12
@@ -292,8 +288,7 @@ def min_k_discrete(
     else:
         raise ParameterError(f"unknown mode {mode!r}")
 
-    x_req = max(_threshold_x(N - mi + 1, tol_x) for mi in ms)
-    k_min = x_req / d
+    k_min = _threshold_x(N - max(ms) + 1, tol_x) / d
     if not k_min < k_hi:
         raise NoDeterrentError(
             f"required k={k_min:.6g} exceeds the admissible bound 1/dJ0(1)={1.0 / d:.6g}"
@@ -306,8 +301,6 @@ def min_k_discrete(
     deterred = max(totals.values()) <= N * j_star + 1e-9 * (1.0 + N * j_star)
     return PenaltySearchResult(
         k_min=k_min,
-        bracket=(eps, k_hi),
-        tol=tol,
         j_star=N * j_star,
         j_tilde_at_k=max(totals.values()),
         deterred=deterred,

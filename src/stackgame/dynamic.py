@@ -109,7 +109,9 @@ class DynamicParams:
 
 @dataclass(frozen=True)
 class SaddleStructure:
-    """Eigen data of the state-costate matrix plus the costate's start value."""
+    """Eigen data of the state-costate matrix, the trajectory coefficients
+    (cx, cl) of x1 and lambda on (1, e^{s1 t}, e^{s2 t}), and the costate's
+    start value."""
 
     Delta: float
     s1: float
@@ -119,6 +121,8 @@ class SaddleStructure:
     alpha1: float
     alpha2: float
     lambda0: float
+    cx: np.ndarray
+    cl: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -136,11 +140,7 @@ class AppendixConstants:
 
     values: tuple[float, ...]
     exponents: tuple[float, ...]
-    lambda_tilde: float
     resonant: tuple[bool, ...]
-
-    def as_dict(self) -> dict[str, float]:
-        return {f"A{i + 1}": v for i, v in enumerate(self.values)}
 
 
 def system_matrix(p: DynamicParams) -> np.ndarray:
@@ -196,16 +196,12 @@ def saddle_structure(p: DynamicParams) -> SaddleStructure:
     lambda0 = cl[0] + cl[1] + cl[2]
     return SaddleStructure(
         Delta=Delta, s1=s1, s2=s2, q1=q1, q2=q2,
-        alpha1=alpha1, alpha2=alpha2, lambda0=lambda0,
+        alpha1=alpha1, alpha2=alpha2, lambda0=lambda0, cx=cx, cl=cl,
     )
 
 
 def trajectory_coefficients(
-    p: DynamicParams,
-    s1: float | None = None,
-    s2: float | None = None,
-    q1: float | None = None,
-    q2: float | None = None,
+    p: DynamicParams, s1: float, s2: float, q1: float, q2: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Exponential-representation coefficients (constant, e^{s1 t}, e^{s2 t}).
 
@@ -215,11 +211,6 @@ def trajectory_coefficients(
     """
     m = system_matrix(p)
     v = _offset_vector(p)
-    if s1 is None:
-        s1, s2, _ = eig_2x2(m)
-        b, g, d = p.b, p.gamma, p.delta
-        q1 = 4.0 * b * (s1 + d - 3.0 * g / (4.0 * b))
-        q2 = 4.0 * b * (s2 + d - 3.0 * g / (4.0 * b))
     yp = np.linalg.solve(m, -v)  # constant particular solution
     T = p.T
     # Unknown weights (c1, c2): x1(0) = yp_x + c1 + c2 = x1_0;
@@ -245,26 +236,23 @@ def equilibrium_trajectories(p: DynamicParams, grid: TimeGrid) -> TrajectoryGrid
     linear-branch kink.
     """
     ss = saddle_structure(p)
-    cx, cl = trajectory_coefficients(p, ss.s1, ss.s2, ss.q1, ss.q2)
     t = grid.times()
-    x1 = _eval_exp(cx, ss.s1, ss.s2, t)
-    lam = _eval_exp(cl, ss.s1, ss.s2, t)
+    x1 = _eval_exp(ss.cx, ss.s1, ss.s2, t)
+    lam = _eval_exp(ss.cl, ss.s1, ss.s2, t)
     a, c1, b, g = p.a_eff, p.c1_eff, p.b, p.gamma
     X = a + c1 - g * x1
     u0 = (X - lam) / (2.0 * b)
     u1 = (a - 3.0 * c1 + 3.0 * g * x1 + lam) / (4.0 * b)
     u0_hat = (3.0 * X - lam) / (8.0 * b)
-    traj = TrajectoryGrid(
-        grid,
-        {"x1": x1, "lam": lam, "u0": u0, "u1": u1, "u0_hat": u0_hat},
-    )
-    traj.warnings = []
+    warnings = []
     if min(u0.min(), u1.min(), u0_hat.min()) < 0:
-        traj.warnings.append("negative-control")
+        warnings.append("negative-control")
     if np.any(x1 >= p.kink_level):
         t_cross = float(t[np.argmax(x1 >= p.kink_level)])
-        traj.warnings.append(f"cost-kink-crossing at t={t_cross:.6g} (linear-branch extrapolation)")
-    return traj
+        warnings.append(f"cost-kink-crossing at t={t_cross:.6g} (linear-branch extrapolation)")
+    return TrajectoryGrid(
+        grid, {"x1": x1, "lam": lam, "u0": u0, "u1": u1, "u0_hat": u0_hat}, warnings
+    )
 
 
 def bvp_oracle_trajectories(p: DynamicParams, grid: TimeGrid) -> TrajectoryGrid:
@@ -306,16 +294,14 @@ def defection_payoff(p: DynamicParams, k: float, t0: float, grid: TimeGrid) -> f
     if not (math.isfinite(k) and k >= 0):
         raise ParameterError(f"penalty rate k={k} must be finite and >= 0")
     ss = saddle_structure(p)
-    cx, cl = trajectory_coefficients(p, ss.s1, ss.s2, ss.q1, ss.q2)
 
     def piece(ta: float, tb: float, fn) -> float:
         if tb <= ta:
             return 0.0
-        n = max(2, 2 * math.ceil(grid.n_steps * (tb - ta) / (p.T * 2))) if tb > ta else 2
-        sub = TimeGrid(ta, tb, max(2, n))
+        sub = TimeGrid(ta, tb, max(2, 2 * math.ceil(grid.n_steps * (tb - ta) / (p.T * 2))))
         t = sub.times()
-        x1 = _eval_exp(cx, ss.s1, ss.s2, t)
-        lam = _eval_exp(cl, ss.s1, ss.s2, t)
+        x1 = _eval_exp(ss.cx, ss.s1, ss.s2, t)
+        lam = _eval_exp(ss.cl, ss.s1, ss.s2, t)
         return quad_simpson(fn(x1, lam, t), sub.h)
 
     before = piece(0.0, t0, lambda x1, lam, t: _equilibrium_integrand(p, x1, lam, t))
@@ -380,7 +366,7 @@ def appendix_constants(p: DynamicParams, k: float) -> AppendixConstants:
     the removable-singularity limit and is flagged as resonant.
     """
     ss = saddle_structure(p)
-    cx, cl = trajectory_coefficients(p, ss.s1, ss.s2, ss.q1, ss.q2)
+    cx, cl = ss.cx, ss.cl
     a, c1, g = p.a_eff, p.c1_eff, p.gamma
     # X = a + c1 - gamma x1 over the same exponential basis.
     cX = np.array([a + c1 - g * cx[0], -g * cx[1], -g * cx[2]])
@@ -399,9 +385,7 @@ def appendix_constants(p: DynamicParams, k: float) -> AppendixConstants:
     )
     values = tuple([float(eq_part[i]) for i in order] + [float(def_part[i]) for i in order])
     resonant = tuple(abs(mu) < RESONANCE_TOL for mu in exponents)
-    return AppendixConstants(
-        values=values, exponents=exponents, lambda_tilde=ss.lambda0, resonant=resonant
-    )
+    return AppendixConstants(values=values, exponents=exponents, resonant=resonant)
 
 
 def theorem2_lhs(p: DynamicParams, k: float) -> float:
@@ -438,7 +422,6 @@ def min_k_dynamic(
     lo, hi = 1e-6, 1.0
     if f(lo) >= 0.0:
         k_min = 0.0
-        lo = 0.0
     else:
         while f(hi) < 0.0:
             hi *= 2.0
@@ -457,8 +440,6 @@ def min_k_dynamic(
             deterred = False
     return PenaltySearchResult(
         k_min=k_min,
-        bracket=(lo, hi),
-        tol=tol,
         j_star=j_star,
         j_tilde_at_k=scan[0.0],
         deterred=deterred,

@@ -44,9 +44,7 @@ __all__ = [
     "McConfig",
     "McEstimate",
     "SplitEstimate",
-    "RiccatiSolution",
     "MeanFieldSolution",
-    "DefectionSolution",
     "follower_riccati",
     "defection_riccati",
     "mean_field_bvp",
@@ -131,8 +129,6 @@ class McConfig:
 class McEstimate:
     mean: float
     stderr: float
-    n_paths: int
-    seed: int
 
 
 @dataclass(frozen=True, eq=False)
@@ -157,18 +153,6 @@ class SplitEstimate(McEstimate):
 
 
 @dataclass
-class RiccatiSolution:
-    """Backward-integrated scalar Riccati solution with terminal value 0."""
-
-    grid: TimeGrid
-    values: np.ndarray
-    kind: str  # "followerF" or "leaderQ"
-
-    def at(self, t):
-        return np.interp(t, self.grid.times(), self.values)
-
-
-@dataclass
 class MeanFieldSolution:
     """Equilibrium mean system: states, adjoints, and both mean controls."""
 
@@ -181,25 +165,13 @@ class MeanFieldSolution:
         return self.channels[name]
 
 
-@dataclass
-class DefectionSolution:
-    """Affine defection feedback u0(t, x0) = (B0/(2 a0)) (Q(t) x0 + q(t))."""
-
-    grid: TimeGrid
-    k: float
-    Q: np.ndarray
-    q: np.ndarray
-
-
 _BLOWUP_LIMIT = 1e6
 
 
-def _backward_riccati(
-    c0: float, c1: float, c2: float, grid: TimeGrid, kind: str
-) -> RiccatiSolution:
+def _backward_riccati(c0: float, c1: float, c2: float, grid: TimeGrid) -> np.ndarray:
     """Classical RK4 for y' = c0 + c1 y + c2 y^2 from y(T) = 0 back to t0.
 
-    The march runs on Python floats.  A stage whose state has left
+    Returns y on the nodes, ordered t0..t1.  The march runs on Python floats.  A stage whose state has left
     [-_BLOWUP_LIMIT, _BLOWUP_LIMIT] raises RiccatiBlowupError at its time.
     """
     def f(y: float, t: float) -> float:
@@ -220,27 +192,26 @@ def _backward_riccati(
         y = vals[j - 1] = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     if not np.abs(vals).max() <= _BLOWUP_LIMIT:
         raise RiccatiBlowupError(t_blowup=float(times[int(np.abs(vals).argmax())]))
-    return RiccatiSolution(grid=grid, values=vals, kind=kind)
+    return vals
 
 
-def follower_riccati(p: MfgParams, grid: TimeGrid) -> RiccatiSolution:
+def follower_riccati(p: MfgParams, grid: TimeGrid) -> np.ndarray:
     """Follower feedback gain F with F' = (r - 2A) F + (B^2/a) F^2 + 1, F(T)=0.
 
     The adjoint ansatz p_i = F x_i + f_i together with the current-value
     adjoint equation p_i' = (r - A) p_i + (x_i - l xbar + b) forces this ODE.
     """
-    return _backward_riccati(1.0, p.r - 2.0 * p.A, p.B**2 / p.a, grid, "followerF")
+    return _backward_riccati(1.0, p.r - 2.0 * p.A, p.B**2 / p.a, grid)
 
 
-def defection_riccati(p: MfgParams, k: float, grid: TimeGrid) -> RiccatiSolution:
+def defection_riccati(p: MfgParams, k: float, grid: TimeGrid) -> np.ndarray:
     """Defection gain Q with Q' = (r~ - 2A0) Q - (B0^2/(2a0)) Q^2 - 2, Q(T)=0.
 
     r~ = r + k is the leader's raised discount rate under punishment.
     """
     if not (math.isfinite(k) and k >= 0):
         raise ParameterError(f"penalty rate k must be finite and >= 0, got {k}")
-    return _backward_riccati(-2.0, p.r + k - 2.0 * p.A0, -(p.B0**2 / (2.0 * p.a0)), grid,
-                             "leaderQ")
+    return _backward_riccati(-2.0, p.r + k - 2.0 * p.A0, -(p.B0**2 / (2.0 * p.a0)), grid)
 
 
 def _equilibrium_matrix(p: MfgParams) -> np.ndarray:
@@ -275,23 +246,22 @@ def _equilibrium_offset(p: MfgParams) -> np.ndarray:
     return np.array([0.0, 0.0, p.b, -p.b0, p.l0 * p.b0, 0.0])
 
 
-def mean_field_bvp(p: MfgParams, grid: TimeGrid, xi_at_start: bool = True) -> MeanFieldSolution:
+def mean_field_bvp(p: MfgParams, grid: TimeGrid) -> MeanFieldSolution:
     """Equilibrium mean system with controls and feedback offset recovered.
 
     Solves the affine two-point system in (x0, xbar, pbar, p0, lam, xi) with
     x0(0), xbar(0) given and pbar(T) = p0(T) = lam(T) = 0.  The auxiliary
     multiplier xi tracks the followers' backward adjoint pbar, whose own free
     value sits at t = 0; the boundary-term cancellation in the variational
-    argument therefore pins xi(0) = 0 (set xi_at_start=False for the
-    alternative xi(T) = 0 convention; it leaves the boundary residuals intact
-    but breaks first-order optimality of the resulting control).
+    argument therefore pins xi(0) = 0.  (The alternative xi(T) = 0 leaves the
+    boundary residuals intact but breaks first-order optimality of the
+    resulting control.)
 
     Afterwards the follower feedback offset fbar is integrated backward and
     both mean controls u0_star, ui_star are attached as channels.
     """
     matrix = _equilibrium_matrix(p)
     offset = _equilibrium_offset(p)
-    xi_end = "t0" if xi_at_start else "t1"
     system = AffineSystem(
         dimension=6,
         matrix=matrix,
@@ -302,7 +272,7 @@ def mean_field_bvp(p: MfgParams, grid: TimeGrid, xi_at_start: bool = True) -> Me
             (2, "t1", 0.0),
             (3, "t1", 0.0),
             (4, "t1", 0.0),
-            (5, xi_end, 0.0),
+            (5, "t0", 0.0),
         ],
         names=_EQ_NAMES,
     )
@@ -326,9 +296,8 @@ def mean_field_bvp(p: MfgParams, grid: TimeGrid, xi_at_start: bool = True) -> Me
         return (p.r - p.A + Ba * F,
                 (p.B * p.sigma / p.a) * F * u0 - (p.C * F + p.l) * xbar - p.D * F * x0 + p.b)
 
-    ch["F"] = F.values
-    ch["fbar"] = _rk4_linear_backward(fbar_coefficients, (F.values, u0, ch["xbar"], ch["x0"]),
-                                      grid)
+    ch["F"] = F
+    ch["fbar"] = _rk4_linear_backward(fbar_coefficients, (F, u0, ch["xbar"], ch["x0"]), grid)
 
     boundary = {
         "x0(0)": abs(ch["x0"][0] - p.x0_init),
@@ -336,13 +305,13 @@ def mean_field_bvp(p: MfgParams, grid: TimeGrid, xi_at_start: bool = True) -> Me
         "pbar(T)": abs(ch["pbar"][-1]),
         "p0(T)": abs(ch["p0"][-1]),
         "lam(T)": abs(ch["lam"][-1]),
-        ("xi(0)" if xi_at_start else "xi(T)"): abs(ch["xi"][0 if xi_at_start else -1]),
+        "xi(0)": abs(ch["xi"][0]),
         "fbar(T)": abs(ch["fbar"][-1]),
     }
     ode = _ode_residuals(matrix, offset, traj, grid)
     # Self-consistency of the two pbar representations.
     ode["pbar-feedback"] = float(
-        np.abs(ch["pbar"] - (F.values * ch["xbar"] + ch["fbar"])).max()
+        np.abs(ch["pbar"] - (F * ch["xbar"] + ch["fbar"])).max()
     )
     return MeanFieldSolution(
         grid=grid, channels=ch, boundary_residuals=boundary, ode_residuals=ode
@@ -363,8 +332,13 @@ def _ode_residuals(matrix, offset, traj: TrajectoryGrid, grid: TimeGrid) -> dict
     return out
 
 
-def _defection_offset(p: MfgParams, k: float, sol: MeanFieldSolution) -> DefectionSolution:
-    """Backward solve of q against the equilibrium mean path xbar*."""
+def _defection_offset(
+    p: MfgParams, k: float, sol: MeanFieldSolution
+) -> tuple[np.ndarray, np.ndarray]:
+    """Gain Q and offset q of the defection feedback u0 = (B0/(2 a0)) (Q x0 + q).
+
+    q is solved backward against the equilibrium mean path xbar*.
+    """
     grid = sol.grid
     Q = defection_riccati(p, k, grid)
     rt = p.r + k
@@ -373,26 +347,22 @@ def _defection_offset(p: MfgParams, k: float, sol: MeanFieldSolution) -> Defecti
     def q_coefficients(Q, xbar):
         return rt - p.A0 - c * Q, (2.0 * p.l0 - p.C0 * Q) * xbar - 2.0 * p.b0
 
-    q = _rk4_linear_backward(q_coefficients, (Q.values, sol["xbar"]), grid)
-    return DefectionSolution(grid=grid, k=k, Q=Q.values, q=q)
+    return Q, _rk4_linear_backward(q_coefficients, (Q, sol["xbar"]), grid)
 
 
-def _estimate(samples: np.ndarray, seed: int) -> McEstimate:
-    n = len(samples)
+def _estimate(samples: np.ndarray) -> McEstimate:
     return McEstimate(
         mean=float(samples.mean()),
-        stderr=float(samples.std(ddof=1) / math.sqrt(n)),
-        n_paths=n,
-        seed=seed,
+        stderr=float(samples.std(ddof=1) / math.sqrt(len(samples))),
     )
 
 
-def _split_estimate(plus: np.ndarray, minus: np.ndarray, theta: float, seed: int) -> SplitEstimate:
+def _split_estimate(plus: np.ndarray, minus: np.ndarray, theta: float) -> SplitEstimate:
     """Central difference of per-path (total, certainty-equivalent, variance) payoffs."""
     samples = (plus - minus) / (2.0 * theta)
-    total, ce, var = (_estimate(row, seed) for row in samples)
+    total, ce, var = (_estimate(row) for row in samples)
     return SplitEstimate(
-        mean=total.mean, stderr=total.stderr, n_paths=total.n_paths, seed=seed,
+        mean=total.mean, stderr=total.stderr,
         certainty_equivalent=ce, variance_channel=var, samples=samples,
     )
 
@@ -472,15 +442,15 @@ def _defection_payoff(
     normals: np.ndarray | None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-path defection payoff at rate r + k, and the ensemble mean path."""
-    dfx = _defection_offset(p, k, sol)
+    Q, q = _defection_offset(p, k, sol)
     c = p.B0 / (2.0 * p.a0)
     target = p.l0 * sol["xbar"] - p.b0
 
     def integrand(x):
-        return -p.a0 * (c * (dfx.Q * x + dfx.q)) ** 2 + (x - target) ** 2
+        return -p.a0 * (c * (Q * x + q)) ** 2 + (x - target) ** 2
 
-    alpha = p.A0 + p.B0 * c * dfx.Q
-    beta = p.B0 * c * dfx.q + p.C0 * sol["xbar"]
+    alpha = p.A0 + p.B0 * c * Q
+    beta = p.B0 * c * q + p.C0 * sol["xbar"]
     (payoff,), mean = _simulate(alpha, beta, p.x0_init, grid, mc, normals, integrand, p.r + k)
     return payoff, mean
 
@@ -506,7 +476,7 @@ def mc_payoffs(
     normals = _noise(mc, normals)
     (j_eq,) = _leader_payoff(p, sol["u0_star"], sol["xbar"], grid, mc, normals)
     j_def, _ = _defection_payoff(p, k, sol, grid, mc, normals)
-    return _estimate(j_eq, mc.seed), _estimate(j_def, mc.seed)
+    return _estimate(j_eq), _estimate(j_def)
 
 
 def mean_payoffs(p: MfgParams, k: float, mc: McConfig) -> tuple[float, float]:
@@ -596,7 +566,7 @@ def euler_condition_check(
         return _leader_payoff(p, u0, xbar, grid, mc, normals, split=True)
 
     return _split_estimate(payoff(control + theta * perturbation),
-                           payoff(control - theta * perturbation), theta, mc.seed)
+                           payoff(control - theta * perturbation), theta)
 
 
 def follower_euler_check(
@@ -640,11 +610,14 @@ def follower_euler_check(
         return _simulate(alpha, beta + p.B * shift * perturbation, p.xbar_init, grid, mc,
                          normals, integrand, p.r, split=True)[0]
 
-    return _split_estimate(payoff(theta), payoff(-theta), theta, mc.seed)
+    return _split_estimate(payoff(theta), payoff(-theta), theta)
+
+
+_GROWTH_MARGIN = 1e-6
 
 
 def growth_order_check(
-    times: np.ndarray, x_mean: np.ndarray, r_tilde: float, margin: float = 1e-6
+    times: np.ndarray, x_mean: np.ndarray, r_tilde: float
 ) -> tuple[bool, float]:
     """True when the tail log-growth rate of a trajectory is below r_tilde / 2.
 
@@ -659,7 +632,7 @@ def growth_order_check(
     half = len(times) // 2
     t, y = times[half:], np.log1p(np.abs(x_mean[half:]))
     slope = float(np.polyfit(t, y, 1)[0])
-    return slope < r_tilde / 2.0 - margin, slope
+    return slope < r_tilde / 2.0 - _GROWTH_MARGIN, slope
 
 
 def min_k_meanfield(
@@ -686,14 +659,14 @@ def min_k_meanfield(
     sol = mean_field_bvp(p, grid)
     normals = _noise(mc, None)
     (j_eq,) = _leader_payoff(p, sol["u0_star"], sol["xbar"], grid, mc, normals)
-    j_eq = _estimate(j_eq, mc.seed)
+    j_eq = _estimate(j_eq)
 
     trace: list[tuple[float, float, float]] = []
     growth: dict[float, float] = {}
 
     def evaluate(k: float) -> tuple[McEstimate, bool]:
         samples, mean = _defection_payoff(p, k, sol, grid, mc, normals)
-        jd = _estimate(samples, mc.seed)
+        jd = _estimate(samples)
         trace.append((k, jd.mean, jd.stderr))
         ok, rate = growth_order_check(times, mean, p.r + k)
         growth[k] = rate
@@ -706,7 +679,7 @@ def min_k_meanfield(
         return grows_ok and jd.mean + 3.0 * jd.stderr < j_eq.mean - 3.0 * j_eq.stderr
 
     if satisfied(0.0):
-        k_min, lo, hi = 0.0, 0.0, 0.0
+        k_min = 0.0
     else:
         hi = max(tol, 1.0)
         while not satisfied(hi):
@@ -739,8 +712,6 @@ def min_k_meanfield(
             )
     return PenaltySearchResult(
         k_min=k_min,
-        bracket=(lo, hi),
-        tol=tol,
         j_star=j_eq.mean,
         j_tilde_at_k=j_def_final.mean,
         deterred=j_def_final.mean + 3.0 * j_def_final.stderr

@@ -28,12 +28,10 @@ __all__ = [
     "AffineSystem",
     "TrajectoryGrid",
     "PathEnsemble",
-    "rk4_solve",
     "rk4_solve_general",
     "solve_affine_bvp",
     "quad_simpson",
     "find_root_bisect",
-    "find_threshold_bisect",
     "eig_2x2",
     "em_paths",
 ]
@@ -115,16 +113,10 @@ class TrajectoryGrid:
 
     grid: TimeGrid
     channels: dict[str, np.ndarray] = field(default_factory=dict)
+    warnings: list[str] = field(default_factory=list)
 
     def __getitem__(self, name: str) -> np.ndarray:
         return self.channels[name]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self.channels
-
-    @property
-    def times(self) -> np.ndarray:
-        return self.grid.times()
 
     def stack(self, names: Sequence[str]) -> np.ndarray:
         return np.stack([self.channels[n] for n in names], axis=0)
@@ -136,10 +128,6 @@ class PathEnsemble:
 
     grid: TimeGrid
     paths: np.ndarray
-
-    @property
-    def times(self) -> np.ndarray:
-        return self.grid.times()
 
     def mean_path(self) -> np.ndarray:
         return self.paths.mean(axis=0)
@@ -229,23 +217,6 @@ def _affine_march(system: AffineSystem, grid: TimeGrid, y0: np.ndarray) -> np.nd
     return vals
 
 
-def rk4_solve(system: AffineSystem, grid: TimeGrid) -> TrajectoryGrid:
-    """Integrate an affine system with full initial data by classical RK4."""
-    for _, endpoint, _ in system.boundary:
-        if endpoint != "t0":
-            raise ParameterError("rk4_solve requires all boundary constraints at t0")
-    y0 = np.zeros(system.dimension)
-    seen = set()
-    for idx, _, value in system.boundary:
-        if idx in seen:
-            raise ParameterError(f"duplicate initial constraint for variable {idx}")
-        seen.add(idx)
-        y0[idx] = value
-    vals = _affine_march(system, grid, y0[:, None])[:, :, 0]
-    names = system.channel_names()
-    return TrajectoryGrid(grid, {n: vals[:, i].copy() for i, n in enumerate(names)})
-
-
 def solve_affine_bvp(system: AffineSystem, grid: TimeGrid) -> TrajectoryGrid:
     """Two-point solve of an affine system by fundamental-matrix superposition.
 
@@ -320,7 +291,10 @@ def quad_simpson(values: np.ndarray, h: float) -> float:
     return float(h / 3.0 * np.dot(w, values))
 
 
-def find_root_bisect(f, lo: float, hi: float, tol: float, max_iter: int = 200) -> float:
+_BISECT_MAX_ITER = 200
+
+
+def find_root_bisect(f, lo: float, hi: float, tol: float) -> float:
     """Bisection root of a scalar function with a sign change on [lo, hi]."""
     flo, fhi = f(lo), f(hi)
     if flo == 0.0:
@@ -329,7 +303,7 @@ def find_root_bisect(f, lo: float, hi: float, tol: float, max_iter: int = 200) -
         return hi
     if np.sign(flo) == np.sign(fhi):
         raise BracketError(f"no sign change on [{lo}, {hi}]: f(lo)={flo:.6g}, f(hi)={fhi:.6g}")
-    for _ in range(max_iter):
+    for _ in range(_BISECT_MAX_ITER):
         mid = 0.5 * (lo + hi)
         fmid = f(mid)
         if fmid == 0.0 or (hi - lo) < tol:
@@ -339,27 +313,6 @@ def find_root_bisect(f, lo: float, hi: float, tol: float, max_iter: int = 200) -
         else:
             hi = mid
     return 0.5 * (lo + hi)
-
-
-def find_threshold_bisect(pred, lo: float, hi: float, tol: float) -> float:
-    """Smallest point in [lo, hi] where a monotone predicate becomes true.
-
-    The predicate must be false at lo and true at hi (or vice versa for a
-    decreasing predicate, in which case the smallest satisfying point is lo's
-    side of the flip).
-    """
-    plo, phi = bool(pred(lo)), bool(pred(hi))
-    if plo == phi:
-        raise BracketError(f"predicate does not change truth value on [{lo}, {hi}]")
-    while (hi - lo) > tol:
-        mid = 0.5 * (lo + hi)
-        if bool(pred(mid)) == plo:
-            lo = mid
-        else:
-            hi = mid
-    # hi is on the "changed" side; if the predicate is increasing that is the
-    # smallest satisfying point within tol.
-    return hi if phi else lo
 
 
 def eig_2x2(m: np.ndarray) -> tuple[float, float, np.ndarray]:

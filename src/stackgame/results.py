@@ -11,8 +11,6 @@ class PenaltySearchResult:
     """Minimal penalty rate with the payoff comparison certifying deterrence."""
 
     k_min: float
-    bracket: tuple[float, float]
-    tol: float
     j_star: float
     j_tilde_at_k: float
     deterred: bool

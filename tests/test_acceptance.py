@@ -143,13 +143,13 @@ def test_07_riccati_tangent_closed_forms():
         p_follower = meanfield.MfgParams(**{**MFG_KW, "A": 0.0, "r": 0.0, "B": 1.0,
                                             "a": 1.0, "T": 0.5})
         F = meanfield.follower_riccati(p_follower, grid)
-        err_f = float(np.abs(F.values + np.tan(0.5 - grid.times())).max())
+        err_f = float(np.abs(F + np.tan(0.5 - grid.times())).max())
         p_leader = meanfield.MfgParams(**{**MFG_KW, "A0": 0.0, "r": 0.0, "B0": 2.0,
                                           "a0": 1.0, "T": 0.5})
         Q = meanfield.defection_riccati(p_leader, 0.0, grid)
         err_q = max(
-            float(np.abs(Q.values - np.tan(2.0 * (0.5 - grid.times()))).max()),
-            abs(float(Q.values[0]) - math.tan(1.0)),
+            float(np.abs(Q - np.tan(2.0 * (0.5 - grid.times()))).max()),
+            abs(float(Q[0]) - math.tan(1.0)),
         )
         return max(err_f, err_q)
 

@@ -160,12 +160,25 @@ class TestMain:
         ("T: 1.0", "T: .inf"),
         ("n_steps: 200", "n_steps: .nan"),
         ("seed: 42", "seed: .nan"),
+        # A non-bool mc.zero_noise must not be read as truthy or falsy.
+        *[("seed: 42}", f"zero_noise: {v}, seed: 42}}")
+          for v in ('"false"', '"true"', "0.5", "0", "1", "null")],
     ])
     def test_non_finite_meanfield_value_exits_2(self, tmp_path, capsys, old, new):
         cfg = self._write(tmp_path, MEANFIELD_YAML.replace(old, new))
         rc = main(["meanfield", "defect", "--config", str(cfg), "--out", str(tmp_path / "out")])
         assert rc == 2
         assert new.split(":")[0] in capsys.readouterr().err
+
+    def test_bool_zero_noise_is_accepted(self, tmp_path):
+        text = MEANFIELD_YAML.replace("seed: 42}", "seed: 42, zero_noise: true}")
+        cfg = self._write(tmp_path, text)
+        out = tmp_path / "out"
+        assert main(["meanfield", "defect", "--config", str(cfg), "--out", str(out)]) == 0
+        lines = (out / "report.txt").read_text().splitlines()
+        assert "mc.zero_noise = True" in lines
+        se = [float(line.split(" = ")[1]) for line in lines if line.startswith("J0_star_se")]
+        assert se and se[0] < 1e-12  # every path is the mean path
 
     @pytest.mark.parametrize("text, extra", [
         (MEANFIELD_YAML.replace("seed: 42", "seed: -1"), []),
@@ -258,3 +271,10 @@ class TestMain:
             )
             outputs[workers] = body
         assert outputs["1"] == outputs["8"]
+
+    def test_report_records_one_worker_whatever_the_environment(self, tmp_path, monkeypatch):
+        # The program is single-threaded and reads no worker-count variable.
+        monkeypatch.setenv("STACKGAME_WORKERS", "8")
+        cfg = self._write(tmp_path, DISCRETE_YAML)
+        assert main(["discrete", "verify", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        assert "workers = 1" in (tmp_path / "report.txt").read_text().splitlines()

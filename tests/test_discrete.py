@@ -127,12 +127,9 @@ class TestDiscountSchedule:
         with pytest.raises(ParameterError):
             discount_schedule(duopoly, 0.1, 0, 5)
         with pytest.raises(ParameterError):
-            discount_schedule(duopoly, 0.0, 1, 5)  # k = 0 needs allow_zero_k
+            discount_schedule(duopoly, 0.0, 1, 5)
         with pytest.raises(ParameterError):
             discount_schedule(duopoly, 1.0 / duopoly.defection_gain, 1, 5)
-        # Explicitly allowed zero rate leaves the defection undiscounted.
-        sched = discount_schedule(duopoly, 0.0, 1, 5, allow_zero_k=True)
-        assert np.all(sched.rho == 1.0)
 
 
 class TestLedgerTotals:
@@ -170,6 +167,29 @@ class TestDeterrenceCondition:
             theorem1_condition(0.0, 3)
         with pytest.raises(ParameterError):
             theorem1_condition(0.5, 0)
+
+
+class TestThresholdRoot:
+    def test_recrossing_root_falls_strictly_in_M(self):
+        # Bisect the recrossing of g(x) = (1-x)^M - 1 + (8/9) M x for every M
+        # at once, from _threshold_x's bracket, down to rounding.
+        M = np.arange(2, 10**4 + 1, dtype=float)
+        lo = 1.0 - (8.0 / 9.0) ** (1.0 / (M - 1.0))
+        hi = np.full_like(M, 1.0 - 1e-15)
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            below = (1.0 - mid) ** M - 1.0 + (8.0 / 9.0) * M * mid < 0.0
+            lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+        assert np.all(np.diff(hi) < 0.0)
+        assert abs(hi[0] - 2.0 / 9.0) < 1e-15
+        for m in (3, 10, 1000, 10**4):
+            assert abs(discrete._threshold_x(m, 1e-13) - hi[m - 2]) < 1e-13
+
+    @pytest.mark.parametrize("N", [2, 3, 10, 400])
+    def test_worst_case_is_the_largest_threshold_of_all_starts(self, duopoly, N):
+        d, tol = duopoly.defection_gain, 1e-9
+        every = max(discrete._threshold_x(N - m + 1, tol * d) for m in range(1, N))
+        assert min_k_discrete(duopoly, N, tol=tol).k_min == every / d
 
 
 class TestMinK:

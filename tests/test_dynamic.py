@@ -17,7 +17,6 @@ from stackgame.dynamic import (
     saddle_structure,
     system_matrix,
     theorem2_lhs,
-    trajectory_coefficients,
 )
 from stackgame.errors import HypothesisViolationError, ParameterError
 from stackgame.numerics import TimeGrid
@@ -72,10 +71,14 @@ class TestTrajectories:
         assert abs(traj["x1"][0] - dyn.x1_0) < 1e-12
         assert abs(traj["lam"][-1]) < 1e-10
 
-    def test_costate_start_matches_coefficients(self, dyn):
+    def test_costate_start_matches_coefficients(self, dyn, grid):
         ss = saddle_structure(dyn)
-        _, cl = trajectory_coefficients(dyn)
-        assert abs(ss.lambda0 - cl.sum()) < 1e-12
+        assert abs(ss.lambda0 - ss.cl.sum()) < 1e-12
+        # The coefficients meet both boundary conditions x1(0) = x1_0, lambda(T) = 0.
+        assert abs(ss.cx.sum() - dyn.x1_0) < 1e-12
+        lam_T = ss.cl[0] + ss.cl[1] * math.exp(ss.s1 * dyn.T) + ss.cl[2] * math.exp(ss.s2 * dyn.T)
+        assert abs(lam_T) < 1e-10
+        assert abs(ss.lambda0 - equilibrium_trajectories(dyn, grid)["lam"][0]) < 1e-12
 
     def test_controls_satisfy_first_order_relations(self, dyn, grid):
         traj = equilibrium_trajectories(dyn, grid)

@@ -34,23 +34,23 @@ class TestRiccati:
         p = mfg_with(mfg_kwargs, A=0.0, r=0.0, B=0.0, T=2.0)
         grid = TimeGrid(0.0, p.T, 500)
         F = follower_riccati(p, grid)
-        np.testing.assert_allclose(F.values, grid.times() - p.T, atol=1e-12)
-        assert abs(F.at(0.0) + p.T) < 1e-12
+        np.testing.assert_allclose(F, grid.times() - p.T, atol=1e-12)
+        assert abs(F[0] + p.T) < 1e-12
 
     def test_follower_tangent_closed_form(self, mfg_kwargs):
         # A = 0, r = 0, B^2/a = 1 gives F' = F^2 + 1, so F(t) = -tan(T - t).
         p = mfg_with(mfg_kwargs, A=0.0, r=0.0, B=1.0, a=1.0, T=0.5)
         grid = TimeGrid(0.0, p.T, 1000)
         F = follower_riccati(p, grid)
-        np.testing.assert_allclose(F.values, -np.tan(p.T - grid.times()), atol=1e-10)
+        np.testing.assert_allclose(F, -np.tan(p.T - grid.times()), atol=1e-10)
 
     def test_defection_tangent_closed_form(self, mfg_kwargs):
         # A0 = 0, r + k = 0, B0^2/(2 a0) = 2 gives Q(t) = tan(2 (T - t)).
         p = mfg_with(mfg_kwargs, A0=0.0, r=0.0, B0=2.0, a0=1.0, T=0.5)
         grid = TimeGrid(0.0, p.T, 1000)
         Q = defection_riccati(p, 0.0, grid)
-        np.testing.assert_allclose(Q.values, np.tan(2.0 * (p.T - grid.times())), atol=1e-9)
-        assert abs(Q.at(0.0) - math.tan(1.0)) < 1e-9
+        np.testing.assert_allclose(Q, np.tan(2.0 * (p.T - grid.times())), atol=1e-9)
+        assert abs(Q[0] - math.tan(1.0)) < 1e-9
 
     def test_blowup_detected(self, mfg_kwargs):
         # tan(2 (T - t)) has a pole inside the horizon once 2 T > pi / 2.
@@ -82,13 +82,20 @@ class TestMeanFieldBvp:
         assert sol.ode_residuals["pbar-feedback"] < 1e-6
 
     def test_auxiliary_multiplier_boundary_convention(self, mfg):
-        grid = TimeGrid(0.0, mfg.T, 500)
-        default = mean_field_bvp(mfg, grid)
+        p = mfg
+        grid = TimeGrid(0.0, p.T, 500)
+        default = mean_field_bvp(p, grid)
         assert abs(default["xi"][0]) < 1e-12
-        printed = mean_field_bvp(mfg, grid, xi_at_start=False)
+        # The alternative convention xi(T) = 0 on the same six-variable system.
+        boundary = [(0, "t0", p.x0_init), (1, "t0", p.xbar_init), (2, "t1", 0.0),
+                    (3, "t1", 0.0), (4, "t1", 0.0), (5, "t1", 0.0)]
+        printed = solve_affine_bvp(
+            AffineSystem(6, meanfield._equilibrium_matrix(p), meanfield._equilibrium_offset(p),
+                         boundary, names=("x0", "xbar", "pbar", "p0", "lam", "xi")), grid)
         assert abs(printed["xi"][-1]) < 1e-12
+        u0 = (p.B0 / p.a0) * printed["p0"] - (p.B * p.sigma / (p.a * p.a0)) * printed["lam"]
         # The two conventions give genuinely different controls.
-        assert np.abs(default["u0_star"] - printed["u0_star"]).max() > 1e-3
+        assert np.abs(default["u0_star"] - u0).max() > 1e-3
 
     def test_leader_decouples_without_cross_terms(self, mfg_kwargs):
         p = mfg_with(mfg_kwargs, sigma=0.0, D=0.0, C=0.0, C0=0.0, l=0.0, l0=0.0)
@@ -138,8 +145,8 @@ class TestStepMapsMatchCallbacks:
                               [0.0], grid, backward=True)[:, 0]
         Q = rk4_solve_general(lambda t, y: (p.r + k - 2.0 * p.A0) * y - c0 * y * y - 2.0,
                               [0.0], grid, backward=True)[:, 0]
-        assert np.array_equal(follower_riccati(p, grid).values, F)
-        assert np.array_equal(defection_riccati(p, k, grid).values, Q)
+        assert np.array_equal(follower_riccati(p, grid), F)
+        assert np.array_equal(defection_riccati(p, k, grid), Q)
 
     def test_feedback_offset(self, mfg):
         p = mfg
@@ -158,14 +165,14 @@ class TestStepMapsMatchCallbacks:
         p, k = mfg, 0.5
         grid = TimeGrid(0.0, p.T, 1000)
         sol = mean_field_bvp(p, grid)
-        dfx = meanfield._defection_offset(p, k, sol)
+        Q_nodes, q = meanfield._defection_offset(p, k, sol)
         t, c = grid.times(), p.B0**2 / (2.0 * p.a0)
 
         def rhs(s, y):
-            Q, xbar = np.interp(s, t, dfx.Q), np.interp(s, t, sol["xbar"])
+            Q, xbar = np.interp(s, t, Q_nodes), np.interp(s, t, sol["xbar"])
             return (p.r + k - p.A0 - c * Q) * y + (2.0 * p.l0 - p.C0 * Q) * xbar - 2.0 * p.b0
 
-        _close(dfx.q, rk4_solve_general(rhs, [0.0], grid, backward=True)[:, 0])
+        _close(q, rk4_solve_general(rhs, [0.0], grid, backward=True)[:, 0])
 
     def test_follower_response_with_node_offset(self, mfg, closure_bvp):
         p = mfg

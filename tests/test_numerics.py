@@ -20,10 +20,8 @@ from stackgame.numerics import (
     em_paths,
     euler_mean,
     find_root_bisect,
-    find_threshold_bisect,
     path_normals,
     quad_simpson,
-    rk4_solve,
     rk4_solve_general,
     solve_affine_bvp,
     wright_fisher_sigma,
@@ -68,18 +66,8 @@ class TestRk4:
             names=("y",),
         )
         grid = TimeGrid(0.0, 2.0, 400)
-        traj = rk4_solve(system, grid)
+        traj = solve_affine_bvp(system, grid)
         np.testing.assert_allclose(traj["y"], 1.0 - np.exp(-grid.times()), atol=1e-10)
-
-    def test_initial_value_solve_rejects_terminal_constraints(self):
-        system = AffineSystem(
-            dimension=1,
-            matrix=np.array([[0.0]]),
-            offset=np.array([0.0]),
-            boundary=[(0, "t1", 0.0)],
-        )
-        with pytest.raises(ParameterError):
-            rk4_solve(system, TimeGrid(0.0, 1.0, 10))
 
 
 def _oscillator(two_point):
@@ -154,11 +142,12 @@ class TestRk4StepMap:
             _close(traj[f"x{i}"], oracle[:, i])
 
     def test_initial_value_solve_matches_callbacks(self):
+        # All constraints at t0: the two-point solve is an initial-value march.
         grid = TimeGrid(0.0, 2.0, 500)
         v = self._node_offset(grid)
         offset = self._interp_offset(grid, v)
-        traj = rk4_solve(AffineSystem(3, self.M, v, [(0, "t0", 1.0), (1, "t0", 0.0),
-                                                     (2, "t0", -1.0)]), grid)
+        traj = solve_affine_bvp(AffineSystem(3, self.M, v, [(0, "t0", 1.0), (1, "t0", 0.0),
+                                                            (2, "t0", -1.0)]), grid)
         oracle = rk4_solve_general(lambda t, y: self.M @ y + offset(t), [1.0, 0.0, -1.0], grid)
         for i in range(3):
             _close(traj[f"x{i}"], oracle[:, i])
@@ -177,7 +166,7 @@ class TestRk4StepMap:
         # P = 1 + 1e5 + ... per step overflows the float range near step 17.
         system = AffineSystem(1, np.array([[1e5]]), np.array([1.0]), [(0, "t0", 1.0)])
         with pytest.raises(IntegrationBlowupError) as exc:
-            rk4_solve(system, TimeGrid(0.0, 20.0, 20))
+            solve_affine_bvp(system, TimeGrid(0.0, 20.0, 20))
         assert 10 < exc.value.step < 20
 
 
@@ -201,14 +190,6 @@ class TestBisection:
     def test_no_sign_change_raises(self):
         with pytest.raises(BracketError):
             find_root_bisect(lambda x: x * x + 1.0, -1.0, 1.0, 1e-8)
-
-    def test_threshold_of_monotone_predicate(self):
-        x = find_threshold_bisect(lambda v: v >= 0.3, 0.0, 1.0, 1e-9)
-        assert abs(x - 0.3) < 1e-8
-
-    def test_constant_predicate_raises(self):
-        with pytest.raises(BracketError):
-            find_threshold_bisect(lambda v: True, 0.0, 1.0, 1e-9)
 
 
 class TestEig2x2:
