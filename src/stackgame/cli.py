@@ -59,19 +59,64 @@ class RunReport:
     wall_time: float
 
 
-_ALLOWED = {
-    "top": {"model", "action", "params", "grid", "mc", "penalty", "out", "seed"},
-    "grid": {"n_steps"},
-    "mc": {"n_paths", "seed", "n_steps", "zero_noise"},
-    "penalty": {"k", "t0", "m", "N", "mode", "tol"},
+def _int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _real(v) -> bool:
+    """A float, or an int that a float can hold (YAML integers are unbounded)."""
+    return isinstance(v, float) or (_int(v) and abs(v) <= sys.float_info.max)
+
+
+def _integer(lo: int, hi: float) -> tuple:
+    """The rule for an integer in [lo, hi]."""
+    want = f"an integer >= {lo}" if hi == math.inf else f"an integer in [{lo}, {hi}]"
+    return (lambda v: _int(v) and lo <= v <= hi), want
+
+
+# Every key a config may hold, as section -> key -> (check, wording); "" is
+# the top level and "*" any key.  Sizes have an upper end, so an absurd one
+# is refused here rather than by the array allocator.
+_NUMBER = (_real, "a number")
+_FINITE = (lambda v: _real(v) and math.isfinite(v), "finite and real")
+_MAPPING = (lambda v: isinstance(v, dict), "a mapping")
+_STRING = (lambda v: isinstance(v, str), "a string")
+_SIZE = _integer(2, 10**7)
+_SEED = _integer(0, math.inf)
+_TABLE = {
+    "": {"model": (lambda v: v in MODELS, f"one of {MODELS}"),
+         "action": (lambda v: v in ACTIONS, f"one of {ACTIONS}"),
+         "params": _MAPPING, "grid": _MAPPING, "mc": _MAPPING, "penalty": _MAPPING,
+         "out": _STRING, "seed": _SEED},
+    "params": {"*": _NUMBER},
+    "grid": {"n_steps": _SIZE},
+    "mc": {"n_paths": _SIZE, "seed": _SEED, "n_steps": _SIZE,
+           "zero_noise": (lambda v: isinstance(v, bool), "true or false")},
+    "penalty": {"k": _FINITE, "t0": _FINITE, "m": (_int, "an integer"), "N": _integer(1, 10**7),
+                "mode": _STRING, "tol": _FINITE},
 }
+
+
+def _validate(doc: dict) -> None:
+    """Check each key of a config mapping against _TABLE; reals become floats."""
+    for section, rules in _TABLE.items():
+        values = doc.get(section, {}) if section else doc
+        prefix = f"{section}." if section else ""
+        for key, val in values.items():
+            rule = rules.get(key, rules.get("*"))
+            if rule is None:
+                raise ConfigurationError(f"unknown config key {prefix}{key}")
+            check, want = rule
+            if not check(val):
+                raise ConfigurationError(f"{prefix}{key} must be {want}, got {val!r}")
+            if rule is _NUMBER or rule is _FINITE:
+                values[key] = float(val)
 
 
 def parse_config(document: str) -> RunConfig:
     """Parse a YAML config document into a validated RunConfig.
 
-    Fills defaults (2000 grid steps, 10^4 paths, seed 42) and rejects any
-    unknown key with a message naming it.
+    Keys the document leaves out take RunConfig's defaults.
     """
     try:
         raw = yaml.safe_load(document)
@@ -79,67 +124,11 @@ def parse_config(document: str) -> RunConfig:
         raise ConfigurationError(f"config is not valid YAML: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigurationError("config must be a mapping at the top level")
-    unknown = set(raw) - _ALLOWED["top"]
-    if unknown:
-        raise ConfigurationError(f"unknown config key(s): {', '.join(sorted(unknown))}")
-    for section in ("grid", "mc", "penalty"):
-        sub = raw.get(section, {})
-        if not isinstance(sub, dict):
-            raise ConfigurationError(f"'{section}' must be a mapping")
-        bad = set(sub) - _ALLOWED[section]
-        if bad:
-            raise ConfigurationError(f"unknown key(s) in '{section}': {', '.join(sorted(bad))}")
-    params = raw.get("params", {})
-    if not isinstance(params, dict):
-        raise ConfigurationError("'params' must be a mapping")
-
-    cfg = RunConfig(
-        model=str(raw.get("model", "")),
-        action=str(raw.get("action", "")),
-        params=dict(params),
-        grid={"n_steps": 2000, **raw.get("grid", {})},
-        mc={"n_paths": 10_000, "seed": 42, **raw.get("mc", {})},
-        penalty=dict(raw.get("penalty", {})),
-        out=str(raw.get("out", ".")),
-        seed=raw.get("seed", 42),
-    )
-    _validate_types(cfg)
+    _validate(raw)
+    cfg = RunConfig(model="", action="")
+    for key, val in raw.items():
+        setattr(cfg, key, {**getattr(cfg, key), **val} if isinstance(val, dict) else val)
     return cfg
-
-
-def _validate_types(cfg: RunConfig) -> None:
-    if cfg.model and cfg.model not in MODELS:
-        raise ConfigurationError(f"unknown model {cfg.model!r}; expected one of {MODELS}")
-    if cfg.action and cfg.action not in ACTIONS:
-        raise ConfigurationError(f"unknown action {cfg.action!r}; expected one of {ACTIONS}")
-    checked = [("grid.n_steps", cfg.grid["n_steps"]), ("mc.n_paths", cfg.mc["n_paths"])]
-    if "n_steps" in cfg.mc:
-        checked.append(("mc.n_steps", cfg.mc["n_steps"]))
-    for key, val in checked:
-        if not isinstance(val, int) or val < 2:
-            raise ConfigurationError(f"{key} must be an integer >= 2, got {val!r}")
-    for key, val in (("seed", cfg.seed), ("mc.seed", cfg.mc["seed"])):
-        if isinstance(val, bool) or not isinstance(val, int) or val < 0:
-            raise ConfigurationError(f"{key} must be an integer >= 0, got {val!r}")
-    if not isinstance(cfg.mc.get("zero_noise", False), bool):
-        raise ConfigurationError(
-            f"mc.zero_noise must be true or false, got {cfg.mc['zero_noise']!r}")
-    for name, val in cfg.params.items():
-        if not _is_number(val):
-            raise ConfigurationError(f"params.{name} must be a number, got {val!r}")
-    for name, val in cfg.penalty.items():
-        if name == "mode":
-            ok, want = isinstance(val, str), "a string"
-        elif name in ("N", "m"):
-            ok, want = isinstance(val, int) and not isinstance(val, bool), "an integer"
-        else:  # k, t0, tol
-            ok, want = _is_number(val) and math.isfinite(val), "finite and real"
-        if not ok:
-            raise ConfigurationError(f"penalty.{name} must be {want}, got {val!r}")
-
-
-def _is_number(val) -> bool:
-    return isinstance(val, (int, float)) and not isinstance(val, bool)
 
 
 def emit_config(cfg: RunConfig) -> str:
@@ -153,17 +142,17 @@ def _cert(lhs: float, rhs: float, tol: float, op: str = "<=") -> str:
     return f"{mid} (tol {tol:g}) : {'PASS' if ok else 'FAIL'}"
 
 
+def _params(cls, cfg: RunConfig):
+    try:
+        return cls(**cfg.params)
+    except TypeError as exc:
+        raise ConfigurationError(f"bad {cfg.model} params: {exc}") from exc
+
+
 # ---------------------------------------------------------------- discrete
 
-def _discrete_params(cfg: RunConfig) -> discrete.DuopolyParams:
-    try:
-        return discrete.DuopolyParams(**cfg.params)
-    except TypeError as exc:
-        raise ConfigurationError(f"bad discrete params: {exc}") from exc
-
-
 def _run_discrete(cfg: RunConfig):
-    p = _discrete_params(cfg)
+    p = _params(discrete.DuopolyParams, cfg)
     N = cfg.penalty.get("N", 10)
     results, certs, warnings, traj, sweep = {}, {}, [], None, None
     eq = discrete.one_shot_equilibrium(p)
@@ -176,7 +165,7 @@ def _run_discrete(cfg: RunConfig):
         warnings.append("boundary-equilibrium (an output clamped at zero)")
 
     if cfg.action == "defect":
-        k = float(cfg.penalty.get("k", 0.1))
+        k = cfg.penalty.get("k", 0.1)
         m = cfg.penalty.get("m", 1)
         sched = discrete.discount_schedule(p, k, m, N)
         results.update(k=k, m=m, N=N, total_defection_payoff=sched.total,
@@ -211,16 +200,9 @@ def _run_discrete(cfg: RunConfig):
 
 # ----------------------------------------------------------------- dynamic
 
-def _dynamic_params(cfg: RunConfig) -> dynamic.DynamicParams:
-    try:
-        return dynamic.DynamicParams(**cfg.params)
-    except TypeError as exc:
-        raise ConfigurationError(f"bad dynamic params: {exc}") from exc
-
-
 def _run_dynamic(cfg: RunConfig):
-    p = _dynamic_params(cfg)
-    grid = TimeGrid(0.0, p.T, int(cfg.grid["n_steps"]))
+    p = _params(dynamic.DynamicParams, cfg)
+    grid = TimeGrid(0.0, p.T, cfg.grid["n_steps"])
     results, certs, warnings, traj_out, sweep = {}, {}, [], None, None
     ss = dynamic.saddle_structure(p)
     results.update(Delta=ss.Delta, s1=ss.s1, s2=ss.s2, lambda0=ss.lambda0)
@@ -241,8 +223,8 @@ def _run_dynamic(cfg: RunConfig):
     if cfg.action == "equilibrium":
         certs["lambda_T"] = _cert(abs(traj["lam"][-1]), 0.0, 1e-8, op="~")
     elif cfg.action == "defect":
-        k = float(cfg.penalty.get("k", 0.1))
-        t0 = float(cfg.penalty.get("t0", 0.0))
+        k = cfg.penalty.get("k", 0.1)
+        t0 = cfg.penalty.get("t0", 0.0)
         j_tilde = dynamic.defection_payoff(p, k, t0, grid)
         results.update(k=k, t0=t0, J_tilde=j_tilde)
         certs["deterred"] = _cert(j_tilde, j_star, 1e-9)
@@ -279,25 +261,9 @@ def _run_dynamic(cfg: RunConfig):
 
 # --------------------------------------------------------------- meanfield
 
-def _meanfield_params(cfg: RunConfig) -> meanfield.MfgParams:
-    try:
-        return meanfield.MfgParams(**cfg.params)
-    except TypeError as exc:
-        raise ConfigurationError(f"bad meanfield params: {exc}") from exc
-
-
-def _mc_config(cfg: RunConfig) -> meanfield.McConfig:
-    return meanfield.McConfig(
-        n_paths=int(cfg.mc["n_paths"]),
-        n_steps=int(cfg.mc.get("n_steps", 1000)),
-        seed=int(cfg.mc["seed"]),
-        zero_noise=cfg.mc.get("zero_noise", False),
-    )
-
-
 def _run_meanfield(cfg: RunConfig):
-    p = _meanfield_params(cfg)
-    mc = _mc_config(cfg)
+    p = _params(meanfield.MfgParams, cfg)
+    mc = meanfield.McConfig(**cfg.mc)
     grid = TimeGrid(0.0, p.T, mc.n_steps)
     results, certs, warnings, traj_out, sweep = {}, {}, [], None, None
     sol = meanfield.mean_field_bvp(p, grid)
@@ -310,7 +276,7 @@ def _run_meanfield(cfg: RunConfig):
             certs[f"ode_{name}"] = _cert(v, 0.0, 1e-6, op="~")
 
     if cfg.action == "defect":
-        k = float(cfg.penalty.get("k", 0.0))
+        k = cfg.penalty.get("k", 0.0)
         j_eq, j_def = meanfield.mc_payoffs(p, k, mc, sol=sol)
         results.update(
             k=k, J0_star=j_eq.mean, J0_star_se=j_eq.stderr,
@@ -319,7 +285,7 @@ def _run_meanfield(cfg: RunConfig):
         certs["deterred_3se"] = _cert(j_def.mean + 3 * j_def.stderr,
                                       j_eq.mean - 3 * j_eq.stderr, 0.0)
     elif cfg.action == "threshold-k":
-        tol = float(cfg.penalty.get("tol", 0.01))
+        tol = cfg.penalty.get("tol", 0.01)
         res = meanfield.min_k_meanfield(p, mc, tol=tol)
         results.update(
             k_min=res.k_min, J0_star=res.j_star, J_tilde_at_k=res.j_tilde_at_k,
@@ -336,9 +302,9 @@ def _run_meanfield(cfg: RunConfig):
             for k, jt, se in res.details["trace"]
         ]
     elif cfg.action == "verify":
-        fb = meanfield.follower_feedback_check(p, grid, mc)
+        fb = meanfield.follower_feedback_check(p, sol, mc)
         certs["feedback_mean_3se"] = _cert(abs(fb["mean_residual"]), 3 * fb["stderr"], 0.0)
-        je0, jd0 = meanfield.mean_payoffs(p, 0.0, mc)
+        je0, jd0 = meanfield.mean_payoffs(p, 0.0, sol)
         results.update(J0_star_mean=je0, J_tilde_mean_at_0=jd0)
     return results, certs, warnings, traj_out, sweep
 
@@ -349,13 +315,15 @@ _RUNNERS = {"discrete": _run_discrete, "dynamic": _run_dynamic, "meanfield": _ru
 
 
 def run(cfg: RunConfig) -> RunReport:
-    """Dispatch one job and return the in-memory report."""
-    if cfg.model not in MODELS:
-        raise ConfigurationError(f"unknown model {cfg.model!r}")
-    if cfg.action not in ACTIONS:
-        raise ConfigurationError(f"unknown action {cfg.action!r}")
+    """Validate the config and run its job; return the in-memory report.
+
+    Floating-point overflow, invalid operations and division by zero raise
+    FloatingPointError (an ArithmeticError) instead of passing nan or inf on.
+    """
+    _validate(vars(cfg))
     start = time.perf_counter()
-    results, certs, warnings, traj, sweep = _RUNNERS[cfg.model](cfg)
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        results, certs, warnings, traj, sweep = _RUNNERS[cfg.model](cfg)
     return RunReport(
         config=cfg, results=results, certificates=certs, warnings=warnings,
         trajectory=traj, sweep=sweep, wall_time=time.perf_counter() - start,
@@ -443,7 +411,6 @@ def main(argv: list[str] | None = None) -> int:
             cfg.mc["n_steps"] = args.steps
         if args.out is not None:
             cfg.out = args.out
-        _validate_types(cfg)
         report = run(cfg)
     except OSError as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
@@ -451,7 +418,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigurationError, ParameterError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except StackgameError as exc:
+    except (StackgameError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     out_dir = Path(cfg.out) if cfg.out != "." else Path(args.config).resolve().parent

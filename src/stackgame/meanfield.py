@@ -479,15 +479,15 @@ def mc_payoffs(
     return _estimate(j_eq), _estimate(j_def)
 
 
-def mean_payoffs(p: MfgParams, k: float, mc: McConfig) -> tuple[float, float]:
-    """Deterministic (noise-free) counterpart of mc_payoffs.
+def mean_payoffs(p: MfgParams, k: float, sol: MeanFieldSolution) -> tuple[float, float]:
+    """Deterministic (noise-free) counterpart of mc_payoffs on the grid of sol.
 
     Uses the same Euler time stepping and trapezoid quadrature as the
     simulator, so a zero-noise Monte Carlo run reproduces these numbers to
     rounding.
     """
-    det = McConfig(n_paths=2, n_steps=mc.n_steps, seed=mc.seed, zero_noise=True)
-    j_eq, j_def = mc_payoffs(p, k, det)
+    det = McConfig(n_paths=2, n_steps=sol.grid.n_steps, zero_noise=True)
+    j_eq, j_def = mc_payoffs(p, k, det, sol=sol)
     return j_eq.mean, j_def.mean
 
 
@@ -503,7 +503,9 @@ def _follower_drift(p: MfgParams, sol: MeanFieldSolution) -> tuple[np.ndarray, n
     return alpha, beta
 
 
-def follower_feedback_check(p: MfgParams, grid: TimeGrid, mc: McConfig) -> dict[str, float]:
+def follower_feedback_check(
+    p: MfgParams, sol: MeanFieldSolution, mc: McConfig
+) -> dict[str, float]:
     """Simulates followers under the feedback rule and checks the adjoint mean.
 
     Along each path p_i = F x_i + fbar is reconstructed; its ensemble mean
@@ -511,7 +513,9 @@ def follower_feedback_check(p: MfgParams, grid: TimeGrid, mc: McConfig) -> dict[
     (exactly, up to Monte Carlo error, because the feedback drift is affine).
     The residual is averaged over time per path.
     """
-    sol = mean_field_bvp(p, grid)
+    grid = sol.grid
+    if grid.n_steps != mc.n_steps:
+        raise ParameterError("solution grid does not match the MC grid")
     F, fbar = sol["F"], sol["fbar"]
     alpha, beta = _follower_drift(p, sol)
     m = euler_mean(alpha, beta, p.xbar_init, grid.h)

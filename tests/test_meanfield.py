@@ -215,7 +215,8 @@ class TestMonteCarlo:
     def test_zero_noise_reproduces_deterministic_reference(self, mfg):
         mc = McConfig(n_paths=4, n_steps=300, seed=7, zero_noise=True)
         j_eq, j_def = mc_payoffs(mfg, 0.2, mc)
-        je_ref, jd_ref = mean_payoffs(mfg, 0.2, mc)
+        sol = mean_field_bvp(mfg, TimeGrid(0.0, mfg.T, mc.n_steps))
+        je_ref, jd_ref = mean_payoffs(mfg, 0.2, sol)
         assert j_eq.mean == je_ref and j_def.mean == jd_ref
         assert j_eq.stderr == 0.0
 
@@ -237,9 +238,12 @@ class TestMonteCarlo:
         sol = mean_field_bvp(mfg, TimeGrid(0.0, mfg.T, 123))
         with pytest.raises(ParameterError):
             mc_payoffs(mfg, 0.0, mc_small, sol=sol)
+        with pytest.raises(ParameterError):
+            follower_feedback_check(mfg, sol, mc_small)
 
     def test_follower_feedback_mean_matches_reference(self, mfg, mc_small):
-        out = follower_feedback_check(mfg, TimeGrid(0.0, mfg.T, mc_small.n_steps), mc_small)
+        sol = mean_field_bvp(mfg, TimeGrid(0.0, mfg.T, mc_small.n_steps))
+        out = follower_feedback_check(mfg, sol, mc_small)
         assert set(out) == {"mean_residual", "stderr", "within_3se", "terminal_adjoint"}
         assert out["within_3se"]
         assert out["terminal_adjoint"] < 1e-10
@@ -254,10 +258,10 @@ class TestMonteCarlo:
         grid = TimeGrid(0.0, mfg.T, mc.n_steps)
         sol = mean_field_bvp(mfg, grid)
         v = np.ones(mc.n_steps + 1)
-        mean_payoffs(mfg, 0.0, mc)
+        mean_payoffs(mfg, 0.0, sol)
         euler_condition_check(mfg, sol["u0_star"], v, mc)
         follower_euler_check(mfg, sol, v, mc)
-        assert follower_feedback_check(mfg, grid, mc)["within_3se"]
+        assert follower_feedback_check(mfg, sol, mc)["within_3se"]
 
     def test_zero_noise_stationarity_of_leader_control(self, mfg):
         # With the noise switched off the derived control is a stationary
