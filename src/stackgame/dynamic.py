@@ -10,12 +10,15 @@ inequality) is assembled from the closed-form exponential representation
     x1(t)     = cx0 + cx1 e^{s1 t} + cx2 e^{s2 t}
     lambda(t) = cl0 + cl1 e^{s1 t} + cl2 e^{s2 t}
 obtained by solving the two boundary conditions x1(0) = x1_0, lambda(T) = 0.
+saddle_structure builds it, and DynamicParams.saddle keeps it on the record,
+so every function here reads one copy per parameter record.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -37,8 +40,6 @@ __all__ = [
     "AppendixConstants",
     "saddle_structure",
     "system_matrix",
-    "affine_system",
-    "trajectory_coefficients",
     "equilibrium_trajectories",
     "equilibrium_payoff",
     "defection_payoff",
@@ -106,6 +107,15 @@ class DynamicParams:
             return math.inf
         return self.c1_eff / self.gamma
 
+    def margin(self, x1):
+        """X = a_eff + c1_eff - gamma x1, the margin every payoff is built from."""
+        return self.a_eff + self.c1_eff - self.gamma * x1
+
+    @cached_property
+    def saddle(self) -> SaddleStructure:
+        """The closed form of this record, built on first use and then kept."""
+        return saddle_structure(self)
+
 
 @dataclass(frozen=True)
 class SaddleStructure:
@@ -118,11 +128,15 @@ class SaddleStructure:
     s2: float
     q1: float
     q2: float
-    alpha1: float
-    alpha2: float
     lambda0: float
     cx: np.ndarray
     cl: np.ndarray
+
+    def states(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(x1, lambda) at the times t."""
+        e1, e2 = np.exp(self.s1 * t), np.exp(self.s2 * t)
+        cx, cl = self.cx, self.cl
+        return cx[0] + cx[1] * e1 + cx[2] * e2, cl[0] + cl[1] * e1 + cl[2] * e2
 
 
 @dataclass(frozen=True)
@@ -159,24 +173,14 @@ def _offset_vector(p: DynamicParams) -> np.ndarray:
     return np.array([(a - 3.0 * c1) / (4.0 * b), g * (a + c1) / (4.0 * b)])
 
 
-def affine_system(p: DynamicParams) -> AffineSystem:
-    """The equilibrium two-point problem: x1(0) = x1_0, lambda(T) = 0."""
-    m = system_matrix(p)
-    v = _offset_vector(p)
-    return AffineSystem(
-        dimension=2,
-        matrix=m,
-        offset=v,
-        boundary=[(0, "t0", p.x1_0), (1, "t1", 0.0)],
-        names=("x1", "lam"),
-    )
-
-
 def saddle_structure(p: DynamicParams) -> SaddleStructure:
-    """Eigen decomposition of the equilibrium system.
+    """Eigen decomposition of the equilibrium system and its closed form.
 
     Delta is the discriminant of the system matrix; the saddle hypothesis
     Delta > r^2 is equivalent to a negative determinant (s1 < 0 < s2).
+    The trajectory coefficients (cx, cl) on (1, e^{s1 t}, e^{s2 t}) come
+    from the eigenvectors (1, q_i), the constant particular solution
+    -M^{-1} v and the boundary pair x1(0) = x1_0, lambda(T) = 0.
     """
     m = system_matrix(p)
     det = float(np.linalg.det(m))
@@ -189,29 +193,7 @@ def saddle_structure(p: DynamicParams) -> SaddleStructure:
     b, g, d = p.b, p.gamma, p.delta
     q1 = 4.0 * b * (s1 + d - 3.0 * g / (4.0 * b))
     q2 = 4.0 * b * (s2 + d - 3.0 * g / (4.0 * b))
-    a, c1 = p.a_eff, p.c1_eff
-    alpha1 = q1 * (a - 3.0 * c1) - g * (a + c1)
-    alpha2 = q2 * (a - 3.0 * c1) - g * (a + c1)
-    cx, cl = trajectory_coefficients(p, s1, s2, q1, q2)
-    lambda0 = cl[0] + cl[1] + cl[2]
-    return SaddleStructure(
-        Delta=Delta, s1=s1, s2=s2, q1=q1, q2=q2,
-        alpha1=alpha1, alpha2=alpha2, lambda0=lambda0, cx=cx, cl=cl,
-    )
-
-
-def trajectory_coefficients(
-    p: DynamicParams, s1: float, s2: float, q1: float, q2: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Exponential-representation coefficients (constant, e^{s1 t}, e^{s2 t}).
-
-    Returns (cx, cl) for x1 and lambda.  The eigenvectors are (1, q_i), the
-    particular solution is the constant -M^{-1} v, and the two superposition
-    weights come from the boundary pair x1(0) = x1_0, lambda(T) = 0.
-    """
-    m = system_matrix(p)
-    v = _offset_vector(p)
-    yp = np.linalg.solve(m, -v)  # constant particular solution
+    yp = np.linalg.solve(m, -_offset_vector(p))  # constant particular solution
     T = p.T
     # Unknown weights (c1, c2): x1(0) = yp_x + c1 + c2 = x1_0;
     # lambda(T) = yp_l + c1 q1 e^{s1 T} + c2 q2 e^{s2 T} = 0.
@@ -220,11 +202,9 @@ def trajectory_coefficients(
     c = np.linalg.solve(B, rhs)
     cx = np.array([yp[0], c[0], c[1]])
     cl = np.array([yp[1], c[0] * q1, c[1] * q2])
-    return cx, cl
-
-
-def _eval_exp(coeffs: np.ndarray, s1: float, s2: float, t: np.ndarray) -> np.ndarray:
-    return coeffs[0] + coeffs[1] * np.exp(s1 * t) + coeffs[2] * np.exp(s2 * t)
+    return SaddleStructure(
+        Delta=Delta, s1=s1, s2=s2, q1=q1, q2=q2, lambda0=cl[0] + cl[1] + cl[2], cx=cx, cl=cl
+    )
 
 
 def equilibrium_trajectories(p: DynamicParams, grid: TimeGrid) -> TrajectoryGrid:
@@ -235,14 +215,12 @@ def equilibrium_trajectories(p: DynamicParams, grid: TimeGrid) -> TrajectoryGrid
     warning flags for negative controls and for the follower cost crossing the
     linear-branch kink.
     """
-    ss = saddle_structure(p)
     t = grid.times()
-    x1 = _eval_exp(ss.cx, ss.s1, ss.s2, t)
-    lam = _eval_exp(ss.cl, ss.s1, ss.s2, t)
-    a, c1, b, g = p.a_eff, p.c1_eff, p.b, p.gamma
-    X = a + c1 - g * x1
+    x1, lam = p.saddle.states(t)
+    b = p.b
+    X = p.margin(x1)
     u0 = (X - lam) / (2.0 * b)
-    u1 = (a - 3.0 * c1 + 3.0 * g * x1 + lam) / (4.0 * b)
+    u1 = (p.a_eff - 3.0 * p.c1_eff + 3.0 * p.gamma * x1 + lam) / (4.0 * b)
     u0_hat = (3.0 * X - lam) / (8.0 * b)
     warnings = []
     if min(u0.min(), u1.min(), u0_hat.min()) < 0:
@@ -256,29 +234,34 @@ def equilibrium_trajectories(p: DynamicParams, grid: TimeGrid) -> TrajectoryGrid
 
 
 def bvp_oracle_trajectories(p: DynamicParams, grid: TimeGrid) -> TrajectoryGrid:
-    """Independent oracle: the same two-point problem via the generic BVP solver."""
-    return solve_affine_bvp(affine_system(p), grid)
+    """Independent oracle: the same two-point problem, x1(0) = x1_0 and
+    lambda(T) = 0, via the generic BVP solver."""
+    system = AffineSystem(
+        dimension=2,
+        matrix=system_matrix(p),
+        offset=_offset_vector(p),
+        boundary=[(0, "t0", p.x1_0), (1, "t1", 0.0)],
+        names=("x1", "lam"),
+    )
+    return solve_affine_bvp(system, grid)
 
 
 def _equilibrium_integrand(p: DynamicParams, x1: np.ndarray, lam: np.ndarray, t: np.ndarray):
-    a, c1, b, g = p.a_eff, p.c1_eff, p.b, p.gamma
-    X = a + c1 - g * x1
-    return np.exp(-p.r * t) * (X * X - lam * lam) / (8.0 * b)
+    X = p.margin(x1)
+    return np.exp(-p.r * t) * (X * X - lam * lam) / (8.0 * p.b)
 
 
 def _defection_integrand(p: DynamicParams, x1, lam, t, k: float, t0: float):
     """Discounted defection integrand e^{-rt} rho(t) (3X - lam)^2 / (64 b)."""
-    a, c1, b, g = p.a_eff, p.c1_eff, p.b, p.gamma
-    X = a + c1 - g * x1
+    X = p.margin(x1)
     rho = np.where(t > t0, np.exp(-k * (t - t0)), 1.0)
-    return np.exp(-p.r * t) * rho * (3.0 * X - lam) ** 2 / (64.0 * b)
+    return np.exp(-p.r * t) * rho * (3.0 * X - lam) ** 2 / (64.0 * p.b)
 
 
 def equilibrium_payoff(p: DynamicParams, grid: TimeGrid) -> float:
     """Leader's equilibrium payoff by Simpson quadrature of the closed form."""
-    traj = equilibrium_trajectories(p, grid)
-    vals = _equilibrium_integrand(p, traj["x1"], traj["lam"], grid.times())
-    return quad_simpson(vals, grid.h)
+    t = grid.times()
+    return quad_simpson(_equilibrium_integrand(p, *p.saddle.states(t), t), grid.h)
 
 
 def defection_payoff(p: DynamicParams, k: float, t0: float, grid: TimeGrid) -> float:
@@ -293,16 +276,13 @@ def defection_payoff(p: DynamicParams, k: float, t0: float, grid: TimeGrid) -> f
         raise ParameterError(f"defection time t0={t0} outside [0, {p.T}]")
     if not (math.isfinite(k) and k >= 0):
         raise ParameterError(f"penalty rate k={k} must be finite and >= 0")
-    ss = saddle_structure(p)
 
     def piece(ta: float, tb: float, fn) -> float:
         if tb <= ta:
             return 0.0
         sub = TimeGrid(ta, tb, max(2, 2 * math.ceil(grid.n_steps * (tb - ta) / (p.T * 2))))
         t = sub.times()
-        x1 = _eval_exp(ss.cx, ss.s1, ss.s2, t)
-        lam = _eval_exp(ss.cl, ss.s1, ss.s2, t)
-        return quad_simpson(fn(x1, lam, t), sub.h)
+        return quad_simpson(fn(*p.saddle.states(t), t), sub.h)
 
     before = piece(0.0, t0, lambda x1, lam, t: _equilibrium_integrand(p, x1, lam, t))
     after = piece(t0, p.T, lambda x1, lam, t: _defection_integrand(p, x1, lam, t, k, t0))
@@ -316,13 +296,11 @@ def check_equ20_identity(p: DynamicParams, k: float, grid: TimeGrid) -> float:
     e^{-rt} [(8 - 9 rho) X^2 - (8 + rho) lam^2 + 6 rho X lam] at every node
     (defection at t0 = 0).  Pure algebra: the residual is rounding noise.
     """
-    traj = equilibrium_trajectories(p, grid)
     t = grid.times()
-    x1, lam = traj["x1"], traj["lam"]
-    a, c1, b, g = p.a_eff, p.c1_eff, p.b, p.gamma
-    X = a + c1 - g * x1
+    x1, lam = p.saddle.states(t)
+    X = p.margin(x1)
     rho = np.exp(-k * t)
-    lhs = 64.0 * b * (
+    lhs = 64.0 * p.b * (
         _equilibrium_integrand(p, x1, lam, t) - _defection_integrand(p, x1, lam, t, k, 0.0)
     )
     rhs = np.exp(-p.r * t) * (
@@ -365,11 +343,10 @@ def appendix_constants(p: DynamicParams, k: float) -> AppendixConstants:
     s1 + s2 - r vanishes identically (s1 + s2 = r), so its term is always
     the removable-singularity limit and is flagged as resonant.
     """
-    ss = saddle_structure(p)
-    cx, cl = ss.cx, ss.cl
-    a, c1, g = p.a_eff, p.c1_eff, p.gamma
+    ss = p.saddle
+    cx, cl, g = ss.cx, ss.cl, p.gamma
     # X = a + c1 - gamma x1 over the same exponential basis.
-    cX = np.array([a + c1 - g * cx[0], -g * cx[1], -g * cx[2]])
+    cX = np.array([p.margin(cx[0]), -g * cx[1], -g * cx[2]])
     XX = _product_coeffs(cX, cX)
     LL = _product_coeffs(cl, cl)
     XL = _product_coeffs(cX, cl)
@@ -395,39 +372,33 @@ def theorem2_lhs(p: DynamicParams, k: float) -> float:
 
 
 def min_k_dynamic(
-    p: DynamicParams,
-    grid: TimeGrid | None = None,
-    tol: float = 1e-8,
-    use_quadrature: bool = False,
+    p: DynamicParams, grid: TimeGrid | None = None, tol: float = 1e-8
 ) -> PenaltySearchResult:
     """Minimal penalty rate making the announced equilibrium credible.
 
-    Bisects the closed-form deterrence expression in k (or, with
-    use_quadrature, the direct Simpson payoff difference as an independent
-    oracle).  The bracket [1e-6, 1] grows geometrically until a sign change
-    appears.  The certificate re-verifies deterrence by quadrature at
-    k_min + tol and scans defection times t0 in {0, T/4, T/2, 3T/4}.
+    Bisects the closed-form deterrence expression in k, and the direct
+    Simpson payoff difference as an independent oracle, whose root is
+    details["k_min_quadrature"].  Each bracket [1e-6, 1] grows
+    geometrically until a sign change appears.  The certificate re-verifies
+    deterrence by quadrature at k_min + tol and scans defection times t0 in
+    {0, T/4, T/2, 3T/4}.
     """
     if grid is None:
         grid = TimeGrid(0.0, p.T, 2000)
     j_star = equilibrium_payoff(p, grid)
 
-    if use_quadrature:
-        def f(k: float) -> float:
-            return 64.0 * p.b * (j_star - defection_payoff(p, k, 0.0, grid))
-    else:
-        def f(k: float) -> float:
-            return theorem2_lhs(p, k)
-
-    lo, hi = 1e-6, 1.0
-    if f(lo) >= 0.0:
-        k_min = 0.0
-    else:
+    def root(f) -> float:
+        lo, hi = 1e-6, 1.0
+        if f(lo) >= 0.0:
+            return 0.0
         while f(hi) < 0.0:
             hi *= 2.0
             if hi > 1e6:
                 raise NoDeterrentError("no deterrent rate found up to k = 1e6")
-        k_min = find_root_bisect(f, lo, hi, tol)
+        return find_root_bisect(f, lo, hi, tol)
+
+    k_min = root(lambda k: theorem2_lhs(p, k))
+    k_quad = root(lambda k: 64.0 * p.b * (j_star - defection_payoff(p, k, 0.0, grid)))
 
     k_cert = k_min + tol
     scan = {}
@@ -443,5 +414,5 @@ def min_k_dynamic(
         j_star=j_star,
         j_tilde_at_k=scan[0.0],
         deterred=deterred,
-        details={"t0_scan": scan, "method": "quadrature" if use_quadrature else "closed-form"},
+        details={"t0_scan": scan, "k_min_quadrature": k_quad},
     )

@@ -658,6 +658,9 @@ def min_k_meanfield(
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ParameterError(f"tol must be finite and > 0, got {tol}")
+    if mc.n_steps < 3:
+        raise ParameterError(
+            f"mc.n_steps must be >= 3 for the growth-rate fit (4 nodes), got {mc.n_steps}")
     grid = TimeGrid(0.0, p.T, mc.n_steps)
     times = grid.times()
     sol = mean_field_bvp(p, grid)

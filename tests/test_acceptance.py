@@ -127,8 +127,8 @@ def test_06_dynamic_deterrence_reconciliation():
             lhs = dynamic.theorem2_lhs(DYN, k)
             quad = 64.0 * DYN.b * (j_star - dynamic.defection_payoff(DYN, k, 0.0, grid))
             rel = max(rel, abs(lhs - quad) / (abs(quad) + 1e-30))
-        k_closed = dynamic.min_k_dynamic(DYN, grid).k_min
-        k_quad = dynamic.min_k_dynamic(DYN, grid, use_quadrature=True).k_min
+        res = dynamic.min_k_dynamic(DYN, grid)
+        k_closed, k_quad = res.k_min, res.details["k_min_quadrature"]
         return rel, abs(k_closed - k_quad), k_closed
 
     (rel, k_gap, k_min), dt = _timed(body)

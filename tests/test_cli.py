@@ -5,6 +5,7 @@ import csv
 import pytest
 import yaml
 
+from stackgame import dynamic
 from stackgame.cli import RunConfig, emit_config, main, parse_config, run
 from stackgame.errors import ConfigurationError
 
@@ -239,6 +240,24 @@ class TestMain:
         assert rc == 3
         assert "saddle" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("action", ["equilibrium", "defect", "threshold-k", "verify"])
+    def test_odd_dynamic_step_count_exits_2_naming_the_key(self, tmp_path, capsys, action):
+        # Simpson's rule needs an even number of intervals.
+        cfg = self._write(tmp_path, DYNAMIC_YAML.replace("n_steps: 1000", "n_steps: 1001"))
+        rc = main(["dynamic", action, "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert "grid.n_steps must be even" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("action", ["equilibrium", "defect", "threshold-k", "verify"])
+    def test_one_closed_form_build_per_dynamic_job(self, tmp_path, monkeypatch, action):
+        # Every consumer reads the structure kept on the parameter record.
+        calls = []
+        eig = dynamic.eig_2x2
+        monkeypatch.setattr(dynamic, "eig_2x2", lambda m: calls.append(1) or eig(m))
+        cfg = self._write(tmp_path, DYNAMIC_YAML.replace("n_steps: 1000", "n_steps: 50"))
+        assert main(["dynamic", action, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        assert len(calls) == 1
+
     def test_unknown_action_exits_2(self, tmp_path):
         cfg = self._write(tmp_path, DISCRETE_YAML)
         assert main(["discrete", "conquer", "--config", str(cfg)]) == 2
@@ -248,13 +267,14 @@ class TestMain:
         out = tmp_path / "out"
         rc = main([
             "meanfield", "defect", "--config", str(cfg), "--out", str(out),
-            "--seed", "7", "--paths", "300", "--steps", "150",
+            "--seed", "7", "--paths", "300", "--steps", "151",
         ])
-        assert rc == 0
+        assert rc == 0  # an odd step count is fine for the mean-field model
         report = (out / "report.txt").read_text()
         assert "mc.seed = 7" in report
         assert "mc.n_paths = 300" in report
-        assert "mc.n_steps = 150" in report
+        assert "mc.n_steps = 151" in report
+        assert "grid.n_steps = 151" in report
 
     def test_worker_count_does_not_change_outputs(self, tmp_path, monkeypatch):
         cfg = self._write(tmp_path, MEANFIELD_YAML)

@@ -53,6 +53,15 @@ class TestSaddleStructure:
             v = np.array([1.0, q])
             assert np.abs(m @ v - s * v).max() < 1e-12
 
+    def test_structure_is_built_once_per_record(self, dyn):
+        ss = dyn.saddle
+        assert dyn.saddle is ss
+        fresh = saddle_structure(dyn)
+        assert (ss.s1, ss.s2, ss.lambda0) == (fresh.s1, fresh.s2, fresh.lambda0)
+        np.testing.assert_array_equal(ss.cl, fresh.cl)
+        x1, lam = ss.states(np.array([0.0, dyn.T]))
+        assert x1[0] == ss.cx.sum() and lam[0] == ss.cl.sum()
+
     def test_hypothesis_violation_raises(self):
         p = DynamicParams(a=10.0, b=1.0, cbar1=2.0, gamma=1.0, delta=0.1, r=1.0, T=10.0)
         with pytest.raises(HypothesisViolationError):
@@ -153,9 +162,21 @@ class TestIdentityAndClosedForm:
 class TestMinK:
     def test_benchmark_threshold_both_methods(self, dyn, grid):
         res = min_k_dynamic(dyn, grid)
-        res_q = min_k_dynamic(dyn, grid, use_quadrature=True)
         assert abs(res.k_min - BENCH_K_MIN) < 1e-7
-        assert abs(res.k_min - res_q.k_min) < 1e-6
+        assert abs(res.k_min - res.details["k_min_quadrature"]) < 1e-6
+
+    def test_quadrature_root_is_the_simpson_oracles_own(self, dyn):
+        # On a coarse grid Simpson's error moves the oracle's root off the closed form's.
+        grid = TimeGrid(0.0, dyn.T, 10)
+        res = min_k_dynamic(dyn, grid)
+        k_quad = res.details["k_min_quadrature"]
+        j_star = equilibrium_payoff(dyn, grid)
+
+        def gap(k):
+            return j_star - defection_payoff(dyn, k, 0.0, grid)
+
+        assert gap(k_quad - 2e-8) < 0.0 < gap(k_quad + 2e-8)
+        assert abs(k_quad - res.k_min) > 1e-8
 
     def test_threshold_deters_time_zero_defection_only(self, dyn, grid):
         # The penalty clock restarts at the defection time, so at the minimal

@@ -350,6 +350,11 @@ class TestMinK:
         with pytest.raises(NoDeterrentError):
             min_k_meanfield(p, mc, tol=0.5, k_max=4.0)
 
+    def test_rejects_fewer_than_three_steps(self, mfg):
+        # The growth-rate fit over the last half of the window needs 4 nodes.
+        with pytest.raises(ParameterError, match="mc.n_steps"):
+            min_k_meanfield(mfg, McConfig(n_paths=2, n_steps=2, zero_noise=True))
+
 
 class TestParamValidation:
     def test_rejects_bad_parameters(self, mfg_kwargs):
