@@ -12,13 +12,13 @@ Outputs land in the --out directory (default: alongside the config):
     trajectory.csv   time-gridded channels, header `t,channel1,...`
     sweep.csv        penalty-rate sweeps: k, J_star, J_tilde, satisfied
 
-Exit codes: 0 success, 2 configuration/usage error, 3 numerical failure.
+Exit codes: 0 success, 2 configuration/usage error or unwritable outputs,
+3 numerical failure.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import math
 import sys
 import time
@@ -300,10 +300,8 @@ def _run_meanfield(cfg: RunConfig):
         certs["deterred_3se"] = _cert(res.j_tilde_at_k + 3 * res.details["j_tilde_stderr"],
                                       res.j_star - 3 * res.details["j_star_stderr"], 0.0)
         warnings.extend(res.details["warnings"])
-        sweep = [
-            (k, res.j_star, jt, jt + 3 * se < res.j_star - 3 * res.details["j_star_stderr"])
-            for k, jt, se in res.details["trace"]
-        ]
+        sweep = [(k, res.j_star, jt, res.details["satisfied"][k])
+                 for k, jt, _ in res.details["trace"]]
     elif cfg.action == "verify":
         fb = meanfield.follower_feedback_check(p, sol, mc)
         certs["feedback_mean_3se"] = _cert(abs(fb["mean_residual"]), 3 * fb["stderr"], 0.0)
@@ -368,17 +366,37 @@ def write_report(report: RunReport, out_dir: Path) -> None:
     if report.trajectory is not None:
         names = list(report.trajectory)
         cols = [np.asarray(report.trajectory[n], dtype=float) for n in names]
-        with open(out_dir / "trajectory.csv", "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(names)
-            for row in zip(*cols):
-                w.writerow([f"{v:.12g}" for v in row])
+        _write_csv(out_dir / "trajectory.csv", names, ",".join(["%.12g"] * len(cols)),
+                   _float_rows(cols))
     if report.sweep is not None:
-        with open(out_dir / "sweep.csv", "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["k", "J_star", "J_tilde", "satisfied"])
-            for k, js, jt, sat in report.sweep:
-                w.writerow([f"{k:.12g}", f"{js:.12g}", f"{jt:.12g}", str(bool(sat)).lower()])
+        _write_csv(out_dir / "sweep.csv", ["k", "J_star", "J_tilde", "satisfied"],
+                   "%.12g,%.12g,%.12g,%s",
+                   ((k, js, jt, str(bool(sat)).lower()) for k, js, jt, sat in report.sweep))
+
+
+_BLOCK = 1024  # rows per .tolist() conversion in _float_rows
+
+
+def _float_rows(cols: list[np.ndarray]):
+    """The rows of columns as tuples of Python floats, converted in blocks.
+
+    Stops at the shortest column, as zip(*cols) does, and never holds more
+    than one block of converted values.
+    """
+    for i in range(0, len(cols[0]), _BLOCK):
+        yield from zip(*(c[i:i + _BLOCK].tolist() for c in cols))
+
+
+def _write_csv(path: Path, header: list[str], row: str, rows) -> None:
+    """Write a header line and `row % values` for each of rows, CRLF-ended.
+
+    The bytes are csv.writer's over "%.12g"-formatted fields, because no
+    header name or formatted value needs quoting.
+    """
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        row += "\r\n"
+        fh.writelines(row % values for values in rows)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -425,7 +443,11 @@ def main(argv: list[str] | None = None) -> int:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     out_dir = Path(cfg.out) if cfg.out != "." else Path(args.config).resolve().parent
-    write_report(report, out_dir)
+    try:
+        write_report(report, out_dir)
+    except OSError as exc:
+        print(f"error: cannot write outputs: {exc}", file=sys.stderr)
+        return 2
     for name, data in (("report.txt", report), ("trajectory.csv", report.trajectory),
                        ("sweep.csv", report.sweep)):
         if data is not None:

@@ -654,7 +654,9 @@ def min_k_meanfield(
     slower than e^{(r+k)t/2}), so the certified rate satisfies both the
     payoff separation and the theorem's own precondition.  The bisection
     trace is checked for monotone-decreasing defection payoffs (up to 6 SE
-    slack, two estimates).
+    slack, two estimates).  Each distinct k is marched once; details["trace"]
+    keeps one (k, mean, stderr) row per evaluation, repeats included, and
+    details["satisfied"] maps each k to the search's verdict on it.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ParameterError(f"tol must be finite and > 0, got {tol}")
@@ -669,21 +671,26 @@ def min_k_meanfield(
     j_eq = _estimate(j_eq)
 
     trace: list[tuple[float, float, float]] = []
+    marched: dict[float, tuple[McEstimate, bool]] = {}
     growth: dict[float, float] = {}
+    verdict: dict[float, bool] = {}
 
     def evaluate(k: float) -> tuple[McEstimate, bool]:
-        samples, mean = _defection_payoff(p, k, sol, grid, mc, normals)
-        jd = _estimate(samples)
+        """(J_def estimate, growth check) at k; each distinct k is marched once."""
+        if k not in marched:
+            samples, mean = _defection_payoff(p, k, sol, grid, mc, normals)
+            ok, growth[k] = growth_order_check(times, mean, p.r + k)
+            marched[k] = _estimate(samples), ok
+        jd, ok = marched[k]
         trace.append((k, jd.mean, jd.stderr))
-        ok, rate = growth_order_check(times, mean, p.r + k)
-        growth[k] = rate
         return jd, ok
 
     j_def0, _ = evaluate(0.0)
 
     def satisfied(k: float) -> bool:
         jd, grows_ok = evaluate(k)
-        return grows_ok and jd.mean + 3.0 * jd.stderr < j_eq.mean - 3.0 * j_eq.stderr
+        verdict[k] = grows_ok and jd.mean + 3.0 * jd.stderr < j_eq.mean - 3.0 * j_eq.stderr
+        return verdict[k]
 
     if satisfied(0.0):
         k_min = 0.0
@@ -730,6 +737,7 @@ def min_k_meanfield(
             "growth_rate": growth[k_min],
             "growth_bound": (p.r + k_min) / 2.0,
             "trace": ordered,
+            "satisfied": verdict,
             "warnings": warnings,
         },
     )

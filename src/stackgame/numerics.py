@@ -207,9 +207,10 @@ def _affine_march(system: AffineSystem, grid: TimeGrid, y0: np.ndarray) -> np.nd
     step, c = _rk4_step_map(system, grid)
     vals = np.empty((grid.n_steps + 1,) + y0.shape)
     vals[0] = y0
+    y = vals[0]
     with np.errstate(over="ignore", invalid="ignore"):
-        for j, cj in enumerate(c):
-            y = np.matmul(step, vals[j], out=vals[j + 1])
+        for nxt, cj in zip(vals[1:], c):
+            y = np.matmul(step, y, out=nxt)
             y[:, 0] += cj
     if not np.isfinite(vals).all():
         bad = int(np.argmin(np.isfinite(vals).reshape(len(vals), -1).all(axis=1)))

@@ -1,12 +1,14 @@
 """Tests for the command-line front end: config handling, outputs, exit codes."""
 
 import csv
+import math
 
+import numpy as np
 import pytest
 import yaml
 
 from stackgame import dynamic
-from stackgame.cli import RunConfig, emit_config, main, parse_config, run
+from stackgame.cli import RunConfig, RunReport, emit_config, main, parse_config, run, write_report
 from stackgame.errors import ConfigurationError
 
 DISCRETE_YAML = """
@@ -298,3 +300,94 @@ class TestMain:
         cfg = self._write(tmp_path, DISCRETE_YAML)
         assert main(["discrete", "verify", "--config", str(cfg), "--out", str(tmp_path)]) == 0
         assert "workers = 1" in (tmp_path / "report.txt").read_text().splitlines()
+
+
+def _oracle_csvs(report: RunReport, out_dir) -> None:
+    """The CSV files as csv.writer writes "%.12g"-formatted fields, one value at a time."""
+    if report.trajectory is not None:
+        names = list(report.trajectory)
+        cols = [np.asarray(report.trajectory[n], dtype=float) for n in names]
+        with open(out_dir / "trajectory.csv", "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(names)
+            for row in zip(*cols):
+                w.writerow([f"{v:.12g}" for v in row])
+    if report.sweep is not None:
+        with open(out_dir / "sweep.csv", "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(["k", "J_star", "J_tilde", "satisfied"])
+            for k, js, jt, sat in report.sweep:
+                w.writerow([f"{k:.12g}", f"{js:.12g}", f"{jt:.12g}", str(bool(sat)).lower()])
+
+
+def _assert_csvs_match_oracle(report: RunReport, tmp_path) -> list[str]:
+    (tmp_path / "new").mkdir()
+    (tmp_path / "oracle").mkdir()
+    write_report(report, tmp_path / "new")
+    _oracle_csvs(report, tmp_path / "oracle")
+    written = sorted(p.name for p in (tmp_path / "oracle").iterdir())
+    assert sorted(p.name for p in (tmp_path / "new").glob("*.csv")) == written
+    for name in written:
+        assert (tmp_path / "new" / name).read_bytes() == (tmp_path / "oracle" / name).read_bytes()
+    return written
+
+
+TINY_YAML = {
+    "discrete": DISCRETE_YAML,
+    "dynamic": DYNAMIC_YAML.replace("n_steps: 1000", "n_steps: 50"),
+    "meanfield": MEANFIELD_YAML.replace("n_paths: 500, n_steps: 200", "n_paths: 200, n_steps: 50"),
+}
+
+
+class TestCsvOutput:
+    def test_special_values_and_several_blocks_match_csv_writer(self, tmp_path):
+        n = 2500  # more than two blocks of rows
+        special = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e300, -1e-300,
+                   1.0 / 3.0, 123456789012345.0, 2.0**-1074 * 3, 1e16]
+        rng = np.random.default_rng(0)
+        col = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+        col[: len(special)] = special
+        col[-len(special):] = special
+        trajectory = {"t": np.linspace(0.0, 1.0, n), "x": col, "y": -col[::-1],
+                      "n": np.arange(n)}
+        sweep = [(k, 1.5, v, k > 0.5) for k, v in zip(np.linspace(0, 1, 30), special * 3)]
+        report = RunReport(config=RunConfig(model="dynamic", action="equilibrium"), results={},
+                           certificates={}, warnings=[], trajectory=trajectory, sweep=sweep,
+                           wall_time=0.0)
+        assert _assert_csvs_match_oracle(report, tmp_path) == ["sweep.csv", "trajectory.csv"]
+
+    @pytest.mark.parametrize("model", ["discrete", "dynamic", "meanfield"])
+    @pytest.mark.parametrize("action", ["equilibrium", "defect", "threshold-k", "verify"])
+    def test_every_cli_action_matches_csv_writer(self, tmp_path, model, action):
+        cfg = parse_config(TINY_YAML[model])
+        cfg.model, cfg.action = model, action
+        _assert_csvs_match_oracle(run(cfg), tmp_path)
+
+    def test_meanfield_sweep_satisfied_is_the_search_verdict(self, tmp_path):
+        # At 200 paths x 50 steps, seed 3, the growth check rejects k = 0.375
+        # and 0.40625 although their payoffs are separated.  Every rate the
+        # search tried below k_min failed, and every one at or above passed.
+        path = tmp_path / "config.yaml"
+        path.write_text(TINY_YAML["meanfield"].replace("seed: 42", "seed: 3"))
+        out = tmp_path / "out"
+        assert main(["meanfield", "threshold-k", "--config", str(path), "--out", str(out)]) == 0
+        k_min = next(float(line.split(" = ")[1]) for line in
+                     (out / "report.txt").read_text().splitlines() if line.startswith("k_min"))
+        with open(out / "sweep.csv") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert k_min == 0.4140625 and len(rows) == 11
+        assert [row[3] for row in rows] == [
+            "true" if float(row[0]) >= k_min else "false" for row in rows]
+
+
+class TestUnwritableOutputs:
+    @pytest.mark.parametrize("under", ["file", "file/sub"])
+    def test_out_blocked_by_a_file_exits_2(self, tmp_path, capsys, under):
+        (tmp_path / "file").write_text("not a directory")
+        cfg = tmp_path / "config.yaml"
+        cfg.write_text(DISCRETE_YAML)
+        rc = main(["discrete", "verify", "--config", str(cfg), "--out", str(tmp_path / under)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write outputs: ")
+        assert "Traceback" not in err

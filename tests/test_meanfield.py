@@ -335,6 +335,18 @@ class TestMinK:
         with pytest.raises(ParameterError, match="tol"):
             min_k_meanfield(mfg, McConfig(n_paths=2, n_steps=50, zero_noise=True), tol=tol)
 
+    def test_one_march_per_distinct_rate(self, mfg, monkeypatch):
+        # k = 0 and k_min are evaluated twice each; the trace keeps both rows.
+        calls = []
+        march = meanfield._defection_payoff
+        monkeypatch.setattr(meanfield, "_defection_payoff",
+                            lambda p, k, *rest: calls.append(k) or march(p, k, *rest))
+        res = min_k_meanfield(mfg, McConfig(n_paths=200, n_steps=50, seed=3), tol=0.01)
+        assert res.k_min == 0.4140625
+        assert len(res.details["trace"]) == 11
+        assert len(calls) == len(set(calls)) == 9
+        assert sorted(res.details["satisfied"]) == sorted(calls)
+
     def test_search_is_seed_reproducible(self, mfg):
         mc = McConfig(n_paths=1500, n_steps=300, seed=42)
         a = min_k_meanfield(mfg, mc, tol=0.02)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from stackgame import numerics
 from stackgame.errors import (
     BracketError,
     ConfigurationError,
@@ -151,6 +152,25 @@ class TestRk4StepMap:
         oracle = rk4_solve_general(lambda t, y: self.M @ y + offset(t), [1.0, 0.0, -1.0], grid)
         for i in range(3):
             _close(traj[f"x{i}"], oracle[:, i])
+
+    def test_march_is_bit_identical_to_indexed_loop(self, monkeypatch):
+        def indexed_march(system, grid, y0):
+            step, c = numerics._rk4_step_map(system, grid)
+            vals = np.empty((grid.n_steps + 1,) + y0.shape)
+            vals[0] = y0
+            for j, cj in enumerate(c):
+                y = np.matmul(step, vals[j], out=vals[j + 1])
+                y[:, 0] += cj
+            return vals
+
+        grid = TimeGrid(0.0, 2.0, 2000)
+        boundary = [(0, "t0", 1.0), (1, "t1", -0.5), (2, "t0", 0.2)]
+        system = AffineSystem(3, self.M, self._node_offset(grid), boundary)
+        traj = solve_affine_bvp(system, grid)
+        monkeypatch.setattr(numerics, "_affine_march", indexed_march)
+        oracle = solve_affine_bvp(system, grid)
+        for name in ("x0", "x1", "x2"):
+            assert np.array_equal(traj[name], oracle[name])
 
     def test_shapes_are_checked(self):
         boundary = [(0, "t0", 0.0), (1, "t1", 0.0)]
