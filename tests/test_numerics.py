@@ -153,24 +153,51 @@ class TestRk4StepMap:
         for i in range(3):
             _close(traj[f"x{i}"], oracle[:, i])
 
-    def test_march_is_bit_identical_to_indexed_loop(self, monkeypatch):
-        def indexed_march(system, grid, y0):
-            step, c = numerics._rk4_step_map(system, grid)
-            vals = np.empty((grid.n_steps + 1,) + y0.shape)
-            vals[0] = y0
+    @staticmethod
+    def _indexed_march(system, grid, y0):
+        """The step-by-step march: one product with the step map per step."""
+        step, c = numerics._rk4_step_map(system, grid)
+        vals = np.empty((grid.n_steps + 1,) + y0.shape)
+        vals[0] = y0
+        with np.errstate(over="ignore", invalid="ignore"):
             for j, cj in enumerate(c):
                 y = np.matmul(step, vals[j], out=vals[j + 1])
                 y[:, 0] += cj
-            return vals
+        finite = np.isfinite(vals).reshape(len(vals), -1).all(axis=1)
+        if not finite.all():
+            bad = int(np.argmin(finite))
+            raise IntegrationBlowupError(step=bad, t=float(grid.times()[bad]))
+        return vals
 
-        grid = TimeGrid(0.0, 2.0, 2000)
-        boundary = [(0, "t0", 1.0), (1, "t1", -0.5), (2, "t0", 0.2)]
-        system = AffineSystem(3, self.M, self._node_offset(grid), boundary)
-        traj = solve_affine_bvp(system, grid)
-        monkeypatch.setattr(numerics, "_affine_march", indexed_march)
-        oracle = solve_affine_bvp(system, grid)
-        for name in ("x0", "x1", "x2"):
-            assert np.array_equal(traj[name], oracle[name])
+    @pytest.mark.parametrize("d", [1, 3, 6])
+    @pytest.mark.parametrize("node_offset", [False, True])
+    @pytest.mark.parametrize("n_steps", [2, 3, 7, 143, 2000, 20000])
+    def test_block_scan_matches_indexed_loop(self, n_steps, node_offset, d):
+        # Blocks of isqrt(n_steps) steps: one-step blocks at 2 and 3, whole blocks at
+        # 143 = 13 * 11, a ragged last block at 7, 2000 and 20000.
+        rng = np.random.default_rng(100 * d + n_steps)
+        grid = TimeGrid(0.0, 2.0, n_steps)
+        matrix = self.M if d == 3 else 0.5 * rng.standard_normal((d, d))
+        offset = rng.standard_normal((n_steps + 1, d) if node_offset else d)
+        system = AffineSystem(d, matrix, offset, [(i, "t0", 0.0) for i in range(d)])
+        y0 = np.zeros((d, d + 1))
+        y0[:, 1:] = np.eye(d)
+        _close(numerics._affine_march(system, grid, y0), self._indexed_march(system, grid, y0))
+
+    @pytest.mark.parametrize(
+        "rate, t1, n_steps, bad_step",
+        [(1e5, 20.0, 20, 17), (700.0, 20.0, 400, 64)],  # 64 is inside the fourth 20-step block
+    )
+    def test_blowup_step_matches_indexed_loop(self, rate, t1, n_steps, bad_step):
+        system = AffineSystem(1, np.array([[rate]]), np.array([1.0]), [(0, "t0", 1.0)])
+        grid = TimeGrid(0.0, t1, n_steps)
+        y0 = np.array([[0.0, 1.0]])
+        steps = []
+        for march in (numerics._affine_march, self._indexed_march):
+            with pytest.raises(IntegrationBlowupError) as exc:
+                march(system, grid, y0)
+            steps.append(exc.value.step)
+        assert steps == [bad_step, bad_step]
 
     def test_shapes_are_checked(self):
         boundary = [(0, "t0", 0.0), (1, "t1", 0.0)]
