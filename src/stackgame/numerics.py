@@ -405,6 +405,8 @@ def path_normals(seed: int, n_paths: int, n_steps: int) -> np.ndarray:
     seed = operator.index(seed)
     if seed < 0:
         raise ParameterError(f"seed must be >= 0, got {seed}")
+    if n_paths < 1 or n_steps < 1:
+        raise ParameterError(f"need n_paths >= 1 and n_steps >= 1, got {n_paths} x {n_steps}")
     seed_words = child_seed_words(seed, n_paths)
     out = np.empty((n_steps, n_paths))
     block = np.empty((min(n_paths, _NORMALS_BLOCK), n_steps))
@@ -471,18 +473,31 @@ def wright_fisher_sigma(x: np.ndarray) -> np.ndarray:
     return np.sqrt(np.maximum(0.0, x * (1.0 - x)))
 
 
+def _euler_factors(
+    alpha: np.ndarray, beta: np.ndarray, h: float
+) -> tuple[list[float], list[float]]:
+    """Step factors a_j = 1 + alpha_j h and b_j = beta_j h of the Euler map x -> a_j x + b_j.
+
+    One per step (nodes 0..n_steps - 1), as Python floats: euler_mean and
+    _em_functionals both step with these, which keeps them bit-equal.
+    """
+    return (1.0 + alpha[:-1] * h).tolist(), (beta[:-1] * h).tolist()
+
+
 def euler_mean(alpha: np.ndarray, beta: np.ndarray, x0: float, h: float) -> np.ndarray:
-    """Noise-free Euler recursion m_{j+1} = m_j + (alpha_j m_j + beta_j) h.
+    """Noise-free Euler recursion m_{j+1} = a_j m_j + b_j, a_j = 1 + alpha_j h, b_j = beta_j h.
 
     It is the exact ensemble mean of an Euler-Maruyama march with the affine
     drift alpha x + beta, because the noise increments have mean zero and are
-    independent of the current state.  The arithmetic is _em_functionals',
-    so a zero-noise path of that march equals it bit for bit.
+    independent of the current state.  The factors and the arithmetic are
+    _em_functionals', so a zero-noise path of that march equals it bit for
+    bit.
     """
-    m = np.empty(len(alpha))
+    a, b = _euler_factors(alpha, beta, h)
+    m = np.empty(len(a) + 1)
     x = m[0] = float(x0)
-    for j, (a, b) in enumerate(zip(alpha[:-1].tolist(), beta[:-1].tolist()), start=1):
-        x = m[j] = x + (a * x + b) * h
+    for j, (aj, bj) in enumerate(zip(a, b), start=1):
+        x = m[j] = aj * x + bj
     return m
 
 
@@ -498,15 +513,21 @@ def _em_functionals(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Streamed Euler-Maruyama march that keeps per-path quadratic functionals.
 
-    Every path starts at x0 and steps dx = (alpha_j x + beta_j) h +
-    wright_fisher_sigma(x) sqrt(h) Z_j, where Z = normals (n_paths, n_steps)
-    reads fastest as path_normals' step-major matrix; normals=None switches
-    the noise off.  alpha, beta and center are node arrays (n_steps + 1 nodes).
-    For each coef[k] = (c0, c1, c2), node arrays that already include any
-    quadrature weights, it adds up per path
-        F_k = sum_j c0_kj + c1_kj d_j + c2_kj d_j^2,   d_j = x_j - center_j,
-    over all nodes while it marches, so memory is O(n_paths): no path array
-    is stored.  Per-path outputs depend only on that path's normals.
+    Every path starts at x0 and steps
+        x_{j+1} = a_j x_j + b_j + wright_fisher_sigma(x_j) sqrt(h) Z_j,
+    with euler_mean's factors a_j = 1 + alpha_j h and b_j = beta_j h, so a
+    zero-noise path equals euler_mean bit for bit.  Z = normals
+    (n_paths, n_steps) reads fastest as path_normals' step-major matrix;
+    normals=None switches the noise off.  alpha, beta and center are node
+    arrays (n_steps + 1 nodes).  For each coef[k] = (c0, c1, c2), node arrays
+    that already include any quadrature weights, it adds up per path
+        F_k = sum_j c0_kj + (c2_kj d_j + c1_kj) d_j,   d_j = x_j - center_j,
+    over all nodes while it marches.  Memory is O(n_paths): no path array is
+    stored, and the state, the next state and two temporaries are allocated
+    once and written in place.  A step is two drift passes, seven noise
+    passes, the sum that gives the mean path, one pass for d and two to four
+    per functional row.  Per-path outputs depend only on that path's normals,
+    and no input is written to.
 
     Returns F (K, n_paths), the per-node ensemble mean and the final state.
     Raises SimulationBlowupError at the first step that leaves a path
@@ -517,30 +538,46 @@ def _em_functionals(
         raise ParameterError(f"normals shape {normals.shape} != {(n_paths, n_steps)}")
     coef = np.asarray(coef, dtype=float)
     out = np.repeat(coef[:, 0].sum(axis=1)[:, None], n_paths, axis=1)
-    linear = [(acc, c1) for acc, c1 in zip(out, coef[:, 1]) if c1.any()]
-    quadratic = [(acc, c2) for acc, c2 in zip(out, coef[:, 2]) if c2.any()]
-    sqrt_h = np.sqrt(h)
+    rows = [
+        (acc, c1.tolist() if c1.any() else None, c2.tolist() if c2.any() else None)
+        for acc, c1, c2 in zip(out, coef[:, 1], coef[:, 2])
+        if c1.any() or c2.any()
+    ]
+    drift_a, drift_b = _euler_factors(alpha, beta, h)
+    centers = center.tolist()
+    sqrt_h = math.sqrt(h)
     sums = np.empty(n_steps + 1)
-    x = np.full(n_paths, float(x0))
+    x, x_next, d, tmp = (np.empty(n_paths) for _ in range(4))
+    x.fill(float(x0))
 
     def add_node(j: int) -> None:
-        d = x - center[j]
-        for acc, c1 in linear:
-            acc += c1[j] * d
-        if quadratic:
-            d2 = d * d
-            for acc, c2 in quadratic:
-                acc += c2[j] * d2
+        np.subtract(x, centers[j], out=d)
+        for acc, c1, c2 in rows:
+            if c2 is None:
+                np.multiply(d, c1[j], out=tmp)
+            else:
+                np.multiply(d, c2[j], out=tmp)
+                if c1 is not None:
+                    np.add(tmp, c1[j], out=tmp)
+                np.multiply(tmp, d, out=tmp)
+            acc += tmp
 
     sums[0] = x.sum()
     add_node(0)
     for j in range(n_steps):
-        step = x + (alpha[j] * x + beta[j]) * h
-        if normals is not None:
-            step += wright_fisher_sigma(x) * sqrt_h * normals[:, j]
-        x = step
+        np.multiply(x, drift_a[j], out=x_next)
+        x_next += drift_b[j]
+        if normals is not None:  # wright_fisher_sigma(x) * sqrt_h * Z_j, in place
+            np.subtract(1.0, x, out=tmp)
+            tmp *= x
+            np.maximum(0.0, tmp, out=tmp)
+            np.sqrt(tmp, out=tmp)
+            tmp *= sqrt_h
+            tmp *= normals[:, j]
+            x_next += tmp
+        x, x_next = x_next, x
         total = sums[j + 1] = x.sum()
-        if not np.isfinite(total):
+        if not math.isfinite(total):
             bad = np.flatnonzero(~np.isfinite(x))
             if bad.size:
                 raise SimulationBlowupError(path_index=int(bad[0]), step=j + 1)

@@ -294,6 +294,18 @@ class TestMain:
             outputs[workers] = body
         assert outputs["1"] == outputs["8"]
 
+    def test_meanfield_threshold_repeats_byte_for_byte(self, tmp_path):
+        # The search's marches all read one shared normals matrix.
+        cfg = self._write(tmp_path, TINY_YAML["meanfield"])
+        outputs = []
+        for run_dir in ("first", "second"):
+            out = tmp_path / run_dir
+            assert main(["meanfield", "threshold-k", "--config", str(cfg), "--out", str(out)]) == 0
+            report = [line for line in (out / "report.txt").read_text().splitlines()
+                      if not line.startswith(("wall_time_s", "out ="))]
+            outputs.append((report, (out / "sweep.csv").read_bytes()))
+        assert outputs[0] == outputs[1]
+
     def test_report_records_one_worker_whatever_the_environment(self, tmp_path, monkeypatch):
         # The program is single-threaded and reads no worker-count variable.
         monkeypatch.setenv("STACKGAME_WORKERS", "8")

@@ -291,6 +291,11 @@ class TestPathNoise:
         with pytest.raises(ParameterError, match="seed"):
             path_normals(-1, 4, 3)
 
+    @pytest.mark.parametrize("n_paths, n_steps", [(0, 5), (-3, 5), (4, 0), (4, -1)])
+    def test_empty_or_negative_size_rejected(self, n_paths, n_steps):
+        with pytest.raises(ParameterError, match="n_paths >= 1 and n_steps >= 1"):
+            path_normals(7, n_paths, n_steps)
+
     def test_zero_diffusion_matches_euler(self):
         grid = TimeGrid(0.0, 1.0, 100)
         ens = em_paths(
@@ -350,6 +355,64 @@ def _kernel_case(n_paths=50, n_steps=200, seed=5):
 
 
 class TestStreamedKernel:
+    @staticmethod
+    def _allocating_march(alpha, beta, x0, h, n_paths, normals, center, coef):
+        """The kernel's earlier step loop: a fresh array per operation, the drift
+        stepped as x + (alpha_j x + beta_j) h, linear and quadratic terms added apart."""
+        n_steps = len(alpha) - 1
+        coef = np.asarray(coef, dtype=float)
+        out = np.repeat(coef[:, 0].sum(axis=1)[:, None], n_paths, axis=1)
+        linear = [(acc, c1) for acc, c1 in zip(out, coef[:, 1]) if c1.any()]
+        quadratic = [(acc, c2) for acc, c2 in zip(out, coef[:, 2]) if c2.any()]
+        sqrt_h = np.sqrt(h)
+        sums = np.empty(n_steps + 1)
+        x = np.full(n_paths, float(x0))
+
+        def add_node(j):
+            d = x - center[j]
+            for acc, c1 in linear:
+                acc += c1[j] * d
+            if quadratic:
+                d2 = d * d
+                for acc, c2 in quadratic:
+                    acc += c2[j] * d2
+
+        sums[0] = x.sum()
+        add_node(0)
+        for j in range(n_steps):
+            step = x + (alpha[j] * x + beta[j]) * h
+            if normals is not None:
+                step += wright_fisher_sigma(x) * sqrt_h * normals[:, j]
+            x = step
+            sums[j + 1] = x.sum()
+            add_node(j + 1)
+        return out, sums / n_paths, x
+
+    @pytest.mark.parametrize("n_paths", [1, 2, 50, 2000])
+    @pytest.mark.parametrize("rows", ["linear", "quadratic", "mixed", "all three"])
+    @pytest.mark.parametrize("noise", [True, False])
+    def test_matches_allocating_loop(self, noise, rows, n_paths):
+        # The drift factors and the one accumulate per row round differently
+        # from the earlier loop; 7.9e-14 of the largest value was the worst seen.
+        grid, alpha, beta, _, _, m, (c,), normals = _kernel_case(n_paths=n_paths)
+        kinds = {"linear": c * [[1.0], [1.0], [0.0]], "quadratic": c * [[1.0], [0.0], [1.0]],
+                 "mixed": c}
+        coef = list(kinds.values()) if rows == "all three" else [kinds[rows]]
+        args = (alpha, beta, 0.5, grid.h, n_paths, normals if noise else None, m, coef)
+        for new, old in zip(_em_functionals(*args), self._allocating_march(*args)):
+            _close(new, old)
+
+    def test_march_writes_no_input_and_repeats_bit_for_bit(self):
+        # min_k_meanfield feeds one normals matrix to every march it makes.
+        grid, alpha, beta, _, _, m, (c,), normals = _kernel_case()
+        coef = [c, c * [[1.0], [1.0], [0.0]], c * [[0.0], [0.0], [1.0]]]
+        inputs = [normals, alpha, beta, m, *coef]
+        before = [a.tobytes() for a in inputs]
+        runs = [_em_functionals(alpha, beta, 0.5, grid.h, 50, normals, m, coef) for _ in "ab"]
+        assert [a.tobytes() for a in inputs] == before
+        for first, second in zip(*runs):
+            assert first.tobytes() == second.tobytes()
+
     def test_payoff_matches_trapezoid_of_full_paths(self):
         grid, alpha, beta, reward, rate, m, coef, normals = _kernel_case()
         t = grid.times()
@@ -384,16 +447,19 @@ class TestStreamedKernel:
         assert np.all(lin == 0.0) and np.all(quad == 0.0)
 
     def test_non_finite_state_names_path_and_step(self):
-        grid, alpha, beta, _, _, m, coef, normals = _kernel_case(n_paths=6, n_steps=50)
-        normals[4:, 9] = np.nan  # paths 4 and 5 turn non-finite at step 10
-        normals[1, 20] = np.nan
-        with pytest.raises(SimulationBlowupError) as streamed:
-            _em_functionals(alpha, beta, 0.5, grid.h, 6, normals, m, coef)
-        assert (streamed.value.path_index, streamed.value.step) == (4, 10)
-        with pytest.raises(SimulationBlowupError) as full:
-            em_paths(lambda s, x: 0.0 * x, lambda s, x: wright_fisher_sigma(x), 0.5,
-                     grid, 6, seed=5, normals=normals)
-        assert (full.value.path_index, full.value.step) == (4, 10)
+        # Paths `first` and on turn non-finite at `step`.  The state sits in
+        # the march's first buffer after an even step, in the other after an odd one.
+        for first, step in [(4, 10), (3, 13)]:
+            grid, alpha, beta, _, _, m, coef, normals = _kernel_case(n_paths=6, n_steps=50)
+            normals[first:, step - 1] = np.nan
+            normals[1, 20] = np.nan
+            with pytest.raises(SimulationBlowupError) as streamed:
+                _em_functionals(alpha, beta, 0.5, grid.h, 6, normals, m, coef)
+            assert (streamed.value.path_index, streamed.value.step) == (first, step)
+            with pytest.raises(SimulationBlowupError) as full:
+                em_paths(lambda s, x: 0.0 * x, lambda s, x: wright_fisher_sigma(x), 0.5,
+                         grid, 6, seed=5, normals=normals)
+            assert (full.value.path_index, full.value.step) == (first, step)
 
     def test_wrong_normals_shape_rejected(self):
         grid, alpha, beta, _, _, m, coef, _ = _kernel_case()
