@@ -1,6 +1,7 @@
 """Exception hierarchy shared by all solver modules."""
 
 import math
+import numbers
 
 
 class StackgameError(Exception):
@@ -17,6 +18,20 @@ def require_finite(record, names) -> None:
         value = getattr(record, name)
         if not math.isfinite(value):
             raise ParameterError(f"{name} must be finite, got {value}")
+
+
+def require_int(record, name: str, minimum: int) -> None:
+    """Raise ParameterError unless record's field `name` is an integer (not a bool) >= minimum."""
+    value = getattr(record, name)
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+        raise ParameterError(f"{name} must be an int >= {minimum}, got {value!r}")
+
+
+def require_positive(**values: float) -> None:
+    """Raise ParameterError naming the first keyword whose value is not finite and > 0."""
+    for name, value in values.items():
+        if not (math.isfinite(value) and value > 0):
+            raise ParameterError(f"{name} must be finite and > 0, got {value}")
 
 
 class ConfigurationError(StackgameError):

@@ -22,6 +22,8 @@ from .errors import (
     ParameterError,
     SimulationBlowupError,
     SpectralError,
+    require_finite,
+    require_int,
 )
 
 __all__ = [
@@ -47,10 +49,10 @@ class TimeGrid:
     n_steps: int
 
     def __post_init__(self):
+        require_finite(self, ["t0", "t1"])
         if not self.t1 > self.t0:
             raise ParameterError(f"TimeGrid requires t1 > t0, got [{self.t0}, {self.t1}]")
-        if self.n_steps < 2:
-            raise ParameterError(f"TimeGrid requires n_steps >= 2, got {self.n_steps}")
+        require_int(self, "n_steps", 2)
 
     @property
     def h(self) -> float:

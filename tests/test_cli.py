@@ -242,6 +242,15 @@ class TestMain:
         assert rc == 3
         assert "saddle" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("steps", ["20", "50", "250"])
+    def test_meanfield_riccati_pole_exits_3(self, tmp_path, capsys, steps):
+        # On T = 1.6 the follower gain F has a pole near t = 0.03.
+        cfg = self._write(tmp_path, MEANFIELD_YAML.replace("T: 1.0", "T: 1.6"))
+        rc = main(["meanfield", "equilibrium", "--config", str(cfg),
+                   "--out", str(tmp_path / "out"), "--steps", steps])
+        assert rc == 3
+        assert "Riccati solution blew up" in capsys.readouterr().err
+
     @pytest.mark.parametrize("action", ["equilibrium", "defect", "threshold-k", "verify"])
     def test_odd_dynamic_step_count_exits_2_naming_the_key(self, tmp_path, capsys, action):
         # Simpson's rule needs an even number of intervals.

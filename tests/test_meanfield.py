@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 
 from stackgame import meanfield, numerics
-from stackgame.errors import NoDeterrentError, ParameterError, RiccatiBlowupError
+from stackgame.errors import (
+    ConfigurationError,
+    IntegrationBlowupError,
+    NoDeterrentError,
+    ParameterError,
+    RiccatiBlowupError,
+)
 from stackgame.meanfield import (
     McConfig,
     MfgParams,
@@ -57,6 +63,59 @@ class TestRiccati:
         p = mfg_with(mfg_kwargs, A0=0.0, r=0.0, B0=2.0, a0=1.0, T=1.0)
         with pytest.raises(RiccatiBlowupError):
             defection_riccati(p, 0.0, TimeGrid(0.0, p.T, 1000))
+
+    def test_pole_reported_within_one_step_below_it(self, mfg_kwargs):
+        # F = -tan(T - t) has its pole at t = T - pi/2; the march reports the
+        # first node at or past it, marching from T.
+        wrong = []
+        for T in np.linspace(1.6, 4.5, 30):
+            p = mfg_with(mfg_kwargs, A=0.0, r=0.0, B=1.0, a=1.0, T=float(T))
+            pole = p.T - math.pi / 2.0
+            for n_steps in (20, 50, 100, 250, 1000):
+                grid = TimeGrid(0.0, p.T, n_steps)
+                try:
+                    follower_riccati(p, grid)
+                    wrong.append((T, n_steps, None))
+                except RiccatiBlowupError as err:
+                    if not pole - grid.h <= err.t_blowup <= pole:
+                        wrong.append((T, n_steps, err.t_blowup))
+        assert wrong == []
+
+    def test_non_finite_march_raises_riccati_blowup_at_real_time(self, mfg, monkeypatch):
+        # A gain that passes the step check never makes the march grow, so
+        # the march is replaced by one that fails as _affine_march does: at
+        # march node 3, reporting that node's time on the reversed grid.
+        def overflowing(system, grid, y0):
+            raise IntegrationBlowupError(step=3, t=float(grid.times()[3]))
+
+        monkeypatch.setattr(meanfield, "_affine_march", overflowing)
+        grid = TimeGrid(0.0, mfg.T, 100)
+        with pytest.raises(RiccatiBlowupError) as err:
+            follower_riccati(mfg, grid)
+        assert err.value.t_blowup == grid.times()[-4]
+
+    def test_step_beyond_rk4_stability_is_refused(self, mfg_kwargs):
+        # A = -25 gives modes about 50 apart: 10 steps on [0, 1] would grow
+        # the damped one, 100 steps resolve it.
+        p = mfg_with(mfg_kwargs, A=-25.0)
+        with pytest.raises(ConfigurationError, match="10 steps are too few"):
+            follower_riccati(p, TimeGrid(0.0, p.T, 10))
+        c1, c2 = p.r - 2.0 * p.A, p.B**2 / p.a
+        F = follower_riccati(p, TimeGrid(0.0, p.T, 100))
+        assert abs(F[0] + 2.0 / (c1 + math.sqrt(c1 * c1 - 4.0 * c2))) < 1e-12
+
+    @pytest.mark.parametrize("overrides, n_steps", [
+        (dict(A=-1000.0), 1000),
+        # X and Y decay like e^{-9.3 (T - t)}: unscaled they underflow and
+        # report a pole near t = 19 that is not there.
+        (dict(A=-10.0, B=10.0, T=100.0), 1000),
+    ])
+    def test_gain_settles_on_its_equilibrium(self, mfg_kwargs, overrides, n_steps):
+        p = mfg_with(mfg_kwargs, **overrides)
+        c1, c2 = p.r - 2.0 * p.A, p.B**2 / p.a
+        F = follower_riccati(p, TimeGrid(0.0, p.T, n_steps))
+        equilibrium = -2.0 / (c1 + math.sqrt(c1 * c1 - 4.0 * c2))
+        assert abs(F[0] - equilibrium) < 1e-12 * abs(equilibrium)
 
     def test_negative_rate_rejected(self, mfg, mc_small):
         with pytest.raises(ParameterError):
@@ -137,16 +196,19 @@ class TestStepMapsMatchCallbacks:
         for i, name in enumerate(("x0", "xbar", "pbar", "p0", "lam", "xi")):
             _close(sol[name], oracle[:, i])
 
-    def test_riccati_gains_are_bit_identical(self, mfg):
+    def test_riccati_gains_agree_with_rk4_oracle(self, mfg):
+        # Radon's linear march and RK4 on the Riccati equation itself are
+        # different O(h^4) schemes; 1.3e-13 of the largest value was measured.
         p, k = mfg, 0.5
-        grid = TimeGrid(0.0, p.T, 1000)
         c, c0 = p.B**2 / p.a, p.B0**2 / (2.0 * p.a0)
-        F = rk4_solve_general(lambda t, y: (p.r - 2.0 * p.A) * y + c * y * y + 1.0,
-                              [0.0], grid, backward=True)[:, 0]
-        Q = rk4_solve_general(lambda t, y: (p.r + k - 2.0 * p.A0) * y - c0 * y * y - 2.0,
-                              [0.0], grid, backward=True)[:, 0]
-        assert np.array_equal(follower_riccati(p, grid), F)
-        assert np.array_equal(defection_riccati(p, k, grid), Q)
+        for n_steps in (1000, 2000):
+            grid = TimeGrid(0.0, p.T, n_steps)
+            F = rk4_solve_general(lambda t, y: (p.r - 2.0 * p.A) * y + c * y * y + 1.0,
+                                  [0.0], grid, backward=True)[:, 0]
+            Q = rk4_solve_general(lambda t, y: (p.r + k - 2.0 * p.A0) * y - c0 * y * y - 2.0,
+                                  [0.0], grid, backward=True)[:, 0]
+            _close(follower_riccati(p, grid), F)
+            _close(defection_riccati(p, k, grid), Q)
 
     def test_feedback_offset(self, mfg):
         p = mfg
@@ -240,6 +302,27 @@ class TestMonteCarlo:
             mc_payoffs(mfg, 0.0, mc_small, sol=sol)
         with pytest.raises(ParameterError):
             follower_feedback_check(mfg, sol, mc_small)
+
+    def test_horizon_mismatch_rejected(self, mfg_kwargs, mc_small):
+        # Same step count, different horizon: every MC entry point refuses.
+        p = mfg_with(mfg_kwargs, T=2.0)
+        sol = mean_field_bvp(mfg_with(mfg_kwargs, T=1.0), TimeGrid(0.0, 1.0, mc_small.n_steps))
+        v = np.ones(mc_small.n_steps + 1)
+        for call in (lambda: mc_payoffs(p, 0.0, mc_small, sol=sol),
+                     lambda: follower_feedback_check(p, sol, mc_small),
+                     lambda: follower_euler_check(p, sol, v, mc_small)):
+            with pytest.raises(ParameterError, match="grid"):
+                call()
+
+    @pytest.mark.parametrize("theta", [0.0, -1e-4, math.nan, math.inf])
+    def test_theta_must_be_finite_and_positive(self, mfg, theta):
+        mc = McConfig(n_paths=2, n_steps=50, zero_noise=True)
+        sol = mean_field_bvp(mfg, TimeGrid(0.0, mfg.T, mc.n_steps))
+        v = np.ones(mc.n_steps + 1)
+        with pytest.raises(ParameterError, match="theta"):
+            euler_condition_check(mfg, sol["u0_star"], v, mc, theta=theta)
+        with pytest.raises(ParameterError, match="theta"):
+            follower_euler_check(mfg, sol, v, mc, theta=theta)
 
     def test_follower_feedback_mean_matches_reference(self, mfg, mc_small):
         sol = mean_field_bvp(mfg, TimeGrid(0.0, mfg.T, mc_small.n_steps))
@@ -362,6 +445,17 @@ class TestMinK:
         with pytest.raises(NoDeterrentError):
             min_k_meanfield(p, mc, tol=0.5, k_max=4.0)
 
+    def test_k_max_bounds_the_certified_rate(self, mfg):
+        # The first bracket point k = 1 already deters here, and the search
+        # certifies 0.453125; a cap below that is reported, not ignored.
+        mc = McConfig(n_paths=100, n_steps=50, seed=42)
+        assert min_k_meanfield(mfg, mc, k_max=1.0).k_min == 0.453125
+        with pytest.raises(NoDeterrentError, match="k_max"):
+            min_k_meanfield(mfg, mc, k_max=0.1)
+        for k_max in (math.nan, math.inf, 0.0, -1.0):
+            with pytest.raises(ParameterError, match="k_max"):
+                min_k_meanfield(mfg, mc, k_max=k_max)
+
     def test_rejects_fewer_than_three_steps(self, mfg):
         # The growth-rate fit over the last half of the window needs 4 nodes.
         with pytest.raises(ParameterError, match="mc.n_steps"):
@@ -387,8 +481,10 @@ class TestParamValidation:
         with pytest.raises(ParameterError):
             McConfig(n_steps=1)
         for key in ("n_paths", "n_steps"):
-            with pytest.raises(ParameterError, match=key):
-                McConfig(**{key: math.nan})
+            for value in (math.nan, 50.0, 100.5, "50", True):
+                with pytest.raises(ParameterError, match=key):
+                    McConfig(**{key: value})
+        assert McConfig(n_paths=np.int64(50), n_steps=np.int64(20)).n_steps == 20
         for seed in (-1, 1.5, math.nan, True, "42"):
             with pytest.raises(ParameterError, match="seed"):
                 McConfig(seed=seed)

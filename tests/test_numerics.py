@@ -43,6 +43,17 @@ class TestTimeGrid:
         with pytest.raises(ParameterError):
             TimeGrid(0.0, 1.0, 1)
 
+    @pytest.mark.parametrize("n_steps", [50.0, 50.5, "50", True, np.float64(50)])
+    def test_rejects_non_integer_step_count(self, n_steps):
+        with pytest.raises(ParameterError, match="n_steps"):
+            TimeGrid(0.0, 1.0, n_steps)
+
+    @pytest.mark.parametrize("t0, t1", [(0.0, np.inf), (-np.inf, 1.0), (np.nan, 1.0),
+                                        (0.0, np.nan)])
+    def test_rejects_non_finite_ends(self, t0, t1):
+        with pytest.raises(ParameterError, match="finite"):
+            TimeGrid(t0, t1, 50)
+
 
 class TestRk4:
     def test_exponential_growth(self):
