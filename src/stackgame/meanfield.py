@@ -174,6 +174,11 @@ _RK4_STABILITY = 2.785  # RK4 damps y' = mu y for real h mu in [-2.785, 0]
 _MARCH_RANGE = 600.0  # |log| of the factor the march may change (X, Y) by; floats reach 709
 
 
+def _rk4_gain(z: float) -> float:
+    """|R(z)|, RK4's amplification of y' = mu y in one step of z = h mu."""
+    return abs(1.0 + z * (1.0 + z * (0.5 + z * (1.0 / 6.0 + z / 24.0))))
+
+
 def _backward_riccati(c0: float, c1: float, c2: float, grid: TimeGrid) -> np.ndarray:
     """y' = c0 + c1 y + c2 y^2 from y(T) = 0 back to t0, on the nodes ordered t0..t1.
 
@@ -183,6 +188,10 @@ def _backward_riccati(c0: float, c1: float, c2: float, grid: TimeGrid) -> np.nda
     (-c1 +- root) / 2 in s; should the faster take (X, Y) out of float range,
     the march carries e^{-d s} (X, Y), which leaves Y/X as it is.  A step with
     h |root| > _RK4_STABILITY would grow the other mode: ConfigurationError.
+    So would a step at which RK4's amplification of the faster real mode,
+    |R(h mu)| with R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24, falls below the
+    slower one's: R falls from 1 to its minimum near z = -1.6 and rises
+    again toward 1 at -2.785.
     A pole is a zero of X, which no step can jump over: the node nearest T
     where X <= 0, |Y/X| > _BLOWUP_LIMIT or the march is non-finite raises
     RiccatiBlowupError.
@@ -193,6 +202,12 @@ def _backward_riccati(c0: float, c1: float, c2: float, grid: TimeGrid) -> np.nda
                                  f"h |root| = {grid.h * abs(root):.4g} > {_RK4_STABILITY}")
     rate, cap = (root.real - c1) / 2.0, _MARCH_RANGE / (grid.t1 - grid.t0)
     d = min(max(rate, -cap), cap) - rate  # 0 unless (X, Y) would leave the float range
+    if root.imag == 0.0 and root.real > 0.0:
+        fast, slow = (_rk4_gain(grid.h * mu) for mu in (rate + d, rate + d - root.real))
+        if fast < slow:
+            raise ConfigurationError(
+                f"{grid.n_steps} steps are too few for this Riccati gain: RK4 damps its "
+                f"dominant mode more than the other (|R| = {fast:.4g} < {slow:.4g})")
     radon = AffineSystem(2, [[d, c2], [-c0, d - c1]], np.zeros(2), [(0, "t0", 1.0), (1, "t0", 0.0)])
     try:
         X, Y = _affine_march(radon, grid, np.array([[1.0], [0.0]]))[::-1, :, 0].T

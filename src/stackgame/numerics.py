@@ -2,13 +2,19 @@
 
 Everything here is pure: the same inputs always produce the same outputs,
 including the Monte Carlo routines (per-path seeding, fixed-order reduction),
-so results never depend on scheduling or worker count.
+so results never depend on scheduling or on the number of processes.  Large
+path ensembles run in two: a child made by os.fork draws or marches the
+second half of the paths into a shared anonymous mmap while this process
+does the first half (_by_halves).  The split is numpy's own pairwise-sum
+split, so the two halves' per-step sums add up to the one-process sum bit
+for bit, and a failure in either half reruns the whole call in-process.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+import os
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -385,13 +391,89 @@ def eig_2x2(m: np.ndarray) -> tuple[float, float, np.ndarray]:
 
 
 _NORMALS_BLOCK = 256
+# Forking costs 2-6 ms on a 2-vCPU VM.  Drawing pays for it from about 10^6
+# normals (25 ms).  A march pays only with many paths, because its per-step
+# interpreter overhead does not shrink with half of them: at 250 steps two
+# processes tied with one at 10^4 and 2*10^4 paths and saved 30% at 4*10^4.
+_FORK_MIN_DRAWS = 1 << 20
+_FORK_MIN_PATHS = 20_000
+_PAIRWISE_BLOCK = 128  # numpy sums up to this many elements without splitting
+
+
+def _pairwise_split(n: int) -> int:
+    """Where numpy's pairwise sum splits n > _PAIRWISE_BLOCK elements.
+
+    numpy sums x[:s] and x[s:] separately and adds the two, so
+    x.sum() == x[:s].sum() + x[s:].sum() bit for bit.
+    """
+    half = n // 2
+    return half - half % 8
+
+
+def _can_fork() -> bool:
+    """True where os.fork exists and this process may run on two or more CPUs."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return hasattr(os, "fork") and affinity is not None and len(affinity(0)) >= 2
+
+
+def _by_halves(n: int, fork: bool, shapes, work) -> tuple[list[np.ndarray], int]:
+    """Fill new float buffers of the given shapes by work(buffers, lo, hi, part) over paths [0, n).
+
+    In-process, one call work(buffers, 0, n, 0) fills them.  With fork, more
+    than _PAIRWISE_BLOCK paths and two CPUs, the buffers share one anonymous
+    mmap; a child made by os.fork runs work(buffers, s, n, 1), with
+    s = _pairwise_split(n), while this process runs work(buffers, 0, s, 0).
+    The child never returns into the caller: it ends in os._exit, and its
+    exit status is its only message.  It is reaped before this returns, and
+    killed first if this process's half raised.  If either half failed, or
+    the fork did, the whole call reruns in-process, so every error is the
+    one a single process raises (and a forked child keeps numpy's errstate).
+    Returns the buffers and the number of processes that filled them.
+    """
+    if fork and n > _PAIRWISE_BLOCK and _can_fork():
+        # Imported here: only a forking call needs them, and importing stackgame need not.
+        import mmap
+        import signal
+
+        sizes = [math.prod(shape) for shape in shapes]
+        shared = np.frombuffer(mmap.mmap(-1, 8 * sum(sizes)), dtype=float)
+        buffers = [chunk.reshape(shape) for chunk, shape
+                   in zip(np.split(shared, np.cumsum(sizes)[:-1]), shapes)]
+        split = _pairwise_split(n)
+        try:
+            pid = os.fork()
+        except OSError:
+            pid = -1
+        if pid == 0:
+            status = 1
+            try:
+                work(buffers, split, n, 1)
+                status = 0
+            finally:
+                os._exit(status)
+        if pid > 0:
+            done = False
+            try:
+                work(buffers, 0, split, 0)
+                done = True
+            except Exception:
+                pass  # rerun in-process below, which raises it again
+            finally:
+                if not done:
+                    os.kill(pid, signal.SIGKILL)
+                done = os.waitpid(pid, 0)[1] == 0 and done
+            if done:
+                return buffers, 2
+    buffers = [np.empty(shape) for shape in shapes]
+    work(buffers, 0, n, 0)
+    return buffers, 1
 
 
 def path_normals(seed: int, n_paths: int, n_steps: int) -> np.ndarray:
     """Deterministic (n_paths, n_steps) standard-normal matrix, stored step-major.
 
     Row i is drawn from its own child stream of SeedSequence(seed), so the
-    matrix is identical no matter how paths are later chunked across workers.
+    matrix is identical no matter how paths are split across processes.
     The children's seed words are hashed in one vectorised pass
     (_seeding.child_seed_words) and each row is drawn by numpy's own PCG64 and
     normal sampler, so the values are those of
@@ -399,7 +481,8 @@ def path_normals(seed: int, n_paths: int, n_steps: int) -> np.ndarray:
     The values live in an (n_steps, n_paths) buffer and the matrix is its
     transpose, so column j, which a path march reads at step j, is
     contiguous.  Rows are drawn into a small path-major block and copied
-    over block by block.
+    over block by block.  From _FORK_MIN_DRAWS values on, a forked child
+    draws rows [s, n_paths) into the shared buffer (_by_halves).
     """
     # Imported here: _seeding loads numpy.random, which importing stackgame need not.
     from ._seeding import SeedWords, child_seed_words
@@ -410,14 +493,19 @@ def path_normals(seed: int, n_paths: int, n_steps: int) -> np.ndarray:
     if n_paths < 1 or n_steps < 1:
         raise ParameterError(f"need n_paths >= 1 and n_steps >= 1, got {n_paths} x {n_steps}")
     seed_words = child_seed_words(seed, n_paths)
-    out = np.empty((n_steps, n_paths))
-    block = np.empty((min(n_paths, _NORMALS_BLOCK), n_steps))
-    for start in range(0, n_paths, len(block)):
-        rows = block[: min(len(block), n_paths - start)]
-        for row, words in zip(rows, seed_words[start : start + len(rows)]):
-            bits = np.random.PCG64(SeedWords(words))
-            np.random.Generator(bits).standard_normal(out=row)
-        out[:, start : start + len(rows)] = rows.T
+
+    def draw(buffers, lo: int, hi: int, part: int) -> None:
+        (out,) = buffers
+        block = np.empty((min(hi - lo, _NORMALS_BLOCK), n_steps))
+        for start in range(lo, hi, len(block)):
+            rows = block[: min(len(block), hi - start)]
+            for row, words in zip(rows, seed_words[start : start + len(rows)]):
+                bits = np.random.PCG64(SeedWords(words))
+                np.random.Generator(bits).standard_normal(out=row)
+            out[:, start : start + len(rows)] = rows.T
+
+    fork = n_paths * n_steps >= _FORK_MIN_DRAWS
+    (out,), _ = _by_halves(n_paths, fork, [(n_steps, n_paths)], draw)
     return out.T
 
 
@@ -529,7 +617,9 @@ def _em_functionals(
     once and written in place.  A step is two drift passes, seven noise
     passes, the sum that gives the mean path, one pass for d and two to four
     per functional row.  Per-path outputs depend only on that path's normals,
-    and no input is written to.
+    and no input is written to.  From _FORK_MIN_PATHS paths on, a forked
+    child marches paths [s, n_paths) (_by_halves) and the two per-step sums
+    are added, which is numpy's own last step of the one-process sum.
 
     Returns F (K, n_paths), the per-node ensemble mean and the final state.
     Raises SimulationBlowupError at the first step that leaves a path
@@ -539,49 +629,66 @@ def _em_functionals(
     if normals is not None and normals.shape != (n_paths, n_steps):
         raise ParameterError(f"normals shape {normals.shape} != {(n_paths, n_steps)}")
     coef = np.asarray(coef, dtype=float)
-    out = np.repeat(coef[:, 0].sum(axis=1)[:, None], n_paths, axis=1)
-    rows = [
-        (acc, c1.tolist() if c1.any() else None, c2.tolist() if c2.any() else None)
-        for acc, c1, c2 in zip(out, coef[:, 1], coef[:, 2])
+    constant = coef[:, 0].sum(axis=1)[:, None]
+    active = [
+        (k, c1.tolist() if c1.any() else None, c2.tolist() if c2.any() else None)
+        for k, (c1, c2) in enumerate(zip(coef[:, 1], coef[:, 2]))
         if c1.any() or c2.any()
     ]
     drift_a, drift_b = _euler_factors(alpha, beta, h)
     centers = center.tolist()
     sqrt_h = math.sqrt(h)
-    sums = np.empty(n_steps + 1)
-    x, x_next, d, tmp = (np.empty(n_paths) for _ in range(4))
-    x.fill(float(x0))
 
-    def add_node(j: int) -> None:
-        np.subtract(x, centers[j], out=d)
-        for acc, c1, c2 in rows:
-            if c2 is None:
-                np.multiply(d, c1[j], out=tmp)
-            else:
-                np.multiply(d, c2[j], out=tmp)
-                if c1 is not None:
-                    np.add(tmp, c1[j], out=tmp)
-                np.multiply(tmp, d, out=tmp)
-            acc += tmp
+    def march(buffers, lo: int, hi: int, part: int) -> None:
+        out, sums, x_end = buffers
+        out[:, lo:hi] = constant
+        rows = [(out[k, lo:hi], c1, c2) for k, c1, c2 in active]
+        z = None if normals is None else normals[lo:hi]
+        sums = sums[part]
+        x, x_next, d, tmp = (np.empty(hi - lo) for _ in range(4))
+        x.fill(float(x0))
 
-    sums[0] = x.sum()
-    add_node(0)
-    for j in range(n_steps):
-        np.multiply(x, drift_a[j], out=x_next)
-        x_next += drift_b[j]
-        if normals is not None:  # wright_fisher_sigma(x) * sqrt_h * Z_j, in place
-            np.subtract(1.0, x, out=tmp)
-            tmp *= x
-            np.maximum(0.0, tmp, out=tmp)
-            np.sqrt(tmp, out=tmp)
-            tmp *= sqrt_h
-            tmp *= normals[:, j]
-            x_next += tmp
-        x, x_next = x_next, x
-        total = sums[j + 1] = x.sum()
-        if not math.isfinite(total):
-            bad = np.flatnonzero(~np.isfinite(x))
-            if bad.size:
-                raise SimulationBlowupError(path_index=int(bad[0]), step=j + 1)
-        add_node(j + 1)
-    return out, sums / n_paths, x
+        def add_node(j: int) -> None:
+            np.subtract(x, centers[j], out=d)
+            for acc, c1, c2 in rows:
+                if c2 is None:
+                    np.multiply(d, c1[j], out=tmp)
+                else:
+                    np.multiply(d, c2[j], out=tmp)
+                    if c1 is not None:
+                        np.add(tmp, c1[j], out=tmp)
+                    np.multiply(tmp, d, out=tmp)
+                acc += tmp
+
+        sums[0] = x.sum()
+        add_node(0)
+        for j in range(n_steps):
+            np.multiply(x, drift_a[j], out=x_next)
+            x_next += drift_b[j]
+            if z is not None:  # wright_fisher_sigma(x) * sqrt_h * Z_j, in place
+                np.subtract(1.0, x, out=tmp)
+                tmp *= x
+                np.maximum(0.0, tmp, out=tmp)
+                np.sqrt(tmp, out=tmp)
+                tmp *= sqrt_h
+                tmp *= z[:, j]
+                x_next += tmp
+            x, x_next = x_next, x
+            total = sums[j + 1] = x.sum()
+            if not math.isfinite(total):
+                bad = np.flatnonzero(~np.isfinite(x))
+                if bad.size:
+                    raise SimulationBlowupError(path_index=lo + int(bad[0]), step=j + 1)
+            add_node(j + 1)
+        x_end[lo:hi] = x
+
+    shapes = [(len(coef), n_paths), (2, n_steps + 1), (n_paths,)]
+    (out, sums, x_end), parts = _by_halves(n_paths, n_paths >= _FORK_MIN_PATHS, shapes, march)
+    if parts == 2:
+        with np.errstate(all="ignore"):
+            sums[0] += sums[1]
+        # Non-finite sums without a non-finite path: an overflow that only the
+        # whole sum may see, so one process gives the value or raises the error.
+        if not np.isfinite(sums[0]).all():
+            (out, sums, x_end), _ = _by_halves(n_paths, False, shapes, march)
+    return out, sums[0] / n_paths, x_end

@@ -1,5 +1,10 @@
+import os
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+
+from stackgame import numerics
 
 from stackgame.discrete import DuopolyParams
 from stackgame.dynamic import DynamicParams
@@ -24,6 +29,34 @@ MFG_BENCH = dict(
     a0=1.0, a=1.0, l0=0.2, l=0.2, b0=0.5, b=0.5,
     sigma=0.1, r=0.05, T=1.0, x0_init=0.5, xbar_init=0.5,
 )
+
+
+@pytest.fixture
+def processes(monkeypatch):
+    """Every ensemble above numpy's pairwise-sum block forks on two CPUs.
+
+    The kernels see two CPUs until cpus(n) sets another count; forks lists
+    the pid of each child made.  After the test no child may be left.
+    """
+    forks = []
+    real_fork = os.fork
+
+    def counting_fork():
+        pid = real_fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    def cpus(n):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+    monkeypatch.setattr(numerics, "_FORK_MIN_DRAWS", 1)
+    monkeypatch.setattr(numerics, "_FORK_MIN_PATHS", 1)
+    monkeypatch.setattr(os, "fork", counting_fork)
+    cpus(2)
+    yield SimpleNamespace(forks=forks, cpus=cpus, real_fork=real_fork)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.fixture

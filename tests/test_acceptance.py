@@ -6,7 +6,6 @@ read off the log even when a criterion fails.
 """
 
 import math
-import os
 import time
 
 import numpy as np
@@ -267,33 +266,29 @@ def test_10_mean_field_deterrence_threshold():
     )
 
 
-def test_11_determinism_across_worker_counts():
+def test_11_determinism_across_worker_counts(processes):
+    # The same calls in one process and in two: the fixture makes the
+    # 2000 x 400 ensemble's draw and marches fork whenever two CPUs show.
     def body():
         mc = meanfield.McConfig(n_paths=2000, n_steps=400, seed=42)
         snapshots = []
-        saved = os.environ.get("STACKGAME_WORKERS")
-        try:
-            for workers in ("1", "4", "16"):
-                os.environ["STACKGAME_WORKERS"] = workers
-                j_eq, j_def = meanfield.mc_payoffs(MFG, 0.3, mc)
-                res = discrete.min_k_discrete(DUOPOLY, N=10)
-                snapshots.append((
-                    j_eq.mean, j_eq.stderr, j_def.mean, j_def.stderr,
-                    res.k_min, dynamic.theorem2_lhs(DYN, 0.3),
-                    path_normals(42, 8, 16).tobytes(),
-                ))
-        finally:
-            if saved is None:
-                os.environ.pop("STACKGAME_WORKERS", None)
-            else:
-                os.environ["STACKGAME_WORKERS"] = saved
-        identical = all(s == snapshots[0] for s in snapshots[1:])
+        for cpus in (1, 2):
+            processes.cpus(cpus)
+            j_eq, j_def = meanfield.mc_payoffs(MFG, 0.3, mc)
+            res = discrete.min_k_discrete(DUOPOLY, N=10)
+            snapshots.append((
+                j_eq.mean, j_eq.stderr, j_def.mean, j_def.stderr,
+                res.k_min, dynamic.theorem2_lhs(DYN, 0.3),
+                path_normals(42, 8, 16).tobytes(),
+            ))
+        identical = snapshots[0] == snapshots[1]
         # Chunk-stability of the noise: the first rows of a larger ensemble
         # are bit-identical to a smaller one drawn from the same seed.
         chunked = np.array_equal(path_normals(42, 8, 16)[:3], path_normals(42, 3, 16))
         return identical, chunked
 
     (identical, chunked), dt = _timed(body)
-    ok = identical and chunked
-    assert _line(11, "bit-identical outputs for any worker count", ok,
-                 f"repeat-identical {identical}, chunk-stable {chunked}, {dt:.1f}s")
+    forks = len(processes.forks)
+    ok = identical and chunked and forks > 0
+    assert _line(11, "bit-identical outputs in one process and in two", ok,
+                 f"identical {identical} over {forks} forks, chunk-stable {chunked}, {dt:.1f}s")

@@ -287,21 +287,24 @@ class TestMain:
         assert "mc.n_steps = 151" in report
         assert "grid.n_steps = 151" in report
 
-    def test_worker_count_does_not_change_outputs(self, tmp_path, monkeypatch):
+    def test_worker_count_does_not_change_outputs(self, tmp_path, processes):
+        # The fixture makes the 500 x 200 ensemble fork on two CPUs.
         cfg = self._write(tmp_path, MEANFIELD_YAML)
         outputs = {}
-        for workers in ("1", "8"):
-            monkeypatch.setenv("STACKGAME_WORKERS", workers)
-            out = tmp_path / f"out{workers}"
+        for cpus in (1, 2):
+            processes.cpus(cpus)
+            out = tmp_path / f"out{cpus}"
             assert main(["meanfield", "defect", "--config", str(cfg), "--out", str(out)]) == 0
             text = (out / "report.txt").read_text()
-            # Strip the lines that legitimately differ (worker echo, wall time).
+            # Strip the lines that legitimately differ (wall time, output directory).
             body = "\n".join(
                 line for line in text.splitlines()
-                if not line.startswith(("workers", "wall_time", "out ="))
+                if not line.startswith(("wall_time", "out ="))
             )
-            outputs[workers] = body
-        assert outputs["1"] == outputs["8"]
+            csvs = {f.name: f.read_bytes() for f in sorted(out.glob("*.csv"))}
+            outputs[cpus] = body, csvs
+        assert processes.forks
+        assert outputs[1] == outputs[2]
 
     def test_meanfield_threshold_repeats_byte_for_byte(self, tmp_path):
         # The search's marches all read one shared normals matrix.
@@ -316,7 +319,7 @@ class TestMain:
         assert outputs[0] == outputs[1]
 
     def test_report_records_one_worker_whatever_the_environment(self, tmp_path, monkeypatch):
-        # The program is single-threaded and reads no worker-count variable.
+        # The row is not a worker count, and no worker-count variable is read.
         monkeypatch.setenv("STACKGAME_WORKERS", "8")
         cfg = self._write(tmp_path, DISCRETE_YAML)
         assert main(["discrete", "verify", "--config", str(cfg), "--out", str(tmp_path)]) == 0

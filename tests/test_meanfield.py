@@ -104,6 +104,18 @@ class TestRiccati:
         F = follower_riccati(p, TimeGrid(0.0, p.T, 100))
         assert abs(F[0] + 2.0 / (c1 + math.sqrt(c1 * c1 - 4.0 * c2))) < 1e-12
 
+    def test_step_that_damps_the_dominant_mode_more_is_refused(self):
+        # h |root| = 1.58 is inside RK4's real stability interval, but RK4
+        # amplifies the dominant mode by |R| = 0.425 and the other by 0.599,
+        # so X would cross zero at t = 7.76 where y has no pole.  200 steps
+        # resolve the gain, which settles on its equilibrium -2 c0 / (c1 + root).
+        c0, c1, c2 = -2.0, 19.64, -37.19
+        with pytest.raises(ConfigurationError, match="50 steps are too few"):
+            meanfield._backward_riccati(c0, c1, c2, TimeGrid(0.0, 8.43, 50))
+        y = meanfield._backward_riccati(c0, c1, c2, TimeGrid(0.0, 8.43, 200))
+        equilibrium = -2.0 * c0 / (c1 + math.sqrt(c1 * c1 - 4.0 * c0 * c2))
+        assert abs(y[0] - equilibrium) < 1e-12 * equilibrium
+
     @pytest.mark.parametrize("overrides, n_steps", [
         (dict(A=-1000.0), 1000),
         # X and Y decay like e^{-9.3 (T - t)}: unscaled they underflow and

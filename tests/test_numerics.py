@@ -1,5 +1,7 @@
 """Unit tests for the shared deterministic/stochastic numerical kernels."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -476,3 +478,155 @@ class TestStreamedKernel:
         grid, alpha, beta, _, _, m, coef, _ = _kernel_case()
         with pytest.raises(ParameterError):
             _em_functionals(alpha, beta, 0.5, grid.h, 4, np.zeros((4, 199)), m, coef)
+
+
+def _split_rows(c):
+    """A payoff row with its certainty-equivalent and variance-channel parts."""
+    return [c, c * [[1.0], [1.0], [0.0]], c * [[0.0], [0.0], [1.0]]]
+
+
+class TestTwoProcesses:
+    """A forked child fills the second half of large ensembles; nothing else may change."""
+
+    @staticmethod
+    def _one_process(processes, fn):
+        processes.cpus(1)
+        try:
+            return fn()
+        finally:
+            processes.cpus(2)
+
+    def test_pairwise_split_sum_identity(self):
+        # numpy sums more than 128 contiguous floats as sum(x[:s]) + sum(x[s:]),
+        # s = _pairwise_split(n).  The two-process march adds its halves'
+        # per-step sums on that premise; a numpy that splits elsewhere fails here.
+        rng = np.random.default_rng(0)
+        moved = 0
+        for n in [*range(129, 1200), 4097, 20_000, 40_000, 40_003]:
+            x = rng.standard_normal(n) * np.exp(rng.uniform(-20.0, 20.0, n))
+            s = numerics._pairwise_split(n)
+            assert x[:s].sum() + x[s:].sum() == x.sum(), f"numpy's pairwise split moved at n={n}"
+            moved += x[: s + 8].sum() + x[s + 8 :].sum() != x.sum()
+        assert moved > 500  # the data tells a split 8 elements off from numpy's
+
+    @pytest.mark.parametrize("n_paths", [129, 1000, 1003])
+    def test_normals_match_one_process(self, processes, n_paths):
+        one = self._one_process(processes, lambda: path_normals(9, n_paths, 7))
+        assert processes.forks == []
+        two = path_normals(9, n_paths, 7)
+        assert len(processes.forks) == 1
+        assert two.tobytes() == one.tobytes()
+        assert two[:, 3].flags.c_contiguous
+
+    @pytest.mark.parametrize("n_paths", [129, 1000, 1003])
+    @pytest.mark.parametrize("rows", ["one", "split"])
+    @pytest.mark.parametrize("noise", [True, False])
+    def test_march_matches_one_process(self, processes, noise, rows, n_paths):
+        grid, alpha, beta, _, _, m, (c,), normals = _kernel_case(n_paths=n_paths, n_steps=60)
+        coef = _split_rows(c) if rows == "split" else [c]
+        args = (alpha, beta, 0.5, grid.h, n_paths, normals if noise else None, m, coef)
+        one = self._one_process(processes, lambda: _em_functionals(*args))
+        before = len(processes.forks)
+        two = _em_functionals(*args)
+        assert len(processes.forks) == before + 1
+        for forked, single in zip(two, one):
+            assert forked.tobytes() == single.tobytes()
+
+    @staticmethod
+    def _march_case(processes):
+        """300 paths (split at 144) and the split payoff rows; the draw's fork is not counted."""
+        grid, alpha, beta, _, _, m, (c,), normals = _kernel_case(n_paths=300, n_steps=40)
+        processes.forks.clear()
+        return (alpha, beta, 0.5, grid.h, 300, normals, m, _split_rows(c))
+
+    def test_failed_fork_runs_in_process(self, processes, monkeypatch):
+        args = self._march_case(processes)
+        want = self._one_process(processes, lambda: _em_functionals(*args))
+
+        def no_fork():
+            raise OSError("no more processes")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        for got, single in zip(_em_functionals(*args), want):
+            assert got.tobytes() == single.tobytes()
+        assert path_normals(5, 300, 40).tobytes() == args[5].tobytes()
+
+    def test_child_exiting_non_zero_reruns_in_process(self, processes, monkeypatch):
+        args = self._march_case(processes)
+        want = self._one_process(processes, lambda: _em_functionals(*args))
+        failed = []
+
+        def failing_fork():
+            pid = processes.real_fork()
+            if pid == 0:
+                os._exit(3)  # before any work: the shared buffers keep their zeros
+            failed.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", failing_fork)
+        for got, single in zip(_em_functionals(*args), want):
+            assert got.tobytes() == single.tobytes()
+        assert path_normals(5, 300, 40).tobytes() == args[5].tobytes()
+        assert len(failed) == 2
+
+    @pytest.mark.parametrize("paths, first", [
+        ({200: 13, 250: 30}, (200, 13)),  # only the child's half fails
+        ({5: 20, 250: 10}, (250, 10)),  # both fail, the child's half first
+        ({5: 9, 250: 10}, (5, 9)),  # both fail, this process's half first
+    ])
+    def test_blowup_names_path_and_step_of_one_process(self, processes, paths, first):
+        # Paths 0..143 march here, 144..299 in the child.
+        args = self._march_case(processes)
+        for path, step in paths.items():
+            args[5][path, step - 1] = np.nan
+        for forked in (False, True):
+            processes.cpus(2 if forked else 1)
+            with pytest.raises(SimulationBlowupError) as err:
+                _em_functionals(*args)
+            assert (err.value.path_index, err.value.step) == first
+        assert len(processes.forks) == 1
+
+    def test_overflow_raises_floating_point_error(self, processes):
+        alpha, beta, x0, h, n, normals, m, (c, *_) = self._march_case(processes)
+        alpha = alpha + 1e300
+        for forked in (False, True):
+            processes.cpus(2 if forked else 1)
+            with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+                _em_functionals(alpha, beta, x0, h, n, normals, m, [c])
+        assert len(processes.forks) == 1
+
+    def test_sum_only_the_whole_ensemble_overflows(self, processes):
+        # 300 paths held at 1e306: each half's sum (1.44e308, 1.56e308) is
+        # finite, the whole one is not.  One process raises under errstate
+        # and reads inf without it; two processes must do the same.
+        n = 40
+        alpha, beta, big = np.zeros(n + 1), np.zeros(n + 1), np.full(n + 1, 1e306)
+        coef = [[np.zeros(n + 1), np.ones(n + 1), np.zeros(n + 1)]]
+        args = (alpha, beta, 1e306, 1.0 / n, 300, None, big, coef)
+        for forked in (False, True):
+            processes.cpus(2 if forked else 1)
+            with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+                _em_functionals(*args)
+            with np.errstate(over="ignore"):
+                _, mean, x_end = _em_functionals(*args)
+            assert np.all(mean == np.inf) and np.all(x_end == 1e306)
+        assert len(processes.forks) == 2
+
+    def test_no_child_is_left(self, processes):
+        args = self._march_case(processes)
+        path_normals(5, 300, 40)
+        _em_functionals(*args)
+        args[5][200, 3] = np.nan
+        with pytest.raises(SimulationBlowupError):
+            _em_functionals(*args)
+        assert len(processes.forks) == 3
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_small_ensembles_and_one_cpu_stay_in_process(self, processes, monkeypatch):
+        path_normals(5, 128, 40)  # within numpy's unsplit pairwise block
+        processes.cpus(1)
+        path_normals(5, 300, 40)
+        monkeypatch.delattr(os, "sched_getaffinity")
+        path_normals(5, 300, 40)
+        assert processes.forks == []
