@@ -289,7 +289,7 @@ def _run_meanfield(cfg: RunConfig):
                                       j_eq.mean - 3 * j_eq.stderr, 0.0)
     elif cfg.action == "threshold-k":
         tol = cfg.penalty.get("tol", 0.01)
-        res = meanfield.min_k_meanfield(p, mc, tol=tol)
+        res = meanfield.min_k_meanfield(p, mc, tol=tol, sol=sol)
         results.update(
             k_min=res.k_min, J0_star=res.j_star, J_tilde_at_k=res.j_tilde_at_k,
             J0_star_se=res.details["j_star_stderr"],

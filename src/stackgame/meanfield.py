@@ -40,6 +40,8 @@ from .numerics import (
     TrajectoryGrid,
     _affine_march,
     _em_functionals,
+    _fork,
+    _march_pairs,
     _rk4_linear_backward,
     euler_mean,
     path_normals,
@@ -667,81 +669,157 @@ def growth_order_check(
     return slope < r_tilde / 2.0 - _GROWTH_MARGIN, slope
 
 
+@dataclass(frozen=True)
+class _Bisection:
+    """min_k_meanfield's search as a pure transition on states (phase, lo, hi).
+
+    request(state) is the rate the search marches next, None once it has
+    ended, and step(state, verdict) takes that rate's verdict.  "zero" tests
+    k = 0.  "double" tests max(tol, 1), then twice that, until a rate deters,
+    and ends as "none" when the next one would pass k_max.  "halve" bisects
+    [lo, hi], where lo fails and hi deters, down to width tol, and ends as
+    "done" with k_min = hi.
+    """
+
+    tol: float
+    k_max: float
+    start = ("zero", 0.0, 0.0)
+
+    def request(self, state) -> float | None:
+        phase, lo, hi = state
+        if phase == "zero":
+            return 0.0
+        if phase == "double":
+            return hi
+        return 0.5 * (lo + hi) if phase == "halve" else None
+
+    def step(self, state, verdict: bool):
+        phase, lo, hi = state
+        first = max(self.tol, 1.0)
+        if phase == "zero":
+            return ("done", 0.0, 0.0) if verdict else ("double", 0.0, first)
+        if phase == "double":
+            if verdict:
+                return self._halve(0.0 if hi == first else hi / 2.0, hi)
+            return ("double" if 2.0 * hi <= self.k_max else "none", 0.0, 2.0 * hi)
+        mid = 0.5 * (lo + hi)
+        return self._halve(lo, mid) if verdict else self._halve(mid, hi)
+
+    def _halve(self, lo: float, hi: float):
+        return ("halve" if hi - lo > self.tol else "done", lo, hi)
+
+    def guess(self, state, margins: dict[float, tuple[float, float]]) -> bool:
+        """The likely verdict on request(state); True outside the halving phase.
+
+        While halving, both ends of [lo, hi] have margins.  The guess is that
+        mid deters when the secant root of min(margins) over [lo, hi] lies
+        at or below mid.  A wrong guess costs time, never a result.
+        """
+        phase, lo, hi = state
+        if phase != "halve":
+            return True
+        f_lo, f_hi = min(margins[lo]), min(margins[hi])
+        return lo - f_lo * (hi - lo) / (f_hi - f_lo) <= 0.5 * (lo + hi)
+
+
 def min_k_meanfield(
     p: MfgParams,
     mc: McConfig,
     tol: float = 0.01,
     k_max: float = 1000.0,
+    sol: MeanFieldSolution | None = None,
 ) -> PenaltySearchResult:
     """Smallest penalty rate making defection statistically unprofitable.
 
-    Bisection on the confidence-separated criterion
+    Bisection (_Bisection) on the confidence-separated criterion
     J_def(k) + 3 SE < J_eq - 3 SE, with common random numbers across all k so
     the comparison is smooth in k.  A candidate k also has to pass the
     growth-order hypothesis at rate r + k (the defection state must grow
     slower than e^{(r+k)t/2}), so the certified rate satisfies both the
-    payoff separation and the theorem's own precondition.  The bisection
-    trace is checked for monotone-decreasing defection payoffs (up to 6 SE
-    slack, two estimates).  Each distinct k is marched once; details["trace"]
-    keeps one (k, mean, stderr) row per evaluation, repeats included, and
+    payoff separation and the theorem's own precondition.  The verdict on k
+    is "both margins > 0": details["margins"] maps each k to the payoff
+    margin (J_eq - 3 SE) - (J_def + 3 SE) and the growth margin
+    (r + k)/2 - 1e-6 - slope.  The bisection trace is checked for
+    monotone-decreasing defection payoffs (up to 6 SE slack, two estimates).
+    Each distinct k is marched once; details["trace"] keeps one
+    (k, mean, stderr) row per evaluation, k = 0 and k_min twice, and
     details["satisfied"] maps each k to the search's verdict on it.  A
-    certified rate above k_max raises NoDeterrentError.
+    certified rate above k_max raises NoDeterrentError.  A given sol must
+    have been solved on the Monte Carlo grid.
+
+    Where numerics._march_pairs allows, each round marches two rates at
+    once: this process the one the search requests now, a child made by
+    os.fork the one it will most likely request next (_Bisection.guess);
+    the first round pairs the equilibrium march with k = 0.  A child's
+    march is used only if its rate is requested next, and otherwise killed.
+    If the child or the fork failed, the rate is marched here, so results
+    and errors are those of one process.  No child outlives the call.
     """
     require_positive(tol=tol, k_max=k_max)
     if mc.n_steps < 3:
         raise ParameterError(
             f"mc.n_steps must be >= 3 for the growth-rate fit (4 nodes), got {mc.n_steps}")
-    grid = _mc_grid(p, mc)
+    grid = _mc_grid(p, mc, sol)
     times = grid.times()
-    sol = mean_field_bvp(p, grid)
+    if sol is None:
+        sol = mean_field_bvp(p, grid)
     normals = _noise(mc, None)
-    (j_eq,) = _leader_payoff(p, sol["u0_star"], sol["xbar"], grid, mc, normals)
-    j_eq = _estimate(j_eq)
-
-    trace: list[tuple[float, float, float]] = []
-    marched: dict[float, tuple[McEstimate, bool]] = {}
-    growth: dict[float, float] = {}
+    search = _Bisection(tol, k_max)
+    evaluated: dict[float, tuple[McEstimate, float]] = {}  # k -> (J_def, growth slope)
+    margins: dict[float, tuple[float, float]] = {}
     verdict: dict[float, bool] = {}
 
-    def evaluate(k: float) -> tuple[McEstimate, bool]:
-        """(J_def estimate, growth check) at k; each distinct k is marched once."""
-        if k not in marched:
-            samples, mean = _defection_payoff(p, k, sol, grid, mc, normals)
-            ok, growth[k] = growth_order_check(times, mean, p.r + k)
-            marched[k] = _estimate(samples), ok
-        jd, ok = marched[k]
-        trace.append((k, jd.mean, jd.stderr))
-        return jd, ok
+    def march(k: float) -> tuple[np.ndarray, np.ndarray]:
+        return _defection_payoff(p, k, sol, grid, mc, normals)
 
-    j_def0, _ = evaluate(0.0)
+    def march_ahead(k: float):
+        """(k, child marching k), or None if the fork failed."""
+        def work(buffers):
+            for buffer, values in zip(buffers, march(k)):
+                buffer[:] = values
 
-    def satisfied(k: float) -> bool:
-        jd, grows_ok = evaluate(k)
-        verdict[k] = grows_ok and jd.mean + 3.0 * jd.stderr < j_eq.mean - 3.0 * j_eq.stderr
-        return verdict[k]
+        child = _fork([(mc.n_paths,), (mc.n_steps + 1,)], work)
+        return None if child is None else (k, child)
 
-    if satisfied(0.0):
-        k_min = 0.0
-    else:
-        hi = max(tol, 1.0)
-        while not satisfied(hi):
-            hi *= 2.0
-            if hi > k_max:
-                raise NoDeterrentError(f"defection stays profitable up to k = {k_max:g}")
-        lo = 0.0 if hi == max(tol, 1.0) else hi / 2.0
-        while hi - lo > tol:
-            mid = 0.5 * (lo + hi)
-            if satisfied(mid):
-                hi = mid
-            else:
-                lo = mid
-        k_min = hi
-        if k_min > k_max:
-            raise NoDeterrentError(f"the certified rate k = {k_min:g} exceeds k_max = {k_max:g}")
+    pairs = _march_pairs(mc.n_paths, mc.n_steps)
+    state = search.start
+    ahead = march_ahead(search.request(state)) if pairs else None
+    try:
+        (j_eq,) = _leader_payoff(p, sol["u0_star"], sol["xbar"], grid, mc, normals)
+        j_eq = _estimate(j_eq)
+        while (k := search.request(state)) is not None:
+            marched = None
+            if ahead is not None:
+                (k_ahead, child), ahead = ahead, None
+                if child.join(kill=k_ahead != k):
+                    marched = child.buffers
+            if marched is None:
+                if pairs:
+                    k_next = search.request(search.step(state, search.guess(state, margins)))
+                    ahead = None if k_next is None else march_ahead(k_next)
+                marched = march(k)
+            samples, mean = marched
+            jd = _estimate(samples)
+            _, slope = growth_order_check(times, mean, p.r + k)
+            margins[k] = ((j_eq.mean - 3.0 * j_eq.stderr) - (jd.mean + 3.0 * jd.stderr),
+                          (p.r + k) / 2.0 - _GROWTH_MARGIN - slope)
+            evaluated[k] = jd, slope
+            verdict[k] = margins[k][0] > 0.0 and margins[k][1] > 0.0
+            state = search.step(state, verdict[k])
+    finally:
+        if ahead is not None:
+            ahead[1].join(kill=True)
 
-    j_def_final, _ = evaluate(k_min)  # satisfied, so its growth check passed
+    phase, _, k_min = state
+    if phase == "none":
+        raise NoDeterrentError(f"defection stays profitable up to k = {k_max:g}")
+    if k_min > k_max:
+        raise NoDeterrentError(f"the certified rate k = {k_min:g} exceeds k_max = {k_max:g}")
+    rows = [(k, jd.mean, jd.stderr) for k, (jd, _) in evaluated.items()]
+    j_def0, _ = evaluated[0.0]
+    j_def_final, growth_rate = evaluated[k_min]
+    ordered = sorted(rows + [rows[0], (k_min, j_def_final.mean, j_def_final.stderr)])
     warnings = []
-    ordered = sorted(trace)
     for (k1, v1, s1), (k2, v2, s2) in zip(ordered, ordered[1:]):
         if k2 > k1 and v2 > v1 + 3.0 * (s1 + s2):
             warnings.append(
@@ -756,10 +834,11 @@ def min_k_meanfield(
             "j_star_stderr": j_eq.stderr,
             "j_tilde_stderr": j_def_final.stderr,
             "j_tilde_at_zero": j_def0.mean,
-            "growth_rate": growth[k_min],
+            "growth_rate": growth_rate,
             "growth_bound": (p.r + k_min) / 2.0,
             "trace": ordered,
             "satisfied": verdict,
+            "margins": margins,
             "warnings": warnings,
         },
     )

@@ -2,12 +2,16 @@
 
 Everything here is pure: the same inputs always produce the same outputs,
 including the Monte Carlo routines (per-path seeding, fixed-order reduction),
-so results never depend on scheduling or on the number of processes.  Large
-path ensembles run in two: a child made by os.fork draws or marches the
-second half of the paths into a shared anonymous mmap while this process
-does the first half (_by_halves).  The split is numpy's own pairwise-sum
-split, so the two halves' per-step sums add up to the one-process sum bit
-for bit, and a failure in either half reruns the whole call in-process.
+so results never depend on scheduling or on the number of processes.  One
+fork primitive (_fork) runs work in a child made by os.fork, which writes
+into a shared anonymous mmap and reports only through its exit status.
+Large path ensembles run in two: the child draws or marches the second half
+of the paths while this process does the first half (_by_halves).  The
+split is numpy's own pairwise-sum split, so the two halves' per-step sums
+add up to the one-process sum bit for bit, and a failure in either half
+reruns the whole call in-process.  Mid-sized marches stay whole, and
+_march_pairs says when two of them should run side by side instead (the
+mean-field threshold search marches its next rate in a child).
 """
 
 from __future__ import annotations
@@ -416,54 +420,90 @@ def _can_fork() -> bool:
     return hasattr(os, "fork") and affinity is not None and len(affinity(0)) >= 2
 
 
+def _march_pairs(n_paths: int, n_steps: int) -> bool:
+    """True when two whole marches of n_paths x n_steps should run at once.
+
+    The second one runs in a forked child (_fork) on the other CPU.  Below
+    _FORK_MIN_PATHS paths a march runs in one process, so the two never
+    split inside a pair, and from _FORK_MIN_DRAWS path-steps on a march pays
+    for the fork.  In min_k_meanfield on a 2-vCPU VM (medians of 7 seeds)
+    pairs tied with one process at 2.5-5*10^5 path-steps, won from 10^6
+    (2000 x 500: 250 -> 180 ms) and doubled the time at 200 x 50.
+    """
+    return n_paths < _FORK_MIN_PATHS and n_paths * n_steps >= _FORK_MIN_DRAWS and _can_fork()
+
+
+@dataclass
+class _Child:
+    """A process made by _fork, filling float buffers that its parent can read."""
+
+    pid: int
+    buffers: list[np.ndarray]
+
+    def join(self, kill: bool = False) -> bool:
+        """Reaps the child, SIGKILLed first if kill; True if it finished its work."""
+        if kill:
+            import signal  # only a forking call needs it
+
+            os.kill(self.pid, signal.SIGKILL)
+        return os.waitpid(self.pid, 0)[1] == 0 and not kill
+
+
+def _fork(shapes, work) -> _Child | None:
+    """Runs work(buffers) in a child made by os.fork; None if the fork failed.
+
+    The buffers are new float arrays of the given shapes in one shared
+    anonymous mmap, so the parent reads what the child writes.  The child
+    never returns into the caller: it ends in os._exit, and its exit status
+    is its only message, 0 once work returned.  The caller joins it.
+    """
+    import mmap  # only a forking call needs it, and importing stackgame need not
+
+    sizes = [math.prod(shape) for shape in shapes]
+    shared = np.frombuffer(mmap.mmap(-1, 8 * sum(sizes)), dtype=float)
+    buffers = [chunk.reshape(shape) for chunk, shape
+               in zip(np.split(shared, np.cumsum(sizes)[:-1]), shapes)]
+    try:
+        pid = os.fork()
+    except OSError:
+        return None
+    if pid == 0:
+        status = 1
+        try:
+            work(buffers)
+            status = 0
+        finally:
+            os._exit(status)
+    return _Child(pid, buffers)
+
+
 def _by_halves(n: int, fork: bool, shapes, work) -> tuple[list[np.ndarray], int]:
     """Fill new float buffers of the given shapes by work(buffers, lo, hi, part) over paths [0, n).
 
     In-process, one call work(buffers, 0, n, 0) fills them.  With fork, more
-    than _PAIRWISE_BLOCK paths and two CPUs, the buffers share one anonymous
-    mmap; a child made by os.fork runs work(buffers, s, n, 1), with
-    s = _pairwise_split(n), while this process runs work(buffers, 0, s, 0).
-    The child never returns into the caller: it ends in os._exit, and its
-    exit status is its only message.  It is reaped before this returns, and
-    killed first if this process's half raised.  If either half failed, or
-    the fork did, the whole call reruns in-process, so every error is the
-    one a single process raises (and a forked child keeps numpy's errstate).
-    Returns the buffers and the number of processes that filled them.
+    than _PAIRWISE_BLOCK paths and two CPUs, a child made by _fork runs
+    work(buffers, s, n, 1), with s = _pairwise_split(n), while this process
+    runs work(buffers, 0, s, 0) on the same shared buffers.  The child is
+    reaped before this returns, and killed first if this process's half
+    raised.  If either half failed, or the fork did, the whole call reruns
+    in-process, so every error is the one a single process raises (and a
+    forked child keeps numpy's errstate).  Returns the buffers and the
+    number of processes that filled them.
     """
     if fork and n > _PAIRWISE_BLOCK and _can_fork():
-        # Imported here: only a forking call needs them, and importing stackgame need not.
-        import mmap
-        import signal
-
-        sizes = [math.prod(shape) for shape in shapes]
-        shared = np.frombuffer(mmap.mmap(-1, 8 * sum(sizes)), dtype=float)
-        buffers = [chunk.reshape(shape) for chunk, shape
-                   in zip(np.split(shared, np.cumsum(sizes)[:-1]), shapes)]
         split = _pairwise_split(n)
-        try:
-            pid = os.fork()
-        except OSError:
-            pid = -1
-        if pid == 0:
-            status = 1
-            try:
-                work(buffers, split, n, 1)
-                status = 0
-            finally:
-                os._exit(status)
-        if pid > 0:
+        child = _fork(shapes, lambda buffers: work(buffers, split, n, 1))
+        if child is not None:
             done = False
             try:
-                work(buffers, 0, split, 0)
+                work(child.buffers, 0, split, 0)
                 done = True
             except Exception:
                 pass  # rerun in-process below, which raises it again
             finally:
-                if not done:
-                    os.kill(pid, signal.SIGKILL)
-                done = os.waitpid(pid, 0)[1] == 0 and done
+                done = child.join(kill=not done)
             if done:
-                return buffers, 2
+                return child.buffers, 2
     buffers = [np.empty(shape) for shape in shapes]
     work(buffers, 0, n, 0)
     return buffers, 1

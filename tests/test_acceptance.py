@@ -10,8 +10,9 @@ import time
 
 import numpy as np
 import pytest
+import yaml
 
-from stackgame import discrete, dynamic, meanfield
+from stackgame import cli, discrete, dynamic, meanfield
 from stackgame.numerics import AffineSystem, TimeGrid, path_normals, solve_affine_bvp
 
 DUOPOLY = discrete.DuopolyParams(a=10.0, b=1.0, c0=1.0, c1=2.0)
@@ -266,9 +267,27 @@ def test_10_mean_field_deterrence_threshold():
     )
 
 
-def test_11_determinism_across_worker_counts(processes):
+def _threshold_run(config, out):
+    """Exit code of the CLI's threshold-k job, report.txt without its timing
+    and directory rows, and the sweep.csv bytes."""
+    code = cli.main(["meanfield", "threshold-k", "--config", str(config), "--out", str(out)])
+    if code != 0:
+        return code, None, None
+    report = [line for line in (out / "report.txt").read_text().splitlines()
+              if not line.startswith(("wall_time_s", "out ="))]
+    return code, report, (out / "sweep.csv").read_bytes()
+
+
+def test_11_determinism_across_worker_counts(processes, tmp_path):
     # The same calls in one process and in two: the fixture makes the
-    # 2000 x 400 ensemble's draw and marches fork whenever two CPUs show.
+    # 2000 x 400 ensemble's draw and marches fork whenever two CPUs show,
+    # and then the CLI's threshold search marches two rates at once.
+    config = tmp_path / "threshold.yaml"
+    config.write_text(yaml.safe_dump({
+        "model": "meanfield", "action": "threshold-k", "params": MFG_KW,
+        "mc": {"n_paths": 2000, "n_steps": 400, "seed": 42}, "penalty": {"tol": 0.01},
+    }))
+
     def body():
         mc = meanfield.McConfig(n_paths=2000, n_steps=400, seed=42)
         snapshots = []
@@ -276,19 +295,26 @@ def test_11_determinism_across_worker_counts(processes):
             processes.cpus(cpus)
             j_eq, j_def = meanfield.mc_payoffs(MFG, 0.3, mc)
             res = discrete.min_k_discrete(DUOPOLY, N=10)
-            snapshots.append((
+            snapshots.append([
                 j_eq.mean, j_eq.stderr, j_def.mean, j_def.stderr,
                 res.k_min, dynamic.theorem2_lhs(DYN, 0.3),
                 path_normals(42, 8, 16).tobytes(),
-            ))
-        identical = snapshots[0] == snapshots[1]
+            ])
+        processes.pair_marches()
+        before = len(processes.forks)
+        for cpus, snapshot in zip((1, 2), snapshots):
+            processes.cpus(cpus)
+            snapshot += _threshold_run(config, tmp_path / f"threshold{cpus}")
+        paired = len(processes.forks) - before
+        identical = snapshots[0] == snapshots[1] and snapshots[0][-3] == 0
         # Chunk-stability of the noise: the first rows of a larger ensemble
         # are bit-identical to a smaller one drawn from the same seed.
         chunked = np.array_equal(path_normals(42, 8, 16)[:3], path_normals(42, 3, 16))
-        return identical, chunked
+        return identical, chunked, paired
 
-    (identical, chunked), dt = _timed(body)
+    (identical, chunked, paired), dt = _timed(body)
     forks = len(processes.forks)
-    ok = identical and chunked and forks > 0
+    ok = identical and chunked and forks > paired > 0  # forks in halves, then in pairs
     assert _line(11, "bit-identical outputs in one process and in two", ok,
-                 f"identical {identical} over {forks} forks, chunk-stable {chunked}, {dt:.1f}s")
+                 f"identical {identical} over {forks} forks ({paired} for the threshold "
+                 f"search's march pairs), chunk-stable {chunked}, {dt:.1f}s")

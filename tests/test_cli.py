@@ -288,23 +288,29 @@ class TestMain:
         assert "grid.n_steps = 151" in report
 
     def test_worker_count_does_not_change_outputs(self, tmp_path, processes):
-        # The fixture makes the 500 x 200 ensemble fork on two CPUs.
+        # The fixture makes the 500 x 200 ensemble fork on two CPUs: first
+        # each march in halves, then, for threshold-k, the search's march pairs.
         cfg = self._write(tmp_path, MEANFIELD_YAML)
-        outputs = {}
-        for cpus in (1, 2):
-            processes.cpus(cpus)
-            out = tmp_path / f"out{cpus}"
-            assert main(["meanfield", "defect", "--config", str(cfg), "--out", str(out)]) == 0
-            text = (out / "report.txt").read_text()
-            # Strip the lines that legitimately differ (wall time, output directory).
-            body = "\n".join(
-                line for line in text.splitlines()
-                if not line.startswith(("wall_time", "out ="))
-            )
-            csvs = {f.name: f.read_bytes() for f in sorted(out.glob("*.csv"))}
-            outputs[cpus] = body, csvs
-        assert processes.forks
-        assert outputs[1] == outputs[2]
+        for action in ("defect", "threshold-k"):
+            if action == "threshold-k":
+                processes.pair_marches()
+            outputs = {}
+            for cpus in (1, 2):
+                processes.cpus(cpus)
+                processes.forks.clear()
+                out = tmp_path / f"{action}{cpus}"
+                assert main(["meanfield", action, "--config", str(cfg), "--out", str(out)]) == 0
+                text = (out / "report.txt").read_text()
+                # Strip the lines that legitimately differ (wall time, output directory).
+                body = "\n".join(
+                    line for line in text.splitlines()
+                    if not line.startswith(("wall_time", "out ="))
+                )
+                csvs = {f.name: f.read_bytes() for f in sorted(out.glob("*.csv"))}
+                outputs[cpus] = body, csvs
+            assert processes.forks
+            assert outputs[1] == outputs[2]
+        assert "sweep.csv" in outputs[2][1]
 
     def test_meanfield_threshold_repeats_byte_for_byte(self, tmp_path):
         # The search's marches all read one shared normals matrix.

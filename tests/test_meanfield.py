@@ -1,6 +1,7 @@
 """Unit tests for the major/minor mean-field game model."""
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from stackgame.errors import (
     NoDeterrentError,
     ParameterError,
     RiccatiBlowupError,
+    SimulationBlowupError,
 )
 from stackgame.meanfield import (
     McConfig,
@@ -28,6 +30,7 @@ from stackgame.meanfield import (
     min_k_meanfield,
 )
 from stackgame.numerics import AffineSystem, TimeGrid, rk4_solve_general, solve_affine_bvp
+from stackgame.results import PenaltySearchResult
 
 
 def mfg_with(base: dict, **overrides) -> MfgParams:
@@ -472,6 +475,252 @@ class TestMinK:
         # The growth-rate fit over the last half of the window needs 4 nodes.
         with pytest.raises(ParameterError, match="mc.n_steps"):
             min_k_meanfield(mfg, McConfig(n_paths=2, n_steps=2, zero_noise=True))
+
+    def test_given_solution_gives_the_same_result(self, mfg, monkeypatch):
+        mc = McConfig(n_paths=200, n_steps=50, seed=3)
+        sol = mean_field_bvp(mfg, TimeGrid(0.0, mfg.T, 50))
+        want = min_k_meanfield(mfg, mc)
+        monkeypatch.setattr(meanfield, "mean_field_bvp", None)  # a second solve would fail
+        assert min_k_meanfield(mfg, mc, sol=sol) == want
+
+    def test_solution_on_another_grid_is_refused(self, mfg):
+        sol = mean_field_bvp(mfg, TimeGrid(0.0, mfg.T, 60))
+        with pytest.raises(ParameterError, match="grid"):
+            min_k_meanfield(mfg, McConfig(n_paths=200, n_steps=50, seed=3), sol=sol)
+
+    def test_margins_give_the_verdict(self, mfg):
+        # Exact: x - y > 0 exactly when y < x, so the margins carry the verdict.
+        for seed in range(20):
+            res = min_k_meanfield(mfg, McConfig(n_paths=200, n_steps=50, seed=seed))
+            margins, satisfied = res.details["margins"], res.details["satisfied"]
+            assert list(margins) == list(satisfied)
+            for k, _, _ in res.details["trace"]:
+                assert satisfied[k] == (margins[k][0] > 0.0 and margins[k][1] > 0.0)
+            assert min(margins[res.k_min]) > 0.0
+
+
+def _bisection_oracle(p, mc, tol=0.01, k_max=1000.0):
+    """min_k_meanfield as the sequential bisection loop, without details["margins"]."""
+    grid = meanfield._mc_grid(p, mc)
+    times = grid.times()
+    sol = mean_field_bvp(p, grid)
+    normals = meanfield._noise(mc, None)
+    (j_eq,) = meanfield._leader_payoff(p, sol["u0_star"], sol["xbar"], grid, mc, normals)
+    j_eq = meanfield._estimate(j_eq)
+    trace, marched, growth, verdict = [], {}, {}, {}
+
+    def evaluate(k):
+        if k not in marched:
+            samples, mean = meanfield._defection_payoff(p, k, sol, grid, mc, normals)
+            ok, growth[k] = growth_order_check(times, mean, p.r + k)
+            marched[k] = meanfield._estimate(samples), ok
+        jd, ok = marched[k]
+        trace.append((k, jd.mean, jd.stderr))
+        return jd, ok
+
+    j_def0, _ = evaluate(0.0)
+
+    def satisfied(k):
+        jd, grows_ok = evaluate(k)
+        verdict[k] = grows_ok and jd.mean + 3.0 * jd.stderr < j_eq.mean - 3.0 * j_eq.stderr
+        return verdict[k]
+
+    if satisfied(0.0):
+        k_min = 0.0
+    else:
+        hi = max(tol, 1.0)
+        while not satisfied(hi):
+            hi *= 2.0
+            if hi > k_max:
+                raise NoDeterrentError(f"defection stays profitable up to k = {k_max:g}")
+        lo = 0.0 if hi == max(tol, 1.0) else hi / 2.0
+        while hi - lo > tol:
+            mid = 0.5 * (lo + hi)
+            if satisfied(mid):
+                hi = mid
+            else:
+                lo = mid
+        k_min = hi
+        if k_min > k_max:
+            raise NoDeterrentError(f"the certified rate k = {k_min:g} exceeds k_max = {k_max:g}")
+    j_def_final, _ = evaluate(k_min)
+    ordered = sorted(trace)
+    warnings = [
+        f"defection payoff rose from {v1:.6g} (k={k1:.4g}) to {v2:.6g} (k={k2:.4g})"
+        for (k1, v1, s1), (k2, v2, s2) in zip(ordered, ordered[1:])
+        if k2 > k1 and v2 > v1 + 3.0 * (s1 + s2)
+    ]
+    return PenaltySearchResult(
+        k_min=k_min, j_star=j_eq.mean, j_tilde_at_k=j_def_final.mean, deterred=verdict[k_min],
+        details={
+            "j_star_stderr": j_eq.stderr, "j_tilde_stderr": j_def_final.stderr,
+            "j_tilde_at_zero": j_def0.mean, "growth_rate": growth[k_min],
+            "growth_bound": (p.r + k_min) / 2.0, "trace": ordered, "satisfied": verdict,
+            "warnings": warnings,
+        },
+    )
+
+
+def _assert_as_oracle(res, oracle):
+    details = dict(res.details)
+    margins = details.pop("margins")
+    assert list(margins) == list(details["satisfied"]) == list(oracle.details["satisfied"])
+    assert PenaltySearchResult(res.k_min, res.j_star, res.j_tilde_at_k, res.deterred,
+                               details) == oracle
+
+
+class TestPairedMarches:
+    """min_k_meanfield marches the likely next rate in a forked child; nothing else may change."""
+
+    TINY = McConfig(n_paths=200, n_steps=50, seed=3)
+
+    @pytest.mark.parametrize("n_paths, n_steps, seeds", [
+        (200, 50, range(6)), (2000, 400, (42, 7)),
+    ])
+    def test_one_cpu_and_two_match_the_bisection(self, mfg, processes, n_paths, n_steps, seeds):
+        processes.pair_marches()
+        for seed in seeds:
+            mc = McConfig(n_paths=n_paths, n_steps=n_steps, seed=seed)
+            processes.cpus(1)
+            oracle = _bisection_oracle(mfg, mc)
+            one = min_k_meanfield(mfg, mc)
+            assert processes.forks == []
+            processes.cpus(2)
+            two = min_k_meanfield(mfg, mc)
+            # The draw, then one march pair per round: 5 rounds for the 10 marches.
+            assert len(processes.forks) == 6
+            processes.forks.clear()
+            assert two == one
+            _assert_as_oracle(two, oracle)
+
+    def _wrong_guesses(self, mfg, monkeypatch):
+        """Makes every guess wrong; returns the oracle of the TINY search."""
+        oracle = _bisection_oracle(mfg, self.TINY)
+        truth = oracle.details["satisfied"]
+        monkeypatch.setattr(meanfield._Bisection, "guess",
+                            lambda search, state, margins: not truth[search.request(state)])
+        return oracle
+
+    def test_wrong_guesses_change_nothing(self, mfg, processes, monkeypatch):
+        processes.pair_marches()
+        oracle = self._wrong_guesses(mfg, monkeypatch)
+        processes.forks.clear()
+        _assert_as_oracle(min_k_meanfield(mfg, self.TINY), oracle)
+        # The draw, the k = 0 child and one killed child for each later request but the last.
+        assert len(processes.forks) == 1 + 1 + len(oracle.details["satisfied"]) - 2
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_failed_fork_marches_in_process(self, mfg, processes, monkeypatch):
+        processes.pair_marches()
+        oracle = _bisection_oracle(mfg, self.TINY)
+
+        def no_fork():
+            raise OSError("no more processes")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        _assert_as_oracle(min_k_meanfield(mfg, self.TINY), oracle)
+
+    def test_child_exiting_non_zero_marches_in_process(self, mfg, processes, monkeypatch):
+        processes.pair_marches()
+        oracle = _bisection_oracle(mfg, self.TINY)
+        failed = []
+
+        def failing_fork():
+            pid = processes.real_fork()
+            if pid == 0:
+                os._exit(3)
+            failed.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", failing_fork)
+        _assert_as_oracle(min_k_meanfield(mfg, self.TINY), oracle)
+        # The draw, then a child for every request after k = 0 but the last.
+        assert len(failed) == 1 + 1 + len(oracle.details["satisfied"]) - 2
+
+    def _poison(self, monkeypatch, tmp_path, bad_k, path=17, step=30):
+        """Makes the march of bad_k blow up at (path, step); a child that marches it leaves a file."""
+        march = meanfield._defection_payoff
+        parent = os.getpid()
+
+        def poisoned(p, k, sol, grid, mc, normals):
+            if k == bad_k:
+                if os.getpid() != parent:
+                    (tmp_path / "child").touch()
+                normals = normals.copy()
+                normals[path, step - 1] = np.nan
+            return march(p, k, sol, grid, mc, normals)
+
+        monkeypatch.setattr(meanfield, "_defection_payoff", poisoned)
+
+    def test_blowup_at_a_rate_never_requested_is_dropped(
+            self, mfg, processes, monkeypatch, tmp_path):
+        processes.pair_marches()
+        oracle = self._wrong_guesses(mfg, monkeypatch)
+        # k = 1 deters, so the wrong guess sends the child to k = 2.
+        assert oracle.details["satisfied"][1.0] and 2.0 not in oracle.details["satisfied"]
+        self._poison(monkeypatch, tmp_path, 2.0)
+        _assert_as_oracle(min_k_meanfield(mfg, self.TINY), oracle)
+        assert (tmp_path / "child").exists()
+
+    def test_blowup_at_a_requested_rate_is_the_one_process_error(
+            self, mfg, processes, monkeypatch, tmp_path):
+        processes.pair_marches()
+        # While this process marches k = 1, the child marches k = 0.5.
+        self._poison(monkeypatch, tmp_path, 0.5)
+        errors = []
+        for cpus in (1, 2):
+            processes.cpus(cpus)
+            with pytest.raises(SimulationBlowupError) as err:
+                min_k_meanfield(mfg, self.TINY)
+            errors.append((err.value.path_index, err.value.step))
+        assert errors == [(17, 30), (17, 30)]
+        assert (tmp_path / "child").exists()
+
+    @pytest.mark.parametrize("case", ["k_max", "profitable", "leader", "march"])
+    def test_no_child_is_left(self, mfg, mfg_kwargs, processes, monkeypatch, tmp_path, case):
+        processes.pair_marches()
+        p, mc, k_max, error = mfg, self.TINY, 1000.0, SimulationBlowupError
+        if case == "k_max":
+            k_max, error = 0.1, NoDeterrentError
+        elif case == "profitable":  # see test_no_deterrent_raises_when_state_outgrows_every_rate
+            p, k_max, error = mfg_with(mfg_kwargs, A0=3.0, B0=0.0), 4.0, NoDeterrentError
+            mc = McConfig(n_paths=200, n_steps=200, seed=1, zero_noise=True)
+        elif case == "leader":  # fails while the child marches k = 0
+            def leader(*args):
+                raise SimulationBlowupError(path_index=0, step=1)
+
+            monkeypatch.setattr(meanfield, "_leader_payoff", leader)
+        else:  # this process marches k = 1 while the child marches k = 0.5
+            self._poison(monkeypatch, tmp_path, 1.0)
+        with pytest.raises(error):
+            min_k_meanfield(p, mc, k_max=k_max)
+        assert processes.forks
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_pairs_need_two_cpus_whole_marches_and_size(self, mfg, processes, monkeypatch):
+        mc = self.TINY
+        processes.pair_marches()
+        processes.cpus(1)
+        min_k_meanfield(mfg, mc)
+        processes.cpus(2)
+        monkeypatch.setattr(numerics, "_FORK_MIN_DRAWS", mc.n_paths * mc.n_steps + 1)
+        min_k_meanfield(mfg, mc)
+        assert processes.forks == []
+        # From _FORK_MIN_PATHS paths on, each march forks its own halves instead.
+        monkeypatch.setattr(numerics, "_FORK_MIN_DRAWS", 1)
+        monkeypatch.setattr(numerics, "_FORK_MIN_PATHS", mc.n_paths)
+        res = min_k_meanfield(mfg, mc)
+        assert len(processes.forks) == 1 + 1 + len(res.details["satisfied"])
+
+    def test_fork_rule_constants(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        assert numerics._march_pairs(10_000, 1000)  # mf-threshold
+        assert not numerics._march_pairs(1000, 250)
+        assert not numerics._march_pairs(20_000, 1000)  # marches its own halves
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert not numerics._march_pairs(10_000, 1000)
 
 
 class TestParamValidation:

@@ -3,8 +3,10 @@
 Every job of the three perfbench workloads runs through `stackgame.cli.main`
 at every Monte Carlo seed that has a reference, and its `[results]`,
 certificate outcomes and file row counts must match
-`perfbench/references.json` (perfbench/run.py, `Session`).  Nothing under
-`perfbench/` is written; the jobs write into the ignored `.perfbench-out/`.
+`perfbench/references.json` (perfbench/run.py, `Session`).  The threshold
+search's outputs must also match when it marches two rates at once.
+Nothing under `perfbench/` is written; the jobs write into the ignored
+`.perfbench-out/`.
 """
 
 import json
@@ -25,8 +27,8 @@ from stackgame import cli  # noqa: E402
 REFERENCES = json.loads(run.REFERENCES.read_text())
 
 
-@pytest.mark.parametrize("workload", workloads.WORKLOADS)
-def test_tiny_outputs_match_references(workload):
+def _failed_jobs(workload):
+    """Failed jobs by MC seed, over every seed with a reference."""
     seeded = any(job.seeded for job in workloads.jobs(workload, "tiny"))
     failed = {}
     try:
@@ -39,4 +41,16 @@ def test_tiny_outputs_match_references(workload):
                 failed[seed] = session.failed
     finally:
         shutil.rmtree(run.OUT / "work", ignore_errors=True)
-    assert failed == {}
+    return failed
+
+
+@pytest.mark.parametrize("workload", workloads.WORKLOADS)
+def test_tiny_outputs_match_references(workload):
+    assert _failed_jobs(workload) == {}
+
+
+def test_tiny_threshold_outputs_match_references_with_march_pairs(processes):
+    # The search marches its likely next rate in a forked child at every seed.
+    processes.pair_marches()
+    assert _failed_jobs("mf-threshold") == {}
+    assert len(processes.forks) >= 20 * 6  # per seed the draw, and 5 rounds or more
