@@ -395,21 +395,20 @@ def _split_estimate(plus: np.ndarray, minus: np.ndarray, theta: float) -> SplitE
     )
 
 
-def _simulate(
-    alpha: np.ndarray, beta: np.ndarray, x0: float, grid: TimeGrid, mc: McConfig,
-    normals: np.ndarray | None, integrand, rate: float, split: bool = False,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Streams one population with drift alpha x + beta and its discounted payoff.
+def _payoff_march(
+    alpha: np.ndarray, beta: np.ndarray, x0: float, grid: TimeGrid, integrand, rate: float,
+    split: bool = False,
+) -> tuple:
+    """The _em_functionals march of a population with drift alpha x + beta and its payoff.
 
     The running reward `integrand` maps node states to node rewards and is
     quadratic in the state, so about the Euler mean m it is exactly
     Q(m) + Q'(m)(x - m) + Q''(x - m)^2 / 2, and its values at m and m +- 1
     give the three coefficients.  The quadrature is the trapezoid rule
-    discounted at `rate`, written as node weights.  Returns the per-path
-    payoffs, one row, or with split three rows: the total and its
-    certainty-equivalent and variance-channel parts (see SplitEstimate).
-    Also returns the per-node ensemble mean.  `normals` comes from _noise,
-    so it is None for a zero-noise run.
+    discounted at `rate`, written as node weights.  The march's functionals
+    are the per-path payoffs, one row, or with split three rows: the total
+    and its certainty-equivalent and variance-channel parts (see
+    SplitEstimate).
     """
     times = grid.times()
     m = euler_mean(alpha, beta, x0, grid.h)
@@ -420,15 +419,15 @@ def _simulate(
     rows = [total]
     if split:  # certainty-equivalent (c0, c1) and variance-channel (c2) parts
         rows += [total * [[1.0], [1.0], [0.0]], total * [[0.0], [0.0], [1.0]]]
-    payoffs, mean, _ = _em_functionals(alpha, beta, x0, grid.h, mc.n_paths, normals, m, rows)
-    return payoffs, mean
+    return alpha, beta, x0, m, rows
 
 
-def _noise(mc: McConfig, normals: np.ndarray | None) -> np.ndarray | None:
-    """The driving normals: none for a zero-noise run, else the shared ones or a fresh draw."""
+def _noise(mc: McConfig, normals: np.ndarray | None):
+    """_em_functionals' noise for a call that owns it: none for a zero-noise
+    run, else the given normals, or without them the seed."""
     if mc.zero_noise:
         return None
-    return path_normals(mc.seed, mc.n_paths, mc.n_steps) if normals is None else normals
+    return mc.seed if normals is None else normals
 
 
 def _follower_response(p: MfgParams, u0: np.ndarray, grid: TimeGrid) -> TrajectoryGrid:
@@ -450,26 +449,21 @@ def _follower_response(p: MfgParams, u0: np.ndarray, grid: TimeGrid) -> Trajecto
     return solve_affine_bvp(system, grid)
 
 
-def _leader_payoff(
-    p: MfgParams, u0: np.ndarray, xbar: np.ndarray, grid: TimeGrid, mc: McConfig,
-    normals: np.ndarray | None, split: bool = False,
-) -> np.ndarray:
-    """Per-path leader payoff under an open-loop control u0 against the mean field xbar."""
+def _leader_march(
+    p: MfgParams, u0: np.ndarray, xbar: np.ndarray, grid: TimeGrid, split: bool = False,
+) -> tuple:
+    """The leader's payoff march under an open-loop control u0 against the mean field xbar."""
     target = p.l0 * xbar - p.b0
 
     def integrand(x):
         return -p.a0 * u0**2 + (x - target) ** 2
 
     alpha = np.full_like(u0, p.A0)
-    return _simulate(alpha, p.B0 * u0 + p.C0 * xbar, p.x0_init, grid, mc, normals,
-                     integrand, p.r, split)[0]
+    return _payoff_march(alpha, p.B0 * u0 + p.C0 * xbar, p.x0_init, grid, integrand, p.r, split)
 
 
-def _defection_payoff(
-    p: MfgParams, k: float, sol: MeanFieldSolution, grid: TimeGrid, mc: McConfig,
-    normals: np.ndarray | None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-path defection payoff at rate r + k, and the ensemble mean path."""
+def _defection_march(p: MfgParams, k: float, sol: MeanFieldSolution, grid: TimeGrid) -> tuple:
+    """The defection payoff march at rate r + k."""
     Q, q = _defection_offset(p, k, sol)
     c = p.B0 / (2.0 * p.a0)
     target = p.l0 * sol["xbar"] - p.b0
@@ -479,7 +473,24 @@ def _defection_payoff(
 
     alpha = p.A0 + p.B0 * c * Q
     beta = p.B0 * c * q + p.C0 * sol["xbar"]
-    (payoff,), mean = _simulate(alpha, beta, p.x0_init, grid, mc, normals, integrand, p.r + k)
+    return _payoff_march(alpha, beta, p.x0_init, grid, integrand, p.r + k)
+
+
+def _leader_payoff(
+    p: MfgParams, u0: np.ndarray, xbar: np.ndarray, grid: TimeGrid, mc: McConfig,
+    normals: np.ndarray | None,
+) -> np.ndarray:
+    """Per-path leader payoff (one row) under u0 against xbar, on the given noise."""
+    return _em_functionals([_leader_march(p, u0, xbar, grid)], grid.h, mc.n_paths, normals)[0][0]
+
+
+def _defection_payoff(
+    p: MfgParams, k: float, sol: MeanFieldSolution, grid: TimeGrid, mc: McConfig,
+    normals: np.ndarray | None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-path defection payoff at rate r + k, and the ensemble mean path."""
+    (payoff,), mean, _ = _em_functionals(
+        [_defection_march(p, k, sol, grid)], grid.h, mc.n_paths, normals)[0]
     return payoff, mean
 
 
@@ -502,14 +513,17 @@ def mc_payoffs(
 
     Both estimates use the same driving normals (common random numbers);
     the defection side runs the affine feedback (Q, q) against the frozen
-    equilibrium mean path xbar*.
+    equilibrium mean path xbar*.  Both marches run in one _em_functionals
+    call.  Without given normals it gets mc.seed, so a large ensemble forks
+    once and each process draws and marches only its own half of the paths.
     """
     grid = _mc_grid(p, mc, sol)
     if sol is None:
         sol = mean_field_bvp(p, grid)
-    normals = _noise(mc, normals)
-    (j_eq,) = _leader_payoff(p, sol["u0_star"], sol["xbar"], grid, mc, normals)
-    j_def, _ = _defection_payoff(p, k, sol, grid, mc, normals)
+    marches = [_leader_march(p, sol["u0_star"], sol["xbar"], grid),
+               _defection_march(p, k, sol, grid)]
+    ((j_eq,), _, _), ((j_def,), _, _) = _em_functionals(
+        marches, grid.h, mc.n_paths, _noise(mc, normals))
     return _estimate(j_eq), _estimate(j_def)
 
 
@@ -553,8 +567,8 @@ def follower_feedback_check(p: MfgParams, sol: MeanFieldSolution, mc: McConfig) 
     # Per-path time average of p_i - (F m + fbar) = F (x_i - m).
     coef = [[zero, F / len(F), zero]]
     (avg,), mean, x_end = _em_functionals(
-        alpha, beta, p.xbar_init, grid.h, mc.n_paths, _noise(mc, None), m, coef
-    )
+        [(alpha, beta, p.xbar_init, m, coef)], grid.h, mc.n_paths, _noise(mc, None)
+    )[0]
     mean_resid = float(avg.mean())
     se = float(avg.std(ddof=1) / math.sqrt(mc.n_paths)) if not mc.zero_noise else 0.0
     # Without noise every path is the mean path.
@@ -594,14 +608,14 @@ def euler_condition_check(
     perturbation = np.asarray(perturbation, dtype=float)
     if control.shape != (mc.n_steps + 1,) or perturbation.shape != control.shape:
         raise ParameterError("control and perturbation must be sampled on the MC grid nodes")
-    normals = _noise(mc, normals)
 
-    def payoff(u0):
-        xbar = _follower_response(p, u0, grid)["xbar"]
-        return _leader_payoff(p, u0, xbar, grid, mc, normals, split=True)
+    def march(u0):
+        return _leader_march(p, u0, _follower_response(p, u0, grid)["xbar"], grid, split=True)
 
-    return _split_estimate(payoff(control + theta * perturbation),
-                           payoff(control - theta * perturbation), theta)
+    marches = [march(control + theta * perturbation), march(control - theta * perturbation)]
+    (plus, _, _), (minus, _, _) = _em_functionals(
+        marches, grid.h, mc.n_paths, _noise(mc, normals))
+    return _split_estimate(plus, minus, theta)
 
 
 def follower_euler_check(
@@ -633,18 +647,19 @@ def follower_euler_check(
     F, fbar = sol["F"], sol["fbar"]
     u0, xbar = sol["u0_star"], sol["xbar"]
     alpha, beta = _follower_drift(p, sol)
-    normals = _noise(mc, normals)
 
-    def payoff(shift: float) -> np.ndarray:
+    def march(shift: float) -> tuple:
         def integrand(x):
             u = -(p.B / p.a) * (F * x + fbar) - (p.sigma / p.a) * u0 + shift * perturbation
             track = x - (p.l * xbar - p.b)
             return -p.a * u**2 + track**2 - 2.0 * p.sigma * u0 * u
 
-        return _simulate(alpha, beta + p.B * shift * perturbation, p.xbar_init, grid, mc,
-                         normals, integrand, p.r, split=True)[0]
+        return _payoff_march(alpha, beta + p.B * shift * perturbation, p.xbar_init, grid,
+                             integrand, p.r, split=True)
 
-    return _split_estimate(payoff(theta), payoff(-theta), theta)
+    (plus, _, _), (minus, _, _) = _em_functionals(
+        [march(theta), march(-theta)], grid.h, mc.n_paths, _noise(mc, normals))
+    return _split_estimate(plus, minus, theta)
 
 
 _GROWTH_MARGIN = 1e-6
@@ -763,7 +778,8 @@ def min_k_meanfield(
     times = grid.times()
     if sol is None:
         sol = mean_field_bvp(p, grid)
-    normals = _noise(mc, None)
+    # Both processes of a march pair read the whole matrix, so it is shared.
+    normals = None if mc.zero_noise else path_normals(mc.seed, mc.n_paths, mc.n_steps)
     search = _Bisection(tol, k_max)
     evaluated: dict[float, tuple[McEstimate, float]] = {}  # k -> (J_def, growth slope)
     margins: dict[float, tuple[float, float]] = {}

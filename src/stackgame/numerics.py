@@ -5,13 +5,17 @@ including the Monte Carlo routines (per-path seeding, fixed-order reduction),
 so results never depend on scheduling or on the number of processes.  One
 fork primitive (_fork) runs work in a child made by os.fork, which writes
 into a shared anonymous mmap and reports only through its exit status.
-Large path ensembles run in two: the child draws or marches the second half
-of the paths while this process does the first half (_by_halves).  The
-split is numpy's own pairwise-sum split, so the two halves' per-step sums
-add up to the one-process sum bit for bit, and a failure in either half
-reruns the whole call in-process.  Mid-sized marches stay whole, and
-_march_pairs says when two of them should run side by side instead (the
-mean-field threshold search marches its next rate in a child).
+Large path ensembles run in two: the child does the second half of the
+paths while this process does the first half (_by_halves), with one fork
+per call.  A march that owns its noise gets a seed, and each process draws
+its half's normals into its own private memory and marches them there
+(_em_functionals); only noise shared between calls is drawn whole into
+shared memory (path_normals).  The split is numpy's own pairwise-sum split,
+so the two halves' per-step sums add up to the one-process sum bit for bit,
+and a failure in either half reruns the whole call in-process.  Mid-sized
+marches stay whole, and _march_pairs says when two of them should run side
+by side instead (the mean-field threshold search marches its next rate in a
+child).
 """
 
 from __future__ import annotations
@@ -455,15 +459,16 @@ def _fork(shapes, work) -> _Child | None:
     The buffers are new float arrays of the given shapes in one shared
     anonymous mmap, so the parent reads what the child writes.  The child
     never returns into the caller: it ends in os._exit, and its exit status
-    is its only message, 0 once work returned.  The caller joins it.
+    is its only message, 0 once work returned.  The caller joins it.  A
+    failed mmap is a failed fork: the caller works in one process.
     """
     import mmap  # only a forking call needs it, and importing stackgame need not
 
     sizes = [math.prod(shape) for shape in shapes]
-    shared = np.frombuffer(mmap.mmap(-1, 8 * sum(sizes)), dtype=float)
-    buffers = [chunk.reshape(shape) for chunk, shape
-               in zip(np.split(shared, np.cumsum(sizes)[:-1]), shapes)]
     try:
+        shared = np.frombuffer(mmap.mmap(-1, 8 * sum(sizes)), dtype=float)
+        buffers = [chunk.reshape(shape) for chunk, shape
+                   in zip(np.split(shared, np.cumsum(sizes)[:-1]), shapes)]
         pid = os.fork()
     except OSError:
         return None
@@ -509,40 +514,59 @@ def _by_halves(n: int, fork: bool, shapes, work) -> tuple[list[np.ndarray], int]
     return buffers, 1
 
 
-def path_normals(seed: int, n_paths: int, n_steps: int) -> np.ndarray:
-    """Deterministic (n_paths, n_steps) standard-normal matrix, stored step-major.
-
-    Row i is drawn from its own child stream of SeedSequence(seed), so the
-    matrix is identical no matter how paths are split across processes.
-    The children's seed words are hashed in one vectorised pass
-    (_seeding.child_seed_words) and each row is drawn by numpy's own PCG64 and
-    normal sampler, so the values are those of
-    default_rng(SeedSequence(seed).spawn(n_paths)[i]).
-    The values live in an (n_steps, n_paths) buffer and the matrix is its
-    transpose, so column j, which a path march reads at step j, is
-    contiguous.  Rows are drawn into a small path-major block and copied
-    over block by block.  From _FORK_MIN_DRAWS values on, a forked child
-    draws rows [s, n_paths) into the shared buffer (_by_halves).
-    """
+def _seed_words(seed: int, n_paths: int, n_steps: int) -> np.ndarray:
+    """The checked PCG64 seed words of path_normals(seed, n_paths, n_steps)'s rows."""
     # Imported here: _seeding loads numpy.random, which importing stackgame need not.
-    from ._seeding import SeedWords, child_seed_words
+    from ._seeding import child_seed_words
 
     seed = operator.index(seed)
     if seed < 0:
         raise ParameterError(f"seed must be >= 0, got {seed}")
     if n_paths < 1 or n_steps < 1:
         raise ParameterError(f"need n_paths >= 1 and n_steps >= 1, got {n_paths} x {n_steps}")
-    seed_words = child_seed_words(seed, n_paths)
+    return child_seed_words(seed, n_paths)
+
+
+def _draw_into(out: np.ndarray, seed_words: np.ndarray, lo: int) -> None:
+    """Draws rows lo, lo + 1, ... of path_normals' matrix into the columns of out.
+
+    out is (n_steps, m) and step-major, or a view of such a buffer; column c
+    gets row lo + c.  Each row is drawn by numpy's own PCG64 and normal
+    sampler into a small path-major block, which is copied over block by
+    block.
+    """
+    from ._seeding import SeedWords
+
+    n_steps, m = out.shape
+    block = np.empty((min(m, _NORMALS_BLOCK), n_steps))
+    for start in range(0, m, len(block)):
+        rows = block[: min(len(block), m - start)]
+        for row, words in zip(rows, seed_words[lo + start : lo + start + len(rows)]):
+            bits = np.random.PCG64(SeedWords(words))
+            np.random.Generator(bits).standard_normal(out=row)
+        out[:, start : start + len(rows)] = rows.T
+
+
+def path_normals(seed: int, n_paths: int, n_steps: int) -> np.ndarray:
+    """Deterministic (n_paths, n_steps) standard-normal matrix, stored step-major.
+
+    Row i is drawn from its own child stream of SeedSequence(seed), so the
+    matrix is identical no matter how paths are split across processes.
+    The children's seed words are hashed in one vectorised pass
+    (_seeding.child_seed_words) and _draw_into draws the rows, so the values
+    are those of default_rng(SeedSequence(seed).spawn(n_paths)[i]).
+    The values live in an (n_steps, n_paths) buffer and the matrix is its
+    transpose, so column j, which a path march reads at step j, is
+    contiguous.  From _FORK_MIN_DRAWS values on, a forked child draws rows
+    [s, n_paths) into the shared buffer (_by_halves).  Only a caller that
+    shares the matrix, between calls or between processes, needs it: one
+    that owns its noise passes the seed to _em_functionals, which draws
+    each half where it is marched.
+    """
+    seed_words = _seed_words(seed, n_paths, n_steps)
 
     def draw(buffers, lo: int, hi: int, part: int) -> None:
-        (out,) = buffers
-        block = np.empty((min(hi - lo, _NORMALS_BLOCK), n_steps))
-        for start in range(lo, hi, len(block)):
-            rows = block[: min(len(block), hi - start)]
-            for row, words in zip(rows, seed_words[start : start + len(rows)]):
-                bits = np.random.PCG64(SeedWords(words))
-                np.random.Generator(bits).standard_normal(out=row)
-            out[:, start : start + len(rows)] = rows.T
+        _draw_into(buffers[0][:, lo:hi], seed_words, lo)
 
     fork = n_paths * n_steps >= _FORK_MIN_DRAWS
     (out,), _ = _by_halves(n_paths, fork, [(n_steps, n_paths)], draw)
@@ -631,104 +655,138 @@ def euler_mean(alpha: np.ndarray, beta: np.ndarray, x0: float, h: float) -> np.n
     return m
 
 
-def _em_functionals(
-    alpha: np.ndarray,
-    beta: np.ndarray,
-    x0: float,
-    h: float,
-    n_paths: int,
-    normals: np.ndarray | None,
-    center: np.ndarray,
-    coef,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Streamed Euler-Maruyama march that keeps per-path quadratic functionals.
+def _em_functionals(marches, h: float, n_paths: int, noise) -> list[tuple]:
+    """Streamed Euler-Maruyama marches that keep per-path quadratic functionals.
 
-    Every path starts at x0 and steps
+    Each march (alpha, beta, x0, center, coef) starts every path at x0 and
+    steps
         x_{j+1} = a_j x_j + b_j + wright_fisher_sigma(x_j) sqrt(h) Z_j,
     with euler_mean's factors a_j = 1 + alpha_j h and b_j = beta_j h, so a
-    zero-noise path equals euler_mean bit for bit.  Z = normals
-    (n_paths, n_steps) reads fastest as path_normals' step-major matrix;
-    normals=None switches the noise off.  alpha, beta and center are node
-    arrays (n_steps + 1 nodes).  For each coef[k] = (c0, c1, c2), node arrays
-    that already include any quadrature weights, it adds up per path
+    zero-noise path equals euler_mean bit for bit.  alpha, beta and center
+    are node arrays on one grid (n_steps + 1 nodes) for every march.  For
+    each coef[k] = (c0, c1, c2), node arrays that already include any
+    quadrature weights, it adds up per path
         F_k = sum_j c0_kj + (c2_kj d_j + c1_kj) d_j,   d_j = x_j - center_j,
-    over all nodes while it marches.  Memory is O(n_paths): no path array is
-    stored, and the state, the next state and two temporaries are allocated
-    once and written in place.  A step is two drift passes, seven noise
-    passes, the sum that gives the mean path, one pass for d and two to four
-    per functional row.  Per-path outputs depend only on that path's normals,
-    and no input is written to.  From _FORK_MIN_PATHS paths on, a forked
-    child marches paths [s, n_paths) (_by_halves) and the two per-step sums
-    are added, which is numpy's own last step of the one-process sum.
+    over all nodes while it marches.  No path array is stored, and the
+    state, the next state and two temporaries are allocated once per march
+    and written in place.  A step is two drift passes, seven noise passes,
+    the sum that gives the mean path, one pass for d and two to four per
+    functional row.  Per-path outputs depend only on that path's normals,
+    and no input is written to.
 
-    Returns F (K, n_paths), the per-node ensemble mean and the final state.
-    Raises SimulationBlowupError at the first step that leaves a path
-    non-finite, naming the first such path.
+    Every march reads the same normals Z (n_paths, n_steps), given by noise:
+    - None switches the noise off;
+    - a matrix is read where it lies, fastest path_normals' step-major one;
+    - an int seed stands for path_normals(seed, n_paths, n_steps).  Each
+      process draws the rows of its own paths (_draw_into) into private
+      step-major memory and runs every march on them, so the whole matrix
+      is never built.
+    A caller that owns its noise passes the seed; one that shares the
+    matrix, with other calls or with other processes, passes the matrix.
+
+    From _FORK_MIN_PATHS paths on, or with a seed from _FORK_MIN_DRAWS
+    normals on, one forked child draws and marches paths [s, n_paths)
+    (_by_halves), and each march's two per-step sums are added, which is
+    numpy's own last step of the one-process sum.  If an added sum is not
+    finite the call reruns in-process, so an overflow that only the whole
+    sum sees gives the one-process value or error.
+
+    Returns, per march, F (K, n_paths), the per-node ensemble mean and the
+    final state.  Raises SimulationBlowupError at the first step that leaves
+    a path non-finite, naming the first such path, in the first march that
+    has one.
     """
-    n_steps = len(alpha) - 1
-    if normals is not None and normals.shape != (n_paths, n_steps):
-        raise ParameterError(f"normals shape {normals.shape} != {(n_paths, n_steps)}")
-    coef = np.asarray(coef, dtype=float)
-    constant = coef[:, 0].sum(axis=1)[:, None]
-    active = [
-        (k, c1.tolist() if c1.any() else None, c2.tolist() if c2.any() else None)
-        for k, (c1, c2) in enumerate(zip(coef[:, 1], coef[:, 2]))
-        if c1.any() or c2.any()
-    ]
-    drift_a, drift_b = _euler_factors(alpha, beta, h)
-    centers = center.tolist()
+    n_steps = len(marches[0][0]) - 1
+    seed_words = None
+    if isinstance(noise, np.ndarray):
+        if noise.shape != (n_paths, n_steps):
+            raise ParameterError(f"normals shape {noise.shape} != {(n_paths, n_steps)}")
+    elif noise is not None:
+        seed_words = _seed_words(noise, n_paths, n_steps)
     sqrt_h = math.sqrt(h)
 
-    def march(buffers, lo: int, hi: int, part: int) -> None:
-        out, sums, x_end = buffers
-        out[:, lo:hi] = constant
-        rows = [(out[k, lo:hi], c1, c2) for k, c1, c2 in active]
-        z = None if normals is None else normals[lo:hi]
-        sums = sums[part]
-        x, x_next, d, tmp = (np.empty(hi - lo) for _ in range(4))
-        x.fill(float(x0))
+    def stepper(alpha, beta, x0, center, coef):
+        """The march's functional count and its work on paths [lo, hi) with normals z."""
+        if len(alpha) != n_steps + 1:
+            raise ParameterError(f"a march has {len(alpha)} nodes, the first one {n_steps + 1}")
+        coef = np.asarray(coef, dtype=float)
+        constant = coef[:, 0].sum(axis=1)[:, None]
+        active = [
+            (k, c1.tolist() if c1.any() else None, c2.tolist() if c2.any() else None)
+            for k, (c1, c2) in enumerate(zip(coef[:, 1], coef[:, 2]))
+            if c1.any() or c2.any()
+        ]
+        drift_a, drift_b = _euler_factors(alpha, beta, h)
+        centers = center.tolist()
 
-        def add_node(j: int) -> None:
-            np.subtract(x, centers[j], out=d)
-            for acc, c1, c2 in rows:
-                if c2 is None:
-                    np.multiply(d, c1[j], out=tmp)
-                else:
-                    np.multiply(d, c2[j], out=tmp)
-                    if c1 is not None:
-                        np.add(tmp, c1[j], out=tmp)
-                    np.multiply(tmp, d, out=tmp)
-                acc += tmp
+        def march(buffers, lo: int, hi: int, part: int, z: np.ndarray | None) -> None:
+            out, sums, x_end = buffers
+            out[:, lo:hi] = constant
+            rows = [(out[k, lo:hi], c1, c2) for k, c1, c2 in active]
+            sums = sums[part]
+            x, x_next, d, tmp = (np.empty(hi - lo) for _ in range(4))
+            x.fill(float(x0))
 
-        sums[0] = x.sum()
-        add_node(0)
-        for j in range(n_steps):
-            np.multiply(x, drift_a[j], out=x_next)
-            x_next += drift_b[j]
-            if z is not None:  # wright_fisher_sigma(x) * sqrt_h * Z_j, in place
-                np.subtract(1.0, x, out=tmp)
-                tmp *= x
-                np.maximum(0.0, tmp, out=tmp)
-                np.sqrt(tmp, out=tmp)
-                tmp *= sqrt_h
-                tmp *= z[:, j]
-                x_next += tmp
-            x, x_next = x_next, x
-            total = sums[j + 1] = x.sum()
-            if not math.isfinite(total):
-                bad = np.flatnonzero(~np.isfinite(x))
-                if bad.size:
-                    raise SimulationBlowupError(path_index=lo + int(bad[0]), step=j + 1)
-            add_node(j + 1)
-        x_end[lo:hi] = x
+            def add_node(j: int) -> None:
+                np.subtract(x, centers[j], out=d)
+                for acc, c1, c2 in rows:
+                    if c2 is None:
+                        np.multiply(d, c1[j], out=tmp)
+                    else:
+                        np.multiply(d, c2[j], out=tmp)
+                        if c1 is not None:
+                            np.add(tmp, c1[j], out=tmp)
+                        np.multiply(tmp, d, out=tmp)
+                    acc += tmp
 
-    shapes = [(len(coef), n_paths), (2, n_steps + 1), (n_paths,)]
-    (out, sums, x_end), parts = _by_halves(n_paths, n_paths >= _FORK_MIN_PATHS, shapes, march)
+            sums[0] = x.sum()
+            add_node(0)
+            for j in range(n_steps):
+                np.multiply(x, drift_a[j], out=x_next)
+                x_next += drift_b[j]
+                if z is not None:  # wright_fisher_sigma(x) * sqrt_h * Z_j, in place
+                    np.subtract(1.0, x, out=tmp)
+                    tmp *= x
+                    np.maximum(0.0, tmp, out=tmp)
+                    np.sqrt(tmp, out=tmp)
+                    tmp *= sqrt_h
+                    tmp *= z[:, j]
+                    x_next += tmp
+                x, x_next = x_next, x
+                total = sums[j + 1] = x.sum()
+                if not math.isfinite(total):
+                    bad = np.flatnonzero(~np.isfinite(x))
+                    if bad.size:
+                        raise SimulationBlowupError(path_index=lo + int(bad[0]), step=j + 1)
+                add_node(j + 1)
+            x_end[lo:hi] = x
+
+        return len(coef), march
+
+    steppers = [stepper(*march) for march in marches]
+
+    def work(buffers, lo: int, hi: int, part: int) -> None:
+        if seed_words is None:
+            z = None if noise is None else noise[lo:hi]
+        else:
+            z = np.empty((n_steps, hi - lo))
+            _draw_into(z, seed_words, lo)
+            z = z.T
+        for i, (_, march) in enumerate(steppers):
+            march(buffers[3 * i : 3 * i + 3], lo, hi, part, z)
+
+    shapes = [shape for rows, _ in steppers
+              for shape in ((rows, n_paths), (2, n_steps + 1), (n_paths,))]
+    fork = n_paths >= _FORK_MIN_PATHS or (
+        seed_words is not None and n_paths * n_steps >= _FORK_MIN_DRAWS)
+    buffers, parts = _by_halves(n_paths, fork, shapes, work)
     if parts == 2:
         with np.errstate(all="ignore"):
-            sums[0] += sums[1]
+            for sums in buffers[1::3]:
+                sums[0] += sums[1]
         # Non-finite sums without a non-finite path: an overflow that only the
         # whole sum may see, so one process gives the value or raises the error.
-        if not np.isfinite(sums[0]).all():
-            (out, sums, x_end), _ = _by_halves(n_paths, False, shapes, march)
-    return out, sums[0] / n_paths, x_end
+        if not all(np.isfinite(sums[0]).all() for sums in buffers[1::3]):
+            buffers, _ = _by_halves(n_paths, False, shapes, work)
+    return [(out, sums[0] / n_paths, x_end)
+            for out, sums, x_end in zip(buffers[0::3], buffers[1::3], buffers[2::3])]

@@ -279,9 +279,10 @@ def _threshold_run(config, out):
 
 
 def test_11_determinism_across_worker_counts(processes, tmp_path):
-    # The same calls in one process and in two: the fixture makes the
-    # 2000 x 400 ensemble's draw and marches fork whenever two CPUs show,
-    # and then the CLI's threshold search marches two rates at once.
+    # The same calls in one process and in two: whenever two CPUs show, the
+    # fixture makes mc_payoffs fork once, and each process draws and marches
+    # its own half of the 2000 x 400 ensemble.  Then the CLI's threshold
+    # search draws its shared matrix in halves and marches two rates at once.
     config = tmp_path / "threshold.yaml"
     config.write_text(yaml.safe_dump({
         "model": "meanfield", "action": "threshold-k", "params": MFG_KW,

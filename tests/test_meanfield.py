@@ -1,7 +1,10 @@
 """Unit tests for the major/minor mean-field game model."""
 
+import errno
 import math
+import mmap
 import os
+import time
 
 import numpy as np
 import pytest
@@ -29,7 +32,13 @@ from stackgame.meanfield import (
     mean_payoffs,
     min_k_meanfield,
 )
-from stackgame.numerics import AffineSystem, TimeGrid, rk4_solve_general, solve_affine_bvp
+from stackgame.numerics import (
+    AffineSystem,
+    TimeGrid,
+    path_normals,
+    rk4_solve_general,
+    solve_affine_bvp,
+)
 from stackgame.results import PenaltySearchResult
 
 
@@ -504,7 +513,7 @@ def _bisection_oracle(p, mc, tol=0.01, k_max=1000.0):
     grid = meanfield._mc_grid(p, mc)
     times = grid.times()
     sol = mean_field_bvp(p, grid)
-    normals = meanfield._noise(mc, None)
+    normals = path_normals(mc.seed, mc.n_paths, mc.n_steps)
     (j_eq,) = meanfield._leader_payoff(p, sol["u0_star"], sol["xbar"], grid, mc, normals)
     j_eq = meanfield._estimate(j_eq)
     trace, marched, growth, verdict = [], {}, {}, {}
@@ -621,6 +630,18 @@ class TestPairedMarches:
         monkeypatch.setattr(os, "fork", no_fork)
         _assert_as_oracle(min_k_meanfield(mfg, self.TINY), oracle)
 
+    def test_failed_mmap_marches_in_process(self, mfg, processes, monkeypatch):
+        processes.pair_marches()
+        oracle = _bisection_oracle(mfg, self.TINY)
+        processes.forks.clear()
+
+        def no_memory(*args):
+            raise OSError(errno.ENOMEM, "Cannot allocate memory")
+
+        monkeypatch.setattr(mmap, "mmap", no_memory)
+        _assert_as_oracle(min_k_meanfield(mfg, self.TINY), oracle)
+        assert processes.forks == []
+
     def test_child_exiting_non_zero_marches_in_process(self, mfg, processes, monkeypatch):
         processes.pair_marches()
         oracle = _bisection_oracle(mfg, self.TINY)
@@ -638,17 +659,26 @@ class TestPairedMarches:
         # The draw, then a child for every request after k = 0 but the last.
         assert len(failed) == 1 + 1 + len(oracle.details["satisfied"]) - 2
 
-    def _poison(self, monkeypatch, tmp_path, bad_k, path=17, step=30):
-        """Makes the march of bad_k blow up at (path, step); a child that marches it leaves a file."""
+    def _poison(self, monkeypatch, tmp_path, bad_k, path=17, step=30, wait_at=None):
+        """Makes the march of bad_k blow up at (path, step); a child that marches it leaves a file.
+
+        This process's march of wait_at waits (up to 10 s) for that file, so a
+        child sent to bad_k meanwhile reaches it before it can be killed.
+        """
         march = meanfield._defection_payoff
         parent = os.getpid()
+        child = tmp_path / "child"
 
         def poisoned(p, k, sol, grid, mc, normals):
             if k == bad_k:
                 if os.getpid() != parent:
-                    (tmp_path / "child").touch()
+                    child.touch()
                 normals = normals.copy()
                 normals[path, step - 1] = np.nan
+            elif k == wait_at and os.getpid() == parent:
+                deadline = time.monotonic() + 10.0
+                while not child.exists() and time.monotonic() < deadline:
+                    time.sleep(0.001)
             return march(p, k, sol, grid, mc, normals)
 
         monkeypatch.setattr(meanfield, "_defection_payoff", poisoned)
@@ -659,7 +689,7 @@ class TestPairedMarches:
         oracle = self._wrong_guesses(mfg, monkeypatch)
         # k = 1 deters, so the wrong guess sends the child to k = 2.
         assert oracle.details["satisfied"][1.0] and 2.0 not in oracle.details["satisfied"]
-        self._poison(monkeypatch, tmp_path, 2.0)
+        self._poison(monkeypatch, tmp_path, 2.0, wait_at=1.0)
         _assert_as_oracle(min_k_meanfield(mfg, self.TINY), oracle)
         assert (tmp_path / "child").exists()
 

@@ -1,11 +1,13 @@
 """Unit tests for the shared deterministic/stochastic numerical kernels."""
 
+import errno
+import mmap
 import os
 
 import numpy as np
 import pytest
 
-from stackgame import numerics
+from stackgame import meanfield, numerics
 from stackgame.errors import (
     BracketError,
     ConfigurationError,
@@ -29,6 +31,11 @@ from stackgame.numerics import (
     solve_affine_bvp,
     wright_fisher_sigma,
 )
+
+
+def _march(alpha, beta, x0, h, n_paths, noise, center, coef):
+    """_em_functionals with one march: its (F, mean path, final state)."""
+    return _em_functionals([(alpha, beta, x0, center, coef)], h, n_paths, noise)[0]
 
 
 class TestTimeGrid:
@@ -412,7 +419,7 @@ class TestStreamedKernel:
                  "mixed": c}
         coef = list(kinds.values()) if rows == "all three" else [kinds[rows]]
         args = (alpha, beta, 0.5, grid.h, n_paths, normals if noise else None, m, coef)
-        for new, old in zip(_em_functionals(*args), self._allocating_march(*args)):
+        for new, old in zip(_march(*args), self._allocating_march(*args)):
             _close(new, old)
 
     def test_march_writes_no_input_and_repeats_bit_for_bit(self):
@@ -421,7 +428,7 @@ class TestStreamedKernel:
         coef = [c, c * [[1.0], [1.0], [0.0]], c * [[0.0], [0.0], [1.0]]]
         inputs = [normals, alpha, beta, m, *coef]
         before = [a.tobytes() for a in inputs]
-        runs = [_em_functionals(alpha, beta, 0.5, grid.h, 50, normals, m, coef) for _ in "ab"]
+        runs = [_march(alpha, beta, 0.5, grid.h, 50, normals, m, coef) for _ in "ab"]
         assert [a.tobytes() for a in inputs] == before
         for first, second in zip(*runs):
             assert first.tobytes() == second.tobytes()
@@ -429,7 +436,7 @@ class TestStreamedKernel:
     def test_payoff_matches_trapezoid_of_full_paths(self):
         grid, alpha, beta, reward, rate, m, coef, normals = _kernel_case()
         t = grid.times()
-        (payoff,), mean, x_end = _em_functionals(
+        (payoff,), mean, x_end = _march(
             alpha, beta, 0.5, grid.h, 50, normals, m, coef
         )
         ens = em_paths(
@@ -443,8 +450,8 @@ class TestStreamedKernel:
 
     def test_per_path_outputs_are_chunk_invariant(self):
         grid, alpha, beta, _, _, m, coef, normals = _kernel_case(n_paths=8)
-        many, _, x_many = _em_functionals(alpha, beta, 0.5, grid.h, 8, normals, m, coef)
-        few, _, x_few = _em_functionals(
+        many, _, x_many = _march(alpha, beta, 0.5, grid.h, 8, normals, m, coef)
+        few, _, x_few = _march(
             alpha, beta, 0.5, grid.h, 3, path_normals(5, 3, grid.n_steps), m, coef
         )
         assert np.array_equal(many[:, :3], few)
@@ -454,7 +461,7 @@ class TestStreamedKernel:
         grid, alpha, beta, _, _, m, coef, _ = _kernel_case()
         zero = np.zeros_like(m)
         stack = [[zero, np.ones_like(m), zero], [zero, zero, np.ones_like(m)]]
-        (lin, quad), mean, x_end = _em_functionals(alpha, beta, 0.5, grid.h, 4, None, m, stack)
+        (lin, quad), mean, x_end = _march(alpha, beta, 0.5, grid.h, 4, None, m, stack)
         assert np.array_equal(mean, m)
         assert np.all(x_end == m[-1])
         assert np.all(lin == 0.0) and np.all(quad == 0.0)
@@ -467,7 +474,7 @@ class TestStreamedKernel:
             normals[first:, step - 1] = np.nan
             normals[1, 20] = np.nan
             with pytest.raises(SimulationBlowupError) as streamed:
-                _em_functionals(alpha, beta, 0.5, grid.h, 6, normals, m, coef)
+                _march(alpha, beta, 0.5, grid.h, 6, normals, m, coef)
             assert (streamed.value.path_index, streamed.value.step) == (first, step)
             with pytest.raises(SimulationBlowupError) as full:
                 em_paths(lambda s, x: 0.0 * x, lambda s, x: wright_fisher_sigma(x), 0.5,
@@ -477,7 +484,7 @@ class TestStreamedKernel:
     def test_wrong_normals_shape_rejected(self):
         grid, alpha, beta, _, _, m, coef, _ = _kernel_case()
         with pytest.raises(ParameterError):
-            _em_functionals(alpha, beta, 0.5, grid.h, 4, np.zeros((4, 199)), m, coef)
+            _march(alpha, beta, 0.5, grid.h, 4, np.zeros((4, 199)), m, coef)
 
 
 def _split_rows(c):
@@ -525,9 +532,9 @@ class TestTwoProcesses:
         grid, alpha, beta, _, _, m, (c,), normals = _kernel_case(n_paths=n_paths, n_steps=60)
         coef = _split_rows(c) if rows == "split" else [c]
         args = (alpha, beta, 0.5, grid.h, n_paths, normals if noise else None, m, coef)
-        one = self._one_process(processes, lambda: _em_functionals(*args))
+        one = self._one_process(processes, lambda: _march(*args))
         before = len(processes.forks)
-        two = _em_functionals(*args)
+        two = _march(*args)
         assert len(processes.forks) == before + 1
         for forked, single in zip(two, one):
             assert forked.tobytes() == single.tobytes()
@@ -541,19 +548,19 @@ class TestTwoProcesses:
 
     def test_failed_fork_runs_in_process(self, processes, monkeypatch):
         args = self._march_case(processes)
-        want = self._one_process(processes, lambda: _em_functionals(*args))
+        want = self._one_process(processes, lambda: _march(*args))
 
         def no_fork():
             raise OSError("no more processes")
 
         monkeypatch.setattr(os, "fork", no_fork)
-        for got, single in zip(_em_functionals(*args), want):
+        for got, single in zip(_march(*args), want):
             assert got.tobytes() == single.tobytes()
         assert path_normals(5, 300, 40).tobytes() == args[5].tobytes()
 
     def test_child_exiting_non_zero_reruns_in_process(self, processes, monkeypatch):
         args = self._march_case(processes)
-        want = self._one_process(processes, lambda: _em_functionals(*args))
+        want = self._one_process(processes, lambda: _march(*args))
         failed = []
 
         def failing_fork():
@@ -564,7 +571,7 @@ class TestTwoProcesses:
             return pid
 
         monkeypatch.setattr(os, "fork", failing_fork)
-        for got, single in zip(_em_functionals(*args), want):
+        for got, single in zip(_march(*args), want):
             assert got.tobytes() == single.tobytes()
         assert path_normals(5, 300, 40).tobytes() == args[5].tobytes()
         assert len(failed) == 2
@@ -582,7 +589,7 @@ class TestTwoProcesses:
         for forked in (False, True):
             processes.cpus(2 if forked else 1)
             with pytest.raises(SimulationBlowupError) as err:
-                _em_functionals(*args)
+                _march(*args)
             assert (err.value.path_index, err.value.step) == first
         assert len(processes.forks) == 1
 
@@ -592,7 +599,7 @@ class TestTwoProcesses:
         for forked in (False, True):
             processes.cpus(2 if forked else 1)
             with np.errstate(over="raise"), pytest.raises(FloatingPointError):
-                _em_functionals(alpha, beta, x0, h, n, normals, m, [c])
+                _march(alpha, beta, x0, h, n, normals, m, [c])
         assert len(processes.forks) == 1
 
     def test_sum_only_the_whole_ensemble_overflows(self, processes):
@@ -606,19 +613,19 @@ class TestTwoProcesses:
         for forked in (False, True):
             processes.cpus(2 if forked else 1)
             with np.errstate(over="raise"), pytest.raises(FloatingPointError):
-                _em_functionals(*args)
+                _march(*args)
             with np.errstate(over="ignore"):
-                _, mean, x_end = _em_functionals(*args)
+                _, mean, x_end = _march(*args)
             assert np.all(mean == np.inf) and np.all(x_end == 1e306)
         assert len(processes.forks) == 2
 
     def test_no_child_is_left(self, processes):
         args = self._march_case(processes)
         path_normals(5, 300, 40)
-        _em_functionals(*args)
+        _march(*args)
         args[5][200, 3] = np.nan
         with pytest.raises(SimulationBlowupError):
-            _em_functionals(*args)
+            _march(*args)
         assert len(processes.forks) == 3
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
@@ -630,3 +637,152 @@ class TestTwoProcesses:
         monkeypatch.delattr(os, "sched_getaffinity")
         path_normals(5, 300, 40)
         assert processes.forks == []
+
+    # A seed instead of a matrix: each process draws its own half's rows of
+    # path_normals(seed, ...) and runs every march of the call on them.
+
+    @staticmethod
+    def _seed_case(n_paths, n_steps, rows="split"):
+        """Two marches on _kernel_case's grid, its step, and the matrix that seed 5 stands for."""
+        grid, alpha, beta, _, _, m, (c,), normals = _kernel_case(n_paths=n_paths, n_steps=n_steps)
+        coef = _split_rows(c) if rows == "split" else [c]
+        marches = [(alpha, beta, 0.5, m, coef), (0.5 * alpha, beta - 0.1, 0.3, m, coef)]
+        return marches, grid.h, normals
+
+    @staticmethod
+    def _same(got, want):
+        assert len(got) == len(want)
+        for march, single in zip(got, want):
+            for forked, one in zip(march, single):
+                assert forked.tobytes() == one.tobytes()
+
+    @pytest.mark.parametrize("n_paths", [129, 1000, 1003])
+    @pytest.mark.parametrize("rows", ["one", "split"])
+    def test_seed_matches_the_matrix_it_stands_for(self, processes, rows, n_paths):
+        marches, h, normals = self._seed_case(n_paths, 60, rows)
+        want = self._one_process(processes, lambda: _em_functionals(marches, h, n_paths, normals))
+        for cpus in (1, 2):
+            processes.cpus(cpus)
+            processes.forks.clear()
+            self._same(_em_functionals(marches, h, n_paths, 5), want)
+            assert len(processes.forks) == cpus - 1  # one fork draws and runs both marches
+
+    @staticmethod
+    def _poison_draws(monkeypatch, paths):
+        """Makes the drawn normal of each path at each step NaN, in whichever process draws it."""
+        draw = numerics._draw_into
+
+        def poisoned(out, seed_words, lo):
+            draw(out, seed_words, lo)
+            for path, step in paths.items():
+                if lo <= path < lo + out.shape[1]:
+                    out[step - 1, path - lo] = np.nan
+
+        monkeypatch.setattr(numerics, "_draw_into", poisoned)
+
+    @pytest.mark.parametrize("paths, first", [
+        ({200: 13}, (200, 13)),  # only the child's half fails
+        ({5: 9}, (5, 9)),  # only this process's half fails
+        ({5: 20, 250: 10}, (250, 10)),  # both fail, the child's half first
+    ])
+    def test_seeded_blowup_names_path_and_step_of_one_process(
+            self, processes, monkeypatch, paths, first):
+        # Paths 0..143 are drawn and marched here, 144..299 in the child.
+        marches, h, _ = self._seed_case(300, 40)
+        processes.forks.clear()
+        self._poison_draws(monkeypatch, paths)
+        for cpus in (1, 2):
+            processes.cpus(cpus)
+            with pytest.raises(SimulationBlowupError) as err:
+                _em_functionals(marches, h, 300, 5)
+            assert (err.value.path_index, err.value.step) == first
+            with pytest.raises(ChildProcessError):  # the child is reaped
+                os.waitpid(-1, os.WNOHANG)
+        assert len(processes.forks) == 1
+
+    def test_seeded_sum_only_the_whole_ensemble_overflows(self, processes, monkeypatch):
+        # test_sum_only_the_whole_ensemble_overflows with seeded noise, which the
+        # clamp zeroes at 1e306.  Each half's sums are finite and their join is
+        # not, so the whole call is drawn and marched again in this process.
+        n = 40
+        big = (np.zeros(n + 1), np.zeros(n + 1), 1e306, np.full(n + 1, 1e306),
+               [[np.zeros(n + 1), np.ones(n + 1), np.zeros(n + 1)]])
+        draw, draws = numerics._draw_into, []
+
+        def counted(out, seed_words, lo):
+            draws.append((lo, out.shape[1]))
+            draw(out, seed_words, lo)
+
+        monkeypatch.setattr(numerics, "_draw_into", counted)
+        for cpus in (1, 2):
+            processes.cpus(cpus)
+            with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+                _em_functionals([big], 1.0 / n, 300, 5)
+            draws.clear()
+            with np.errstate(over="ignore"):
+                ((_, mean, x_end),) = _em_functionals([big], 1.0 / n, 300, 5)
+            assert np.all(mean == np.inf) and np.all(x_end == 1e306)
+            # This process's draws: the whole, or its half and then the whole.
+            assert draws == ([(0, 300)] if cpus == 1 else [(0, 144), (0, 300)])
+        assert len(processes.forks) == 2
+
+    @pytest.mark.parametrize("failure", ["fork", "child"])
+    def test_seeded_failed_fork_or_child_runs_in_process(self, processes, monkeypatch, failure):
+        marches, h, normals = self._seed_case(300, 40)
+        want = self._one_process(processes, lambda: _em_functionals(marches, h, 300, normals))
+        failed = []
+
+        def failing_fork():
+            if failure == "fork":
+                raise OSError("no more processes")
+            pid = processes.real_fork()
+            if pid == 0:
+                os._exit(3)  # before drawing or marching anything
+            failed.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", failing_fork)
+        self._same(_em_functionals(marches, h, 300, 5), want)
+        assert len(failed) == (failure == "child")
+
+    def test_failed_mmap_runs_in_process(self, processes, monkeypatch):
+        # Without memory to share there is no child: every call gives the
+        # one-process values, and none of them forks.
+        marches, h, normals = self._seed_case(300, 40)
+        want = self._one_process(processes, lambda: _em_functionals(marches, h, 300, normals))
+        processes.forks.clear()
+
+        def no_memory(*args):
+            raise OSError(errno.ENOMEM, "Cannot allocate memory")
+
+        monkeypatch.setattr(mmap, "mmap", no_memory)
+        self._same(_em_functionals(marches, h, 300, 5), want)
+        self._same(_em_functionals(marches, h, 300, normals), want)
+        assert path_normals(5, 300, 40).tobytes() == normals.tobytes()
+        assert processes.forks == []
+
+    def test_single_use_calls_fork_once_and_match_the_shared_matrix(self, processes, mfg):
+        # mc_payoffs, the Euler checks and follower_feedback_check own their
+        # noise: one fork each (mc_payoffs forked 3 times when it drew the
+        # matrix first, follower_feedback_check twice), and the values of
+        # the normals=path_normals(...) call.
+        mc = meanfield.McConfig(n_paths=300, n_steps=40, seed=5)
+        sol = meanfield.mean_field_bvp(mfg, TimeGrid(0.0, mfg.T, mc.n_steps))
+        normals = self._one_process(processes, lambda: path_normals(5, 300, 40))
+        v = np.ones(mc.n_steps + 1)
+        calls = [
+            lambda noise: meanfield.mc_payoffs(mfg, 0.5, mc, sol=sol, normals=noise),
+            lambda noise: meanfield.euler_condition_check(
+                mfg, sol["u0_star"], v, mc, normals=noise).samples.tobytes(),
+            lambda noise: meanfield.follower_euler_check(
+                mfg, sol, v, mc, normals=noise).samples.tobytes(),
+        ]
+        for call in calls:
+            shared = self._one_process(processes, lambda: call(normals))
+            processes.forks.clear()
+            assert call(None) == shared
+            assert len(processes.forks) == 1
+        one = self._one_process(processes, lambda: meanfield.follower_feedback_check(mfg, sol, mc))
+        processes.forks.clear()
+        assert meanfield.follower_feedback_check(mfg, sol, mc) == one
+        assert len(processes.forks) == 1
