@@ -12,8 +12,8 @@ Outputs land in the --out directory (default: alongside the config):
     trajectory.csv   time-gridded channels, header `t,channel1,...`
     sweep.csv        penalty-rate sweeps: k, J_star, J_tilde, satisfied
 
-Exit codes: 0 success, 2 configuration/usage error or unwritable outputs,
-3 numerical failure.
+Exit codes: 0 success, 2 configuration/usage error, too little memory for
+the configuration or unwritable outputs, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -444,6 +444,9 @@ def main(argv: list[str] | None = None) -> int:
     except (StackgameError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
+    except MemoryError as exc:  # each size is bounded, their product is not
+        print(f"error: not enough memory for this configuration: {exc}", file=sys.stderr)
+        return 2
     out_dir = Path(cfg.out) if cfg.out != "." else Path(args.config).resolve().parent
     try:
         write_report(report, out_dir)

@@ -40,8 +40,7 @@ from .numerics import (
     TrajectoryGrid,
     _affine_march,
     _em_functionals,
-    _fork,
-    _march_pairs,
+    _march_beside,
     _rk4_linear_backward,
     euler_mean,
     path_normals,
@@ -423,8 +422,7 @@ def _payoff_march(
 
 
 def _noise(mc: McConfig, normals: np.ndarray | None):
-    """_em_functionals' noise for a call that owns it: none for a zero-noise
-    run, else the given normals, or without them the seed."""
+    """_em_functionals' noise for a call that owns it: None, the given normals or the seed."""
     if mc.zero_noise:
         return None
     return mc.seed if normals is None else normals
@@ -514,8 +512,8 @@ def mc_payoffs(
     Both estimates use the same driving normals (common random numbers);
     the defection side runs the affine feedback (Q, q) against the frozen
     equilibrium mean path xbar*.  Both marches run in one _em_functionals
-    call.  Without given normals it gets mc.seed, so a large ensemble forks
-    once and each process draws and marches only its own half of the paths.
+    call, on the given normals or else on mc.seed's, so a large ensemble
+    forks once.
     """
     grid = _mc_grid(p, mc, sol)
     if sol is None:
@@ -757,18 +755,16 @@ def min_k_meanfield(
     (r + k)/2 - 1e-6 - slope.  The bisection trace is checked for
     monotone-decreasing defection payoffs (up to 6 SE slack, two estimates).
     Each distinct k is marched once; details["trace"] keeps one
-    (k, mean, stderr) row per evaluation, k = 0 and k_min twice, and
-    details["satisfied"] maps each k to the search's verdict on it.  A
-    certified rate above k_max raises NoDeterrentError.  A given sol must
-    have been solved on the Monte Carlo grid.
+    (k, mean, stderr) row per evaluated k plus one more each for k = 0 and
+    k_min (three k = 0 rows when k_min = 0), and details["satisfied"] maps
+    each k to the search's verdict on it.  A certified rate above k_max
+    raises NoDeterrentError.  A given sol must have been solved on the Monte
+    Carlo grid.
 
-    Where numerics._march_pairs allows, each round marches two rates at
-    once: this process the one the search requests now, a child made by
-    os.fork the one it will most likely request next (_Bisection.guess);
-    the first round pairs the equilibrium march with k = 0.  A child's
-    march is used only if its rate is requested next, and otherwise killed.
-    If the child or the fork failed, the rate is marched here, so results
-    and errors are those of one process.  No child outlives the call.
+    Each round marches the requested rate, and by _march_beside the rate
+    the search will most likely request next (_Bisection.guess); the first
+    round pairs the equilibrium march with k = 0.  The guessed march is
+    judged only if its rate is requested next.
     """
     require_positive(tol=tol, k_max=k_max)
     if mc.n_steps < 3:
@@ -788,43 +784,34 @@ def min_k_meanfield(
     def march(k: float) -> tuple[np.ndarray, np.ndarray]:
         return _defection_payoff(p, k, sol, grid, mc, normals)
 
-    def march_ahead(k: float):
-        """(k, child marching k), or None if the fork failed."""
-        def work(buffers):
-            for buffer, values in zip(buffers, march(k)):
-                buffer[:] = values
+    def beside(here, k_next: float | None):
+        """here(), and k_next's march in a child alongside: (here's result, that march or None)."""
+        there = None if k_next is None else lambda: march(k_next)
+        return _march_beside(mc.n_paths, mc.n_steps, here, there)
 
-        child = _fork([(mc.n_paths,), (mc.n_steps + 1,)], work)
-        return None if child is None else (k, child)
+    def judge(state, k: float, marched):
+        """Records k's margins and verdict from its march; returns the search's next state."""
+        samples, mean = marched
+        jd = _estimate(samples)
+        _, slope = growth_order_check(times, mean, p.r + k)
+        margins[k] = ((j_eq.mean - 3.0 * j_eq.stderr) - (jd.mean + 3.0 * jd.stderr),
+                      (p.r + k) / 2.0 - _GROWTH_MARGIN - slope)
+        evaluated[k] = jd, slope
+        verdict[k] = margins[k][0] > 0.0 and margins[k][1] > 0.0
+        return search.step(state, verdict[k])
 
-    pairs = _march_pairs(mc.n_paths, mc.n_steps)
     state = search.start
-    ahead = march_ahead(search.request(state)) if pairs else None
-    try:
-        (j_eq,) = _leader_payoff(p, sol["u0_star"], sol["xbar"], grid, mc, normals)
-        j_eq = _estimate(j_eq)
-        while (k := search.request(state)) is not None:
-            marched = None
-            if ahead is not None:
-                (k_ahead, child), ahead = ahead, None
-                if child.join(kill=k_ahead != k):
-                    marched = child.buffers
-            if marched is None:
-                if pairs:
-                    k_next = search.request(search.step(state, search.guess(state, margins)))
-                    ahead = None if k_next is None else march_ahead(k_next)
-                marched = march(k)
-            samples, mean = marched
-            jd = _estimate(samples)
-            _, slope = growth_order_check(times, mean, p.r + k)
-            margins[k] = ((j_eq.mean - 3.0 * j_eq.stderr) - (jd.mean + 3.0 * jd.stderr),
-                          (p.r + k) / 2.0 - _GROWTH_MARGIN - slope)
-            evaluated[k] = jd, slope
-            verdict[k] = margins[k][0] > 0.0 and margins[k][1] > 0.0
-            state = search.step(state, verdict[k])
-    finally:
-        if ahead is not None:
-            ahead[1].join(kill=True)
+    (j_eq,), ahead = beside(
+        lambda: _leader_payoff(p, sol["u0_star"], sol["xbar"], grid, mc, normals), 0.0)
+    j_eq = _estimate(j_eq)
+    if ahead is not None:
+        state = judge(state, 0.0, ahead)
+    while (k := search.request(state)) is not None:
+        k_next = search.request(search.step(state, search.guess(state, margins)))
+        marched, ahead = beside(lambda: march(k), k_next)
+        state = judge(state, k, marched)
+        if ahead is not None and search.request(state) == k_next:
+            state = judge(state, k_next, ahead)
 
     phase, _, k_min = state
     if phase == "none":

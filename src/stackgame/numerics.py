@@ -2,20 +2,15 @@
 
 Everything here is pure: the same inputs always produce the same outputs,
 including the Monte Carlo routines (per-path seeding, fixed-order reduction),
-so results never depend on scheduling or on the number of processes.  One
-fork primitive (_fork) runs work in a child made by os.fork, which writes
-into a shared anonymous mmap and reports only through its exit status.
-Large path ensembles run in two: the child does the second half of the
-paths while this process does the first half (_by_halves), with one fork
-per call.  A march that owns its noise gets a seed, and each process draws
-its half's normals into its own private memory and marches them there
-(_em_functionals); only noise shared between calls is drawn whole into
-shared memory (path_normals).  The split is numpy's own pairwise-sum split,
-so the two halves' per-step sums add up to the one-process sum bit for bit,
-and a failure in either half reruns the whole call in-process.  Mid-sized
-marches stay whole, and _march_pairs says when two of them should run side
-by side instead (the mean-field threshold search marches its next rate in a
-child).
+so results never depend on scheduling or on the number of processes.
+
+Two processes go through one call, _in_two: it runs work in a forked child
+and in this process on buffers in a shared anonymous mmap, and reaps the
+child before it returns.  _by_halves splits a large ensemble there at
+numpy's own pairwise-sum split, so the halves' per-step sums add up to the
+one-process sum bit for bit.  _march_beside runs two whole marches there
+at once.  A failed mmap, fork or child falls back to one process, so every
+value and every error is the one-process one.
 """
 
 from __future__ import annotations
@@ -273,9 +268,7 @@ def solve_affine_bvp(system: AffineSystem, grid: TimeGrid) -> TrajectoryGrid:
     Marches one particular solution (zero initial data) plus d homogeneous
     basis solutions together through the RK4 step map, then solves the d x d
     linear system the boundary constraints impose on the superposition
-    coefficients.  The march is _affine_march's block scan: about
-    3 sqrt(n_steps) batched matrix products, and node values within 1e-11 of
-    the largest one of a step-by-step march (4.6e-13 measured).  A boundary
+    coefficients.  The march is _affine_march's block scan.  A boundary
     matrix with condition number above 1e12 raises IllPosedBVPError.
     """
     d = system.dimension
@@ -399,10 +392,7 @@ def eig_2x2(m: np.ndarray) -> tuple[float, float, np.ndarray]:
 
 
 _NORMALS_BLOCK = 256
-# Forking costs 2-6 ms on a 2-vCPU VM.  Drawing pays for it from about 10^6
-# normals (25 ms).  A march pays only with many paths, because its per-step
-# interpreter overhead does not shrink with half of them: at 250 steps two
-# processes tied with one at 10^4 and 2*10^4 paths and saved 30% at 4*10^4.
+# A fork costs 2-6 ms on a 2-vCPU VM; the README times the work that pays for it.
 _FORK_MIN_DRAWS = 1 << 20
 _FORK_MIN_PATHS = 20_000
 _PAIRWISE_BLOCK = 128  # numpy sums up to this many elements without splitting
@@ -419,7 +409,7 @@ def _pairwise_split(n: int) -> int:
 
 
 def _can_fork() -> bool:
-    """True where os.fork exists and this process may run on two or more CPUs."""
+    """True where this platform can fork and this process may run on two or more CPUs."""
     affinity = getattr(os, "sched_getaffinity", None)
     return hasattr(os, "fork") and affinity is not None and len(affinity(0)) >= 2
 
@@ -427,40 +417,20 @@ def _can_fork() -> bool:
 def _march_pairs(n_paths: int, n_steps: int) -> bool:
     """True when two whole marches of n_paths x n_steps should run at once.
 
-    The second one runs in a forked child (_fork) on the other CPU.  Below
-    _FORK_MIN_PATHS paths a march runs in one process, so the two never
-    split inside a pair, and from _FORK_MIN_DRAWS path-steps on a march pays
-    for the fork.  In min_k_meanfield on a 2-vCPU VM (medians of 7 seeds)
-    pairs tied with one process at 2.5-5*10^5 path-steps, won from 10^6
-    (2000 x 500: 250 -> 180 ms) and doubled the time at 200 x 50.
+    That is on two CPUs, from _FORK_MIN_DRAWS path-steps on, and below
+    _FORK_MIN_PATHS paths, so that neither march splits into halves.
     """
     return n_paths < _FORK_MIN_PATHS and n_paths * n_steps >= _FORK_MIN_DRAWS and _can_fork()
 
 
-@dataclass
-class _Child:
-    """A process made by _fork, filling float buffers that its parent can read."""
-
-    pid: int
-    buffers: list[np.ndarray]
-
-    def join(self, kill: bool = False) -> bool:
-        """Reaps the child, SIGKILLed first if kill; True if it finished its work."""
-        if kill:
-            import signal  # only a forking call needs it
-
-            os.kill(self.pid, signal.SIGKILL)
-        return os.waitpid(self.pid, 0)[1] == 0 and not kill
-
-
-def _fork(shapes, work) -> _Child | None:
-    """Runs work(buffers) in a child made by os.fork; None if the fork failed.
+def _in_two(shapes, here, there):
+    """Runs there(buffers) in a forked child and here(buffers) in this process.
 
     The buffers are new float arrays of the given shapes in one shared
-    anonymous mmap, so the parent reads what the child writes.  The child
-    never returns into the caller: it ends in os._exit, and its exit status
-    is its only message, 0 once work returned.  The caller joins it.  A
-    failed mmap is a failed fork: the caller works in one process.
+    anonymous mmap.  The child is reaped before this returns; if here
+    raised, it is killed first and the error raised again.  Returns None,
+    having run neither, if the mmap or the fork failed; else here's result
+    and the buffers, or None for them if the child did not finish there.
     """
     import mmap  # only a forking call needs it, and importing stackgame need not
 
@@ -472,43 +442,62 @@ def _fork(shapes, work) -> _Child | None:
         pid = os.fork()
     except OSError:
         return None
-    if pid == 0:
-        status = 1
+    if pid == 0:  # the child never returns into the caller; its exit status is its message
         try:
-            work(buffers)
-            status = 0
+            there(buffers)
+            os._exit(0)
         finally:
-            os._exit(status)
-    return _Child(pid, buffers)
+            os._exit(1)
+    try:
+        result = here(buffers)
+    except BaseException:
+        import signal
+
+        os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        status = os.waitpid(pid, 0)[1]
+    return result, buffers if status == 0 else None
+
+
+def _march_beside(n_paths: int, n_steps: int, here, there):
+    """here(), and there() in a forked child at once where _march_pairs allows.
+
+    there is None or returns a march's per-path (n_paths,) and per-node
+    (n_steps + 1,) arrays.  Returns here()'s result and there()'s arrays, or
+    None for them when there is None, pairing does not pay, or the fork or
+    the child failed.
+    """
+    if there is not None and _march_pairs(n_paths, n_steps):
+        def fill(buffers):
+            for buffer, values in zip(buffers, there()):
+                buffer[:] = values
+
+        ran = _in_two([(n_paths,), (n_steps + 1,)], lambda buffers: here(), fill)
+        if ran is not None:
+            return ran
+    return here(), None
 
 
 def _by_halves(n: int, fork: bool, shapes, work) -> tuple[list[np.ndarray], int]:
     """Fill new float buffers of the given shapes by work(buffers, lo, hi, part) over paths [0, n).
 
     In-process, one call work(buffers, 0, n, 0) fills them.  With fork, more
-    than _PAIRWISE_BLOCK paths and two CPUs, a child made by _fork runs
-    work(buffers, s, n, 1), with s = _pairwise_split(n), while this process
-    runs work(buffers, 0, s, 0) on the same shared buffers.  The child is
-    reaped before this returns, and killed first if this process's half
-    raised.  If either half failed, or the fork did, the whole call reruns
-    in-process, so every error is the one a single process raises (and a
-    forked child keeps numpy's errstate).  Returns the buffers and the
-    number of processes that filled them.
+    than _PAIRWISE_BLOCK paths and two CPUs, _in_two runs work(buffers, 0,
+    s, 0) here and work(buffers, s, n, 1) in the child, s = _pairwise_split(n).
+    If either half failed, or the fork did, the whole call reruns in-process,
+    so every error is the one a single process raises.  Returns the buffers
+    and the number of processes that filled them.
     """
     if fork and n > _PAIRWISE_BLOCK and _can_fork():
         split = _pairwise_split(n)
-        child = _fork(shapes, lambda buffers: work(buffers, split, n, 1))
-        if child is not None:
-            done = False
-            try:
-                work(child.buffers, 0, split, 0)
-                done = True
-            except Exception:
-                pass  # rerun in-process below, which raises it again
-            finally:
-                done = child.join(kill=not done)
-            if done:
-                return child.buffers, 2
+        try:
+            ran = _in_two(shapes, lambda buffers: work(buffers, 0, split, 0),
+                          lambda buffers: work(buffers, split, n, 1))
+        except Exception:
+            ran = None  # rerun in-process below, which raises it again
+        if ran is not None and ran[1] is not None:
+            return ran[1], 2
     buffers = [np.empty(shape) for shape in shapes]
     work(buffers, 0, n, 0)
     return buffers, 1
@@ -531,9 +520,8 @@ def _draw_into(out: np.ndarray, seed_words: np.ndarray, lo: int) -> None:
     """Draws rows lo, lo + 1, ... of path_normals' matrix into the columns of out.
 
     out is (n_steps, m) and step-major, or a view of such a buffer; column c
-    gets row lo + c.  Each row is drawn by numpy's own PCG64 and normal
-    sampler into a small path-major block, which is copied over block by
-    block.
+    gets row lo + c, drawn by numpy's own PCG64 and normal sampler into a
+    small path-major block that is copied over block by block.
     """
     from ._seeding import SeedWords
 
@@ -550,18 +538,12 @@ def _draw_into(out: np.ndarray, seed_words: np.ndarray, lo: int) -> None:
 def path_normals(seed: int, n_paths: int, n_steps: int) -> np.ndarray:
     """Deterministic (n_paths, n_steps) standard-normal matrix, stored step-major.
 
-    Row i is drawn from its own child stream of SeedSequence(seed), so the
-    matrix is identical no matter how paths are split across processes.
-    The children's seed words are hashed in one vectorised pass
-    (_seeding.child_seed_words) and _draw_into draws the rows, so the values
-    are those of default_rng(SeedSequence(seed).spawn(n_paths)[i]).
-    The values live in an (n_steps, n_paths) buffer and the matrix is its
-    transpose, so column j, which a path march reads at step j, is
-    contiguous.  From _FORK_MIN_DRAWS values on, a forked child draws rows
-    [s, n_paths) into the shared buffer (_by_halves).  Only a caller that
-    shares the matrix, between calls or between processes, needs it: one
-    that owns its noise passes the seed to _em_functionals, which draws
-    each half where it is marched.
+    Row i holds the values of default_rng(SeedSequence(seed).spawn(n_paths)[i]),
+    drawn by _draw_into, so the matrix does not depend on how paths are split.
+    It is the transpose of an (n_steps, n_paths) buffer, so column j, which a
+    path march reads at step j, is contiguous.  From _FORK_MIN_DRAWS values
+    on it is drawn by halves (_by_halves).  Raises ParameterError for a
+    negative seed or an empty matrix.
     """
     seed_words = _seed_words(seed, n_paths, n_steps)
 
@@ -667,34 +649,22 @@ def _em_functionals(marches, h: float, n_paths: int, noise) -> list[tuple]:
     each coef[k] = (c0, c1, c2), node arrays that already include any
     quadrature weights, it adds up per path
         F_k = sum_j c0_kj + (c2_kj d_j + c1_kj) d_j,   d_j = x_j - center_j,
-    over all nodes while it marches.  No path array is stored, and the
-    state, the next state and two temporaries are allocated once per march
-    and written in place.  A step is two drift passes, seven noise passes,
-    the sum that gives the mean path, one pass for d and two to four per
-    functional row.  Per-path outputs depend only on that path's normals,
-    and no input is written to.
+    over all nodes while it marches, and stores no path array.  Per-path
+    outputs depend only on that path's normals, and no input is written to.
 
     Every march reads the same normals Z (n_paths, n_steps), given by noise:
-    - None switches the noise off;
-    - a matrix is read where it lies, fastest path_normals' step-major one;
-    - an int seed stands for path_normals(seed, n_paths, n_steps).  Each
-      process draws the rows of its own paths (_draw_into) into private
-      step-major memory and runs every march on them, so the whole matrix
-      is never built.
-    A caller that owns its noise passes the seed; one that shares the
-    matrix, with other calls or with other processes, passes the matrix.
-
-    From _FORK_MIN_PATHS paths on, or with a seed from _FORK_MIN_DRAWS
-    normals on, one forked child draws and marches paths [s, n_paths)
-    (_by_halves), and each march's two per-step sums are added, which is
-    numpy's own last step of the one-process sum.  If an added sum is not
-    finite the call reruns in-process, so an overflow that only the whole
-    sum sees gives the one-process value or error.
+    None switches the noise off, a matrix is read where it lies (fastest
+    path_normals' step-major one), and an int seed stands for
+    path_normals(seed, n_paths, n_steps), whose rows each process draws for
+    its own paths only.  It runs by halves (_by_halves) from _FORK_MIN_PATHS
+    paths on, or with a seed from _FORK_MIN_DRAWS normals on, and reruns in
+    one process if a joined per-step sum is not finite, so an overflow that
+    only the whole sum sees gives the one-process value or error.
 
     Returns, per march, F (K, n_paths), the per-node ensemble mean and the
-    final state.  Raises SimulationBlowupError at the first step that leaves
-    a path non-finite, naming the first such path, in the first march that
-    has one.
+    final state.  Raises ParameterError for a shape that does not fit, and
+    SimulationBlowupError at the first step that leaves a path non-finite,
+    naming the first such path, in the first march that has one.
     """
     n_steps = len(marches[0][0]) - 1
     seed_words = None

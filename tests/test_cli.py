@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import yaml
 
-from stackgame import dynamic
+from stackgame import cli, dynamic
 from stackgame.cli import RunConfig, RunReport, emit_config, main, parse_config, run, write_report
 from stackgame.errors import ConfigurationError
 
@@ -250,6 +250,24 @@ class TestMain:
                    "--out", str(tmp_path / "out"), "--steps", steps])
         assert rc == 3
         assert "Riccati solution blew up" in capsys.readouterr().err
+
+    def test_out_of_memory_exits_2(self, tmp_path, capsys, monkeypatch):
+        # 10^7 paths x 10^5 steps passes validation and its march would ask
+        # for terabytes; the runner raises as numpy would, without allocating.
+        text = MEANFIELD_YAML.replace("n_paths: 500, n_steps: 200",
+                                      "n_paths: 10000000, n_steps: 100000")
+
+        def out_of_memory(cfg):
+            raise MemoryError("Unable to allocate 3.64 TiB for an array with shape "
+                              "(100000, 5000000) and data type float64")
+
+        monkeypatch.setitem(cli._RUNNERS, "meanfield", out_of_memory)
+        cfg = self._write(tmp_path, text)
+        rc = main(["meanfield", "defect", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: not enough memory for this configuration: Unable to allocate")
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("action", ["equilibrium", "defect", "threshold-k", "verify"])
     def test_odd_dynamic_step_count_exits_2_naming_the_key(self, tmp_path, capsys, action):

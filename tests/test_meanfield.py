@@ -615,10 +615,25 @@ class TestPairedMarches:
         oracle = self._wrong_guesses(mfg, monkeypatch)
         processes.forks.clear()
         _assert_as_oracle(min_k_meanfield(mfg, self.TINY), oracle)
-        # The draw, the k = 0 child and one killed child for each later request but the last.
+        # The draw, the k = 0 child and one unused child for each later request but the last.
         assert len(processes.forks) == 1 + 1 + len(oracle.details["satisfied"]) - 2
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+
+    def test_no_child_lives_while_a_rate_is_judged(self, mfg, processes, monkeypatch):
+        processes.pair_marches()
+        judged = []
+
+        def childless(times, mean, r_tilde):
+            with pytest.raises(ChildProcessError):
+                os.waitid(os.P_ALL, 0, os.WEXITED | os.WNOHANG | os.WNOWAIT)
+            judged.append(r_tilde)
+            return growth_order_check(times, mean, r_tilde)
+
+        monkeypatch.setattr(meanfield, "growth_order_check", childless)
+        res = min_k_meanfield(mfg, self.TINY)
+        assert len(judged) == len(res.details["satisfied"])
+        assert len(processes.forks) == 6
 
     def test_failed_fork_marches_in_process(self, mfg, processes, monkeypatch):
         processes.pair_marches()
@@ -663,7 +678,7 @@ class TestPairedMarches:
         """Makes the march of bad_k blow up at (path, step); a child that marches it leaves a file.
 
         This process's march of wait_at waits (up to 10 s) for that file, so a
-        child sent to bad_k meanwhile reaches it before it can be killed.
+        child sent to bad_k meanwhile has reached it when that march returns.
         """
         march = meanfield._defection_payoff
         parent = os.getpid()

@@ -3,6 +3,7 @@
 import errno
 import mmap
 import os
+import time
 
 import numpy as np
 import pytest
@@ -629,6 +630,16 @@ class TestTwoProcesses:
         assert len(processes.forks) == 3
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+
+    def test_child_is_killed_when_this_side_raises(self, processes):
+        def here(buffers):
+            raise ValueError("this side failed")
+
+        start = time.monotonic()
+        with pytest.raises(ValueError, match="this side failed"):
+            numerics._in_two([(2,)], here, lambda buffers: time.sleep(60.0))
+        assert time.monotonic() - start < 30.0
+        assert len(processes.forks) == 1
 
     def test_small_ensembles_and_one_cpu_stay_in_process(self, processes, monkeypatch):
         path_normals(5, 128, 40)  # within numpy's unsplit pairwise block
