@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from . import discrete, dynamic, meanfield
+from . import discrete, dynamic, meanfield, numerics
 from .errors import ConfigurationError, ParameterError, StackgameError
 from .numerics import TimeGrid
 
@@ -338,6 +338,11 @@ def _fmt(v) -> str:
 
 
 def write_report(report: RunReport, out_dir: Path) -> None:
+    """Write report.txt, and trajectory.csv and sweep.csv where the report has them.
+
+    trajectory.csv goes through _write_table, whose child formats the second
+    half of a large table's rows; the other two files are written here.
+    """
     out_dir.mkdir(parents=True, exist_ok=True)
     lines = ["[config]"]
     cfg = asdict(report.config)
@@ -367,9 +372,8 @@ def write_report(report: RunReport, out_dir: Path) -> None:
 
     if report.trajectory is not None:
         names = list(report.trajectory)
-        cols = [np.asarray(report.trajectory[n], dtype=float) for n in names]
-        _write_csv(out_dir / "trajectory.csv", names, ",".join(["%.12g"] * len(cols)),
-                   _float_rows(cols))
+        _write_table(out_dir / "trajectory.csv", names,
+                     [np.asarray(report.trajectory[n], dtype=float) for n in names])
     if report.sweep is not None:
         _write_csv(out_dir / "sweep.csv", ["k", "J_star", "J_tilde", "satisfied"],
                    "%.12g,%.12g,%.12g,%s",
@@ -393,12 +397,56 @@ def _write_csv(path: Path, header: list[str], row: str, rows) -> None:
     """Write a header line and `row % values` for each of rows, CRLF-ended.
 
     The bytes are csv.writer's over "%.12g"-formatted fields, because no
-    header name or formatted value needs quoting.
+    header name or formatted value needs quoting.  sweep.csv is written
+    here; trajectory.csv by _write_table, with the same bytes.
     """
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
         row += "\r\n"
         fh.writelines(row % values for values in rows)
+
+
+_FIELD_WIDTH = 19  # the longest "%.12g" field, as in "-1.23456789012e-308"
+
+
+def _write_table(path: Path, header: list[str], cols: list[np.ndarray]) -> None:
+    """_write_csv of the float columns' rows, each field "%.12g".
+
+    From numerics._FORK_MIN_FIELDS fields on two CPUs, numerics._in_two
+    runs a child that formats rows [n // 2, n) into shared memory while this
+    process writes the header and rows [0, n // 2); the child's bytes are
+    then written straight from that memory.  If the mmap, the fork or the
+    child fails, or the bytes outgrow their bound, this process formats the
+    rest itself, so the bytes are the one-process bytes.
+    """
+    row = ",".join(["%.12g"] * len(cols)) + "\r\n"
+    n = min(map(len, cols))  # _float_rows stops at the shortest column
+    half = n // 2
+
+    def rows(lo: int, hi: int):
+        return (row % values for values in _float_rows([c[lo:hi] for c in cols]))
+
+    def there(buffers) -> None:
+        length, text = buffers
+        data = "".join(rows(half, n)).encode()
+        # A slice of the wrong length raises, and the child exits non-zero.
+        memoryview(text).cast("B")[:len(data)] = data
+        length[0] = len(data)
+
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        done = 0
+        if n * len(cols) >= numerics._FORK_MIN_FIELDS and numerics._can_fork():
+            bound = (n - half) * ((_FIELD_WIDTH + 1) * len(cols) + 1)  # commas and CRLF
+            ran = numerics._in_two([(1,), ((bound + 7) // 8,)],
+                                   lambda buffers: fh.writelines(rows(0, half)), there)
+            if ran is not None:
+                done = half
+                if ran[1] is not None:
+                    (length, text), done = ran[1], n
+                    fh.flush()  # the text layer's buffered rows go first
+                    fh.buffer.write(memoryview(text).cast("B")[:int(length[0])])
+        fh.writelines(rows(done, n))
 
 
 def _build_parser() -> argparse.ArgumentParser:

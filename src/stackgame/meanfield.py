@@ -690,8 +690,8 @@ class _Bisection:
     ended, and step(state, verdict) takes that rate's verdict.  "zero" tests
     k = 0.  "double" tests max(tol, 1), then twice that, until a rate deters,
     and ends as "none" when the next one would pass k_max.  "halve" bisects
-    [lo, hi], where lo fails and hi deters, down to width tol, and ends as
-    "done" with k_min = hi.
+    [lo, hi], where lo fails and hi deters, down to width tol or until its
+    midpoint rounds onto an end, and ends as "done" with k_min = hi.
     """
 
     tol: float
@@ -719,7 +719,8 @@ class _Bisection:
         return self._halve(lo, mid) if verdict else self._halve(mid, hi)
 
     def _halve(self, lo: float, hi: float):
-        return ("halve" if hi - lo > self.tol else "done", lo, hi)
+        split = hi - lo > self.tol and lo < 0.5 * (lo + hi) < hi
+        return ("halve" if split else "done", lo, hi)
 
     def guess(self, state, margins: dict[float, tuple[float, float]]) -> bool:
         """The likely verdict on request(state); True outside the halving phase.

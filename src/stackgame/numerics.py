@@ -9,8 +9,9 @@ and in this process on buffers in a shared anonymous mmap, and reaps the
 child before it returns.  _by_halves splits a large ensemble there at
 numpy's own pairwise-sum split, so the halves' per-step sums add up to the
 one-process sum bit for bit.  _march_beside runs two whole marches there
-at once.  A failed mmap, fork or child falls back to one process, so every
-value and every error is the one-process one.
+at once, and cli._write_table formats half of a large table's rows there.
+A failed mmap, fork or child falls back to one process, so every value and
+every error is the one-process one.
 """
 
 from __future__ import annotations
@@ -334,7 +335,9 @@ def quad_simpson(values: np.ndarray, h: float) -> float:
     w = np.ones(n + 1)
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
-    return float(h / 3.0 * np.dot(w, values))
+    # numpy's pairwise sum, not np.dot: a threaded BLAS sums in an order that
+    # depends on its thread count.
+    return float(h / 3.0 * (w * values).sum())
 
 
 _BISECT_MAX_ITER = 200
@@ -395,6 +398,9 @@ _NORMALS_BLOCK = 256
 # A fork costs 2-6 ms on a 2-vCPU VM; the README times the work that pays for it.
 _FORK_MIN_DRAWS = 1 << 20
 _FORK_MIN_PATHS = 20_000
+# cli writes a trajectory table of at least this many "%.12g" fields (rows x
+# columns) by halves on two CPUs: a child formats the second half of the rows.
+_FORK_MIN_FIELDS = 50_000
 _PAIRWISE_BLOCK = 128  # numpy sums up to this many elements without splitting
 
 

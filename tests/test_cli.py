@@ -1,13 +1,16 @@
 """Tests for the command-line front end: config handling, outputs, exit codes."""
 
 import csv
+import errno
 import math
+import mmap
+import os
 
 import numpy as np
 import pytest
 import yaml
 
-from stackgame import cli, dynamic
+from stackgame import cli, dynamic, numerics
 from stackgame.cli import RunConfig, RunReport, emit_config, main, parse_config, run, write_report
 from stackgame.errors import ConfigurationError
 
@@ -439,3 +442,106 @@ class TestUnwritableOutputs:
         err = capsys.readouterr().err
         assert err.startswith("error: cannot write outputs: ")
         assert "Traceback" not in err
+
+
+def _table():
+    """Float columns of 1001 rows.
+
+    Each half of the rows holds -0.0, inf, nan, a subnormal and a field of
+    the longest "%.12g" form.
+    """
+    n = 1001
+    rng = np.random.default_rng(1)
+    col = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+    special = [-0.0, math.inf, -math.inf, math.nan, 5e-324, -1.23456789012e-308]
+    assert len("%.12g" % special[-1]) == 19
+    col[: len(special)] = special
+    col[-len(special):] = special
+    return ["t", "x", "y"], [np.linspace(0.0, 1.0, n), col, -col[::-1]]
+
+
+class TestTableByHalves:
+    """From the field bar on two CPUs a child formats the second half of trajectory.csv's rows."""
+
+    @pytest.fixture
+    def two_processes(self, processes, monkeypatch, tmp_path):
+        """The bar lowered to one field; returns the one-process bytes of _table()."""
+        names, cols = _table()
+        path = tmp_path / "one.csv"
+        cli._write_csv(path, names, ",".join(["%.12g"] * len(cols)), cli._float_rows(cols))
+        monkeypatch.setattr(numerics, "_FORK_MIN_FIELDS", 1)
+        return path.read_bytes()
+
+    @staticmethod
+    def _written(tmp_path):
+        path = tmp_path / "two.csv"
+        cli._write_table(path, *_table())
+        return path.read_bytes()
+
+    def test_two_processes_write_the_one_process_bytes(self, tmp_path, processes, two_processes):
+        assert self._written(tmp_path) == two_processes
+        assert len(processes.forks) == 1
+
+    def test_one_cpu_does_not_fork(self, tmp_path, processes, two_processes):
+        processes.cpus(1)
+        assert self._written(tmp_path) == two_processes
+        assert processes.forks == []
+
+    def test_failed_fork_writes_in_process(self, tmp_path, processes, two_processes, monkeypatch):
+        def no_fork():
+            raise OSError("no more processes")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        assert self._written(tmp_path) == two_processes
+
+    def test_failed_mmap_writes_in_process(self, tmp_path, processes, two_processes, monkeypatch):
+        def no_memory(*args):
+            raise OSError(errno.ENOMEM, "Cannot allocate memory")
+
+        monkeypatch.setattr(mmap, "mmap", no_memory)
+        assert self._written(tmp_path) == two_processes
+        assert processes.forks == []
+
+    def test_child_exiting_non_zero_writes_in_process(self, tmp_path, processes, two_processes,
+                                                      monkeypatch):
+        failed = []
+
+        def failing_fork():
+            pid = processes.real_fork()
+            if pid == 0:
+                os._exit(3)
+            failed.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", failing_fork)
+        assert self._written(tmp_path) == two_processes
+        assert len(failed) == 1
+
+    def test_bytes_beyond_the_bound_write_in_process(self, tmp_path, processes, two_processes,
+                                                     monkeypatch):
+        monkeypatch.setattr(cli, "_FIELD_WIDTH", 1)
+        assert self._written(tmp_path) == two_processes
+        assert len(processes.forks) == 1
+
+    def test_unwritable_out_exits_2(self, tmp_path, capsys, processes, two_processes):
+        (tmp_path / "file").write_text("not a directory")
+        cfg = tmp_path / "config.yaml"
+        cfg.write_text(DYNAMIC_YAML)
+        out = tmp_path / "file" / "out"
+        assert main(["dynamic", "equilibrium", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: cannot write outputs: ")
+        assert processes.forks == []
+
+    def test_failed_write_kills_the_child_and_exits_2(self, tmp_path, capsys, processes,
+                                                      two_processes):
+        # Writes to /dev/full fail with ENOSPC once this process's half
+        # overflows the file buffer, while the child formats its half.
+        cfg = tmp_path / "config.yaml"
+        cfg.write_text(DYNAMIC_YAML)
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "trajectory.csv").symlink_to("/dev/full")
+        assert main(["dynamic", "equilibrium", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write outputs: ") and "Traceback" not in err
+        assert len(processes.forks) == 1

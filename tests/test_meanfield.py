@@ -454,6 +454,28 @@ class TestMinK:
         assert len(calls) == len(set(calls)) == 9
         assert sorted(res.details["satisfied"]) == sorted(calls)
 
+    def test_bisection_ends_below_the_float_spacing(self):
+        # At tol = 1e-300 the bracket narrows to two neighbouring floats,
+        # whose midpoint rounds onto one of them; the search must end there.
+        threshold = 0.3828125 + 1e-9
+        search = meanfield._Bisection(1e-300, 1000.0)
+        state, requests = search.start, 0
+        while (k := search.request(state)) is not None:
+            state = search.step(state, k >= threshold)
+            requests += 1
+            assert requests < 100
+        phase, lo, k_min = state
+        assert phase == "done" and k_min == threshold
+        assert np.nextafter(lo, math.inf) == k_min
+
+    def test_tolerance_below_the_float_spacing_ends(self, mfg):
+        mc = McConfig(n_paths=200, n_steps=50, seed=3)
+        res = min_k_meanfield(mfg, mc, tol=1e-300)
+        _assert_as_oracle(res, _bisection_oracle(mfg, mc, tol=1e-300))
+        satisfied = res.details["satisfied"]
+        lo = max(k for k, ok in satisfied.items() if not ok and k < res.k_min)
+        assert satisfied[res.k_min] and np.nextafter(lo, math.inf) == res.k_min
+
     def test_search_is_seed_reproducible(self, mfg):
         mc = McConfig(n_paths=1500, n_steps=300, seed=42)
         a = min_k_meanfield(mfg, mc, tol=0.02)
@@ -543,7 +565,8 @@ def _bisection_oracle(p, mc, tol=0.01, k_max=1000.0):
             if hi > k_max:
                 raise NoDeterrentError(f"defection stays profitable up to k = {k_max:g}")
         lo = 0.0 if hi == max(tol, 1.0) else hi / 2.0
-        while hi - lo > tol:
+        # Below the float spacing at [lo, hi] the midpoint rounds onto an end.
+        while hi - lo > tol and lo < 0.5 * (lo + hi) < hi:
             mid = 0.5 * (lo + hi)
             if satisfied(mid):
                 hi = mid

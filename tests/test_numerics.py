@@ -3,7 +3,10 @@
 import errno
 import mmap
 import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -248,6 +251,22 @@ class TestQuadSimpson:
     def test_rejects_odd_interval_count(self):
         with pytest.raises(ConfigurationError):
             quad_simpson(np.ones(4), 0.1)
+
+    def test_same_bits_whatever_the_blas_thread_count(self):
+        # OpenBLAS splits a dot product over more than 10^4 elements across
+        # its threads, which changes the order of the sum.
+        code = ("import numpy as np; from stackgame.numerics import quad_simpson; "
+                "x = np.linspace(0.0, 10.0, 20001); "
+                "print(quad_simpson(np.exp(-0.1 * x) * (3.0 + np.sin(x)), 5e-4).hex())")
+        src = str(Path(numerics.__file__).resolve().parents[1])
+        bits = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+                   "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+            done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                                  text=True, check=True)
+            bits.append(done.stdout.strip())
+        assert bits[0] == bits[1]
 
 
 class TestBisection:
