@@ -7,7 +7,8 @@ Usage:
 models:  discrete | dynamic | meanfield
 actions: equilibrium | defect | threshold-k | verify
 
-Outputs land in the --out directory (default: alongside the config):
+Outputs land in the --out directory, taken from the working directory
+(default: the config's `out`, whose default "." is the config's directory):
     report.txt       key/value report with certificates and warnings
     trajectory.csv   time-gridded channels, header `t,channel1,...`
     sweep.csv        penalty-rate sweeps: k, J_star, J_tilde, satisfied
@@ -190,8 +191,12 @@ def _run_discrete(cfg: RunConfig):
             worst = float(discrete.ledger_totals(p, float(k), N).max())
             sweep.append((float(k), res.j_star, worst, worst <= res.j_star + 1e-9))
     elif cfg.action == "verify":
-        certs["ratio_9"] = _cert(j_hat / gain, 9.0, 1e-12, op="~")
-        certs["ratio_8"] = _cert(eq.J0 / gain, 8.0, 1e-12, op="~")
+        if gain > 0:
+            certs["ratio_9"] = _cert(j_hat / gain, 9.0, 1e-12, op="~")
+            certs["ratio_8"] = _cert(eq.J0 / gain, 8.0, 1e-12, op="~")
+        else:  # zero margin: J0^ = 9 dJ0 and J0* = 8 dJ0 are certified without a ratio
+            certs["ratio_9"] = _cert(j_hat, 9.0 * gain, 1e-12, op="~")
+            certs["ratio_8"] = _cert(eq.J0, 8.0 * gain, 1e-12, op="~")
         oracle = discrete.brute_force_oracle(p, 10**6)
         certs["oracle_u0"] = _cert(oracle.u0, eq.u0, 1e-5, op="~")
         certs["oracle_J0"] = _cert(oracle.J0, eq.J0, 1e-5, op="~")
@@ -340,8 +345,8 @@ def _fmt(v) -> str:
 def write_report(report: RunReport, out_dir: Path) -> None:
     """Write report.txt, and trajectory.csv and sweep.csv where the report has them.
 
-    trajectory.csv goes through _write_table, whose child formats the second
-    half of a large table's rows; the other two files are written here.
+    Both tables go through _write_table, whose child formats the second half
+    of a large table's rows.
     """
     out_dir.mkdir(parents=True, exist_ok=True)
     lines = ["[config]"]
@@ -375,16 +380,17 @@ def write_report(report: RunReport, out_dir: Path) -> None:
         _write_table(out_dir / "trajectory.csv", names,
                      [np.asarray(report.trajectory[n], dtype=float) for n in names])
     if report.sweep is not None:
-        _write_csv(out_dir / "sweep.csv", ["k", "J_star", "J_tilde", "satisfied"],
-                   "%.12g,%.12g,%.12g,%s",
-                   ((k, js, jt, str(bool(sat)).lower()) for k, js, jt, sat in report.sweep))
+        rows = report.sweep
+        cols = [np.array([row[i] for row in rows], dtype=float) for i in range(3)]
+        cols.append(np.array([str(bool(row[3])).lower() for row in rows], dtype=str))
+        _write_table(out_dir / "sweep.csv", ["k", "J_star", "J_tilde", "satisfied"], cols)
 
 
-_BLOCK = 1024  # rows per .tolist() conversion in _float_rows
+_BLOCK = 1024  # rows per .tolist() conversion in _block_rows
 
 
-def _float_rows(cols: list[np.ndarray]):
-    """The rows of columns as tuples of Python floats, converted in blocks.
+def _block_rows(cols: list[np.ndarray]):
+    """The rows of columns as tuples of Python floats or strings, converted in blocks.
 
     Stops at the shortest column, as zip(*cols) does, and never holds more
     than one block of converted values.
@@ -393,38 +399,31 @@ def _float_rows(cols: list[np.ndarray]):
         yield from zip(*(c[i:i + _BLOCK].tolist() for c in cols))
 
 
-def _write_csv(path: Path, header: list[str], row: str, rows) -> None:
-    """Write a header line and `row % values` for each of rows, CRLF-ended.
-
-    The bytes are csv.writer's over "%.12g"-formatted fields, because no
-    header name or formatted value needs quoting.  sweep.csv is written
-    here; trajectory.csv by _write_table, with the same bytes.
-    """
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
-        row += "\r\n"
-        fh.writelines(row % values for values in rows)
-
-
 _FIELD_WIDTH = 19  # the longest "%.12g" field, as in "-1.23456789012e-308"
 
 
 def _write_table(path: Path, header: list[str], cols: list[np.ndarray]) -> None:
-    """_write_csv of the float columns' rows, each field "%.12g".
+    """Write a header line and one CRLF-ended row per index of the columns.
 
-    From numerics._FORK_MIN_FIELDS fields on two CPUs, numerics._in_two
+    A float column's fields are "%.12g"; a string column's (numpy dtype
+    "U") are its values as they are.  The bytes are csv.writer's, because
+    no header name or field that the program writes needs quoting.  From
+    numerics._FORK_MIN_FIELDS "%.12g" fields on two CPUs, numerics._in_two
     runs a child that formats rows [n // 2, n) into shared memory while this
     process writes the header and rows [0, n // 2); the child's bytes are
     then written straight from that memory.  If the mmap, the fork or the
     child fails, or the bytes outgrow their bound, this process formats the
     rest itself, so the bytes are the one-process bytes.
     """
-    row = ",".join(["%.12g"] * len(cols)) + "\r\n"
-    n = min(map(len, cols))  # _float_rows stops at the shortest column
+    text_cols = [c.dtype.kind == "U" for c in cols]
+    row = ",".join("%s" if text else "%.12g" for text in text_cols) + "\r\n"
+    # A "U" item holds 4 bytes a character, at least its UTF-8 length.
+    widths = [c.itemsize if text else _FIELD_WIDTH for c, text in zip(cols, text_cols)]
+    n = min(map(len, cols))  # _block_rows stops at the shortest column
     half = n // 2
 
     def rows(lo: int, hi: int):
-        return (row % values for values in _float_rows([c[lo:hi] for c in cols]))
+        return (row % values for values in _block_rows([c[lo:hi] for c in cols]))
 
     def there(buffers) -> None:
         length, text = buffers
@@ -436,8 +435,8 @@ def _write_table(path: Path, header: list[str], cols: list[np.ndarray]) -> None:
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
         done = 0
-        if n * len(cols) >= numerics._FORK_MIN_FIELDS and numerics._can_fork():
-            bound = (n - half) * ((_FIELD_WIDTH + 1) * len(cols) + 1)  # commas and CRLF
+        if n * text_cols.count(False) >= numerics._FORK_MIN_FIELDS and numerics._can_fork():
+            bound = (n - half) * (sum(widths) + len(cols) + 1)  # commas and CRLF
             ran = numerics._in_two([(1,), ((bound + 7) // 8,)],
                                    lambda buffers: fh.writelines(rows(0, half)), there)
             if ran is not None:
@@ -495,7 +494,9 @@ def main(argv: list[str] | None = None) -> int:
     except MemoryError as exc:  # each size is bounded, their product is not
         print(f"error: not enough memory for this configuration: {exc}", file=sys.stderr)
         return 2
-    out_dir = Path(cfg.out) if cfg.out != "." else Path(args.config).resolve().parent
+    # The config's "." is the config's directory; a given --out is the working directory's.
+    at_config = args.out is None and cfg.out == "."
+    out_dir = Path(args.config).resolve().parent if at_config else Path(cfg.out)
     try:
         write_report(report, out_dir)
     except OSError as exc:

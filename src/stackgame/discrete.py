@@ -168,15 +168,26 @@ def _recursive_factors(k: float, d: float, n: int) -> np.ndarray:
 def _tail_factors(p: DuopolyParams, k: float, n: int) -> np.ndarray:
     """Penalty factors (1 - k dJ0(1))^i, i < n, of a defection's first n punished periods.
 
-    The recursion (_recursive_factors) runs alongside as a cross-check; the
-    two must agree to rounding.
+    The recursion (_recursive_factors) runs alongside as a cross-check, to a
+    bound on rounding that grows with i.  With x = k d and u = 2^-53, a
+    recursion step rho - k (rho d) rounds three times, a relative error of
+    u (1 + 2x/(1 - x)).  The closed form's 1 - k d rounds twice, a relative
+    u (1 + x/(1 - x)) that the power raises to the i-th, and the power adds
+    up to 4u.  So the two differ by (i s + 4u) times the factor to first
+    order, s = u (2 + 3x/(1 - x)); twice that covers the higher orders
+    while i s <= 1/2, past which neither keeps a digit.  An operation that
+    underflows errs by up to a subnormal instead, 3i + 2 of them in all.
     """
     d = p.defection_gain
     k_hi = 1.0 / d if d > 0 else math.inf
     if not 0.0 < k < k_hi:
         raise ParameterError(f"k={k} outside (0, 1/dJ0(1)={k_hi:.6g})")
     closed = (1.0 - k * d) ** np.arange(n)
-    if float(np.abs(_recursive_factors(k, d, n) - closed).max()) > 1e-12:
+    # 1 - x rounds to 0 only where every factor after the first is 0 in both.
+    x, u, i = k * d, 2.0**-53, np.arange(n)
+    s = u * (2.0 + 3.0 * x / max(1.0 - x, u))
+    bound = 2.0 * closed * (i * s + 4.0 * u) + (3 * i + 2) * 2.0**-1074
+    if np.any(np.abs(_recursive_factors(k, d, n) - closed) > bound):
         raise ParameterError("recursive and closed-form discount factors disagree")
     return closed
 

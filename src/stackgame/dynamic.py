@@ -237,7 +237,6 @@ def bvp_oracle_trajectories(p: DynamicParams, grid: TimeGrid) -> TrajectoryGrid:
     """Independent oracle: the same two-point problem, x1(0) = x1_0 and
     lambda(T) = 0, via the generic BVP solver."""
     system = AffineSystem(
-        dimension=2,
         matrix=system_matrix(p),
         offset=_offset_vector(p),
         boundary=[(0, "t0", p.x1_0), (1, "t1", 0.0)],

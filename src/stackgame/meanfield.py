@@ -209,9 +209,9 @@ def _backward_riccati(c0: float, c1: float, c2: float, grid: TimeGrid) -> np.nda
             raise ConfigurationError(
                 f"{grid.n_steps} steps are too few for this Riccati gain: RK4 damps its "
                 f"dominant mode more than the other (|R| = {fast:.4g} < {slow:.4g})")
-    radon = AffineSystem(2, [[d, c2], [-c0, d - c1]], np.zeros(2), [(0, "t0", 1.0), (1, "t0", 0.0)])
+    radon = np.array([[d, c2], [-c0, d - c1]])
     try:
-        X, Y = _affine_march(radon, grid, np.array([[1.0], [0.0]]))[::-1, :, 0].T
+        X, Y = _affine_march(radon, np.zeros(2), grid, np.array([[1.0], [0.0]]))[::-1, :, 0].T
     except IntegrationBlowupError as err:
         raise RiccatiBlowupError(t_blowup=float(grid.times()[-1 - err.step])) from None
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -290,7 +290,6 @@ def mean_field_bvp(p: MfgParams, grid: TimeGrid) -> MeanFieldSolution:
     matrix = _equilibrium_matrix(p)
     offset = _equilibrium_offset(p)
     system = AffineSystem(
-        dimension=6,
         matrix=matrix,
         offset=offset,
         boundary=[
@@ -421,11 +420,9 @@ def _payoff_march(
     return alpha, beta, x0, m, rows
 
 
-def _noise(mc: McConfig, normals: np.ndarray | None):
-    """_em_functionals' noise for a call that owns it: None, the given normals or the seed."""
-    if mc.zero_noise:
-        return None
-    return mc.seed if normals is None else normals
+def _noise(mc: McConfig) -> int | None:
+    """_em_functionals' noise for a call that owns it: None without noise, else the seed."""
+    return None if mc.zero_noise else mc.seed
 
 
 def _follower_response(p: MfgParams, u0: np.ndarray, grid: TimeGrid) -> TrajectoryGrid:
@@ -438,7 +435,6 @@ def _follower_response(p: MfgParams, u0: np.ndarray, grid: TimeGrid) -> Trajecto
     ])
     offset = np.stack([p.B0 * u0, -(p.B * p.sigma / p.a) * u0, np.full_like(u0, p.b)], axis=1)
     system = AffineSystem(
-        dimension=3,
         matrix=m,
         offset=offset,
         boundary=[(0, "t0", p.x0_init), (1, "t0", p.xbar_init), (2, "t1", 0.0)],
@@ -474,14 +470,6 @@ def _defection_march(p: MfgParams, k: float, sol: MeanFieldSolution, grid: TimeG
     return _payoff_march(alpha, beta, p.x0_init, grid, integrand, p.r + k)
 
 
-def _leader_payoff(
-    p: MfgParams, u0: np.ndarray, xbar: np.ndarray, grid: TimeGrid, mc: McConfig,
-    normals: np.ndarray | None,
-) -> np.ndarray:
-    """Per-path leader payoff (one row) under u0 against xbar, on the given noise."""
-    return _em_functionals([_leader_march(p, u0, xbar, grid)], grid.h, mc.n_paths, normals)[0][0]
-
-
 def _defection_payoff(
     p: MfgParams, k: float, sol: MeanFieldSolution, grid: TimeGrid, mc: McConfig,
     normals: np.ndarray | None,
@@ -505,23 +493,21 @@ def mc_payoffs(
     k: float,
     mc: McConfig,
     sol: MeanFieldSolution | None = None,
-    normals: np.ndarray | None = None,
 ) -> tuple[McEstimate, McEstimate]:
     """Monte Carlo (equilibrium payoff at rate r, defection payoff at r + k).
 
     Both estimates use the same driving normals (common random numbers);
     the defection side runs the affine feedback (Q, q) against the frozen
     equilibrium mean path xbar*.  Both marches run in one _em_functionals
-    call, on the given normals or else on mc.seed's, so a large ensemble
-    forks once.
+    call on mc.seed's normals, which each process draws for its own paths,
+    so a large ensemble forks once.
     """
     grid = _mc_grid(p, mc, sol)
     if sol is None:
         sol = mean_field_bvp(p, grid)
     marches = [_leader_march(p, sol["u0_star"], sol["xbar"], grid),
                _defection_march(p, k, sol, grid)]
-    ((j_eq,), _, _), ((j_def,), _, _) = _em_functionals(
-        marches, grid.h, mc.n_paths, _noise(mc, normals))
+    ((j_eq,), _, _), ((j_def,), _, _) = _em_functionals(marches, grid.h, mc.n_paths, _noise(mc))
     return _estimate(j_eq), _estimate(j_def)
 
 
@@ -565,7 +551,7 @@ def follower_feedback_check(p: MfgParams, sol: MeanFieldSolution, mc: McConfig) 
     # Per-path time average of p_i - (F m + fbar) = F (x_i - m).
     coef = [[zero, F / len(F), zero]]
     (avg,), mean, x_end = _em_functionals(
-        [(alpha, beta, p.xbar_init, m, coef)], grid.h, mc.n_paths, _noise(mc, None)
+        [(alpha, beta, p.xbar_init, m, coef)], grid.h, mc.n_paths, _noise(mc)
     )[0]
     mean_resid = float(avg.mean())
     se = float(avg.std(ddof=1) / math.sqrt(mc.n_paths)) if not mc.zero_noise else 0.0
@@ -585,7 +571,6 @@ def euler_condition_check(
     perturbation: np.ndarray,
     mc: McConfig,
     theta: float = 1e-4,
-    normals: np.ndarray | None = None,
 ) -> McEstimate:
     """Central-difference directional payoff derivative at an open-loop control.
 
@@ -611,8 +596,7 @@ def euler_condition_check(
         return _leader_march(p, u0, _follower_response(p, u0, grid)["xbar"], grid, split=True)
 
     marches = [march(control + theta * perturbation), march(control - theta * perturbation)]
-    (plus, _, _), (minus, _, _) = _em_functionals(
-        marches, grid.h, mc.n_paths, _noise(mc, normals))
+    (plus, _, _), (minus, _, _) = _em_functionals(marches, grid.h, mc.n_paths, _noise(mc))
     return _split_estimate(plus, minus, theta)
 
 
@@ -622,7 +606,6 @@ def follower_euler_check(
     perturbation: np.ndarray,
     mc: McConfig,
     theta: float = 1e-4,
-    normals: np.ndarray | None = None,
 ) -> McEstimate:
     """Directional payoff derivative for a representative follower.
 
@@ -656,7 +639,7 @@ def follower_euler_check(
                              integrand, p.r, split=True)
 
     (plus, _, _), (minus, _, _) = _em_functionals(
-        [march(theta), march(-theta)], grid.h, mc.n_paths, _noise(mc, normals))
+        [march(theta), march(-theta)], grid.h, mc.n_paths, _noise(mc))
     return _split_estimate(plus, minus, theta)
 
 
@@ -802,8 +785,9 @@ def min_k_meanfield(
         return search.step(state, verdict[k])
 
     state = search.start
-    (j_eq,), ahead = beside(
-        lambda: _leader_payoff(p, sol["u0_star"], sol["xbar"], grid, mc, normals), 0.0)
+    (j_eq,), ahead = beside(lambda: _em_functionals(
+        [_leader_march(p, sol["u0_star"], sol["xbar"], grid)], grid.h, mc.n_paths, normals
+    )[0][0], 0.0)
     j_eq = _estimate(j_eq)
     if ahead is not None:
         state = judge(state, 0.0, ahead)

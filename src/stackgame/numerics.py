@@ -76,51 +76,43 @@ class TimeGrid:
 class AffineSystem:
     """Linear-affine ODE system y' = M y + v(t) with d boundary constraints.
 
-    The matrix M is a constant (d, d) array.  The offset v is a constant (d,)
-    array or an (n_steps + 1, d) array of its values on the grid nodes, taken
-    as linear between nodes.  Each boundary constraint is a triple
-    (variable index, endpoint, value) where endpoint is "t0" or "t1" and the
-    index is < d.  Exactly d constraints are required.  An index may appear
-    twice, once per endpoint (x fixed at both ends, some other variable free
-    at both).  The constraints must pin down the solution:
+    The matrix M is a constant square (d, d) array, which sets d.  The offset
+    v is a constant (d,) array or an (n_steps + 1, d) array of its values on
+    the grid nodes, taken as linear between nodes.  Each boundary constraint
+    is a triple (variable index, endpoint, value) where endpoint is "t0" or
+    "t1" and the index is < d.  Exactly d constraints are required.  An index
+    may appear twice, once per endpoint (x fixed at both ends, some other
+    variable free at both).  The constraints must pin down the solution:
     solve_affine_bvp raises IllPosedBVPError when they do not, for example
     when an (index, endpoint) pair repeats.
     """
 
-    dimension: int
     matrix: np.ndarray
     offset: np.ndarray
     boundary: Sequence[tuple[int, str, float]]
     names: Sequence[str] | None = None
 
     def __post_init__(self):
-        if len(self.boundary) != self.dimension:
-            raise ParameterError(
-                f"need exactly {self.dimension} boundary constraints, got {len(self.boundary)}"
-            )
-        for idx, endpoint, _ in self.boundary:
-            if not 0 <= idx < self.dimension:
-                raise ParameterError(f"boundary index {idx} out of range for d={self.dimension}")
-            if endpoint not in ("t0", "t1"):
-                raise ParameterError(f"boundary endpoint must be 't0' or 't1', got {endpoint!r}")
-        if self.names is not None and len(self.names) != self.dimension:
-            raise ParameterError("names must have one entry per variable")
-        d = self.dimension
         matrix = np.asarray(self.matrix, dtype=float)
         offset = np.asarray(self.offset, dtype=float)
-        if matrix.shape != (d, d):
-            raise ParameterError(f"matrix must have shape {(d, d)}, got {matrix.shape}")
+        if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
+            raise ParameterError(f"matrix must be square, got shape {matrix.shape}")
+        d = len(matrix)
+        if len(self.boundary) != d:
+            raise ParameterError(f"need exactly {d} boundary constraints, got {len(self.boundary)}")
+        for idx, endpoint, _ in self.boundary:
+            if not 0 <= idx < d:
+                raise ParameterError(f"boundary index {idx} out of range for d={d}")
+            if endpoint not in ("t0", "t1"):
+                raise ParameterError(f"boundary endpoint must be 't0' or 't1', got {endpoint!r}")
+        if self.names is not None and len(self.names) != d:
+            raise ParameterError("names must have one entry per variable")
         if offset.ndim not in (1, 2) or offset.shape[-1] != d:
             raise ParameterError(
                 f"offset must have shape ({d},) or (n_nodes, {d}), got {offset.shape}"
             )
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "offset", offset)
-
-    def channel_names(self) -> list[str]:
-        if self.names is not None:
-            return list(self.names)
-        return [f"x{i}" for i in range(self.dimension)]
 
 
 @dataclass
@@ -180,10 +172,13 @@ def rk4_solve_general(f, y0, grid: TimeGrid, backward: bool = False) -> np.ndarr
     return _rk4_march(f, np.atleast_1d(np.asarray(y0, dtype=float)), times)
 
 
-def _rk4_step_map(system: AffineSystem, grid: TimeGrid) -> tuple[np.ndarray, np.ndarray]:
+def _rk4_step_map(
+    matrix: np.ndarray, offset: np.ndarray, grid: TimeGrid
+) -> tuple[np.ndarray, np.ndarray]:
     """Classical RK4 on y' = M y + v(t) as the affine step map y_{j+1} = P y_j + c_j.
 
-    With M constant the four stages collapse to one matrix, built once,
+    M and v are an AffineSystem's matrix and offset.  With M constant the
+    four stages collapse to one matrix, built once,
         P = I + hM + (hM)^2/2 + (hM)^3/6 + (hM)^4/24,
     and to the offsets, all built in one vectorised pass,
         c_j = (h/6) [(I + hM + (hM)^2/2 + (hM)^3/4) v_j
@@ -192,20 +187,19 @@ def _rk4_step_map(system: AffineSystem, grid: TimeGrid) -> tuple[np.ndarray, np.
     are linear between nodes, so the midpoint value is the mean of the two.
     Returns P and c as (n_steps, d); a constant offset gives a broadcast view.
     """
-    n, d, h = grid.n_steps, system.dimension, grid.h
+    n, d, h = grid.n_steps, len(matrix), grid.h
     eye = np.eye(d)
-    hm = h * system.matrix
+    hm = h * matrix
     hm2 = hm @ hm
     hm3 = hm2 @ hm
     step = eye + hm + hm2 / 2.0 + hm3 / 6.0 + hm3 @ hm / 24.0
     at_start = eye + hm + hm2 / 2.0 + hm3 / 4.0
     at_mid = 4.0 * eye + 2.0 * hm + hm2 / 2.0
-    v = system.offset
-    if v.ndim == 1:
-        return step, np.broadcast_to((h / 6.0) * ((at_start + at_mid + eye) @ v), (n, d))
-    if len(v) != n + 1:
-        raise ParameterError(f"offset has {len(v)} nodes, the grid has {n + 1}")
-    start, end = v[:-1], v[1:]
+    if offset.ndim == 1:
+        return step, np.broadcast_to((h / 6.0) * ((at_start + at_mid + eye) @ offset), (n, d))
+    if len(offset) != n + 1:
+        raise ParameterError(f"offset has {len(offset)} nodes, the grid has {n + 1}")
+    start, end = offset[:-1], offset[1:]
     c = start @ at_start.T
     c += (0.5 * (start + end)) @ at_mid.T
     c += end
@@ -213,7 +207,9 @@ def _rk4_step_map(system: AffineSystem, grid: TimeGrid) -> tuple[np.ndarray, np.
     return step, c
 
 
-def _affine_march(system: AffineSystem, grid: TimeGrid, y0: np.ndarray) -> np.ndarray:
+def _affine_march(
+    matrix: np.ndarray, offset: np.ndarray, grid: TimeGrid, y0: np.ndarray
+) -> np.ndarray:
     """RK4 march of Y' = M Y + v(t) e_0^T from Y(t0) = y0, a (d, m) array.
 
     The offset drives column 0 only, so the other columns are homogeneous
@@ -230,7 +226,7 @@ def _affine_march(system: AffineSystem, grid: TimeGrid, y0: np.ndarray) -> np.nd
     (n_steps + 1, d, m) node values, a view of a buffer that rounds the
     node count up to whole blocks.
     """
-    step, c = _rk4_step_map(system, grid)
+    step, c = _rk4_step_map(matrix, offset, grid)
     n, d = c.shape
     s = math.isqrt(n)
     blocks = n // s + 1  # the last one is ragged: n % s steps, padded to s
@@ -272,11 +268,11 @@ def solve_affine_bvp(system: AffineSystem, grid: TimeGrid) -> TrajectoryGrid:
     coefficients.  The march is _affine_march's block scan.  A boundary
     matrix with condition number above 1e12 raises IllPosedBVPError.
     """
-    d = system.dimension
+    d = len(system.matrix)
     # Columns: 0 = particular (with offset), 1..d = homogeneous basis e_i.
     Y0 = np.zeros((d, d + 1))
     Y0[:, 1:] = np.eye(d)
-    vals = _affine_march(system, grid, Y0)  # (n+1, d, d+1)
+    vals = _affine_march(system.matrix, system.offset, grid, Y0)  # (n+1, d, d+1)
 
     B = np.empty((d, d))
     rhs = np.empty(d)
@@ -290,7 +286,7 @@ def solve_affine_bvp(system: AffineSystem, grid: TimeGrid) -> TrajectoryGrid:
     c = np.linalg.solve(B, rhs)
 
     traj = vals[:, :, 0] + vals[:, :, 1:] @ c  # (n+1, d)
-    names = system.channel_names()
+    names = [f"x{i}" for i in range(d)] if system.names is None else system.names
     return TrajectoryGrid(grid, {n: traj[:, i].copy() for i, n in enumerate(names)})
 
 
@@ -303,8 +299,9 @@ def _rk4_linear_backward(
     the channels' values to (a, b).  The stages read them at the nodes and,
     by np.interp, at the march's own midpoint times, so every step is the
     affine map y_j = A_j y_{j+1} + B_j.  All A_j and B_j come from one
-    vectorised pass and the march is a plain float recurrence.  Returns y on
-    the nodes, ordered t0..t1.
+    vectorised pass and the march is _affine_recurrence.  Returns y on the
+    nodes, ordered t0..t1; a march that leaves the float range raises
+    IntegrationBlowupError at its first non-finite node.
     """
     times = grid.times()
     back = times[::-1]
@@ -319,11 +316,21 @@ def _rk4_linear_backward(
     ka4, kb4 = a[1:] * (1.0 + h * ka3), a[1:] * (h * kb3) + b[1:]
     step_a = 1.0 + h / 6.0 * (ka1 + 2.0 * ka2 + 2.0 * ka3 + ka4)
     step_b = h / 6.0 * (kb1 + 2.0 * kb2 + 2.0 * kb3 + kb4)
-    y = np.empty(len(times))
-    x = y[0] = 0.0
-    for j, (A, B) in enumerate(zip(step_a, step_b), start=1):
-        x = y[j] = A * x + B
+    y = _affine_recurrence(step_a, step_b, 0.0)
+    if not np.isfinite(y).all():
+        bad = int(np.argmin(np.isfinite(y)))
+        raise IntegrationBlowupError(step=bad, t=float(back[bad]))
     return y[::-1]
+
+
+def _affine_recurrence(a: Sequence[float], b: Sequence[float], y0: float) -> np.ndarray:
+    """y_0 = y0, y_{j+1} = a_j y_j + b_j: one product and one sum a step, on factors taken
+    as Python floats one at a time, so every caller gets the same bits and an overflow inf."""
+    y = np.empty(len(a) + 1)
+    x = y[0] = float(y0)
+    for j, (aj, bj) in enumerate(zip(map(float, a), map(float, b)), start=1):
+        x = y[j] = aj * x + bj
+    return y
 
 
 def quad_simpson(values: np.ndarray, h: float) -> float:
@@ -635,12 +642,7 @@ def euler_mean(alpha: np.ndarray, beta: np.ndarray, x0: float, h: float) -> np.n
     _em_functionals', so a zero-noise path of that march equals it bit for
     bit.
     """
-    a, b = _euler_factors(alpha, beta, h)
-    m = np.empty(len(a) + 1)
-    x = m[0] = float(x0)
-    for j, (aj, bj) in enumerate(zip(a, b), start=1):
-        x = m[j] = aj * x + bj
-    return m
+    return _affine_recurrence(*_euler_factors(alpha, beta, h), x0)
 
 
 def _em_functionals(marches, h: float, n_paths: int, noise) -> list[tuple]:

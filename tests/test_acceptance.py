@@ -172,7 +172,6 @@ def test_08_mean_field_bvp_residuals_and_decoupling():
         coupled = meanfield.mean_field_bvp(p, grid)
         solo = solve_affine_bvp(
             AffineSystem(
-                dimension=2,
                 matrix=np.array([[p.A0, p.B0**2 / p.a0], [-1.0, p.r - p.A0]]),
                 offset=np.array([0.0, -p.b0]),
                 boundary=[(0, "t0", p.x0_init), (1, "t1", 0.0)],
@@ -202,14 +201,13 @@ def test_09_euler_optimality_of_derived_controls():
         grid = TimeGrid(0.0, MFG.T, MC.n_steps)
         t = grid.times()
         sol = meanfield.mean_field_bvp(MFG, grid)
-        normals = path_normals(MC.seed, MC.n_paths, MC.n_steps)
         rng = np.random.default_rng(42)
         worst_z, worst_total_z, detail = 0.0, 0.0, []
         for i in range(5):
             c = rng.standard_normal(4)
             v = c[0] + c[1] * t + c[2] * np.sin(3.0 * t) + c[3] * np.cos(2.0 * t)
-            leader = meanfield.euler_condition_check(MFG, sol["u0_star"], v, MC, normals=normals)
-            follower = meanfield.follower_euler_check(MFG, sol, v, MC, normals=normals)
+            leader = meanfield.euler_condition_check(MFG, sol["u0_star"], v, MC)
+            follower = meanfield.follower_euler_check(MFG, sol, v, MC)
             for tag, est in (("leader", leader), ("follower", follower)):
                 ce = est.certainty_equivalent
                 z = abs(ce.mean) / ce.stderr if ce.stderr > 0 else math.inf
@@ -217,9 +215,7 @@ def test_09_euler_optimality_of_derived_controls():
                 worst_z = max(worst_z, z)
                 worst_total_z = max(worst_total_z, z_total)
                 detail.append(f"{tag}{i} z={z_total:.2f} ce z={z:.2f}")
-        shifted = meanfield.euler_condition_check(
-            MFG, sol["u0_star"] + 0.5, np.ones_like(t), MC, normals=normals
-        )
+        shifted = meanfield.euler_condition_check(MFG, sol["u0_star"] + 0.5, np.ones_like(t), MC)
         shifted_ok = shifted.mean + 3.0 * shifted.stderr < 0.0
         return worst_z, worst_total_z, shifted_ok, shifted.mean / shifted.stderr, detail
 

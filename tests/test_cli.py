@@ -134,6 +134,29 @@ class TestMain:
         assert {"x1", "lam", "u0", "u1"} <= set(rows[0])
         assert len(rows) == 1 + 1000 + 1  # header + nodes
 
+    def test_zero_margin_discrete_verify_certifies_without_dividing(self, tmp_path):
+        # a = c0 = c1 = 1: the margin, the defection gain, J0^ and J0* are all 0.
+        text = DISCRETE_YAML.replace("a: 10.0", "a: 1.0").replace("c1: 2.0", "c1: 1.0")
+        cfg = self._write(tmp_path, text)
+        out = tmp_path / "out"
+        assert main(["discrete", "verify", "--config", str(cfg), "--out", str(out)]) == 0
+        report = (out / "report.txt").read_text()
+        assert "ratio_9 = |0 - 0| <= 1e-12 (tol 1e-12) : PASS" in report
+        assert "ratio_8 = |0 - 0| <= 1e-12 (tol 1e-12) : PASS" in report
+        assert "FAIL" not in report
+
+    def test_given_out_is_taken_from_the_working_directory(self, tmp_path, monkeypatch):
+        cfg = self._write(tmp_path, DISCRETE_YAML)
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        assert main(["discrete", "verify", "--config", str(cfg), "--out", "."]) == 0
+        assert (work / "report.txt").is_file()
+        assert not (tmp_path / "report.txt").exists()
+        # Without --out, the config's default "." is the config's directory.
+        assert main(["discrete", "verify", "--config", str(cfg)]) == 0
+        assert (tmp_path / "report.txt").is_file()
+
     def test_threshold_k_writes_sweep_csv(self, tmp_path):
         cfg = self._write(tmp_path, DISCRETE_YAML)
         out = tmp_path / "out"
@@ -468,7 +491,8 @@ class TestTableByHalves:
         """The bar lowered to one field; returns the one-process bytes of _table()."""
         names, cols = _table()
         path = tmp_path / "one.csv"
-        cli._write_csv(path, names, ",".join(["%.12g"] * len(cols)), cli._float_rows(cols))
+        with open(path, "w", newline="") as fh:
+            csv.writer(fh).writerows([names] + [["%.12g" % v for v in row] for row in zip(*cols)])
         monkeypatch.setattr(numerics, "_FORK_MIN_FIELDS", 1)
         return path.read_bytes()
 

@@ -148,6 +148,21 @@ class TestLedgerTotals:
         with pytest.raises(ParameterError, match="disagree"):
             discount_schedule(duopoly, 0.1, 4, 10)
 
+    def test_long_tail_agrees_to_its_rounding_bound(self, duopoly):
+        # At k = 1e-7 the recursion drifts from (1 - k dJ0)^i by 4.9e-12 over
+        # 10^5 periods, which a fixed bound of 1e-12 refused.
+        totals = ledger_totals(duopoly, 1e-7, 10**5)
+        total = discount_schedule(duopoly, 1e-7, 1, 10**5).total
+        np.testing.assert_allclose(totals[0], total, rtol=1e-12, atol=0.0)
+
+    def test_recursion_off_by_a_relative_1e9_per_period_raises(self, duopoly, monkeypatch):
+        recursive = discrete._recursive_factors
+        monkeypatch.setattr(discrete, "_recursive_factors",
+                            lambda k, d, n: recursive(k, d, n) * (1.0 + 1e-9) ** np.arange(n))
+        for n in (10, 10**5):
+            with pytest.raises(ParameterError, match="disagree"):
+                ledger_totals(duopoly, 1e-7, n)
+
     def test_rejects_out_of_range_inputs(self, duopoly):
         with pytest.raises(ParameterError):
             ledger_totals(duopoly, 0.0, 5)

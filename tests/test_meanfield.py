@@ -97,7 +97,7 @@ class TestRiccati:
         # A gain that passes the step check never makes the march grow, so
         # the march is replaced by one that fails as _affine_march does: at
         # march node 3, reporting that node's time on the reversed grid.
-        def overflowing(system, grid, y0):
+        def overflowing(matrix, offset, grid, y0):
             raise IntegrationBlowupError(step=3, t=float(grid.times()[3]))
 
         monkeypatch.setattr(meanfield, "_affine_march", overflowing)
@@ -173,7 +173,7 @@ class TestMeanFieldBvp:
         boundary = [(0, "t0", p.x0_init), (1, "t0", p.xbar_init), (2, "t1", 0.0),
                     (3, "t1", 0.0), (4, "t1", 0.0), (5, "t1", 0.0)]
         printed = solve_affine_bvp(
-            AffineSystem(6, meanfield._equilibrium_matrix(p), meanfield._equilibrium_offset(p),
+            AffineSystem(meanfield._equilibrium_matrix(p), meanfield._equilibrium_offset(p),
                          boundary, names=("x0", "xbar", "pbar", "p0", "lam", "xi")), grid)
         assert abs(printed["xi"][-1]) < 1e-12
         u0 = (p.B0 / p.a0) * printed["p0"] - (p.B * p.sigma / (p.a * p.a0)) * printed["lam"]
@@ -187,7 +187,6 @@ class TestMeanFieldBvp:
         # Standalone leader problem: x0' = A0 x0 + (B0^2/a0) p0,
         # p0' = (r - A0) p0 - (x0 + b0), with x0(0) given and p0(T) = 0.
         system = AffineSystem(
-            dimension=2,
             matrix=np.array(
                 [[p.A0, p.B0**2 / p.a0], [-1.0, p.r - p.A0]]
             ),
@@ -536,7 +535,8 @@ def _bisection_oracle(p, mc, tol=0.01, k_max=1000.0):
     times = grid.times()
     sol = mean_field_bvp(p, grid)
     normals = path_normals(mc.seed, mc.n_paths, mc.n_steps)
-    (j_eq,) = meanfield._leader_payoff(p, sol["u0_star"], sol["xbar"], grid, mc, normals)
+    leader = meanfield._leader_march(p, sol["u0_star"], sol["xbar"], grid)
+    (j_eq,), _, _ = numerics._em_functionals([leader], grid.h, mc.n_paths, normals)[0]
     j_eq = meanfield._estimate(j_eq)
     trace, marched, growth, verdict = [], {}, {}, {}
 
@@ -758,7 +758,7 @@ class TestPairedMarches:
             def leader(*args):
                 raise SimulationBlowupError(path_index=0, step=1)
 
-            monkeypatch.setattr(meanfield, "_leader_payoff", leader)
+            monkeypatch.setattr(meanfield, "_leader_march", leader)
         else:  # this process marches k = 1 while the child marches k = 0.5
             self._poison(monkeypatch, tmp_path, 1.0)
         with pytest.raises(error):

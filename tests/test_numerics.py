@@ -84,7 +84,6 @@ class TestRk4:
     def test_affine_initial_value_solve(self):
         # y' = -y + 1, y(0) = 0 has y(t) = 1 - e^{-t}.
         system = AffineSystem(
-            dimension=1,
             matrix=np.array([[-1.0]]),
             offset=np.array([1.0]),
             boundary=[(0, "t0", 0.0)],
@@ -97,7 +96,6 @@ class TestRk4:
 
 def _oscillator(two_point):
     return AffineSystem(
-        dimension=2,
         matrix=np.array([[0.0, 1.0], [-1.0, 0.0]]),
         offset=np.zeros(2),
         boundary=two_point,
@@ -161,7 +159,7 @@ class TestRk4StepMap:
         grid = TimeGrid(0.0, 2.0, n_steps)
         v = self._node_offset(grid)
         boundary = [(0, "t0", 1.0), (1, "t1", -0.5), (2, "t0", 0.2)]
-        traj = solve_affine_bvp(AffineSystem(3, self.M, v, boundary), grid)
+        traj = solve_affine_bvp(AffineSystem(self.M, v, boundary), grid)
         oracle = closure_bvp(self.M, self._interp_offset(grid, v), boundary, grid)
         for i in range(3):
             _close(traj[f"x{i}"], oracle[:, i])
@@ -171,16 +169,16 @@ class TestRk4StepMap:
         grid = TimeGrid(0.0, 2.0, 500)
         v = self._node_offset(grid)
         offset = self._interp_offset(grid, v)
-        traj = solve_affine_bvp(AffineSystem(3, self.M, v, [(0, "t0", 1.0), (1, "t0", 0.0),
-                                                            (2, "t0", -1.0)]), grid)
+        traj = solve_affine_bvp(AffineSystem(self.M, v, [(0, "t0", 1.0), (1, "t0", 0.0),
+                                                         (2, "t0", -1.0)]), grid)
         oracle = rk4_solve_general(lambda t, y: self.M @ y + offset(t), [1.0, 0.0, -1.0], grid)
         for i in range(3):
             _close(traj[f"x{i}"], oracle[:, i])
 
     @staticmethod
-    def _indexed_march(system, grid, y0):
+    def _indexed_march(matrix, offset, grid, y0):
         """The step-by-step march: one product with the step map per step."""
-        step, c = numerics._rk4_step_map(system, grid)
+        step, c = numerics._rk4_step_map(matrix, offset, grid)
         vals = np.empty((grid.n_steps + 1,) + y0.shape)
         vals[0] = y0
         with np.errstate(over="ignore", invalid="ignore"):
@@ -203,39 +201,46 @@ class TestRk4StepMap:
         grid = TimeGrid(0.0, 2.0, n_steps)
         matrix = self.M if d == 3 else 0.5 * rng.standard_normal((d, d))
         offset = rng.standard_normal((n_steps + 1, d) if node_offset else d)
-        system = AffineSystem(d, matrix, offset, [(i, "t0", 0.0) for i in range(d)])
         y0 = np.zeros((d, d + 1))
         y0[:, 1:] = np.eye(d)
-        _close(numerics._affine_march(system, grid, y0), self._indexed_march(system, grid, y0))
+        _close(numerics._affine_march(matrix, offset, grid, y0),
+               self._indexed_march(matrix, offset, grid, y0))
 
     @pytest.mark.parametrize(
         "rate, t1, n_steps, bad_step",
         [(1e5, 20.0, 20, 17), (700.0, 20.0, 400, 64)],  # 64 is inside the fourth 20-step block
     )
     def test_blowup_step_matches_indexed_loop(self, rate, t1, n_steps, bad_step):
-        system = AffineSystem(1, np.array([[rate]]), np.array([1.0]), [(0, "t0", 1.0)])
         grid = TimeGrid(0.0, t1, n_steps)
         y0 = np.array([[0.0, 1.0]])
         steps = []
         for march in (numerics._affine_march, self._indexed_march):
             with pytest.raises(IntegrationBlowupError) as exc:
-                march(system, grid, y0)
+                march(np.array([[rate]]), np.array([1.0]), grid, y0)
             steps.append(exc.value.step)
         assert steps == [bad_step, bad_step]
 
     def test_shapes_are_checked(self):
         boundary = [(0, "t0", 0.0), (1, "t1", 0.0)]
         with pytest.raises(ParameterError, match="matrix"):
-            AffineSystem(2, np.eye(3), np.zeros(2), boundary)
+            AffineSystem(np.ones((2, 3)), np.zeros(2), boundary)
         with pytest.raises(ParameterError, match="offset"):
-            AffineSystem(2, np.eye(2), np.zeros(3), boundary)
-        system = AffineSystem(2, np.eye(2), np.zeros((11, 2)), boundary)
+            AffineSystem(np.eye(2), np.zeros(3), boundary)
+        system = AffineSystem(np.eye(2), np.zeros((11, 2)), boundary)
         with pytest.raises(ParameterError, match="11 nodes"):
             solve_affine_bvp(system, TimeGrid(0.0, 1.0, 20))
 
+    def test_scalar_backward_overflow_raises_typed_error(self):
+        # Step factors near 1e101 leave the float range at the fourth step back
+        # from t1; the march's Python floats would carry inf on unchecked.
+        grid = TimeGrid(0.0, 1.0, 10)
+        with pytest.raises(IntegrationBlowupError) as exc:
+            numerics._rk4_linear_backward(lambda c: (c - 7e26, c + 1.0), (np.zeros(11),), grid)
+        assert (exc.value.step, exc.value.t) == (4, grid.times()[-5])
+
     def test_overflow_raises_typed_error(self):
         # P = 1 + 1e5 + ... per step overflows the float range near step 17.
-        system = AffineSystem(1, np.array([[1e5]]), np.array([1.0]), [(0, "t0", 1.0)])
+        system = AffineSystem(np.array([[1e5]]), np.array([1.0]), [(0, "t0", 1.0)])
         with pytest.raises(IntegrationBlowupError) as exc:
             solve_affine_bvp(system, TimeGrid(0.0, 20.0, 20))
         assert 10 < exc.value.step < 20
@@ -791,28 +796,23 @@ class TestTwoProcesses:
         assert path_normals(5, 300, 40).tobytes() == normals.tobytes()
         assert processes.forks == []
 
-    def test_single_use_calls_fork_once_and_match_the_shared_matrix(self, processes, mfg):
+    def test_single_use_calls_fork_once_and_match_one_process(self, processes, mfg):
         # mc_payoffs, the Euler checks and follower_feedback_check own their
         # noise: one fork each (mc_payoffs forked 3 times when it drew the
-        # matrix first, follower_feedback_check twice), and the values of
-        # the normals=path_normals(...) call.
+        # matrix first, follower_feedback_check twice), and the one-process
+        # values.  The seeded kernel's values are the shared matrix's
+        # (test_seed_matches_the_matrix_it_stands_for).
         mc = meanfield.McConfig(n_paths=300, n_steps=40, seed=5)
         sol = meanfield.mean_field_bvp(mfg, TimeGrid(0.0, mfg.T, mc.n_steps))
-        normals = self._one_process(processes, lambda: path_normals(5, 300, 40))
         v = np.ones(mc.n_steps + 1)
         calls = [
-            lambda noise: meanfield.mc_payoffs(mfg, 0.5, mc, sol=sol, normals=noise),
-            lambda noise: meanfield.euler_condition_check(
-                mfg, sol["u0_star"], v, mc, normals=noise).samples.tobytes(),
-            lambda noise: meanfield.follower_euler_check(
-                mfg, sol, v, mc, normals=noise).samples.tobytes(),
+            lambda: meanfield.mc_payoffs(mfg, 0.5, mc, sol=sol),
+            lambda: meanfield.euler_condition_check(mfg, sol["u0_star"], v, mc).samples.tobytes(),
+            lambda: meanfield.follower_euler_check(mfg, sol, v, mc).samples.tobytes(),
+            lambda: meanfield.follower_feedback_check(mfg, sol, mc),
         ]
         for call in calls:
-            shared = self._one_process(processes, lambda: call(normals))
+            one = self._one_process(processes, call)
             processes.forks.clear()
-            assert call(None) == shared
+            assert call() == one
             assert len(processes.forks) == 1
-        one = self._one_process(processes, lambda: meanfield.follower_feedback_check(mfg, sol, mc))
-        processes.forks.clear()
-        assert meanfield.follower_feedback_check(mfg, sol, mc) == one
-        assert len(processes.forks) == 1
