@@ -158,11 +158,19 @@ def brute_force_oracle(
 
 
 def _recursive_factors(k: float, d: float, n: int) -> np.ndarray:
-    """rho(i) = rho(i-1) - k * dJ~(i-1) with dJ~(i) = rho(i) dJ0(1), from rho(0) = 1."""
-    rho = np.ones(n)
-    for i in range(1, n):
-        rho[i] = rho[i - 1] - k * (rho[i - 1] * d)
-    return rho
+    """rho(i) = rho(i-1) - k * dJ~(i-1) with dJ~(i) = rho(i) dJ0(1), from rho(0) = 1.
+
+    Stepped on Python floats: the same IEEE operations as on numpy elements,
+    without a numpy scalar read and write per step, and streamed into the
+    array, so no list of n floats is held.
+    """
+    def steps():
+        x = 1.0
+        for _ in range(n):
+            yield x
+            x -= k * (x * d)
+
+    return np.fromiter(steps(), float, count=n)
 
 
 def _tail_factors(p: DuopolyParams, k: float, n: int) -> np.ndarray:

@@ -40,10 +40,9 @@ from .numerics import (
     TrajectoryGrid,
     _affine_march,
     _em_functionals,
-    _march_beside,
+    _march_held,
     _rk4_linear_backward,
     euler_mean,
-    path_normals,
     solve_affine_bvp,
 )
 from .results import PenaltySearchResult
@@ -470,16 +469,6 @@ def _defection_march(p: MfgParams, k: float, sol: MeanFieldSolution, grid: TimeG
     return _payoff_march(alpha, beta, p.x0_init, grid, integrand, p.r + k)
 
 
-def _defection_payoff(
-    p: MfgParams, k: float, sol: MeanFieldSolution, grid: TimeGrid, mc: McConfig,
-    normals: np.ndarray | None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-path defection payoff at rate r + k, and the ensemble mean path."""
-    (payoff,), mean, _ = _em_functionals(
-        [_defection_march(p, k, sol, grid)], grid.h, mc.n_paths, normals)[0]
-    return payoff, mean
-
-
 def _mc_grid(p: MfgParams, mc: McConfig, sol: MeanFieldSolution | None = None) -> TimeGrid:
     """The Monte Carlo grid on [0, T]; a given solution must have been solved on it."""
     grid = TimeGrid(0.0, p.T, mc.n_steps)
@@ -705,19 +694,6 @@ class _Bisection:
         split = hi - lo > self.tol and lo < 0.5 * (lo + hi) < hi
         return ("halve" if split else "done", lo, hi)
 
-    def guess(self, state, margins: dict[float, tuple[float, float]]) -> bool:
-        """The likely verdict on request(state); True outside the halving phase.
-
-        While halving, both ends of [lo, hi] have margins.  The guess is that
-        mid deters when the secant root of min(margins) over [lo, hi] lies
-        at or below mid.  A wrong guess costs time, never a result.
-        """
-        phase, lo, hi = state
-        if phase != "halve":
-            return True
-        f_lo, f_hi = min(margins[lo]), min(margins[hi])
-        return lo - f_lo * (hi - lo) / (f_hi - f_lo) <= 0.5 * (lo + hi)
-
 
 def min_k_meanfield(
     p: MfgParams,
@@ -745,10 +721,11 @@ def min_k_meanfield(
     raises NoDeterrentError.  A given sol must have been solved on the Monte
     Carlo grid.
 
-    Each round marches the requested rate, and by _march_beside the rate
-    the search will most likely request next (_Bisection.guess); the first
-    round pairs the equilibrium march with k = 0.  The guessed march is
-    judged only if its rate is requested next.
+    Every requested rate is marched in turn, in one _march_held session on
+    mc.seed's normals: from 2^20 normals on two CPUs, one forked child
+    draws and holds half of the paths for the whole search and marches each
+    rate on them while this process marches the other half.  The first
+    request, k = 0, also marches the equilibrium payoff.
     """
     require_positive(tol=tol, k_max=k_max)
     if mc.n_steps < 3:
@@ -758,46 +735,33 @@ def min_k_meanfield(
     times = grid.times()
     if sol is None:
         sol = mean_field_bvp(p, grid)
-    # Both processes of a march pair read the whole matrix, so it is shared.
-    normals = None if mc.zero_noise else path_normals(mc.seed, mc.n_paths, mc.n_steps)
     search = _Bisection(tol, k_max)
     evaluated: dict[float, tuple[McEstimate, float]] = {}  # k -> (J_def, growth slope)
     margins: dict[float, tuple[float, float]] = {}
     verdict: dict[float, bool] = {}
 
-    def march(k: float) -> tuple[np.ndarray, np.ndarray]:
-        return _defection_payoff(p, k, sol, grid, mc, normals)
+    def marches(k: float) -> list[tuple]:
+        """k's defection march, after the equilibrium march on the first request, k = 0."""
+        leader = [_leader_march(p, sol["u0_star"], sol["xbar"], grid)] if k == 0.0 else []
+        return leader + [_defection_march(p, k, sol, grid)]
 
-    def beside(here, k_next: float | None):
-        """here(), and k_next's march in a child alongside: (here's result, that march or None)."""
-        there = None if k_next is None else lambda: march(k_next)
-        return _march_beside(mc.n_paths, mc.n_steps, here, there)
+    def bisect(march) -> tuple:
+        """Runs the search on march's results; returns its last state and J_eq."""
+        state = search.start
+        while (k := search.request(state)) is not None:
+            *leader, ((samples,), mean, _) = march(k)
+            if leader:
+                j_eq = _estimate(leader[0][0][0])
+            jd = _estimate(samples)
+            _, slope = growth_order_check(times, mean, p.r + k)
+            margins[k] = ((j_eq.mean - 3.0 * j_eq.stderr) - (jd.mean + 3.0 * jd.stderr),
+                          (p.r + k) / 2.0 - _GROWTH_MARGIN - slope)
+            evaluated[k] = jd, slope
+            verdict[k] = margins[k][0] > 0.0 and margins[k][1] > 0.0
+            state = search.step(state, verdict[k])
+        return state, j_eq
 
-    def judge(state, k: float, marched):
-        """Records k's margins and verdict from its march; returns the search's next state."""
-        samples, mean = marched
-        jd = _estimate(samples)
-        _, slope = growth_order_check(times, mean, p.r + k)
-        margins[k] = ((j_eq.mean - 3.0 * j_eq.stderr) - (jd.mean + 3.0 * jd.stderr),
-                      (p.r + k) / 2.0 - _GROWTH_MARGIN - slope)
-        evaluated[k] = jd, slope
-        verdict[k] = margins[k][0] > 0.0 and margins[k][1] > 0.0
-        return search.step(state, verdict[k])
-
-    state = search.start
-    (j_eq,), ahead = beside(lambda: _em_functionals(
-        [_leader_march(p, sol["u0_star"], sol["xbar"], grid)], grid.h, mc.n_paths, normals
-    )[0][0], 0.0)
-    j_eq = _estimate(j_eq)
-    if ahead is not None:
-        state = judge(state, 0.0, ahead)
-    while (k := search.request(state)) is not None:
-        k_next = search.request(search.step(state, search.guess(state, margins)))
-        marched, ahead = beside(lambda: march(k), k_next)
-        state = judge(state, k, marched)
-        if ahead is not None and search.request(state) == k_next:
-            state = judge(state, k_next, ahead)
-
+    state, j_eq = _march_held(mc.n_paths, mc.n_steps, grid.h, _noise(mc), [1, 1], marches, bisect)
     phase, _, k_min = state
     if phase == "none":
         raise NoDeterrentError(f"defection stays profitable up to k = {k_max:g}")

@@ -5,20 +5,24 @@ including the Monte Carlo routines (per-path seeding, fixed-order reduction),
 so results never depend on scheduling or on the number of processes.
 
 Two processes go through one call, _in_two: it runs work in a forked child
-and in this process on buffers in a shared anonymous mmap, and reaps the
-child before it returns.  _by_halves splits a large ensemble there at
+and in this process on buffers in a shared anonymous mmap, gives each side
+a line (_Line) that carries floats to the other over a pipe, and reaps the
+child before it returns.  _march_held splits a large ensemble there at
 numpy's own pairwise-sum split, so the halves' per-step sums add up to the
-one-process sum bit for bit.  _march_beside runs two whole marches there
-at once, and cli._write_table formats half of a large table's rows there.
-A failed mmap, fork or child falls back to one process, so every value and
-every error is the one-process one.
+one-process sum bit for bit: each process draws and keeps the normals of
+its own half, and every march request goes to the child as a float, so a
+threshold search forks once.  cli._write_table formats half of a large
+table's rows there.  A failed mmap, fork or child falls back to one
+process, so every value and every error is the one-process one.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 import operator
 import os
+import struct
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -427,93 +431,75 @@ def _can_fork() -> bool:
     return hasattr(os, "fork") and affinity is not None and len(affinity(0)) >= 2
 
 
-def _march_pairs(n_paths: int, n_steps: int) -> bool:
-    """True when two whole marches of n_paths x n_steps should run at once.
+class _Line:
+    """One process's end of _in_two's two pipes: floats to the other process and from it."""
 
-    That is on two CPUs, from _FORK_MIN_DRAWS path-steps on, and below
-    _FORK_MIN_PATHS paths, so that neither march splits into halves.
-    """
-    return n_paths < _FORK_MIN_PATHS and n_paths * n_steps >= _FORK_MIN_DRAWS and _can_fork()
+    def __init__(self, inbox: int, outbox: int):
+        self.fds = (inbox, outbox)
+
+    def send(self, value: float) -> None:
+        """Sends value; if the other process has ended, its next receive says so."""
+        with contextlib.suppress(BrokenPipeError):
+            os.write(self.fds[1], struct.pack("d", value))
+
+    def receive(self) -> float | None:
+        """The next value sent, or None once the other process has closed its end."""
+        data = os.read(self.fds[0], 8)  # a pipe write of 8 bytes arrives whole
+        return struct.unpack("d", data)[0] if data else None
 
 
 def _in_two(shapes, here, there):
-    """Runs there(buffers) in a forked child and here(buffers) in this process.
+    """Runs there(buffers, line) in a forked child and here(buffers, line) in this process.
 
     The buffers are new float arrays of the given shapes in one shared
-    anonymous mmap.  The child is reaped before this returns; if here
-    raised, it is killed first and the error raised again.  Returns None,
-    having run neither, if the mmap or the fork failed; else here's result
-    and the buffers, or None for them if the child did not finish there.
+    anonymous mmap; each side's line (_Line) sends floats to the other
+    side's.  This process closes its line when here ends, so a child that
+    waits on its line ends too, and reaps the child before this returns; if
+    here raised, the child is killed first and the error raised again.
+    Returns None, having run neither, if the mmap, a pipe or the fork
+    failed; else here's result and the buffers, or None for them if the
+    child did not finish there.
     """
     import mmap  # only a forking call needs it, and importing stackgame need not
 
     sizes = [math.prod(shape) for shape in shapes]
+    fds: list[int] = []
     try:
         shared = np.frombuffer(mmap.mmap(-1, 8 * sum(sizes)), dtype=float)
         buffers = [chunk.reshape(shape) for chunk, shape
                    in zip(np.split(shared, np.cumsum(sizes)[:-1]), shapes)]
+        for _ in range(2):
+            fds += os.pipe()
         pid = os.fork()
     except OSError:
+        for fd in fds:
+            os.close(fd)
         return None
-    if pid == 0:  # the child never returns into the caller; its exit status is its message
+    # The child reads at fds[0] what this process writes at fds[1], and the other pipe
+    # carries the child's floats back.  Each process closes the other one's ends.
+    child, parent = _Line(fds[0], fds[3]), _Line(fds[2], fds[1])
+    if pid == 0:  # the child never returns into the caller
         try:
-            there(buffers)
+            for fd in parent.fds:
+                os.close(fd)
+            there(buffers, child)
             os._exit(0)
         finally:
             os._exit(1)
+    for fd in child.fds:
+        os.close(fd)
     try:
-        result = here(buffers)
+        result = here(buffers, parent)
     except BaseException:
         import signal
 
         os.kill(pid, signal.SIGKILL)
         raise
     finally:
+        for fd in parent.fds:
+            os.close(fd)
         status = os.waitpid(pid, 0)[1]
     return result, buffers if status == 0 else None
-
-
-def _march_beside(n_paths: int, n_steps: int, here, there):
-    """here(), and there() in a forked child at once where _march_pairs allows.
-
-    there is None or returns a march's per-path (n_paths,) and per-node
-    (n_steps + 1,) arrays.  Returns here()'s result and there()'s arrays, or
-    None for them when there is None, pairing does not pay, or the fork or
-    the child failed.
-    """
-    if there is not None and _march_pairs(n_paths, n_steps):
-        def fill(buffers):
-            for buffer, values in zip(buffers, there()):
-                buffer[:] = values
-
-        ran = _in_two([(n_paths,), (n_steps + 1,)], lambda buffers: here(), fill)
-        if ran is not None:
-            return ran
-    return here(), None
-
-
-def _by_halves(n: int, fork: bool, shapes, work) -> tuple[list[np.ndarray], int]:
-    """Fill new float buffers of the given shapes by work(buffers, lo, hi, part) over paths [0, n).
-
-    In-process, one call work(buffers, 0, n, 0) fills them.  With fork, more
-    than _PAIRWISE_BLOCK paths and two CPUs, _in_two runs work(buffers, 0,
-    s, 0) here and work(buffers, s, n, 1) in the child, s = _pairwise_split(n).
-    If either half failed, or the fork did, the whole call reruns in-process,
-    so every error is the one a single process raises.  Returns the buffers
-    and the number of processes that filled them.
-    """
-    if fork and n > _PAIRWISE_BLOCK and _can_fork():
-        split = _pairwise_split(n)
-        try:
-            ran = _in_two(shapes, lambda buffers: work(buffers, 0, split, 0),
-                          lambda buffers: work(buffers, split, n, 1))
-        except Exception:
-            ran = None  # rerun in-process below, which raises it again
-        if ran is not None and ran[1] is not None:
-            return ran[1], 2
-    buffers = [np.empty(shape) for shape in shapes]
-    work(buffers, 0, n, 0)
-    return buffers, 1
 
 
 def _seed_words(seed: int, n_paths: int, n_steps: int) -> np.ndarray:
@@ -529,16 +515,18 @@ def _seed_words(seed: int, n_paths: int, n_steps: int) -> np.ndarray:
     return child_seed_words(seed, n_paths)
 
 
-def _draw_into(out: np.ndarray, seed_words: np.ndarray, lo: int) -> None:
-    """Draws rows lo, lo + 1, ... of path_normals' matrix into the columns of out.
+def _draw_rows(seed_words: np.ndarray, lo: int, hi: int, n_steps: int) -> np.ndarray:
+    """Rows [lo, hi) of path_normals' matrix, drawn into a new step-major buffer.
 
-    out is (n_steps, m) and step-major, or a view of such a buffer; column c
-    gets row lo + c, drawn by numpy's own PCG64 and normal sampler into a
-    small path-major block that is copied over block by block.
+    Column c of the (n_steps, hi - lo) buffer gets row lo + c, drawn by
+    numpy's own PCG64 and normal sampler into a small path-major block that
+    is copied over block by block.  Returns the buffer's transpose, whose
+    column j, which a march reads at step j, is contiguous.
     """
     from ._seeding import SeedWords
 
-    n_steps, m = out.shape
+    m = hi - lo
+    out = np.empty((n_steps, m))
     block = np.empty((min(m, _NORMALS_BLOCK), n_steps))
     for start in range(0, m, len(block)):
         rows = block[: min(len(block), m - start)]
@@ -546,26 +534,21 @@ def _draw_into(out: np.ndarray, seed_words: np.ndarray, lo: int) -> None:
             bits = np.random.PCG64(SeedWords(words))
             np.random.Generator(bits).standard_normal(out=row)
         out[:, start : start + len(rows)] = rows.T
+    return out.T
 
 
 def path_normals(seed: int, n_paths: int, n_steps: int) -> np.ndarray:
     """Deterministic (n_paths, n_steps) standard-normal matrix, stored step-major.
 
     Row i holds the values of default_rng(SeedSequence(seed).spawn(n_paths)[i]),
-    drawn by _draw_into, so the matrix does not depend on how paths are split.
+    drawn by _draw_rows, so the matrix does not depend on how paths are split.
     It is the transpose of an (n_steps, n_paths) buffer, so column j, which a
-    path march reads at step j, is contiguous.  From _FORK_MIN_DRAWS values
-    on it is drawn by halves (_by_halves).  Raises ParameterError for a
+    path march reads at step j, is contiguous.  It is drawn in this process:
+    the program's marches draw their own rows (_march_held), and only tests
+    and em_paths build the whole matrix.  Raises ParameterError for a
     negative seed or an empty matrix.
     """
-    seed_words = _seed_words(seed, n_paths, n_steps)
-
-    def draw(buffers, lo: int, hi: int, part: int) -> None:
-        _draw_into(buffers[0][:, lo:hi], seed_words, lo)
-
-    fork = n_paths * n_steps >= _FORK_MIN_DRAWS
-    (out,), _ = _by_halves(n_paths, fork, [(n_steps, n_paths)], draw)
-    return out.T
+    return _draw_rows(_seed_words(seed, n_paths, n_steps), 0, n_paths, n_steps)
 
 
 def em_paths(
@@ -645,126 +628,183 @@ def euler_mean(alpha: np.ndarray, beta: np.ndarray, x0: float, h: float) -> np.n
     return _affine_recurrence(*_euler_factors(alpha, beta, h), x0)
 
 
-def _em_functionals(marches, h: float, n_paths: int, noise) -> list[tuple]:
-    """Streamed Euler-Maruyama marches that keep per-path quadratic functionals.
+def _stepper(h: float, n_steps: int, alpha, beta, x0, center, coef):
+    """One streamed Euler-Maruyama march that keeps per-path quadratic functionals.
 
-    Each march (alpha, beta, x0, center, coef) starts every path at x0 and
+    The march (alpha, beta, x0, center, coef) starts every path at x0 and
     steps
         x_{j+1} = a_j x_j + b_j + wright_fisher_sigma(x_j) sqrt(h) Z_j,
     with euler_mean's factors a_j = 1 + alpha_j h and b_j = beta_j h, so a
     zero-noise path equals euler_mean bit for bit.  alpha, beta and center
-    are node arrays on one grid (n_steps + 1 nodes) for every march.  For
-    each coef[k] = (c0, c1, c2), node arrays that already include any
-    quadrature weights, it adds up per path
+    are node arrays on the grid of n_steps + 1 nodes.  For each coef[k] =
+    (c0, c1, c2), node arrays that already include any quadrature weights,
+    it adds up per path
         F_k = sum_j c0_kj + (c2_kj d_j + c1_kj) d_j,   d_j = x_j - center_j,
     over all nodes while it marches, and stores no path array.  Per-path
     outputs depend only on that path's normals, and no input is written to.
 
-    Every march reads the same normals Z (n_paths, n_steps), given by noise:
-    None switches the noise off, a matrix is read where it lies (fastest
-    path_normals' step-major one), and an int seed stands for
-    path_normals(seed, n_paths, n_steps), whose rows each process draws for
-    its own paths only.  It runs by halves (_by_halves) from _FORK_MIN_PATHS
-    paths on, or with a seed from _FORK_MIN_DRAWS normals on, and reruns in
-    one process if a joined per-step sum is not finite, so an overflow that
-    only the whole sum sees gives the one-process value or error.
-
-    Returns, per march, F (K, n_paths), the per-node ensemble mean and the
-    final state.  Raises ParameterError for a shape that does not fit, and
+    Returns march(buffers, lo, hi, part, z), which steps paths [lo, hi) on
+    their normals z ((hi - lo, n_steps) with contiguous columns, or None
+    for no noise) into buffers (F (K, n_paths), per-step sums (2, n_steps +
+    1) of which it writes row part, final states (n_paths,)).  It raises
     SimulationBlowupError at the first step that leaves a path non-finite,
-    naming the first such path, in the first march that has one.
+    naming the first such path.
     """
-    n_steps = len(marches[0][0]) - 1
+    if len(alpha) != n_steps + 1:
+        raise ParameterError(f"a march has {len(alpha)} nodes, the first one {n_steps + 1}")
+    coef = np.asarray(coef, dtype=float)
+    constant = coef[:, 0].sum(axis=1)[:, None]
+    active = [
+        (k, c1.tolist() if c1.any() else None, c2.tolist() if c2.any() else None)
+        for k, (c1, c2) in enumerate(zip(coef[:, 1], coef[:, 2]))
+        if c1.any() or c2.any()
+    ]
+    drift_a, drift_b = _euler_factors(alpha, beta, h)
+    centers = center.tolist()
+    sqrt_h = math.sqrt(h)
+
+    def march(buffers, lo: int, hi: int, part: int, z: np.ndarray | None) -> None:
+        out, sums, x_end = buffers
+        out[:, lo:hi] = constant
+        rows = [(out[k, lo:hi], c1, c2) for k, c1, c2 in active]
+        sums = sums[part]
+        x, x_next, d, tmp = (np.empty(hi - lo) for _ in range(4))
+        x.fill(float(x0))
+
+        def add_node(j: int) -> None:
+            np.subtract(x, centers[j], out=d)
+            for acc, c1, c2 in rows:
+                if c2 is None:
+                    np.multiply(d, c1[j], out=tmp)
+                else:
+                    np.multiply(d, c2[j], out=tmp)
+                    if c1 is not None:
+                        np.add(tmp, c1[j], out=tmp)
+                    np.multiply(tmp, d, out=tmp)
+                acc += tmp
+
+        sums[0] = x.sum()
+        add_node(0)
+        for j in range(n_steps):
+            np.multiply(x, drift_a[j], out=x_next)
+            x_next += drift_b[j]
+            if z is not None:  # wright_fisher_sigma(x) * sqrt_h * Z_j, in place
+                np.subtract(1.0, x, out=tmp)
+                tmp *= x
+                np.maximum(0.0, tmp, out=tmp)
+                np.sqrt(tmp, out=tmp)
+                tmp *= sqrt_h
+                tmp *= z[:, j]
+                x_next += tmp
+            x, x_next = x_next, x
+            total = sums[j + 1] = x.sum()
+            if not math.isfinite(total):
+                bad = np.flatnonzero(~np.isfinite(x))
+                if bad.size:
+                    raise SimulationBlowupError(path_index=lo + int(bad[0]), step=j + 1)
+            add_node(j + 1)
+        x_end[lo:hi] = x
+
+    return march
+
+
+def _march_held(n_paths: int, n_steps: int, h: float, noise, rows, marches_of, body):
+    """body(march), where march(request) runs the marches marches_of(request) on one noise.
+
+    A request is a float.  marches_of(request) gives _stepper's marches on
+    n_steps steps, march i with rows[i] functionals, and march(request)
+    returns, per march, F (K, n_paths), the per-node ensemble mean and the
+    final state, valid until the next request.  Every march reads the same
+    normals Z (n_paths, n_steps), given by noise: None switches the noise
+    off, a matrix is read where it lies (fastest path_normals' step-major
+    one), and an int seed stands for path_normals(seed, n_paths, n_steps),
+    whose rows are drawn once, each by the process that marches them.
+
+    From _FORK_MIN_PATHS paths, or with a seed from _FORK_MIN_DRAWS normals
+    on, with more than _PAIRWISE_BLOCK paths and two CPUs, one _in_two runs
+    the whole body, however many requests it makes.  This process holds
+    paths [0, s) of the noise and the child holds [s, n), s =
+    _pairwise_split(n).  Each request goes to the child over its line as
+    the float it is; both march their paths into the shared buffers, and
+    this process adds the child's per-step sums to its own.  A failed mmap
+    or fork, a half that raised, a child that ended or a joined sum that is
+    not finite (an overflow that only the whole sum may see) leaves the rest
+    of the body to this process alone, which draws all the normals and
+    reruns the request, so every value and every error is the one-process
+    one.  SimulationBlowupError names the first step that leaves a path
+    non-finite and the first such path, in the first march that has one.
+    """
     seed_words = None
     if isinstance(noise, np.ndarray):
         if noise.shape != (n_paths, n_steps):
             raise ParameterError(f"normals shape {noise.shape} != {(n_paths, n_steps)}")
     elif noise is not None:
         seed_words = _seed_words(noise, n_paths, n_steps)
-    sqrt_h = math.sqrt(h)
+    shapes = [shape for k in rows for shape in ((k, n_paths), (2, n_steps + 1), (n_paths,))]
 
-    def stepper(alpha, beta, x0, center, coef):
-        """The march's functional count and its work on paths [lo, hi) with normals z."""
-        if len(alpha) != n_steps + 1:
-            raise ParameterError(f"a march has {len(alpha)} nodes, the first one {n_steps + 1}")
-        coef = np.asarray(coef, dtype=float)
-        constant = coef[:, 0].sum(axis=1)[:, None]
-        active = [
-            (k, c1.tolist() if c1.any() else None, c2.tolist() if c2.any() else None)
-            for k, (c1, c2) in enumerate(zip(coef[:, 1], coef[:, 2]))
-            if c1.any() or c2.any()
-        ]
-        drift_a, drift_b = _euler_factors(alpha, beta, h)
-        centers = center.tolist()
-
-        def march(buffers, lo: int, hi: int, part: int, z: np.ndarray | None) -> None:
-            out, sums, x_end = buffers
-            out[:, lo:hi] = constant
-            rows = [(out[k, lo:hi], c1, c2) for k, c1, c2 in active]
-            sums = sums[part]
-            x, x_next, d, tmp = (np.empty(hi - lo) for _ in range(4))
-            x.fill(float(x0))
-
-            def add_node(j: int) -> None:
-                np.subtract(x, centers[j], out=d)
-                for acc, c1, c2 in rows:
-                    if c2 is None:
-                        np.multiply(d, c1[j], out=tmp)
-                    else:
-                        np.multiply(d, c2[j], out=tmp)
-                        if c1 is not None:
-                            np.add(tmp, c1[j], out=tmp)
-                        np.multiply(tmp, d, out=tmp)
-                    acc += tmp
-
-            sums[0] = x.sum()
-            add_node(0)
-            for j in range(n_steps):
-                np.multiply(x, drift_a[j], out=x_next)
-                x_next += drift_b[j]
-                if z is not None:  # wright_fisher_sigma(x) * sqrt_h * Z_j, in place
-                    np.subtract(1.0, x, out=tmp)
-                    tmp *= x
-                    np.maximum(0.0, tmp, out=tmp)
-                    np.sqrt(tmp, out=tmp)
-                    tmp *= sqrt_h
-                    tmp *= z[:, j]
-                    x_next += tmp
-                x, x_next = x_next, x
-                total = sums[j + 1] = x.sum()
-                if not math.isfinite(total):
-                    bad = np.flatnonzero(~np.isfinite(x))
-                    if bad.size:
-                        raise SimulationBlowupError(path_index=lo + int(bad[0]), step=j + 1)
-                add_node(j + 1)
-            x_end[lo:hi] = x
-
-        return len(coef), march
-
-    steppers = [stepper(*march) for march in marches]
-
-    def work(buffers, lo: int, hi: int, part: int) -> None:
+    def normals(lo: int, hi: int) -> np.ndarray | None:
         if seed_words is None:
-            z = None if noise is None else noise[lo:hi]
-        else:
-            z = np.empty((n_steps, hi - lo))
-            _draw_into(z, seed_words, lo)
-            z = z.T
-        for i, (_, march) in enumerate(steppers):
-            march(buffers[3 * i : 3 * i + 3], lo, hi, part, z)
+            return None if noise is None else noise[lo:hi]
+        return _draw_rows(seed_words, lo, hi, n_steps)
 
-    shapes = [shape for rows, _ in steppers
-              for shape in ((rows, n_paths), (2, n_steps + 1), (n_paths,))]
-    fork = n_paths >= _FORK_MIN_PATHS or (
-        seed_words is not None and n_paths * n_steps >= _FORK_MIN_DRAWS)
-    buffers, parts = _by_halves(n_paths, fork, shapes, work)
-    if parts == 2:
-        with np.errstate(all="ignore"):
-            for sums in buffers[1::3]:
-                sums[0] += sums[1]
-        # Non-finite sums without a non-finite path: an overflow that only the
-        # whole sum may see, so one process gives the value or raises the error.
-        if not all(np.isfinite(sums[0]).all() for sums in buffers[1::3]):
-            buffers, _ = _by_halves(n_paths, False, shapes, work)
-    return [(out, sums[0] / n_paths, x_end)
-            for out, sums, x_end in zip(buffers[0::3], buffers[1::3], buffers[2::3])]
+    def run(request: float, buffers, lo: int, hi: int, part: int, z) -> int:
+        """Marches the request's marches on paths [lo, hi); returns how many buffers they fill."""
+        marches = marches_of(request)
+        for i, march in enumerate(marches):
+            _stepper(h, n_steps, *march)(buffers[3 * i : 3 * i + 3], lo, hi, part, z)
+        return 3 * len(marches)
+
+    def results(buffers, used: int) -> list[tuple]:
+        return [(out, sums[0] / n_paths, x_end) for out, sums, x_end
+                in zip(buffers[0:used:3], buffers[1:used:3], buffers[2:used:3])]
+
+    fork = n_paths > _PAIRWISE_BLOCK and _can_fork() and (n_paths >= _FORK_MIN_PATHS or (
+        seed_words is not None and n_paths * n_steps >= _FORK_MIN_DRAWS))
+    split = _pairwise_split(n_paths) if fork else n_paths
+
+    def there(buffers, line: _Line) -> None:
+        z = normals(split, n_paths)
+        while (request := line.receive()) is not None:
+            run(request, buffers, split, n_paths, 1, z)
+            line.send(0.0)
+
+    def here(buffers, line: _Line | None):
+        """body(march) with the child holding paths [hi, n), or with no line in one process."""
+        hi, z = (split if line else n_paths), None  # z: this process's normals, drawn once
+
+        def march(request: float) -> list[tuple]:
+            nonlocal hi, z
+            if hi < n_paths:
+                line.send(request)  # first, so the child never waits for this process's draw
+                try:
+                    z = normals(0, hi) if z is None else z
+                    used = run(request, buffers, 0, hi, 0, z)
+                except Exception:  # one process reruns the request below and raises it again
+                    used = 0
+                if used and line.receive() is not None:
+                    with np.errstate(all="ignore"):
+                        for sums in buffers[1:used:3]:
+                            sums[0] += sums[1]
+                    if all(np.isfinite(sums[0]).all() for sums in buffers[1:used:3]):
+                        return results(buffers, used)
+                hi, z = n_paths, None  # the child is given up: drop this half, draw the whole
+            z = normals(0, hi) if z is None else z
+            whole = [np.empty(shape) for shape in shapes]
+            return results(whole, run(request, whole, 0, hi, 0, z))
+
+        return body(march)
+
+    ran = _in_two(shapes, here, there) if split < n_paths else None
+    return here(None, None) if ran is None else ran[0]
+
+
+def _em_functionals(marches, h: float, n_paths: int, noise) -> list[tuple]:
+    """The results of _stepper's marches on one noise: _march_held's one request.
+
+    Returns, per march, F (K, n_paths), the per-node ensemble mean and the
+    final state; noise and the fork rule are _march_held's, so a call forks
+    at most once.
+    """
+    return _march_held(n_paths, len(marches[0][0]) - 1, h, noise,
+                       [len(march[4]) for march in marches],
+                       lambda request: marches, lambda march: march(0.0))

@@ -36,9 +36,7 @@ def processes(monkeypatch):
     """Every ensemble above numpy's pairwise-sum block forks on two CPUs.
 
     The kernels see two CPUs until cpus(n) sets another count; forks lists
-    the pid of each child made.  pair_marches() keeps every march whole from
-    then on, so that min_k_meanfield marches two rates at once at any size.
-    After the test no child may be left.
+    the pid of each child made.  After the test no child may be left.
     """
     forks = []
     real_fork = os.fork
@@ -52,14 +50,11 @@ def processes(monkeypatch):
     def cpus(n):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
 
-    def pair_marches():
-        monkeypatch.setattr(numerics, "_FORK_MIN_PATHS", 1 << 62)
-
     monkeypatch.setattr(numerics, "_FORK_MIN_DRAWS", 1)
     monkeypatch.setattr(numerics, "_FORK_MIN_PATHS", 1)
     monkeypatch.setattr(os, "fork", counting_fork)
     cpus(2)
-    yield SimpleNamespace(forks=forks, cpus=cpus, real_fork=real_fork, pair_marches=pair_marches)
+    yield SimpleNamespace(forks=forks, cpus=cpus, real_fork=real_fork)
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 

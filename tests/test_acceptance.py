@@ -278,7 +278,8 @@ def test_11_determinism_across_worker_counts(processes, tmp_path):
     # The same calls in one process and in two: whenever two CPUs show, the
     # fixture makes mc_payoffs fork once, and each process draws and marches
     # its own half of the 2000 x 400 ensemble.  Then the CLI's threshold
-    # search draws its shared matrix in halves and marches two rates at once.
+    # search forks once on two CPUs: each process holds its own half of the
+    # noise and marches every requested rate on it.
     config = tmp_path / "threshold.yaml"
     config.write_text(yaml.safe_dump({
         "model": "meanfield", "action": "threshold-k", "params": MFG_KW,
@@ -297,21 +298,20 @@ def test_11_determinism_across_worker_counts(processes, tmp_path):
                 res.k_min, dynamic.theorem2_lhs(DYN, 0.3),
                 path_normals(42, 8, 16).tobytes(),
             ])
-        processes.pair_marches()
         before = len(processes.forks)
         for cpus, snapshot in zip((1, 2), snapshots):
             processes.cpus(cpus)
             snapshot += _threshold_run(config, tmp_path / f"threshold{cpus}")
-        paired = len(processes.forks) - before
+        searched = len(processes.forks) - before
         identical = snapshots[0] == snapshots[1] and snapshots[0][-3] == 0
         # Chunk-stability of the noise: the first rows of a larger ensemble
         # are bit-identical to a smaller one drawn from the same seed.
         chunked = np.array_equal(path_normals(42, 8, 16)[:3], path_normals(42, 3, 16))
-        return identical, chunked, paired
+        return identical, chunked, searched
 
-    (identical, chunked, paired), dt = _timed(body)
+    (identical, chunked, searched), dt = _timed(body)
     forks = len(processes.forks)
-    ok = identical and chunked and forks > paired > 0  # forks in halves, then in pairs
+    ok = identical and chunked and searched == 1 and forks > searched
     assert _line(11, "bit-identical outputs in one process and in two", ok,
-                 f"identical {identical} over {forks} forks ({paired} for the threshold "
-                 f"search's march pairs), chunk-stable {chunked}, {dt:.1f}s")
+                 f"identical {identical} over {forks} forks ({searched} for the CLI's "
+                 f"threshold search), chunk-stable {chunked}, {dt:.1f}s")

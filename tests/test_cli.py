@@ -157,6 +157,23 @@ class TestMain:
         assert main(["discrete", "verify", "--config", str(cfg)]) == 0
         assert (tmp_path / "report.txt").is_file()
 
+    @pytest.mark.parametrize("out, where", [
+        (".", "cfg"), ("./", "cfg"), ("results", "cfg/results"), ("../up", "up"),
+        ("{abs}", "abs"),
+    ])
+    def test_config_out_is_taken_from_the_config_directory(
+            self, tmp_path, monkeypatch, out, where):
+        (tmp_path / "cfg").mkdir()
+        work = tmp_path / "work"
+        work.mkdir()
+        out = out.format(abs=tmp_path / "abs")
+        cfg = self._write(tmp_path / "cfg", DISCRETE_YAML + f"out: '{out}'\n")
+        monkeypatch.chdir(work)
+        assert main(["discrete", "verify", "--config", os.path.relpath(cfg, work)]) == 0
+        assert (tmp_path / where / "report.txt").is_file()
+        assert list(work.iterdir()) == []
+        assert f"out = {out}" in (tmp_path / where / "report.txt").read_text().splitlines()
+
     def test_threshold_k_writes_sweep_csv(self, tmp_path):
         cfg = self._write(tmp_path, DISCRETE_YAML)
         out = tmp_path / "out"
@@ -332,12 +349,10 @@ class TestMain:
         assert "grid.n_steps = 151" in report
 
     def test_worker_count_does_not_change_outputs(self, tmp_path, processes):
-        # The fixture makes the 500 x 200 ensemble fork on two CPUs: first
-        # each march in halves, then, for threshold-k, the search's march pairs.
+        # The fixture makes the 500 x 200 ensemble fork on two CPUs: once for
+        # defect's marches, and once for the whole threshold-k search.
         cfg = self._write(tmp_path, MEANFIELD_YAML)
         for action in ("defect", "threshold-k"):
-            if action == "threshold-k":
-                processes.pair_marches()
             outputs = {}
             for cpus in (1, 2):
                 processes.cpus(cpus)
@@ -352,12 +367,12 @@ class TestMain:
                 )
                 csvs = {f.name: f.read_bytes() for f in sorted(out.glob("*.csv"))}
                 outputs[cpus] = body, csvs
-            assert processes.forks
+            assert len(processes.forks) == 1
             assert outputs[1] == outputs[2]
         assert "sweep.csv" in outputs[2][1]
 
     def test_meanfield_threshold_repeats_byte_for_byte(self, tmp_path):
-        # The search's marches all read one shared normals matrix.
+        # The search's marches all read one draw of the normals.
         cfg = self._write(tmp_path, TINY_YAML["meanfield"])
         outputs = []
         for run_dir in ("first", "second"):

@@ -102,3 +102,49 @@ def test_readme_key_table_matches_the_cli_table():
     keys = {key for key in cli._TABLE[""] if key not in cli._TABLE}
     keys |= {f"{s}.{key}" for s in cli._TABLE if s for key in cli._TABLE[s]}
     assert documented == keys
+
+
+MALFORMED = ["model: [unclosed", "\tmodel: discrete", "a: b: c", "key: 'unterminated", "{a: 1",
+             "model: discrete\n  action: verify\n bad: 1", "\x00", "a: &x 1\nb: *y",
+             "!!python/object/apply:os.system [echo]", "- a\n- b", ""]
+
+
+def _config_documents() -> list[str]:
+    """Every config document the tests and the perfbench job lists write."""
+    import sys
+
+    perfbench = str(Path(__file__).parents[1] / "perfbench")
+    if perfbench not in sys.path:
+        sys.path.insert(0, perfbench)
+    import workloads
+    from test_cli import DISCRETE_YAML, DYNAMIC_YAML, MEANFIELD_YAML, TINY_YAML
+
+    docs = [DISCRETE_YAML, DYNAMIC_YAML, MEANFIELD_YAML, *TINY_YAML.values()]
+    docs += [yaml.safe_dump(job.config, sort_keys=False) for workload in workloads.WORKLOADS
+             for size in workloads.SIZES for job in workloads.jobs(workload, size)]
+    for model in cli.MODELS:
+        docs.append(yaml.safe_dump(tiny_config(model)))
+        params = [("params", f.name) for f in fields(PARAMS[model][0])]
+        for section, key in TABLE_FIELDS + params:
+            for value in VALUES:
+                doc = tiny_config(model)
+                (doc[section] if section else doc)[key] = value
+                docs.append(yaml.safe_dump(doc))
+    return docs
+
+
+@pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"), reason="PyYAML built without libyaml")
+def test_libyaml_and_python_loaders_agree(monkeypatch, tmp_path):
+    def outcome(document, loader):
+        monkeypatch.setattr(cli, "_YAML_LOADER", loader)
+        try:
+            return cli.emit_config(cli.parse_config(document))  # a NaN differs from itself
+        except cli.ConfigurationError as exc:
+            return "rejected" if document in MALFORMED else str(exc)
+
+    for document in _config_documents() + MALFORMED:
+        assert outcome(document, yaml.CSafeLoader) == outcome(document, yaml.SafeLoader)
+    for document in MALFORMED:
+        assert outcome(document, yaml.CSafeLoader) == "rejected"
+        (tmp_path / "config.yaml").write_text(document)
+        assert cli.main(["discrete", "verify", "--config", str(tmp_path / "config.yaml")]) == 2

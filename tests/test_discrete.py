@@ -123,6 +123,17 @@ class TestDiscountSchedule:
         # (N-1) honest periods + defection payoff - forfeited deposit = N J0*.
         assert abs(sched.total - N * eq.J0) < 1e-10
 
+    @pytest.mark.parametrize("k, d, n", [
+        (0.3, 2.0, 400), (1e-7, 3.0, 100_000), (0.999, 1.0, 5000), (0.01, 0.5, 100_000),
+        (0.5, 1.0, 1), (0.5, 1.0, 0),
+    ])
+    def test_recursion_matches_the_indexed_loop_bit_for_bit(self, k, d, n):
+        # The recursion as it was stepped on numpy elements, kept as the oracle.
+        rho = np.ones(n)
+        for i in range(1, n):
+            rho[i] = rho[i - 1] - k * (rho[i - 1] * d)
+        assert discrete._recursive_factors(k, d, n).tobytes() == rho.tobytes()
+
     def test_rejects_out_of_range_inputs(self, duopoly):
         with pytest.raises(ParameterError):
             discount_schedule(duopoly, 0.1, 0, 5)

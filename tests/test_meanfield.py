@@ -4,7 +4,6 @@ import errno
 import math
 import mmap
 import os
-import time
 
 import numpy as np
 import pytest
@@ -358,8 +357,8 @@ class TestMonteCarlo:
         def refuse(*args):
             raise AssertionError("zero-noise run drew normals")
 
-        monkeypatch.setattr(meanfield, "path_normals", refuse)
         monkeypatch.setattr(numerics, "path_normals", refuse)
+        monkeypatch.setattr(numerics, "_draw_rows", refuse)
         mc = McConfig(n_paths=3, n_steps=100, seed=42, zero_noise=True)
         grid = TimeGrid(0.0, mfg.T, mc.n_steps)
         sol = mean_field_bvp(mfg, grid)
@@ -368,6 +367,7 @@ class TestMonteCarlo:
         euler_condition_check(mfg, sol["u0_star"], v, mc)
         follower_euler_check(mfg, sol, v, mc)
         assert follower_feedback_check(mfg, sol, mc)["within_3se"]
+        assert min_k_meanfield(mfg, mc, sol=sol).deterred
 
     def test_zero_noise_stationarity_of_leader_control(self, mfg):
         # With the noise switched off the derived control is a stationary
@@ -444,8 +444,8 @@ class TestMinK:
     def test_one_march_per_distinct_rate(self, mfg, monkeypatch):
         # k = 0 and k_min are evaluated twice each; the trace keeps both rows.
         calls = []
-        march = meanfield._defection_payoff
-        monkeypatch.setattr(meanfield, "_defection_payoff",
+        march = meanfield._defection_march
+        monkeypatch.setattr(meanfield, "_defection_march",
                             lambda p, k, *rest: calls.append(k) or march(p, k, *rest))
         res = min_k_meanfield(mfg, McConfig(n_paths=200, n_steps=50, seed=3), tol=0.01)
         assert res.k_min == 0.4140625
@@ -542,7 +542,8 @@ def _bisection_oracle(p, mc, tol=0.01, k_max=1000.0):
 
     def evaluate(k):
         if k not in marched:
-            samples, mean = meanfield._defection_payoff(p, k, sol, grid, mc, normals)
+            march = meanfield._defection_march(p, k, sol, grid)
+            (samples,), mean, _ = numerics._em_functionals([march], grid.h, mc.n_paths, normals)[0]
             ok, growth[k] = growth_order_check(times, mean, p.r + k)
             marched[k] = meanfield._estimate(samples), ok
         jd, ok = marched[k]
@@ -602,15 +603,15 @@ def _assert_as_oracle(res, oracle):
 
 
 class TestPairedMarches:
-    """min_k_meanfield marches the likely next rate in a forked child; nothing else may change."""
+    """min_k_meanfield marches every rate as a pair of held halves: one forked child
+    keeps half of the paths' noise for the whole search.  Nothing else may change."""
 
-    TINY = McConfig(n_paths=200, n_steps=50, seed=3)
+    TINY = McConfig(n_paths=200, n_steps=50, seed=3)  # this process marches paths 0..95
 
     @pytest.mark.parametrize("n_paths, n_steps, seeds", [
         (200, 50, range(6)), (2000, 400, (42, 7)),
     ])
     def test_one_cpu_and_two_match_the_bisection(self, mfg, processes, n_paths, n_steps, seeds):
-        processes.pair_marches()
         for seed in seeds:
             mc = McConfig(n_paths=n_paths, n_steps=n_steps, seed=seed)
             processes.cpus(1)
@@ -619,47 +620,12 @@ class TestPairedMarches:
             assert processes.forks == []
             processes.cpus(2)
             two = min_k_meanfield(mfg, mc)
-            # The draw, then one march pair per round: 5 rounds for the 10 marches.
-            assert len(processes.forks) == 6
+            assert len(processes.forks) == 1  # one child for all 10 marches
             processes.forks.clear()
             assert two == one
             _assert_as_oracle(two, oracle)
 
-    def _wrong_guesses(self, mfg, monkeypatch):
-        """Makes every guess wrong; returns the oracle of the TINY search."""
-        oracle = _bisection_oracle(mfg, self.TINY)
-        truth = oracle.details["satisfied"]
-        monkeypatch.setattr(meanfield._Bisection, "guess",
-                            lambda search, state, margins: not truth[search.request(state)])
-        return oracle
-
-    def test_wrong_guesses_change_nothing(self, mfg, processes, monkeypatch):
-        processes.pair_marches()
-        oracle = self._wrong_guesses(mfg, monkeypatch)
-        processes.forks.clear()
-        _assert_as_oracle(min_k_meanfield(mfg, self.TINY), oracle)
-        # The draw, the k = 0 child and one unused child for each later request but the last.
-        assert len(processes.forks) == 1 + 1 + len(oracle.details["satisfied"]) - 2
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
-
-    def test_no_child_lives_while_a_rate_is_judged(self, mfg, processes, monkeypatch):
-        processes.pair_marches()
-        judged = []
-
-        def childless(times, mean, r_tilde):
-            with pytest.raises(ChildProcessError):
-                os.waitid(os.P_ALL, 0, os.WEXITED | os.WNOHANG | os.WNOWAIT)
-            judged.append(r_tilde)
-            return growth_order_check(times, mean, r_tilde)
-
-        monkeypatch.setattr(meanfield, "growth_order_check", childless)
-        res = min_k_meanfield(mfg, self.TINY)
-        assert len(judged) == len(res.details["satisfied"])
-        assert len(processes.forks) == 6
-
     def test_failed_fork_marches_in_process(self, mfg, processes, monkeypatch):
-        processes.pair_marches()
         oracle = _bisection_oracle(mfg, self.TINY)
 
         def no_fork():
@@ -669,7 +635,6 @@ class TestPairedMarches:
         _assert_as_oracle(min_k_meanfield(mfg, self.TINY), oracle)
 
     def test_failed_mmap_marches_in_process(self, mfg, processes, monkeypatch):
-        processes.pair_marches()
         oracle = _bisection_oracle(mfg, self.TINY)
         processes.forks.clear()
 
@@ -681,7 +646,6 @@ class TestPairedMarches:
         assert processes.forks == []
 
     def test_child_exiting_non_zero_marches_in_process(self, mfg, processes, monkeypatch):
-        processes.pair_marches()
         oracle = _bisection_oracle(mfg, self.TINY)
         failed = []
 
@@ -694,101 +658,128 @@ class TestPairedMarches:
 
         monkeypatch.setattr(os, "fork", failing_fork)
         _assert_as_oracle(min_k_meanfield(mfg, self.TINY), oracle)
-        # The draw, then a child for every request after k = 0 but the last.
-        assert len(failed) == 1 + 1 + len(oracle.details["satisfied"]) - 2
+        assert len(failed) == 1
 
-    def _poison(self, monkeypatch, tmp_path, bad_k, path=17, step=30, wait_at=None):
-        """Makes the march of bad_k blow up at (path, step); a child that marches it leaves a file.
+    def test_child_exiting_mid_search_marches_in_process(self, mfg, processes, monkeypatch):
+        # The child serves k = 0 and k = 1, then ends while it builds the march of k = 0.5.
+        oracle = _bisection_oracle(mfg, self.TINY)
+        assert list(oracle.details["satisfied"])[:3] == [0.0, 1.0, 0.5]
+        processes.forks.clear()
+        march, parent = meanfield._defection_march, os.getpid()
 
-        This process's march of wait_at waits (up to 10 s) for that file, so a
-        child sent to bad_k meanwhile has reached it when that march returns.
-        """
-        march = meanfield._defection_payoff
-        parent = os.getpid()
-        child = tmp_path / "child"
+        def ending(p, k, *rest):
+            if k == 0.5 and os.getpid() != parent:
+                os._exit(3)
+            return march(p, k, *rest)
 
-        def poisoned(p, k, sol, grid, mc, normals):
-            if k == bad_k:
-                if os.getpid() != parent:
-                    child.touch()
-                normals = normals.copy()
-                normals[path, step - 1] = np.nan
-            elif k == wait_at and os.getpid() == parent:
-                deadline = time.monotonic() + 10.0
-                while not child.exists() and time.monotonic() < deadline:
-                    time.sleep(0.001)
-            return march(p, k, sol, grid, mc, normals)
-
-        monkeypatch.setattr(meanfield, "_defection_payoff", poisoned)
-
-    def test_blowup_at_a_rate_never_requested_is_dropped(
-            self, mfg, processes, monkeypatch, tmp_path):
-        processes.pair_marches()
-        oracle = self._wrong_guesses(mfg, monkeypatch)
-        # k = 1 deters, so the wrong guess sends the child to k = 2.
-        assert oracle.details["satisfied"][1.0] and 2.0 not in oracle.details["satisfied"]
-        self._poison(monkeypatch, tmp_path, 2.0, wait_at=1.0)
+        monkeypatch.setattr(meanfield, "_defection_march", ending)
         _assert_as_oracle(min_k_meanfield(mfg, self.TINY), oracle)
-        assert (tmp_path / "child").exists()
+        assert len(processes.forks) == 1
+
+    @staticmethod
+    def _poison(monkeypatch, bad_k, paths):
+        """Makes bad_k's march blow up at each (path, step), in whichever process marches it."""
+        defection, stepper, bad = meanfield._defection_march, numerics._stepper, []
+
+        def marked(p, k, sol, grid):
+            march = defection(p, k, sol, grid)
+            if k == bad_k:
+                bad.append(march[0])
+            return march
+
+        def poisoned(h, n_steps, alpha, *rest):
+            march = stepper(h, n_steps, alpha, *rest)
+            if not any(alpha is a for a in bad):
+                return march
+
+            def run(buffers, lo, hi, part, z):
+                z = z.copy()
+                for path, step in paths.items():
+                    if lo <= path < hi:
+                        z[path - lo, step - 1] = np.nan
+                march(buffers, lo, hi, part, z)
+
+            return run
+
+        monkeypatch.setattr(meanfield, "_defection_march", marked)
+        monkeypatch.setattr(numerics, "_stepper", poisoned)
 
     def test_blowup_at_a_requested_rate_is_the_one_process_error(
-            self, mfg, processes, monkeypatch, tmp_path):
-        processes.pair_marches()
-        # While this process marches k = 1, the child marches k = 0.5.
-        self._poison(monkeypatch, tmp_path, 0.5)
-        errors = []
-        for cpus in (1, 2):
-            processes.cpus(cpus)
-            with pytest.raises(SimulationBlowupError) as err:
-                min_k_meanfield(mfg, self.TINY)
-            errors.append((err.value.path_index, err.value.step))
-        assert errors == [(17, 30), (17, 30)]
-        assert (tmp_path / "child").exists()
+            self, mfg, processes, monkeypatch):
+        # k = 0.5 is the third rate requested; paths 96..199 are the child's.
+        for paths, first in [({17: 30}, (17, 30)), ({150: 20}, (150, 20)),
+                             ({17: 30, 150: 20}, (150, 20)), ({17: 20, 150: 30}, (17, 20))]:
+            with monkeypatch.context() as patch:
+                self._poison(patch, 0.5, paths)
+                for cpus in (1, 2):
+                    processes.cpus(cpus)
+                    with pytest.raises(SimulationBlowupError) as err:
+                        min_k_meanfield(mfg, self.TINY)
+                    assert (err.value.path_index, err.value.step) == first
+        assert len(processes.forks) == 4
 
     @pytest.mark.parametrize("case", ["k_max", "profitable", "leader", "march"])
-    def test_no_child_is_left(self, mfg, mfg_kwargs, processes, monkeypatch, tmp_path, case):
-        processes.pair_marches()
+    def test_no_child_is_left(self, mfg, mfg_kwargs, processes, monkeypatch, case):
         p, mc, k_max, error = mfg, self.TINY, 1000.0, SimulationBlowupError
         if case == "k_max":
             k_max, error = 0.1, NoDeterrentError
         elif case == "profitable":  # see test_no_deterrent_raises_when_state_outgrows_every_rate
             p, k_max, error = mfg_with(mfg_kwargs, A0=3.0, B0=0.0), 4.0, NoDeterrentError
             mc = McConfig(n_paths=200, n_steps=200, seed=1, zero_noise=True)
-        elif case == "leader":  # fails while the child marches k = 0
+        elif case == "leader":  # fails in both processes on the first request
             def leader(*args):
                 raise SimulationBlowupError(path_index=0, step=1)
 
             monkeypatch.setattr(meanfield, "_leader_march", leader)
-        else:  # this process marches k = 1 while the child marches k = 0.5
-            self._poison(monkeypatch, tmp_path, 1.0)
+        else:  # the march of k = 1 blows up in the child's half
+            self._poison(monkeypatch, 1.0, {150: 30})
         with pytest.raises(error):
             min_k_meanfield(p, mc, k_max=k_max)
-        assert processes.forks
+        assert len(processes.forks) == 1
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
-    def test_pairs_need_two_cpus_whole_marches_and_size(self, mfg, processes, monkeypatch):
+    @pytest.mark.parametrize("k_max", [1000.0, 0.1])
+    def test_no_child_outlives_the_search(self, mfg, processes, k_max):
+        # With k_max = 0.1 the search raises NoDeterrentError once it has ended.
+        try:
+            min_k_meanfield(mfg, self.TINY, k_max=k_max)
+        except NoDeterrentError:
+            assert k_max == 0.1
+        assert len(processes.forks) == 1
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_halves_need_two_cpus_and_size(self, mfg, processes, monkeypatch):
         mc = self.TINY
-        processes.pair_marches()
         processes.cpus(1)
         min_k_meanfield(mfg, mc)
         processes.cpus(2)
+        min_k_meanfield(mfg, McConfig(n_paths=128, n_steps=50, seed=3))  # numpy's unsplit block
+        monkeypatch.setattr(numerics, "_FORK_MIN_PATHS", mc.n_paths + 1)
         monkeypatch.setattr(numerics, "_FORK_MIN_DRAWS", mc.n_paths * mc.n_steps + 1)
         min_k_meanfield(mfg, mc)
         assert processes.forks == []
-        # From _FORK_MIN_PATHS paths on, each march forks its own halves instead.
-        monkeypatch.setattr(numerics, "_FORK_MIN_DRAWS", 1)
-        monkeypatch.setattr(numerics, "_FORK_MIN_PATHS", mc.n_paths)
-        res = min_k_meanfield(mfg, mc)
-        assert len(processes.forks) == 1 + 1 + len(res.details["satisfied"])
+        # From _FORK_MIN_DRAWS normals on, the search forks once at any path count.
+        monkeypatch.setattr(numerics, "_FORK_MIN_DRAWS", mc.n_paths * mc.n_steps)
+        min_k_meanfield(mfg, mc)
+        assert len(processes.forks) == 1
 
     def test_fork_rule_constants(self, monkeypatch):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        assert numerics._march_pairs(10_000, 1000)  # mf-threshold
-        assert not numerics._march_pairs(1000, 250)
-        assert not numerics._march_pairs(20_000, 1000)  # marches its own halves
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-        assert not numerics._march_pairs(10_000, 1000)
+        # A search forks from 2^20 normals or 2 x 10^4 paths; mf-threshold has
+        # 10^7 normals.  The child draws its rows before any request.
+        forks, real_fork = [], os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
+        for cpus, n_paths, n_steps, noise, fork in [
+            (2, 10_000, 105, 3, True), (2, 10_000, 104, 3, False),
+            (2, 20_000, 2, None, True), (2, 19_999, 100, None, False),
+            (1, 10_000, 105, 3, False),
+        ]:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                                raising=False)
+            forks.clear()
+            numerics._march_held(n_paths, n_steps, 0.1, noise, [1], None, lambda march: None)
+            assert forks == [1] * fork
 
 
 class TestParamValidation:

@@ -1,8 +1,10 @@
 """Unit tests for the shared deterministic/stochastic numerical kernels."""
 
+import ast
 import errno
 import mmap
 import os
+import re
 import subprocess
 import sys
 import time
@@ -543,10 +545,10 @@ class TestTwoProcesses:
 
     @pytest.mark.parametrize("n_paths", [129, 1000, 1003])
     def test_normals_match_one_process(self, processes, n_paths):
+        # The marches draw their own halves; the whole matrix is drawn in this process.
         one = self._one_process(processes, lambda: path_normals(9, n_paths, 7))
-        assert processes.forks == []
         two = path_normals(9, n_paths, 7)
-        assert len(processes.forks) == 1
+        assert processes.forks == []
         assert two.tobytes() == one.tobytes()
         assert two[:, 3].flags.c_contiguous
 
@@ -566,7 +568,7 @@ class TestTwoProcesses:
 
     @staticmethod
     def _march_case(processes):
-        """300 paths (split at 144) and the split payoff rows; the draw's fork is not counted."""
+        """300 paths (split at 144) and the split payoff rows."""
         grid, alpha, beta, _, _, m, (c,), normals = _kernel_case(n_paths=300, n_steps=40)
         processes.forks.clear()
         return (alpha, beta, 0.5, grid.h, 300, normals, m, _split_rows(c))
@@ -599,7 +601,7 @@ class TestTwoProcesses:
         for got, single in zip(_march(*args), want):
             assert got.tobytes() == single.tobytes()
         assert path_normals(5, 300, 40).tobytes() == args[5].tobytes()
-        assert len(failed) == 2
+        assert len(failed) == 1
 
     @pytest.mark.parametrize("paths, first", [
         ({200: 13, 250: 30}, (200, 13)),  # only the child's half fails
@@ -646,7 +648,7 @@ class TestTwoProcesses:
 
     def test_no_child_is_left(self, processes):
         args = self._march_case(processes)
-        path_normals(5, 300, 40)
+        _march(*args[:5], 5, *args[6:])  # the seed that stands for args[5]
         _march(*args)
         args[5][200, 3] = np.nan
         with pytest.raises(SimulationBlowupError):
@@ -656,21 +658,22 @@ class TestTwoProcesses:
             os.waitpid(-1, os.WNOHANG)
 
     def test_child_is_killed_when_this_side_raises(self, processes):
-        def here(buffers):
+        def here(buffers, line):
             raise ValueError("this side failed")
 
         start = time.monotonic()
         with pytest.raises(ValueError, match="this side failed"):
-            numerics._in_two([(2,)], here, lambda buffers: time.sleep(60.0))
+            numerics._in_two([(2,)], here, lambda buffers, line: time.sleep(60.0))
         assert time.monotonic() - start < 30.0
         assert len(processes.forks) == 1
 
     def test_small_ensembles_and_one_cpu_stay_in_process(self, processes, monkeypatch):
-        path_normals(5, 128, 40)  # within numpy's unsplit pairwise block
+        marches, h, _ = self._seed_case(300, 40)
+        _em_functionals(marches, h, 128, 5)  # within numpy's unsplit pairwise block
         processes.cpus(1)
-        path_normals(5, 300, 40)
+        _em_functionals(marches, h, 300, 5)
         monkeypatch.delattr(os, "sched_getaffinity")
-        path_normals(5, 300, 40)
+        _em_functionals(marches, h, 300, 5)
         assert processes.forks == []
 
     # A seed instead of a matrix: each process draws its own half's rows of
@@ -705,15 +708,16 @@ class TestTwoProcesses:
     @staticmethod
     def _poison_draws(monkeypatch, paths):
         """Makes the drawn normal of each path at each step NaN, in whichever process draws it."""
-        draw = numerics._draw_into
+        draw = numerics._draw_rows
 
-        def poisoned(out, seed_words, lo):
-            draw(out, seed_words, lo)
+        def poisoned(seed_words, lo, hi, n_steps):
+            z = draw(seed_words, lo, hi, n_steps)
             for path, step in paths.items():
-                if lo <= path < lo + out.shape[1]:
-                    out[step - 1, path - lo] = np.nan
+                if lo <= path < hi:
+                    z[path - lo, step - 1] = np.nan
+            return z
 
-        monkeypatch.setattr(numerics, "_draw_into", poisoned)
+        monkeypatch.setattr(numerics, "_draw_rows", poisoned)
 
     @pytest.mark.parametrize("paths, first", [
         ({200: 13}, (200, 13)),  # only the child's half fails
@@ -742,13 +746,13 @@ class TestTwoProcesses:
         n = 40
         big = (np.zeros(n + 1), np.zeros(n + 1), 1e306, np.full(n + 1, 1e306),
                [[np.zeros(n + 1), np.ones(n + 1), np.zeros(n + 1)]])
-        draw, draws = numerics._draw_into, []
+        draw, draws = numerics._draw_rows, []
 
-        def counted(out, seed_words, lo):
-            draws.append((lo, out.shape[1]))
-            draw(out, seed_words, lo)
+        def counted(seed_words, lo, hi, n_steps):
+            draws.append((lo, hi - lo))
+            return draw(seed_words, lo, hi, n_steps)
 
-        monkeypatch.setattr(numerics, "_draw_into", counted)
+        monkeypatch.setattr(numerics, "_draw_rows", counted)
         for cpus in (1, 2):
             processes.cpus(cpus)
             with np.errstate(over="raise"), pytest.raises(FloatingPointError):
@@ -816,3 +820,42 @@ class TestTwoProcesses:
             processes.forks.clear()
             assert call() == one
             assert len(processes.forks) == 1
+
+
+def test_every_fork_goes_through_in_two():
+    # The README's rule: one scoped call forks, opens the pipes and the shared
+    # mmap, and ends the child; no process pool, nothing pickled.
+    class Finder(ast.NodeVisitor):
+        def __init__(self, module):
+            self.where, self.hits = [module], []
+
+        def visit_FunctionDef(self, node):
+            self.where.append(node.name)
+            self.generic_visit(node)
+            self.where.pop()
+
+        def visit_Attribute(self, node):
+            if isinstance(node.value, ast.Name) and node.value.id == "os" and node.attr in (
+                    "fork", "forkpty", "pipe", "_exit"):
+                self.hits.append((".".join(self.where), f"os.{node.attr}"))
+            self.generic_visit(node)
+
+        def visit_Import(self, node):
+            for alias in node.names:
+                self.hits.append((".".join(self.where), f"import {alias.name}"))
+
+        def visit_ImportFrom(self, node):
+            for alias in node.names:
+                self.hits.append((".".join(self.where), f"from {node.module} import {alias.name}"))
+
+    hits = []
+    for path in sorted(Path(numerics.__file__).parent.glob("*.py")):
+        finder = Finder(path.stem)
+        finder.visit(ast.parse(path.read_text()))
+        hits += finder.hits
+    names = {"mmap", "pickle", "multiprocessing", "concurrent", "fork", "forkpty", "pipe", "_exit"}
+    forking = [(where, what) for where, what in hits
+               if what.startswith("os.") or names & set(re.split(r"[ .]", what))]
+    assert sorted(forking) == [("numerics._in_two", "import mmap"),
+                               ("numerics._in_two", "os._exit"), ("numerics._in_two", "os._exit"),
+                               ("numerics._in_two", "os.fork"), ("numerics._in_two", "os.pipe")]

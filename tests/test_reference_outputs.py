@@ -4,7 +4,8 @@ Every job of the three perfbench workloads runs through `stackgame.cli.main`
 at every Monte Carlo seed that has a reference, and its `[results]`,
 certificate outcomes and file row counts must match
 `perfbench/references.json` (perfbench/run.py, `Session`).  The threshold
-search's outputs must also match when it marches two rates at once.
+search's outputs must also match when it marches every rate by halves in
+two processes.
 Nothing under `perfbench/` is written; the jobs write into the ignored
 `.perfbench-out/`.
 """
@@ -50,7 +51,6 @@ def test_tiny_outputs_match_references(workload):
 
 
 def test_tiny_threshold_outputs_match_references_with_march_pairs(processes):
-    # The search marches its likely next rate in a forked child at every seed.
-    processes.pair_marches()
+    # Every seed's search forks once, and its child marches half of each rate's paths.
     assert _failed_jobs("mf-threshold") == {}
-    assert len(processes.forks) >= 20 * 6  # per seed the draw, and 5 rounds or more
+    assert len(processes.forks) == len(workloads.REF_SEEDS)
