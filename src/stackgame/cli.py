@@ -129,6 +129,8 @@ def parse_config(document: str) -> RunConfig:
         raw = yaml.load(document, Loader=_YAML_LOADER)
     except yaml.YAMLError as exc:
         raise ConfigurationError(f"config is not valid YAML: {exc}") from exc
+    except ValueError as exc:  # PyYAML's constructor, for a tagged value such as !!float abc
+        raise ConfigurationError(f"config value does not convert to its YAML tag: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigurationError("config must be a mapping at the top level")
     _validate(raw)

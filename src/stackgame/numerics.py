@@ -407,6 +407,9 @@ def eig_2x2(m: np.ndarray) -> tuple[float, float, np.ndarray]:
 
 _NORMALS_BLOCK = 256
 # A fork costs 2-6 ms on a 2-vCPU VM; the README times the work that pays for it.
+# A seeded one-row march there, one process against two, won by two in 4 rounds
+# of 7 (medians): at 250 steps 1/4 at 2^19 normals, 4/4 at 2^20 (36.5-45.2
+# against 29.9-39.2 ms) and 4/4 at 2^21; at 1000 steps 0/4, 2/4 and 4/4.
 _FORK_MIN_DRAWS = 1 << 20
 _FORK_MIN_PATHS = 20_000
 # cli writes a trajectory table of at least this many "%.12g" fields (rows x
@@ -502,37 +505,42 @@ def _in_two(shapes, here, there):
     return result, buffers if status == 0 else None
 
 
-def _seed_words(seed: int, n_paths: int, n_steps: int) -> np.ndarray:
-    """The checked PCG64 seed words of path_normals(seed, n_paths, n_steps)'s rows."""
-    # Imported here: _seeding loads numpy.random, which importing stackgame need not.
-    from ._seeding import child_seed_words
+def _path_states(seed: int, n_paths: int, n_steps: int) -> np.ndarray:
+    """The checked PCG64 states of path_normals(seed, n_paths, n_steps)'s rows."""
+    # Imported here: only seeded draws use _seeding, so importing stackgame need not load it.
+    from ._seeding import spawn_states
 
     seed = operator.index(seed)
     if seed < 0:
         raise ParameterError(f"seed must be >= 0, got {seed}")
     if n_paths < 1 or n_steps < 1:
         raise ParameterError(f"need n_paths >= 1 and n_steps >= 1, got {n_paths} x {n_steps}")
-    return child_seed_words(seed, n_paths)
+    return spawn_states(seed, n_paths)
 
 
-def _draw_rows(seed_words: np.ndarray, lo: int, hi: int, n_steps: int) -> np.ndarray:
+def _draw_rows(states: np.ndarray, lo: int, hi: int, n_steps: int) -> np.ndarray:
     """Rows [lo, hi) of path_normals' matrix, drawn into a new step-major buffer.
 
-    Column c of the (n_steps, hi - lo) buffer gets row lo + c, drawn by
-    numpy's own PCG64 and normal sampler into a small path-major block that
-    is copied over block by block.  Returns the buffer's transpose, whose
-    column j, which a march reads at step j, is contiguous.
+    One numpy PCG64 and normal sampler draw every row: each row's state
+    (_seeding.state_setter) goes into the generator, which then fills the
+    row of a small path-major block that is copied over block by block.
+    Column c of the (n_steps, hi - lo) buffer gets row lo + c.  Returns the
+    buffer's transpose, whose column j, which a march reads at step j, is
+    contiguous.
     """
-    from ._seeding import SeedWords
+    from ._seeding import state_setter
 
+    bits = np.random.PCG64(0)  # its seed is overwritten by put
+    normal = np.random.Generator(bits).standard_normal
+    put = state_setter(bits, states, lo)
     m = hi - lo
     out = np.empty((n_steps, m))
     block = np.empty((min(m, _NORMALS_BLOCK), n_steps))
     for start in range(0, m, len(block)):
         rows = block[: min(len(block), m - start)]
-        for row, words in zip(rows, seed_words[lo + start : lo + start + len(rows)]):
-            bits = np.random.PCG64(SeedWords(words))
-            np.random.Generator(bits).standard_normal(out=row)
+        for i, row in enumerate(rows, lo + start):
+            put(i)
+            normal(out=row)
         out[:, start : start + len(rows)] = rows.T
     return out.T
 
@@ -541,14 +549,16 @@ def path_normals(seed: int, n_paths: int, n_steps: int) -> np.ndarray:
     """Deterministic (n_paths, n_steps) standard-normal matrix, stored step-major.
 
     Row i holds the values of default_rng(SeedSequence(seed).spawn(n_paths)[i]),
-    drawn by _draw_rows, so the matrix does not depend on how paths are split.
+    so the matrix does not depend on how paths are split: _seeding computes
+    every child's PCG64 state at once, and _draw_rows draws all rows with
+    one generator, set to each row's state in turn.
     It is the transpose of an (n_steps, n_paths) buffer, so column j, which a
     path march reads at step j, is contiguous.  It is drawn in this process:
     the program's marches draw their own rows (_march_held), and only tests
     and em_paths build the whole matrix.  Raises ParameterError for a
     negative seed or an empty matrix.
     """
-    return _draw_rows(_seed_words(seed, n_paths, n_steps), 0, n_paths, n_steps)
+    return _draw_rows(_path_states(seed, n_paths, n_steps), 0, n_paths, n_steps)
 
 
 def em_paths(
@@ -734,18 +744,18 @@ def _march_held(n_paths: int, n_steps: int, h: float, noise, rows, marches_of, b
     one.  SimulationBlowupError names the first step that leaves a path
     non-finite and the first such path, in the first march that has one.
     """
-    seed_words = None
+    states = None
     if isinstance(noise, np.ndarray):
         if noise.shape != (n_paths, n_steps):
             raise ParameterError(f"normals shape {noise.shape} != {(n_paths, n_steps)}")
     elif noise is not None:
-        seed_words = _seed_words(noise, n_paths, n_steps)
+        states = _path_states(noise, n_paths, n_steps)
     shapes = [shape for k in rows for shape in ((k, n_paths), (2, n_steps + 1), (n_paths,))]
 
     def normals(lo: int, hi: int) -> np.ndarray | None:
-        if seed_words is None:
+        if states is None:
             return None if noise is None else noise[lo:hi]
-        return _draw_rows(seed_words, lo, hi, n_steps)
+        return _draw_rows(states, lo, hi, n_steps)
 
     def run(request: float, buffers, lo: int, hi: int, part: int, z) -> int:
         """Marches the request's marches on paths [lo, hi); returns how many buffers they fill."""
@@ -759,7 +769,7 @@ def _march_held(n_paths: int, n_steps: int, h: float, noise, rows, marches_of, b
                 in zip(buffers[0:used:3], buffers[1:used:3], buffers[2:used:3])]
 
     fork = n_paths > _PAIRWISE_BLOCK and _can_fork() and (n_paths >= _FORK_MIN_PATHS or (
-        seed_words is not None and n_paths * n_steps >= _FORK_MIN_DRAWS))
+        states is not None and n_paths * n_steps >= _FORK_MIN_DRAWS))
     split = _pairwise_split(n_paths) if fork else n_paths
 
     def there(buffers, line: _Line) -> None:

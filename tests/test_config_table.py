@@ -106,7 +106,11 @@ def test_readme_key_table_matches_the_cli_table():
 
 MALFORMED = ["model: [unclosed", "\tmodel: discrete", "a: b: c", "key: 'unterminated", "{a: 1",
              "model: discrete\n  action: verify\n bad: 1", "\x00", "a: &x 1\nb: *y",
-             "!!python/object/apply:os.system [echo]", "- a\n- b", ""]
+             "!!python/object/apply:os.system [echo]", "- a\n- b", "",
+             # Well-formed YAML whose tagged value does not convert: PyYAML's
+             # constructor raises a plain ValueError for these.
+             "params: {a: !!float abc, b: 1.0, c0: 1.0, c1: 2.0}", "params: {a: !!int 1.5}",
+             'params: {a: !!timestamp "2020-13-45"}']
 
 
 def _config_documents() -> list[str]:

@@ -2,6 +2,7 @@
 
 import ast
 import errno
+import itertools
 import mmap
 import os
 import re
@@ -13,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stackgame import meanfield, numerics
+from stackgame import _seeding, meanfield, numerics
 from stackgame.errors import (
     BracketError,
     ConfigurationError,
@@ -300,6 +301,19 @@ class TestEig2x2:
             eig_2x2(np.array([[0.0, 1.0], [-1.0, 0.0]]))
 
 
+SPAWN_SEEDS = [0, 2**32 - 1, 2**32, 2**64 + 5, 2**130 + 7]
+
+
+class _GivenWords(np.random.bit_generator.ISeedSequence):
+    """Seed sequence whose PCG64 seed words, generate_state(4, uint64), are given."""
+
+    def __init__(self, words):
+        self.words = np.array(words, dtype=np.uint64)
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
 class TestPathNoise:
     def test_normals_are_reproducible(self):
         a = path_normals(7, 5, 16)
@@ -323,7 +337,7 @@ class TestPathNoise:
             assert np.array_equal(normals[i], expected)
         assert normals[:, 2].flags.c_contiguous
 
-    @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 + 5, 2**130 + 7])
+    @pytest.mark.parametrize("seed", SPAWN_SEEDS)
     def test_vectorised_seeding_matches_numpy_spawn(self, seed):
         # One to five entropy words (2^130 + 7 has more than the pool's
         # four), and rows on both sides of the 256-path block edge.
@@ -333,6 +347,59 @@ class TestPathNoise:
         for i in (0, 255, 256, n - 1):
             expected = np.random.default_rng(children[i]).standard_normal(7)
             assert np.array_equal(normals[i], expected)
+
+    @pytest.mark.parametrize("seed", SPAWN_SEEDS)
+    def test_seeded_states_are_numpy_pcg64_states(self, seed):
+        states = numerics._path_states(seed, 257, 1)
+        for child, limbs in zip(np.random.SeedSequence(seed).spawn(257), states, strict=True):
+            assert np.random.PCG64(child).state["state"] == _seeding._state_ints(limbs)
+
+    def test_seeded_states_across_spawn_blocks(self):
+        rows = _seeding._SPAWN_ROWS
+        states = numerics._path_states(9, 2 * rows + 3, 1)
+        children = np.random.SeedSequence(9).spawn(2 * rows + 3)
+        for i in (rows - 1, rows, 2 * rows - 1, 2 * rows, 2 * rows + 2):
+            assert np.random.PCG64(children[i]).state["state"] == _seeding._state_ints(states[i])
+
+    def test_pcg64_seeding_carries_between_limbs(self):
+        # Seed words s = (s_hi, s_lo) and i = (i_hi, i_lo) at edge values and
+        # at random: each carry of the limb arithmetic, and the top bit of
+        # i_lo that 2i + 1 moves into the high limb, is both taken and not.
+        edges = [0, 1, 2**32 - 1, 2**32, 2**63 - 1, 2**63, 2**64 - 1]
+        random = np.random.default_rng(1).bit_generator.random_raw((200, 4)).tolist()
+        words = [*itertools.product(edges, repeat=4), *map(tuple, random)]
+        mask, half, mult = 2**64 - 1, 2**32 - 1, 0x2360ED051FC65DA44385DF649FCCF645
+        seen = set()
+        for s_hi, s_lo, i_hi, i_lo in words:
+            inc = (i_hi << 64 | i_lo) * 2 + 1 & 2**128 - 1
+            x = (inc + (s_hi << 64 | s_lo)) & 2**128 - 1
+            x_lo, m_lo = x & mask, mult & mask
+            mid = ((x_lo & half) * (m_lo & half) >> 32) + ((x_lo & half) * (m_lo >> 32) & half) \
+                + ((x_lo >> 32) * (m_lo & half) & half)
+            p_hi = (x_lo * m_lo >> 64) + x_lo * (mult >> 64) + (x >> 64) * m_lo
+            p_lo = x_lo * m_lo & mask
+            seen |= {("inc + s", (inc & mask) + s_lo > mask), ("product middle", mid > half),
+                     ("product high", p_hi > mask), ("+ inc", p_lo + (inc & mask) > mask),
+                     ("top of i_lo", i_lo >> 63 == 1)}
+        assert len(seen) == 10  # every case with both outcomes
+        states = _seeding.pcg64_states(*np.array(words, dtype=np.uint64).T)
+        for row, limbs in zip(words, states, strict=True):
+            bits = np.random.PCG64(_GivenWords(row))
+            assert bits.state["state"] == _seeding._state_ints(limbs)
+
+    def test_one_generator_per_draw(self, monkeypatch):
+        made, pcg64 = [], np.random.PCG64
+
+        def counted(*args):
+            made.append(args)
+            return pcg64(*args)
+
+        monkeypatch.setattr(np.random, "PCG64", counted)
+        normals = path_normals(7, 600, 3)
+        assert len(made) <= 1
+        monkeypatch.undo()
+        assert np.array_equal(normals[599], np.random.default_rng(
+            np.random.SeedSequence(7).spawn(600)[599]).standard_normal(3))
 
     def test_negative_seed_rejected(self):
         with pytest.raises(ParameterError, match="seed"):
@@ -470,7 +537,8 @@ class TestStreamedKernel:
             lambda s, x: np.interp(s, t, alpha) * x + np.interp(s, t, beta),
             lambda s, x: wright_fisher_sigma(x), 0.5, grid, 50, seed=5, normals=normals,
         )
-        reference = np.trapezoid(np.exp(-rate * t) * reward(ens.paths), t, axis=1)
+        y = np.exp(-rate * t) * reward(ens.paths)
+        reference = (np.diff(t) * (y[:, 1:] + y[:, :-1]) / 2.0).sum(axis=1)  # the trapezoid rule
         np.testing.assert_allclose(payoff, reference, rtol=1e-12, atol=0.0)
         np.testing.assert_allclose(mean, ens.mean_path(), rtol=1e-13, atol=0.0)
         np.testing.assert_allclose(x_end, ens.paths[:, -1], rtol=1e-13, atol=0.0)
@@ -705,13 +773,34 @@ class TestTwoProcesses:
             self._same(_em_functionals(marches, h, n_paths, 5), want)
             assert len(processes.forks) == cpus - 1  # one fork draws and runs both marches
 
+    def test_public_setter_draws_the_same_bits(self, processes, monkeypatch):
+        # Where the state written in place does not read back (another numpy
+        # layout), every row's state goes through PCG64's public setter.
+        marches, h, normals = self._seed_case(300, 40)
+        in_place = {}
+        for cpus in (1, 2):
+            processes.cpus(cpus)
+            in_place[cpus] = _em_functionals(marches, h, 300, 5)
+        checks = []
+
+        def fails(bits, limbs):
+            checks.append(limbs)
+            return False
+
+        monkeypatch.setattr(_seeding, "_reads_back", fails)
+        assert path_normals(5, 300, 40).tobytes() == normals.tobytes()
+        for cpus in (1, 2):
+            processes.cpus(cpus)
+            self._same(_em_functionals(marches, h, 300, 5), in_place[cpus])
+        assert len(checks) == 3  # path_normals, the one-CPU call and this process's half
+
     @staticmethod
     def _poison_draws(monkeypatch, paths):
         """Makes the drawn normal of each path at each step NaN, in whichever process draws it."""
         draw = numerics._draw_rows
 
-        def poisoned(seed_words, lo, hi, n_steps):
-            z = draw(seed_words, lo, hi, n_steps)
+        def poisoned(states, lo, hi, n_steps):
+            z = draw(states, lo, hi, n_steps)
             for path, step in paths.items():
                 if lo <= path < hi:
                     z[path - lo, step - 1] = np.nan
@@ -748,9 +837,9 @@ class TestTwoProcesses:
                [[np.zeros(n + 1), np.ones(n + 1), np.zeros(n + 1)]])
         draw, draws = numerics._draw_rows, []
 
-        def counted(seed_words, lo, hi, n_steps):
+        def counted(states, lo, hi, n_steps):
             draws.append((lo, hi - lo))
-            return draw(seed_words, lo, hi, n_steps)
+            return draw(states, lo, hi, n_steps)
 
         monkeypatch.setattr(numerics, "_draw_rows", counted)
         for cpus in (1, 2):
