@@ -189,7 +189,7 @@ def saddle_structure(p: DynamicParams) -> SaddleStructure:
         raise HypothesisViolationError(
             f"saddle hypothesis fails: Delta={Delta:.6g} <= r^2={p.r * p.r:.6g}"
         )
-    s1, s2, _ = eig_2x2(m)
+    s1, s2 = eig_2x2(m)
     b, g, d = p.b, p.gamma, p.delta
     q1 = 4.0 * b * (s1 + d - 3.0 * g / (4.0 * b))
     q2 = 4.0 * b * (s2 + d - 3.0 * g / (4.0 * b))

@@ -346,7 +346,7 @@ def mean_field_bvp(p: MfgParams, grid: TimeGrid) -> MeanFieldSolution:
 def _ode_residuals(matrix, offset, traj: TrajectoryGrid, grid: TimeGrid) -> dict[str, float]:
     """Central-difference drift residual per channel, scaled O(h^2)."""
     names = list(traj.channels)
-    Y = traj.stack(names)  # (d, n+1)
+    Y = np.stack([traj[n] for n in names])  # (d, n+1)
     h = grid.h
     dY = (Y[:, 2:] - Y[:, :-2]) / (2.0 * h)
     drift = matrix @ Y + offset[:, None]
@@ -654,45 +654,24 @@ def growth_order_check(
     return slope < r_tilde / 2.0 - _GROWTH_MARGIN, slope
 
 
-@dataclass(frozen=True)
-class _Bisection:
-    """min_k_meanfield's search as a pure transition on states (phase, lo, hi).
+def _search(deters, tol: float, k_max: float) -> float | None:
+    """The smallest rate k with deters(k), by bisection; None when none deters up to k_max.
 
-    request(state) is the rate the search marches next, None once it has
-    ended, and step(state, verdict) takes that rate's verdict.  "zero" tests
-    k = 0.  "double" tests max(tol, 1), then twice that, until a rate deters,
-    and ends as "none" when the next one would pass k_max.  "halve" bisects
-    [lo, hi], where lo fails and hi deters, down to width tol or until its
-    midpoint rounds onto an end, and ends as "done" with k_min = hi.
+    It asks deters about k = 0, then max(tol, 1) and its doublings while
+    they stay at or below k_max, then the midpoints of [lo, hi], where lo
+    fails and hi deters, until the bracket is tol wide or its midpoint rounds
+    onto an end.  It returns hi.
     """
-
-    tol: float
-    k_max: float
-    start = ("zero", 0.0, 0.0)
-
-    def request(self, state) -> float | None:
-        phase, lo, hi = state
-        if phase == "zero":
-            return 0.0
-        if phase == "double":
-            return hi
-        return 0.5 * (lo + hi) if phase == "halve" else None
-
-    def step(self, state, verdict: bool):
-        phase, lo, hi = state
-        first = max(self.tol, 1.0)
-        if phase == "zero":
-            return ("done", 0.0, 0.0) if verdict else ("double", 0.0, first)
-        if phase == "double":
-            if verdict:
-                return self._halve(0.0 if hi == first else hi / 2.0, hi)
-            return ("double" if 2.0 * hi <= self.k_max else "none", 0.0, 2.0 * hi)
-        mid = 0.5 * (lo + hi)
-        return self._halve(lo, mid) if verdict else self._halve(mid, hi)
-
-    def _halve(self, lo: float, hi: float):
-        split = hi - lo > self.tol and lo < 0.5 * (lo + hi) < hi
-        return ("halve" if split else "done", lo, hi)
+    if deters(0.0):
+        return 0.0
+    lo, hi = 0.0, max(tol, 1.0)
+    while not deters(hi):
+        lo, hi = hi, 2.0 * hi
+        if hi > k_max:
+            return None
+    while hi - lo > tol and lo < (mid := 0.5 * (lo + hi)) < hi:
+        lo, hi = (lo, mid) if deters(mid) else (mid, hi)
+    return hi
 
 
 def min_k_meanfield(
@@ -704,7 +683,7 @@ def min_k_meanfield(
 ) -> PenaltySearchResult:
     """Smallest penalty rate making defection statistically unprofitable.
 
-    Bisection (_Bisection) on the confidence-separated criterion
+    Bisection (_search) on the confidence-separated criterion
     J_def(k) + 3 SE < J_eq - 3 SE, with common random numbers across all k so
     the comparison is smooth in k.  A candidate k also has to pass the
     growth-order hypothesis at rate r + k (the defection state must grow
@@ -735,35 +714,33 @@ def min_k_meanfield(
     times = grid.times()
     if sol is None:
         sol = mean_field_bvp(p, grid)
-    search = _Bisection(tol, k_max)
     evaluated: dict[float, tuple[McEstimate, float]] = {}  # k -> (J_def, growth slope)
     margins: dict[float, tuple[float, float]] = {}
     verdict: dict[float, bool] = {}
+    j_eq = None
 
     def marches(k: float) -> list[tuple]:
         """k's defection march, after the equilibrium march on the first request, k = 0."""
         leader = [_leader_march(p, sol["u0_star"], sol["xbar"], grid)] if k == 0.0 else []
         return leader + [_defection_march(p, k, sol, grid)]
 
-    def bisect(march) -> tuple:
-        """Runs the search on march's results; returns its last state and J_eq."""
-        state = search.start
-        while (k := search.request(state)) is not None:
-            *leader, ((samples,), mean, _) = march(k)
-            if leader:
-                j_eq = _estimate(leader[0][0][0])
-            jd = _estimate(samples)
-            _, slope = growth_order_check(times, mean, p.r + k)
-            margins[k] = ((j_eq.mean - 3.0 * j_eq.stderr) - (jd.mean + 3.0 * jd.stderr),
-                          (p.r + k) / 2.0 - _GROWTH_MARGIN - slope)
-            evaluated[k] = jd, slope
-            verdict[k] = margins[k][0] > 0.0 and margins[k][1] > 0.0
-            state = search.step(state, verdict[k])
-        return state, j_eq
+    def deters(k: float, marched: list[tuple]) -> bool:
+        """Records k's marches, the equilibrium's too at k = 0, and gives the verdict on k."""
+        nonlocal j_eq
+        *leader, ((samples,), mean, _) = marched
+        if leader:
+            j_eq = _estimate(leader[0][0][0])
+        jd = _estimate(samples)
+        _, slope = growth_order_check(times, mean, p.r + k)
+        margins[k] = ((j_eq.mean - 3.0 * j_eq.stderr) - (jd.mean + 3.0 * jd.stderr),
+                      (p.r + k) / 2.0 - _GROWTH_MARGIN - slope)
+        evaluated[k] = jd, slope
+        verdict[k] = margins[k][0] > 0.0 and margins[k][1] > 0.0
+        return verdict[k]
 
-    state, j_eq = _march_held(mc.n_paths, mc.n_steps, grid.h, _noise(mc), [1, 1], marches, bisect)
-    phase, _, k_min = state
-    if phase == "none":
+    k_min = _march_held(mc.n_paths, mc.n_steps, grid.h, _noise(mc), [1, 1], marches,
+                        lambda march: _search(lambda k: deters(k, march(k)), tol, k_max))
+    if k_min is None:
         raise NoDeterrentError(f"defection stays profitable up to k = {k_max:g}")
     if k_min > k_max:
         raise NoDeterrentError(f"the certified rate k = {k_min:g} exceeds k_max = {k_max:g}")

@@ -130,9 +130,6 @@ class TrajectoryGrid:
     def __getitem__(self, name: str) -> np.ndarray:
         return self.channels[name]
 
-    def stack(self, names: Sequence[str]) -> np.ndarray:
-        return np.stack([self.channels[n] for n in names], axis=0)
-
 
 @dataclass
 class PathEnsemble:
@@ -140,9 +137,6 @@ class PathEnsemble:
 
     grid: TimeGrid
     paths: np.ndarray
-
-    def mean_path(self) -> np.ndarray:
-        return self.paths.mean(axis=0)
 
 
 def _rk4_march(f, y0: np.ndarray, times: np.ndarray) -> np.ndarray:
@@ -375,10 +369,9 @@ def find_root_bisect(f, lo: float, hi: float, tol: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def eig_2x2(m: np.ndarray) -> tuple[float, float, np.ndarray]:
-    """Real eigen-decomposition of a 2x2 matrix with distinct real eigenvalues.
+def eig_2x2(m: np.ndarray) -> tuple[float, float]:
+    """Eigenvalues (s1, s2), s1 < s2, of a 2x2 matrix with distinct real eigenvalues.
 
-    Returns (s1, s2, V) with s1 < s2 and V[:, i] the unit eigenvector of s_i.
     Raises SpectralError when the discriminant is non-positive.
     """
     m = np.asarray(m, dtype=float)
@@ -391,18 +384,7 @@ def eig_2x2(m: np.ndarray) -> tuple[float, float, np.ndarray]:
     if disc <= 1e-14 * scale * scale:
         raise SpectralError(f"complex or repeated eigenvalues (discriminant {disc:.3e})")
     root = np.sqrt(disc)
-    s1, s2 = (tr - root) / 2.0, (tr + root) / 2.0
-    vecs = np.empty((2, 2))
-    for i, s in enumerate((s1, s2)):
-        a = m - s * np.eye(2)
-        # Null vector of a singular 2x2: pick the larger row for stability.
-        r = a[0] if np.abs(a[0]).max() >= np.abs(a[1]).max() else a[1]
-        v = np.array([-r[1], r[0]])
-        nv = np.linalg.norm(v)
-        if nv == 0.0:  # pragma: no cover - excluded by the discriminant check
-            raise SpectralError("degenerate eigenvector")
-        vecs[:, i] = v / nv
-    return float(s1), float(s2), vecs
+    return float((tr - root) / 2.0), float((tr + root) / 2.0)
 
 
 _NORMALS_BLOCK = 256
@@ -506,7 +488,11 @@ def _in_two(shapes, here, there):
 
 
 def _path_states(seed: int, n_paths: int, n_steps: int) -> np.ndarray:
-    """The checked PCG64 states of path_normals(seed, n_paths, n_steps)'s rows."""
+    """The checked PCG64 states of seed's n_paths noise rows, each of n_steps normals.
+
+    Row i is drawn from default_rng(SeedSequence(seed).spawn(n_paths)[i]), so
+    a row does not depend on how the paths are split between processes.
+    """
     # Imported here: only seeded draws use _seeding, so importing stackgame need not load it.
     from ._seeding import spawn_states
 
@@ -600,21 +586,6 @@ def em_paths(
     return PathEnsemble(grid=grid, paths=paths)
 
 
-def wright_fisher_sigma(x: np.ndarray) -> np.ndarray:
-    """Clamped knowledge-stock noise coefficient sqrt(max(0, x(1-x))).
-
-    Inside [0, 1] it is the plain Wright-Fisher coefficient.  Nothing keeps
-    an Euler-Maruyama state inside [0, 1], and outside it the clamp sets the
-    noise to zero (it keeps the square root real), so a path that leaves
-    moves without noise until it returns.  Leaving is the common case, not
-    a rare excursion: on the README's mean-field parameters (10^4 paths,
-    1000 steps, seed 42) 90% of the leader's equilibrium paths and 85% of
-    the followers' feedback paths leave [0, 1], and the leader's mean path
-    peaks at 1.31.
-    """
-    return np.sqrt(np.maximum(0.0, x * (1.0 - x)))
-
-
 def _euler_factors(
     alpha: np.ndarray, beta: np.ndarray, h: float
 ) -> tuple[list[float], list[float]]:
@@ -643,7 +614,7 @@ def _stepper(h: float, n_steps: int, alpha, beta, x0, center, coef):
 
     The march (alpha, beta, x0, center, coef) starts every path at x0 and
     steps
-        x_{j+1} = a_j x_j + b_j + wright_fisher_sigma(x_j) sqrt(h) Z_j,
+        x_{j+1} = a_j x_j + b_j + sqrt(max(0, x_j (1 - x_j))) sqrt(h) Z_j,
     with euler_mean's factors a_j = 1 + alpha_j h and b_j = beta_j h, so a
     zero-noise path equals euler_mean bit for bit.  alpha, beta and center
     are node arrays on the grid of n_steps + 1 nodes.  For each coef[k] =
@@ -698,7 +669,7 @@ def _stepper(h: float, n_steps: int, alpha, beta, x0, center, coef):
         for j in range(n_steps):
             np.multiply(x, drift_a[j], out=x_next)
             x_next += drift_b[j]
-            if z is not None:  # wright_fisher_sigma(x) * sqrt_h * Z_j, in place
+            if z is not None:  # sqrt(max(0, x (1 - x))) * sqrt_h * Z_j, in place
                 np.subtract(1.0, x, out=tmp)
                 tmp *= x
                 np.maximum(0.0, tmp, out=tmp)

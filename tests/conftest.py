@@ -12,6 +12,11 @@ from stackgame.meanfield import McConfig, MfgParams
 from stackgame.numerics import rk4_solve_general
 
 
+def wright_fisher_sigma(x: np.ndarray) -> np.ndarray:
+    """Clamped knowledge-stock noise coefficient sqrt(max(0, x(1-x))), as _stepper steps it."""
+    return np.sqrt(np.maximum(0.0, x * (1.0 - x)))
+
+
 @pytest.fixture
 def duopoly():
     """Benchmark repeated duopoly: margin 10, equilibrium (u0, J0) = (5, 12.5)."""

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from stackgame import dynamic
 from stackgame.dynamic import (
     DynamicParams,
     appendix_constants,
@@ -18,7 +19,7 @@ from stackgame.dynamic import (
     system_matrix,
     theorem2_lhs,
 )
-from stackgame.errors import HypothesisViolationError, ParameterError
+from stackgame.errors import HypothesisViolationError, NoDeterrentError, ParameterError
 from stackgame.numerics import TimeGrid
 
 # Frozen benchmark values, cross-checked against the generic BVP solver and
@@ -27,6 +28,7 @@ BENCH_DELTA = 0.0483
 BENCH_S1 = -0.08488630487917956
 BENCH_S2 = 0.13488630487917954
 BENCH_K_MIN = 0.029320752490263433
+BENCH = dict(a=10.0, b=1.0, cbar1=2.0, gamma=0.02, delta=0.1, r=0.05)
 
 
 @pytest.fixture
@@ -186,6 +188,27 @@ class TestMinK:
         assert scan[0.0] <= res.j_star + 1e-9 * (1.0 + res.j_star)
         assert any(v > res.j_star for t0, v in scan.items() if t0 > 0.0)
         assert not res.deterred
+
+    def test_short_horizon_doubles_the_bracket_past_one(self):
+        # The threshold grows like 1/T: at T = 0.1 both roots lie in [2, 4].
+        p = DynamicParams(**BENCH, T=0.1)
+        res = min_k_dynamic(p)
+        assert theorem2_lhs(p, 2.0) < 0.0 < theorem2_lhs(p, 4.0)
+        assert abs(res.k_min - 2.4096173857) < 1e-7
+        assert abs(res.details["k_min_quadrature"] - res.k_min) < 1e-6
+
+    def test_no_deterrent_rate_up_to_1e6_raises(self):
+        # At T = 1e-7 the threshold would be about 2.4e6.
+        with pytest.raises(NoDeterrentError, match="up to k = 1e6"):
+            min_k_dynamic(DynamicParams(**BENCH, T=1e-7))
+
+    def test_rate_zero_when_the_smallest_rate_deters(self, dyn, grid, monkeypatch):
+        # No parameters deter at k = 1e-6 (defection gains pointwise, see
+        # below), so the closed form is patched; the quadrature root is not.
+        monkeypatch.setattr(dynamic, "theorem2_lhs", lambda p, k: 1.0)
+        res = min_k_dynamic(dyn, grid)
+        assert res.k_min == 0.0
+        assert abs(res.details["k_min_quadrature"] - BENCH_K_MIN) < 1e-6
 
     def test_positive_rate_needed_even_without_learning(self):
         # Defection strictly gains pointwise, so k = 0 never deters.

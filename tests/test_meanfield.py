@@ -7,8 +7,10 @@ import os
 
 import numpy as np
 import pytest
+import yaml
 
 from stackgame import meanfield, numerics
+from stackgame.cli import main
 from stackgame.errors import (
     ConfigurationError,
     IntegrationBlowupError,
@@ -457,15 +459,43 @@ class TestMinK:
         # At tol = 1e-300 the bracket narrows to two neighbouring floats,
         # whose midpoint rounds onto one of them; the search must end there.
         threshold = 0.3828125 + 1e-9
-        search = meanfield._Bisection(1e-300, 1000.0)
-        state, requests = search.start, 0
-        while (k := search.request(state)) is not None:
-            state = search.step(state, k >= threshold)
-            requests += 1
-            assert requests < 100
-        phase, lo, k_min = state
-        assert phase == "done" and k_min == threshold
+        asked = []
+
+        def deters(k: float) -> bool:
+            asked.append(k)
+            assert len(asked) < 100
+            return k >= threshold
+
+        k_min = meanfield._search(deters, 1e-300, 1000.0)
+        lo = max(k for k in asked if k < threshold)
+        assert k_min == threshold
         assert np.nextafter(lo, math.inf) == k_min
+
+    def test_rising_defection_payoff_is_warned(self, mfg_kwargs, monkeypatch, tmp_path):
+        # The search asks about k = 0.25 and rejects it; a payoff raised there
+        # by 10 rises above k = 0's, and the search still ends where it did.
+        march = meanfield._defection_march
+
+        def raised(p, k, *rest):
+            alpha, beta, x0, center, (row,) = march(p, k, *rest)
+            if k == 0.25:
+                row = row.copy()
+                row[0, 0] += 10.0
+            return alpha, beta, x0, center, [row]
+
+        monkeypatch.setattr(meanfield, "_defection_march", raised)
+        mc = {"n_paths": 200, "n_steps": 50, "seed": 3}
+        res = min_k_meanfield(MfgParams(**mfg_kwargs), McConfig(**mc), tol=0.01)
+        payoff = {k: v for k, v, _ in res.details["trace"]}
+        text = f"defection payoff rose from {payoff[0.0]:.6g} (k=0) to {payoff[0.25]:.6g} (k=0.25)"
+        assert res.k_min == 0.4140625
+        assert res.details["warnings"] == [text]
+        cfg = tmp_path / "mf.yaml"
+        cfg.write_text(yaml.safe_dump({"model": "meanfield", "action": "threshold-k",
+                                       "params": mfg_kwargs, "mc": mc, "penalty": {"tol": 0.01}}))
+        assert main(["meanfield", "threshold-k", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")]) == 0
+        assert f"\n[warnings]\n- {text}\n\n" in (tmp_path / "out" / "report.txt").read_text()
 
     def test_tolerance_below_the_float_spacing_ends(self, mfg):
         mc = McConfig(n_paths=200, n_steps=50, seed=3)
