@@ -260,16 +260,18 @@ def _run_dynamic(cfg: RunConfig):
                 "times stay profitable at this rate (penalty clock restarts at t0)"
             )
         sweep = []
+        payoff = dynamic.defection_payoffs(p, 0.0, grid)
         for k in np.linspace(max(1e-6, res.k_min / 5), 2 * res.k_min + 1e-6, 25):
-            j = dynamic.defection_payoff(p, float(k), 0.0, grid)
+            j = payoff(float(k))
             sweep.append((float(k), j_star, j, j <= j_star + 1e-9))
     elif cfg.action == "verify":
         for k in (0.0, 0.1, 0.3, 1.0):
             certs[f"identity_k_{k:g}"] = _cert(dynamic.check_equ20_identity(p, k, grid), 0.0,
                                                1e-10, op="~")
+        payoff = dynamic.defection_payoffs(p, 0.0, grid)
         for k in (0.05, 0.1, 0.3, 1.0):
             lhs = dynamic.theorem2_lhs(p, k)
-            quad = 64.0 * p.b * (j_star - dynamic.defection_payoff(p, k, 0.0, grid))
+            quad = 64.0 * p.b * (j_star - payoff(k))
             rel = abs(lhs - quad) / (abs(quad) + 1e-30)
             certs[f"reconciliation_k_{k:g}"] = _cert(rel, 0.0, 1e-4, op="~")
     return results, certs, warnings, traj_out, sweep

@@ -140,18 +140,29 @@ def brute_force_oracle(
 
     mode="equilibrium": the follower best-responds to every candidate u0.
     mode="defection": the follower output is frozen at its equilibrium value.
+    The follower outputs u1 and the payoffs J0 are each computed in one
+    buffer, in place, by the operations of u1 = max(0, (a - b u0 - c1) / 2b)
+    and J0 = u0 (a - b (u0 + u1) - c0) in that order.
     """
     if grid_resolution < 1000:
         raise ParameterError(f"grid_resolution must be >= 1000, got {grid_resolution}")
     u0_max = (p.a - p.c0) / p.b
     u0 = np.linspace(0.0, u0_max, grid_resolution)
     if mode == "equilibrium":
-        u1 = np.maximum(0.0, (p.a - p.b * u0 - p.c1) / (2.0 * p.b))
+        u1 = np.multiply(p.b, u0)
+        np.subtract(p.a, u1, out=u1)
+        u1 -= p.c1
+        u1 /= 2.0 * p.b
+        np.maximum(0.0, u1, out=u1)
     elif mode == "defection":
         u1 = np.full_like(u0, one_shot_equilibrium(p).u1)
     else:
         raise ParameterError(f"unknown oracle mode {mode!r}")
-    J0 = u0 * (p.a - p.b * (u0 + u1) - p.c0)
+    J0 = np.add(u0, u1)
+    J0 *= p.b
+    np.subtract(p.a, J0, out=J0)
+    J0 -= p.c0
+    J0 *= u0
     i = int(np.argmax(J0))
     J1 = u1[i] * (p.a - p.b * (u0[i] + u1[i]) - p.c1)
     return OneShotOutcome(u0=float(u0[i]), u1=float(u1[i]), J0=float(J0[i]), J1=float(J1))

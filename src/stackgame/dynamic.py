@@ -42,6 +42,7 @@ __all__ = [
     "system_matrix",
     "equilibrium_trajectories",
     "equilibrium_payoff",
+    "defection_payoffs",
     "defection_payoff",
     "check_equ20_identity",
     "appendix_constants",
@@ -250,42 +251,60 @@ def _equilibrium_integrand(p: DynamicParams, x1: np.ndarray, lam: np.ndarray, t:
     return np.exp(-p.r * t) * (X * X - lam * lam) / (8.0 * p.b)
 
 
-def _defection_integrand(p: DynamicParams, x1, lam, t, k: float, t0: float):
-    """Discounted defection integrand e^{-rt} rho(t) (3X - lam)^2 / (64 b)."""
-    X = p.margin(x1)
-    rho = np.where(t > t0, np.exp(-k * (t - t0)), 1.0)
-    return np.exp(-p.r * t) * rho * (3.0 * X - lam) ** 2 / (64.0 * p.b)
+def _require_horizon(p: DynamicParams, grid: TimeGrid) -> None:
+    """The payoffs integrate over [0, T], so a grid must span that horizon."""
+    if grid != TimeGrid(0.0, p.T, grid.n_steps):
+        raise ParameterError(f"grid [{grid.t0}, {grid.t1}] does not span the horizon [0, {p.T}]")
 
 
 def equilibrium_payoff(p: DynamicParams, grid: TimeGrid) -> float:
-    """Leader's equilibrium payoff by Simpson quadrature of the closed form."""
+    """Leader's equilibrium payoff by Simpson quadrature of the closed form on [0, T]."""
+    _require_horizon(p, grid)
     t = grid.times()
     return quad_simpson(_equilibrium_integrand(p, *p.saddle.states(t), t), grid.h)
 
 
-def defection_payoff(p: DynamicParams, k: float, t0: float, grid: TimeGrid) -> float:
-    """Leader's actual payoff when defecting at t0 under penalty rate k.
+def defection_payoffs(p: DynamicParams, t0: float, grid: TimeGrid):
+    """The leader's actual payoff k -> J~(k) when defecting at t0 under penalty rate k.
 
-    Equilibrium integrand on [0, t0], discounted defection integrand on
-    (t0, T].  The state and costate are unchanged by the defection (x1 is
-    driven by the follower's output only).  Each piece gets its own even
-    Simpson sub-grid so t0 is always a node.
+    Equilibrium integrand on [0, t0], discounted defection integrand
+    e^{-rt} rho (3X - lam)^2 / (64 b) with rho = e^{-k (t - t0)} on (t0, T],
+    each on its own even Simpson sub-grid, so t0 is always a node.  The
+    state and costate are unchanged by the defection (x1 is driven by the
+    follower's output only).  Only rho depends on k, so the first piece's
+    value and t - t0, e^{-rt} and (3X - lam)^2 on the second are computed
+    here once and held until the function is dropped.  A call computes the
+    integrand in the order written, so it has the bits of a fresh quadrature.
     """
+    _require_horizon(p, grid)
     if not 0.0 <= t0 <= p.T:
         raise ParameterError(f"defection time t0={t0} outside [0, {p.T}]")
-    if not (math.isfinite(k) and k >= 0):
-        raise ParameterError(f"penalty rate k={k} must be finite and >= 0")
 
-    def piece(ta: float, tb: float, fn) -> float:
-        if tb <= ta:
-            return 0.0
+    def nodes(ta: float, tb: float) -> tuple:
         sub = TimeGrid(ta, tb, max(2, 2 * math.ceil(grid.n_steps * (tb - ta) / (p.T * 2))))
         t = sub.times()
-        return quad_simpson(fn(*p.saddle.states(t), t), sub.h)
+        return t, *p.saddle.states(t), sub.h
 
-    before = piece(0.0, t0, lambda x1, lam, t: _equilibrium_integrand(p, x1, lam, t))
-    after = piece(t0, p.T, lambda x1, lam, t: _defection_integrand(p, x1, lam, t, k, t0))
-    return before + after
+    before = 0.0
+    if t0 > 0.0:
+        t, x1, lam, h_before = nodes(0.0, t0)
+        before = quad_simpson(_equilibrium_integrand(p, x1, lam, t), h_before)
+    if t0 < p.T:
+        t, x1, lam, h = nodes(t0, p.T)
+        dt, e, sq = t - t0, np.exp(-p.r * t), (3.0 * p.margin(x1) - lam) ** 2
+
+    def payoff(k: float) -> float:
+        if not (math.isfinite(k) and k >= 0):
+            raise ParameterError(f"penalty rate k={k} must be finite and >= 0")
+        after = quad_simpson(e * np.exp(-k * dt) * sq / (64.0 * p.b), h) if t0 < p.T else 0.0
+        return before + after
+
+    return payoff
+
+
+def defection_payoff(p: DynamicParams, k: float, t0: float, grid: TimeGrid) -> float:
+    """Leader's actual payoff when defecting at t0 under penalty rate k (see defection_payoffs)."""
+    return defection_payoffs(p, t0, grid)(k)
 
 
 def check_equ20_identity(p: DynamicParams, k: float, grid: TimeGrid) -> float:
@@ -299,9 +318,8 @@ def check_equ20_identity(p: DynamicParams, k: float, grid: TimeGrid) -> float:
     x1, lam = p.saddle.states(t)
     X = p.margin(x1)
     rho = np.exp(-k * t)
-    lhs = 64.0 * p.b * (
-        _equilibrium_integrand(p, x1, lam, t) - _defection_integrand(p, x1, lam, t, k, 0.0)
-    )
+    defection = np.exp(-p.r * t) * rho * (3.0 * X - lam) ** 2 / (64.0 * p.b)
+    lhs = 64.0 * p.b * (_equilibrium_integrand(p, x1, lam, t) - defection)
     rhs = np.exp(-p.r * t) * (
         (8.0 - 9.0 * rho) * X * X - (8.0 + rho) * lam * lam + 6.0 * rho * X * lam
     )
@@ -380,7 +398,8 @@ def min_k_dynamic(
     details["k_min_quadrature"].  Each bracket [1e-6, 1] grows
     geometrically until a sign change appears.  The certificate re-verifies
     deterrence by quadrature at k_min + tol and scans defection times t0 in
-    {0, T/4, T/2, 3T/4}.
+    {0, T/4, T/2, 3T/4}.  Each defection time's payoffs come from one
+    defection_payoffs.  A given grid must span [0, T].
     """
     if grid is None:
         grid = TimeGrid(0.0, p.T, 2000)
@@ -397,14 +416,15 @@ def min_k_dynamic(
         return find_root_bisect(f, lo, hi, tol)
 
     k_min = root(lambda k: theorem2_lhs(p, k))
-    k_quad = root(lambda k: 64.0 * p.b * (j_star - defection_payoff(p, k, 0.0, grid)))
+    at_zero = defection_payoffs(p, 0.0, grid)
+    k_quad = root(lambda k: 64.0 * p.b * (j_star - at_zero(k)))
 
     k_cert = k_min + tol
     scan = {}
     deterred = True
     for frac in (0.0, 0.25, 0.5, 0.75):
         t0 = frac * p.T
-        j_tilde = defection_payoff(p, k_cert, t0, grid)
+        j_tilde = (defection_payoffs(p, t0, grid) if t0 else at_zero)(k_cert)
         scan[t0] = j_tilde
         if j_tilde > j_star + 1e-9 * (1.0 + abs(j_star)):
             deterred = False

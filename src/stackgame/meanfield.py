@@ -30,6 +30,7 @@ from .errors import (
     NoDeterrentError,
     ParameterError,
     RiccatiBlowupError,
+    SimulationBlowupError,
     require_finite,
     require_int,
     require_positive,
@@ -503,13 +504,19 @@ def mc_payoffs(
 def mean_payoffs(p: MfgParams, k: float, sol: MeanFieldSolution) -> tuple[float, float]:
     """Deterministic (noise-free) counterpart of mc_payoffs on the grid of sol.
 
-    Uses the same Euler time stepping and trapezoid quadrature as the
-    simulator, so a zero-noise Monte Carlo run reproduces these numbers to
-    rounding.
+    mc_payoffs' two payoff marches at zero noise, without marching: every
+    path is then the Euler mean itself, so each per-path functional is
+    exactly its march's constant term sum_j c0_j, which is returned.  A
+    zero-noise Monte Carlo run gives the same numbers bit for bit, and an
+    Euler mean that leaves the float range raises its SimulationBlowupError.
     """
-    det = McConfig(n_paths=2, n_steps=sol.grid.n_steps, zero_noise=True)
-    j_eq, j_def = mc_payoffs(p, k, det, sol=sol)
-    return j_eq.mean, j_def.mean
+    grid = _mc_grid(p, McConfig(n_paths=2, n_steps=sol.grid.n_steps), sol)
+    marches = [_leader_march(p, sol["u0_star"], sol["xbar"], grid),
+               _defection_march(p, k, sol, grid)]
+    for _, _, _, m, _ in marches:
+        if not np.isfinite(m).all():
+            raise SimulationBlowupError(path_index=0, step=int(np.argmin(np.isfinite(m))))
+    return tuple(float(rows[0][0].sum()) for *_, rows in marches)
 
 
 def _follower_drift(p: MfgParams, sol: MeanFieldSolution) -> tuple[np.ndarray, np.ndarray]:

@@ -314,21 +314,24 @@ def _rk4_linear_backward(
     ka4, kb4 = a[1:] * (1.0 + h * ka3), a[1:] * (h * kb3) + b[1:]
     step_a = 1.0 + h / 6.0 * (ka1 + 2.0 * ka2 + 2.0 * ka3 + ka4)
     step_b = h / 6.0 * (kb1 + 2.0 * kb2 + 2.0 * kb3 + kb4)
-    y = _affine_recurrence(step_a, step_b, 0.0)
+    y = _affine_recurrence(step_a.tolist(), step_b.tolist(), 0.0)
     if not np.isfinite(y).all():
         bad = int(np.argmin(np.isfinite(y)))
         raise IntegrationBlowupError(step=bad, t=float(back[bad]))
     return y[::-1]
 
 
-def _affine_recurrence(a: Sequence[float], b: Sequence[float], y0: float) -> np.ndarray:
-    """y_0 = y0, y_{j+1} = a_j y_j + b_j: one product and one sum a step, on factors taken
-    as Python floats one at a time, so every caller gets the same bits and an overflow inf."""
-    y = np.empty(len(a) + 1)
-    x = y[0] = float(y0)
-    for j, (aj, bj) in enumerate(zip(map(float, a), map(float, b)), start=1):
-        x = y[j] = aj * x + bj
-    return y
+def _affine_recurrence(a: list[float], b: list[float], y0: float) -> np.ndarray:
+    """y_0 = y0, y_{j+1} = a_j y_j + b_j: one product and one sum a step, on lists of Python
+    floats, so every caller gets the same bits and an overflow inf, streamed into the array."""
+    def steps():
+        x = float(y0)
+        yield x
+        for aj, bj in zip(a, b):
+            x = aj * x + bj
+            yield x
+
+    return np.fromiter(steps(), float, count=len(a) + 1)
 
 
 def quad_simpson(values: np.ndarray, h: float) -> float:

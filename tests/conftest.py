@@ -1,3 +1,4 @@
+import math
 import os
 from types import SimpleNamespace
 
@@ -6,15 +7,63 @@ import pytest
 
 from stackgame import numerics
 
-from stackgame.discrete import DuopolyParams
+from stackgame.discrete import DuopolyParams, OneShotOutcome, one_shot_equilibrium
 from stackgame.dynamic import DynamicParams
 from stackgame.meanfield import McConfig, MfgParams
-from stackgame.numerics import rk4_solve_general
+from stackgame.numerics import TimeGrid, quad_simpson, rk4_solve_general
 
 
 def wright_fisher_sigma(x: np.ndarray) -> np.ndarray:
     """Clamped knowledge-stock noise coefficient sqrt(max(0, x(1-x))), as _stepper steps it."""
     return np.sqrt(np.maximum(0.0, x * (1.0 - x)))
+
+
+def per_call_defection_payoff(p, k: float, t0: float, grid) -> float:
+    """Oracle for dynamic.defection_payoffs: one fresh quadrature per rate.
+
+    Each call builds both Simpson sub-grids and the whole integrand,
+    e^{-rt} (X^2 - lam^2) / (8 b) on [0, t0] and
+    e^{-rt} rho (3X - lam)^2 / (64 b) on (t0, T] with rho = 1 at t <= t0.
+    """
+
+    def piece(ta: float, tb: float, integrand) -> float:
+        if tb <= ta:
+            return 0.0
+        sub = TimeGrid(ta, tb, max(2, 2 * math.ceil(grid.n_steps * (tb - ta) / (p.T * 2))))
+        t = sub.times()
+        x1, lam = p.saddle.states(t)
+        return quad_simpson(integrand(p.margin(x1), lam, t), sub.h)
+
+    def equilibrium(X, lam, t):
+        return np.exp(-p.r * t) * (X * X - lam * lam) / (8.0 * p.b)
+
+    def defection(X, lam, t):
+        rho = np.where(t > t0, np.exp(-k * (t - t0)), 1.0)
+        return np.exp(-p.r * t) * rho * (3.0 * X - lam) ** 2 / (64.0 * p.b)
+
+    return piece(0.0, t0, equilibrium) + piece(t0, p.T, defection)
+
+
+def affine_recurrence_loop(a, b, y0: float) -> np.ndarray:
+    """Oracle for numerics._affine_recurrence: the indexed loop, y_{j+1} = a_j y_j + b_j."""
+    y = np.empty(len(a) + 1)
+    x = y[0] = float(y0)
+    for j, (aj, bj) in enumerate(zip(map(float, a), map(float, b)), start=1):
+        x = y[j] = aj * x + bj
+    return y
+
+
+def expression_oracle(p, grid_resolution: int, mode: str):
+    """Oracle for discrete.brute_force_oracle: the grid search written as whole-array expressions."""
+    u0 = np.linspace(0.0, (p.a - p.c0) / p.b, grid_resolution)
+    if mode == "equilibrium":
+        u1 = np.maximum(0.0, (p.a - p.b * u0 - p.c1) / (2.0 * p.b))
+    else:
+        u1 = np.full_like(u0, one_shot_equilibrium(p).u1)
+    J0 = u0 * (p.a - p.b * (u0 + u1) - p.c0)
+    i = int(np.argmax(J0))
+    J1 = u1[i] * (p.a - p.b * (u0[i] + u1[i]) - p.c1)
+    return OneShotOutcome(u0=float(u0[i]), u1=float(u1[i]), J0=float(J0[i]), J1=float(J1))
 
 
 @pytest.fixture

@@ -21,6 +21,8 @@ from stackgame.discrete import (
 )
 from stackgame.errors import ParameterError
 
+from conftest import expression_oracle
+
 
 @st.composite
 def valid_params(draw):
@@ -90,6 +92,12 @@ class TestOracle:
         oracle = brute_force_oracle(duopoly, grid_resolution=10**5, mode="defection")
         assert abs(oracle.u0 - u0_hat) < 1e-4
         assert abs(oracle.J0 - j_hat) < 1e-6
+
+    @pytest.mark.parametrize("mode", ["equilibrium", "defection"])
+    def test_in_place_search_equals_the_expressions(self, duopoly, mode):
+        # The benchmark's follower output clamps at zero for u0 > 8 of [0, 9].
+        for p in (duopoly, DuopolyParams(a=7.3, b=0.6, c0=0.4, c1=1.1)):
+            assert brute_force_oracle(p, 10**6, mode) == expression_oracle(p, 10**6, mode)
 
     def test_rejects_tiny_grids_and_bad_modes(self, duopoly):
         with pytest.raises(ParameterError):

@@ -22,6 +22,8 @@ from stackgame.dynamic import (
 from stackgame.errors import HypothesisViolationError, NoDeterrentError, ParameterError
 from stackgame.numerics import TimeGrid
 
+from conftest import per_call_defection_payoff
+
 # Frozen benchmark values, cross-checked against the generic BVP solver and
 # direct Simpson quadrature (see the acceptance tests).
 BENCH_DELTA = 0.0483
@@ -134,6 +136,36 @@ class TestPayoffs:
                 defection_payoff(dyn, k, 0.0, grid)
 
 
+class TestDefectionPayoffs:
+    @pytest.mark.parametrize("n_steps", [10, 2000, 20_000])
+    def test_equal_to_a_fresh_quadrature_per_rate(self, dyn, n_steps):
+        grid = TimeGrid(0.0, dyn.T, n_steps)
+        for t0 in (0.0, dyn.T / 4, dyn.T / 2, 3 * dyn.T / 4, dyn.T):
+            payoff = dynamic.defection_payoffs(dyn, t0, grid)
+            for k in (0.0, 1e-6, 0.05, 0.3, 1.0, 3.3):
+                expected = per_call_defection_payoff(dyn, k, t0, grid)
+                assert payoff(k) == expected
+                assert defection_payoff(dyn, k, t0, grid) == expected
+
+    def test_rate_validated_per_call(self, dyn, grid):
+        payoff = dynamic.defection_payoffs(dyn, dyn.T / 2, grid)
+        for k in (-0.1, math.nan, math.inf):
+            with pytest.raises(ParameterError, match="finite"):
+                payoff(k)
+
+    def test_grid_off_the_horizon_rejected(self, dyn):
+        # Before, the defection payoff integrated over [0, T] on any grid while
+        # the equilibrium payoff took the grid's span: min_k_dynamic on [0, 5]
+        # returned k_min 0.02932 beside a quadrature root of 0.18240.
+        for grid in (TimeGrid(0.0, dyn.T / 2, 2000), TimeGrid(1.0, dyn.T, 2000)):
+            for call in (lambda: equilibrium_payoff(dyn, grid),
+                         lambda: defection_payoff(dyn, 0.1, 0.0, grid),
+                         lambda: dynamic.defection_payoffs(dyn, 0.0, grid),
+                         lambda: min_k_dynamic(dyn, grid)):
+                with pytest.raises(ParameterError, match="horizon"):
+                    call()
+
+
 class TestIdentityAndClosedForm:
     @pytest.mark.parametrize("k", [0.0, 0.1, 0.3, 1.0])
     def test_pointwise_identity_residual(self, dyn, grid, k):
@@ -188,6 +220,23 @@ class TestMinK:
         assert scan[0.0] <= res.j_star + 1e-9 * (1.0 + res.j_star)
         assert any(v > res.j_star for t0, v in scan.items() if t0 > 0.0)
         assert not res.deterred
+
+    def test_rate_free_arrays_built_once_per_defection_time(self, dyn, grid, monkeypatch):
+        spans = []
+        states = dynamic.SaddleStructure.states
+
+        def counting(self, t):
+            spans.append((float(t[0]), float(t[-1])))
+            return states(self, t)
+
+        monkeypatch.setattr(dynamic.SaddleStructure, "states", counting)
+        min_k_dynamic(dyn, grid)
+        T = dyn.T
+        # The equilibrium payoff, the t0 = 0 payoffs of the quadrature root and
+        # the scan, and both pieces of each later defection time, once each.
+        later = [(0.0, t0) for t0 in (T / 4, T / 2, 3 * T / 4)]
+        later += [(t0, T) for t0 in (T / 4, T / 2, 3 * T / 4)]
+        assert sorted(spans) == sorted([(0.0, T), (0.0, T)] + later)
 
     def test_short_horizon_doubles_the_bracket_past_one(self):
         # The threshold grows like 1/T: at T = 0.1 both roots lie in [2, 4].

@@ -299,12 +299,27 @@ class TestStepMapsMatchCallbacks:
 
 class TestMonteCarlo:
     def test_zero_noise_reproduces_deterministic_reference(self, mfg):
-        mc = McConfig(n_paths=4, n_steps=300, seed=7, zero_noise=True)
-        j_eq, j_def = mc_payoffs(mfg, 0.2, mc)
+        # mean_payoffs sums the marches' constant terms, and mc_payoffs marches.
+        for n_steps in (250, 300, 1000):
+            mc = McConfig(n_paths=4, n_steps=n_steps, seed=7, zero_noise=True)
+            j_eq, j_def = mc_payoffs(mfg, 0.2, mc)
+            sol = mean_field_bvp(mfg, TimeGrid(0.0, mfg.T, mc.n_steps))
+            je_ref, jd_ref = mean_payoffs(mfg, 0.2, sol)
+            assert j_eq.mean == je_ref and j_def.mean == jd_ref
+            assert j_eq.stderr == 0.0
+
+    def test_mean_payoffs_blowup_is_the_zero_noise_marchs(self, mfg):
+        mc = McConfig(n_paths=2, n_steps=50, zero_noise=True)
         sol = mean_field_bvp(mfg, TimeGrid(0.0, mfg.T, mc.n_steps))
-        je_ref, jd_ref = mean_payoffs(mfg, 0.2, sol)
-        assert j_eq.mean == je_ref and j_def.mean == jd_ref
-        assert j_eq.stderr == 0.0
+        sol.channels["u0_star"] = sol["u0_star"].copy()
+        sol.channels["u0_star"][20:] = math.inf  # the leader's Euler mean is inf from step 21
+        errors = []
+        with np.errstate(all="ignore"):
+            for call in (lambda: mean_payoffs(mfg, 0.0, sol), lambda: mc_payoffs(mfg, 0.0, mc, sol)):
+                with pytest.raises(SimulationBlowupError) as err:
+                    call()
+                errors.append((err.value.path_index, err.value.step))
+        assert errors == [(0, 21), (0, 21)]
 
     def test_same_seed_gives_identical_estimates(self, mfg, mc_small):
         a = mc_payoffs(mfg, 0.1, mc_small)

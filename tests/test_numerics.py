@@ -3,6 +3,7 @@
 import ast
 import errno
 import itertools
+import math
 import mmap
 import os
 import re
@@ -38,7 +39,7 @@ from stackgame.numerics import (
     solve_affine_bvp,
 )
 
-from conftest import wright_fisher_sigma
+from conftest import affine_recurrence_loop, wright_fisher_sigma
 
 
 def _march(alpha, beta, x0, h, n_paths, noise, center, coef):
@@ -248,6 +249,27 @@ class TestRk4StepMap:
         with pytest.raises(IntegrationBlowupError) as exc:
             solve_affine_bvp(system, TimeGrid(0.0, 20.0, 20))
         assert 10 < exc.value.step < 20
+
+
+class TestAffineRecurrence:
+    def test_random_factors_equal_the_loop(self):
+        rng = np.random.default_rng(3)
+        a, b = rng.normal(1.0, 0.1, 20_000).tolist(), rng.normal(size=20_000).tolist()
+        assert np.array_equal(numerics._affine_recurrence(a, b, 0.7),
+                              affine_recurrence_loop(a, b, 0.7))
+
+    def test_overflow_to_inf_equals_the_loop(self):
+        # The third value overflows to inf, and inf times 0 is nan.
+        a, b = [1e200, 1e200, 2.0, 0.0], [0.0, 0.0, -1.0, 0.0]
+        y = numerics._affine_recurrence(a, b, 1.0)
+        assert np.array_equal(y, affine_recurrence_loop(a, b, 1.0), equal_nan=True)
+        assert y[1] == 1e200 and y[2] == y[3] == math.inf and math.isnan(y[4])
+
+    def test_nan_factor_equals_the_loop(self):
+        a, b = [2.0, math.nan, 2.0], [1.0, 1.0, 1.0]
+        y = numerics._affine_recurrence(a, b, 0.5)
+        assert np.array_equal(y, affine_recurrence_loop(a, b, 0.5), equal_nan=True)
+        assert y[:2].tolist() == [0.5, 2.0] and np.isnan(y[2:]).all()
 
 
 class TestQuadSimpson:

@@ -1,11 +1,12 @@
-"""The benchmark's own output check, run read-only at smoke-test size.
+"""The benchmark's own output check, run read-only.
 
-Every job of the three perfbench workloads runs through `stackgame.cli.main`
-at every Monte Carlo seed that has a reference, and its `[results]`,
-certificate outcomes and file row counts must match
+Every job of the three perfbench workloads runs at smoke-test size through
+`stackgame.cli.main` at every Monte Carlo seed that has a reference, and its
+`[results]`, certificate outcomes and file row counts must match
 `perfbench/references.json` (perfbench/run.py, `Session`).  The threshold
 search's outputs must also match when it marches every rate by halves in
-two processes.
+two processes.  The `deterministic-fine` jobs, which take no seed and run
+in well under a second, are also checked at the size the benchmark measures.
 Nothing under `perfbench/` is written; the jobs write into the ignored
 `.perfbench-out/`.
 """
@@ -28,16 +29,16 @@ from stackgame import cli  # noqa: E402
 REFERENCES = json.loads(run.REFERENCES.read_text())
 
 
-def _failed_jobs(workload):
+def _failed_jobs(workload, size="tiny"):
     """Failed jobs by MC seed, over every seed with a reference."""
-    seeded = any(job.seeded for job in workloads.jobs(workload, "tiny"))
+    seeded = any(job.seeded for job in workloads.jobs(workload, size))
     failed = {}
     try:
         for seed in workloads.REF_SEEDS if seeded else workloads.REF_SEEDS[:1]:
-            key = run.reference_key("tiny", workload, seed)
-            session = run.Session(cli, workload, "tiny", seed, REFERENCES[key])
+            key = run.reference_key(size, workload, seed)
+            session = run.Session(cli, workload, size, seed, REFERENCES[key])
             session.rep()
-            assert session.attempted == len(workloads.jobs(workload, "tiny"))
+            assert session.attempted == len(workloads.jobs(workload, size))
             if session.failed:
                 failed[seed] = session.failed
     finally:
@@ -48,6 +49,10 @@ def _failed_jobs(workload):
 @pytest.mark.parametrize("workload", workloads.WORKLOADS)
 def test_tiny_outputs_match_references(workload):
     assert _failed_jobs(workload) == {}
+
+
+def test_full_deterministic_outputs_match_references():
+    assert _failed_jobs("deterministic-fine", "full") == {}
 
 
 def test_tiny_threshold_outputs_match_references_with_march_pairs(processes):
