@@ -3,8 +3,9 @@
 path_normals gives path i the stream default_rng(SeedSequence(seed).spawn(n)[i]).
 Building n SeedSequence objects, n hashes and n PCG64 generators one by one
 cost more than the draws.  spawn_states computes every child's PCG64 state
-on arrays, a block of children at a time: child_seed_words restates
-SeedSequence's hash and pcg64_states PCG64's seeding step.  state_setter
+on arrays, a block of children at a time: child_seed_words takes numpy's
+own pool of SeedSequence(seed) and restates the spawn-key round and the
+output hash, and pcg64_states restates PCG64's seeding step.  state_setter
 then puts one child's state into a single PCG64 that draws every row, so
 numpy's own stream and normal sampler produce every value.
 """
@@ -47,34 +48,22 @@ def child_seed_words(seed: int, keys: np.ndarray) -> list[np.ndarray]:
     of each child's generate_state(4, uint64), which PCG64 reads as its
     seed (high word first) and its stream selector.  Child i hashes the
     entropy words of seed (little-endian 32-bit words, zero-padded to the
-    pool size) followed by its spawn key i.  Every round before the last
-    one sees the same words for all children, so it runs once on Python
-    ints; the spawn-key round and the output hash then run once on uint32
-    arrays over all children.
+    pool size) followed by its spawn key i.  Every round before the key's
+    sees the same words for all children, so numpy's own pool of
+    SeedSequence(seed) is where they leave it, after 16 hash calls and 4
+    more per word past the pool's 4.  Only the spawn-key round and the
+    output hash are restated here, once on uint32 arrays over all children.
     """
-    words = [seed >> shift & _MASK32 for shift in range(0, max(seed.bit_length(), 1), 32)]
-    words += [0] * (_POOL_WORDS - len(words))
-    entropy = words + [keys]
-    calls = itertools.count()
-
-    def mixin(value):
-        return _hash32(value, _INIT_A, _MULT_A, next(calls))
-
-    pool = [mixin(word) for word in entropy[:_POOL_WORDS]]
-    for src in range(_POOL_WORDS):
-        for dst in range(_POOL_WORDS):
-            if src != dst:
-                pool[dst] = _mix32(pool[dst], mixin(pool[src]))
-    for word in entropy[_POOL_WORDS:]:
-        for dst in range(_POOL_WORDS):
-            pool[dst] = _mix32(pool[dst], mixin(word))
+    n_words = max(1, -(-seed.bit_length() // 32))
+    calls = itertools.count(_POOL_WORDS**2 + _POOL_WORDS * max(0, n_words - _POOL_WORDS))
+    pool = np.random.SeedSequence(seed).pool.tolist()
+    for dst in range(_POOL_WORDS):
+        pool[dst] = _mix32(pool[dst], _hash32(keys, _INIT_A, _MULT_A, next(calls)))
     # generate_state(4, uint64): eight output words cycling over the pool,
     # paired little-endian into 64-bit words.
     state = [_hash32(pool[w % _POOL_WORDS], _INIT_B, _MULT_B, w).astype(np.uint64)
              for w in range(8)]
     return [lo | hi << 32 for lo, hi in zip(state[::2], state[1::2])]
-
-
 
 
 # PCG64's 128-bit LCG multiplier (O'Neill's PCG_DEFAULT_MULTIPLIER_128) in 64-bit limbs.

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 import time
 from dataclasses import asdict, dataclass, field
@@ -120,10 +121,12 @@ def _validate(doc: dict) -> None:
 _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
-def parse_config(document: str) -> RunConfig:
+def parse_config(document: str | bytes) -> RunConfig:
     """Parse a YAML config document into a validated RunConfig.
 
-    Keys the document leaves out take RunConfig's defaults.
+    Bytes are decoded by YAML (UTF-8, or UTF-16 with a byte-order mark), so
+    bytes that do not decode raise ConfigurationError.  Keys the document
+    leaves out take RunConfig's defaults.
     """
     try:
         raw = yaml.load(document, Loader=_YAML_LOADER)
@@ -225,8 +228,8 @@ def _run_dynamic(cfg: RunConfig):
     results.update(Delta=ss.Delta, s1=ss.s1, s2=ss.s2, lambda0=ss.lambda0)
     traj = dynamic.equilibrium_trajectories(p, grid)
     warnings.extend(traj.warnings)
-    j_star = dynamic.equilibrium_payoff(p, grid)
-    results["J0_star"] = j_star
+    res = dynamic.min_k_dynamic(p, grid) if cfg.action == "threshold-k" else None
+    j_star = results["J0_star"] = res.j_star if res else dynamic.equilibrium_payoff(p, grid)
     if cfg.action in ("equilibrium", "defect"):
         traj_out = {"t": grid.times(), **traj.channels}
     if cfg.action in ("equilibrium", "verify"):
@@ -247,7 +250,6 @@ def _run_dynamic(cfg: RunConfig):
         certs["deterred"] = _cert(j_tilde, j_star, 1e-9)
         certs["identity"] = _cert(dynamic.check_equ20_identity(p, k, grid), 0.0, 1e-10, op="~")
     elif cfg.action == "threshold-k":
-        res = dynamic.min_k_dynamic(p, grid)
         k_quad = res.details["k_min_quadrature"]
         results.update(k_min=res.k_min, k_min_quadrature=k_quad, J_tilde_at_k=res.j_tilde_at_k)
         certs["closed_vs_quadrature"] = _cert(res.k_min, k_quad, 1e-6, op="~")
@@ -409,9 +411,6 @@ def _block_rows(cols: list[np.ndarray]):
         yield from zip(*(c[i:i + _BLOCK].tolist() for c in cols))
 
 
-_FIELD_WIDTH = 19  # the longest "%.12g" field, as in "-1.23456789012e-308"
-
-
 def _write_table(path: Path, header: list[str], cols: list[np.ndarray]) -> None:
     """Write a header line and one CRLF-ended row per index of the columns.
 
@@ -419,43 +418,43 @@ def _write_table(path: Path, header: list[str], cols: list[np.ndarray]) -> None:
     "U") are its values as they are.  The bytes are csv.writer's, because
     no header name or field that the program writes needs quoting.  From
     numerics._FORK_MIN_FIELDS "%.12g" fields on two CPUs, numerics._in_two
-    runs a child that formats rows [n // 2, n) into shared memory while this
-    process writes the header and rows [0, n // 2); the child's bytes are
-    then written straight from that memory.  If the mmap, the fork or the
-    child fails, or the bytes outgrow their bound, this process formats the
-    rest itself, so the bytes are the one-process bytes.
+    runs a child that formats rows [n // 2, n) while this process writes the
+    header and rows [0, n // 2).  This process then sends the child the byte
+    offset where its rows end, and the child writes its bytes there
+    (os.pwrite) and answers with their count.  If there is no child, or it
+    sends no answer, this process formats the rest itself, over whatever the
+    child wrote, so the bytes are the one-process bytes.
     """
     text_cols = [c.dtype.kind == "U" for c in cols]
     row = ",".join("%s" if text else "%.12g" for text in text_cols) + "\r\n"
-    # A "U" item holds 4 bytes a character, at least its UTF-8 length.
-    widths = [c.itemsize if text else _FIELD_WIDTH for c, text in zip(cols, text_cols)]
     n = min(map(len, cols))  # _block_rows stops at the shortest column
     half = n // 2
 
     def rows(lo: int, hi: int):
         return (row % values for values in _block_rows([c[lo:hi] for c in cols]))
 
-    def there(buffers, _line) -> None:
-        length, text = buffers
-        data = "".join(rows(half, n)).encode()
-        # A slice of the wrong length raises, and the child exits non-zero.
-        memoryview(text).cast("B")[:len(data)] = data
-        length[0] = len(data)
-
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
-        done = 0
+
+        def here(_, line) -> None:
+            done = 0
+            if line is not None:
+                fh.writelines(rows(0, half))
+                fh.flush()  # so the offset is where this process's rows end
+                line.send(fh.buffer.tell())
+                done = half if line.receive() is None else n
+            fh.writelines(rows(done, n))
+
+        def there(_, line) -> None:
+            data = "".join(rows(half, n)).encode()
+            offset = line.receive()
+            if offset is not None and os.pwrite(fh.fileno(), data, int(offset)) == len(data):
+                line.send(len(data))
+
         if n * text_cols.count(False) >= numerics._FORK_MIN_FIELDS and numerics._can_fork():
-            bound = (n - half) * (sum(widths) + len(cols) + 1)  # commas and CRLF
-            ran = numerics._in_two([(1,), ((bound + 7) // 8,)],
-                                   lambda buffers, _: fh.writelines(rows(0, half)), there)
-            if ran is not None:
-                done = half
-                if ran[1] is not None:
-                    (length, text), done = ran[1], n
-                    fh.flush()  # the text layer's buffered rows go first
-                    fh.buffer.write(memoryview(text).cast("B")[:int(length[0])])
-        fh.writelines(rows(done, n))
+            numerics._in_two([], here, there)
+        else:
+            here(None, None)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -479,7 +478,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        cfg = parse_config(Path(args.config).read_text())
+        cfg = parse_config(Path(args.config).read_bytes())
         cfg.model, cfg.action = args.model, args.action
         if args.seed is not None:
             cfg.seed = args.seed

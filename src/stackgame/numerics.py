@@ -7,13 +7,16 @@ so results never depend on scheduling or on the number of processes.
 Two processes go through one call, _in_two: it runs work in a forked child
 and in this process on buffers in a shared anonymous mmap, gives each side
 a line (_Line) that carries floats to the other over a pipe, and reaps the
-child before it returns.  _march_held splits a large ensemble there at
-numpy's own pairwise-sum split, so the halves' per-step sums add up to the
-one-process sum bit for bit: each process draws and keeps the normals of
-its own half, and every march request goes to the child as a float, so a
-threshold search forks once.  cli._write_table formats half of a large
-table's rows there.  A failed mmap, fork or child falls back to one
-process, so every value and every error is the one-process one.
+child before it returns.  The line is the only way the child reports, and
+where no child can be made _in_two runs this process's side alone.
+_march_held splits a large ensemble there at numpy's own pairwise-sum
+split, so the halves' per-step sums add up to the one-process sum bit for
+bit: each process draws and keeps the normals of its own half, and every
+march request goes to the child as a float, so a threshold search forks
+once.  cli._write_table has the child format half of a large table's rows
+and write them into the file at the offset this process sends.  A failed
+mmap, pipe or fork, or a child that does not answer, leaves the work to
+this process, so every value, byte and error is the one-process one.
 """
 
 from __future__ import annotations
@@ -437,23 +440,22 @@ class _Line:
 
 
 def _in_two(shapes, here, there):
-    """Runs there(buffers, line) in a forked child and here(buffers, line) in this process.
+    """Runs there(buffers, line) in a forked child and returns here(buffers, line) from this one.
 
     The buffers are new float arrays of the given shapes in one shared
     anonymous mmap; each side's line (_Line) sends floats to the other
-    side's.  This process closes its line when here ends, so a child that
-    waits on its line ends too, and reaps the child before this returns; if
-    here raised, the child is killed first and the error raised again.
-    Returns None, having run neither, if the mmap, a pipe or the fork
-    failed; else here's result and the buffers, or None for them if the
-    child did not finish there.
+    side's, and is the only way the child reports.  This process closes its
+    line when here ends, so a child that waits on its line ends too, and
+    reaps the child before this returns; if here raised, the child is
+    killed first and the error raised again.  If the mmap, a pipe or the
+    fork failed, there is no child: this returns here(None, None).
     """
     import mmap  # only a forking call needs it, and importing stackgame need not
 
     sizes = [math.prod(shape) for shape in shapes]
     fds: list[int] = []
-    try:
-        shared = np.frombuffer(mmap.mmap(-1, 8 * sum(sizes)), dtype=float)
+    try:  # mmap(-1, 0) raises EINVAL, so no shapes still map one float
+        shared = np.frombuffer(mmap.mmap(-1, 8 * max(1, sum(sizes))), dtype=float)
         buffers = [chunk.reshape(shape) for chunk, shape
                    in zip(np.split(shared, np.cumsum(sizes)[:-1]), shapes)]
         for _ in range(2):
@@ -462,7 +464,7 @@ def _in_two(shapes, here, there):
     except OSError:
         for fd in fds:
             os.close(fd)
-        return None
+        return here(None, None)
     # The child reads at fds[0] what this process writes at fds[1], and the other pipe
     # carries the child's floats back.  Each process closes the other one's ends.
     child, parent = _Line(fds[0], fds[3]), _Line(fds[2], fds[1])
@@ -477,7 +479,7 @@ def _in_two(shapes, here, there):
     for fd in child.fds:
         os.close(fd)
     try:
-        result = here(buffers, parent)
+        return here(buffers, parent)
     except BaseException:
         import signal
 
@@ -486,8 +488,7 @@ def _in_two(shapes, here, there):
     finally:
         for fd in parent.fds:
             os.close(fd)
-        status = os.waitpid(pid, 0)[1]
-    return result, buffers if status == 0 else None
+        os.waitpid(pid, 0)
 
 
 def _path_states(seed: int, n_paths: int, n_steps: int) -> np.ndarray:
@@ -612,8 +613,8 @@ def euler_mean(alpha: np.ndarray, beta: np.ndarray, x0: float, h: float) -> np.n
     return _affine_recurrence(*_euler_factors(alpha, beta, h), x0)
 
 
-def _stepper(h: float, n_steps: int, alpha, beta, x0, center, coef):
-    """One streamed Euler-Maruyama march that keeps per-path quadratic functionals.
+def _stepper(march, h: float, n_steps: int, buffers, lo: int, hi: int, part: int, z) -> None:
+    """One streamed Euler-Maruyama march of paths [lo, hi), keeping per-path quadratic functionals.
 
     The march (alpha, beta, x0, center, coef) starts every path at x0 and
     steps
@@ -627,69 +628,60 @@ def _stepper(h: float, n_steps: int, alpha, beta, x0, center, coef):
     over all nodes while it marches, and stores no path array.  Per-path
     outputs depend only on that path's normals, and no input is written to.
 
-    Returns march(buffers, lo, hi, part, z), which steps paths [lo, hi) on
-    their normals z ((hi - lo, n_steps) with contiguous columns, or None
-    for no noise) into buffers (F (K, n_paths), per-step sums (2, n_steps +
-    1) of which it writes row part, final states (n_paths,)).  It raises
-    SimulationBlowupError at the first step that leaves a path non-finite,
-    naming the first such path.
+    The paths' normals z are (hi - lo, n_steps) with contiguous columns, or
+    None for no noise.  The march writes into buffers (F (K, n_paths),
+    per-step sums (2, n_steps + 1) of which it writes row part, final
+    states (n_paths,)).  It raises SimulationBlowupError at the first step
+    that leaves a path non-finite, naming the first such path.
     """
+    alpha, beta, x0, center, coef = march
     if len(alpha) != n_steps + 1:
         raise ParameterError(f"a march has {len(alpha)} nodes, the first one {n_steps + 1}")
     coef = np.asarray(coef, dtype=float)
-    constant = coef[:, 0].sum(axis=1)[:, None]
-    active = [
-        (k, c1.tolist() if c1.any() else None, c2.tolist() if c2.any() else None)
-        for k, (c1, c2) in enumerate(zip(coef[:, 1], coef[:, 2]))
-        if c1.any() or c2.any()
-    ]
+    out, sums, x_end = buffers
+    out[:, lo:hi] = coef[:, 0].sum(axis=1)[:, None]
+    rows = [(out[k, lo:hi], c1.tolist() if c1.any() else None, c2.tolist() if c2.any() else None)
+            for k, (c1, c2) in enumerate(zip(coef[:, 1], coef[:, 2])) if c1.any() or c2.any()]
     drift_a, drift_b = _euler_factors(alpha, beta, h)
     centers = center.tolist()
     sqrt_h = math.sqrt(h)
+    sums = sums[part]
+    x, x_next, d, tmp = (np.empty(hi - lo) for _ in range(4))
+    x.fill(float(x0))
 
-    def march(buffers, lo: int, hi: int, part: int, z: np.ndarray | None) -> None:
-        out, sums, x_end = buffers
-        out[:, lo:hi] = constant
-        rows = [(out[k, lo:hi], c1, c2) for k, c1, c2 in active]
-        sums = sums[part]
-        x, x_next, d, tmp = (np.empty(hi - lo) for _ in range(4))
-        x.fill(float(x0))
+    def add_node(j: int) -> None:
+        np.subtract(x, centers[j], out=d)
+        for acc, c1, c2 in rows:
+            if c2 is None:
+                np.multiply(d, c1[j], out=tmp)
+            else:
+                np.multiply(d, c2[j], out=tmp)
+                if c1 is not None:
+                    np.add(tmp, c1[j], out=tmp)
+                np.multiply(tmp, d, out=tmp)
+            acc += tmp
 
-        def add_node(j: int) -> None:
-            np.subtract(x, centers[j], out=d)
-            for acc, c1, c2 in rows:
-                if c2 is None:
-                    np.multiply(d, c1[j], out=tmp)
-                else:
-                    np.multiply(d, c2[j], out=tmp)
-                    if c1 is not None:
-                        np.add(tmp, c1[j], out=tmp)
-                    np.multiply(tmp, d, out=tmp)
-                acc += tmp
-
-        sums[0] = x.sum()
-        add_node(0)
-        for j in range(n_steps):
-            np.multiply(x, drift_a[j], out=x_next)
-            x_next += drift_b[j]
-            if z is not None:  # sqrt(max(0, x (1 - x))) * sqrt_h * Z_j, in place
-                np.subtract(1.0, x, out=tmp)
-                tmp *= x
-                np.maximum(0.0, tmp, out=tmp)
-                np.sqrt(tmp, out=tmp)
-                tmp *= sqrt_h
-                tmp *= z[:, j]
-                x_next += tmp
-            x, x_next = x_next, x
-            total = sums[j + 1] = x.sum()
-            if not math.isfinite(total):
-                bad = np.flatnonzero(~np.isfinite(x))
-                if bad.size:
-                    raise SimulationBlowupError(path_index=lo + int(bad[0]), step=j + 1)
-            add_node(j + 1)
-        x_end[lo:hi] = x
-
-    return march
+    sums[0] = x.sum()
+    add_node(0)
+    for j in range(n_steps):
+        np.multiply(x, drift_a[j], out=x_next)
+        x_next += drift_b[j]
+        if z is not None:  # sqrt(max(0, x (1 - x))) * sqrt_h * Z_j, in place
+            np.subtract(1.0, x, out=tmp)
+            tmp *= x
+            np.maximum(0.0, tmp, out=tmp)
+            np.sqrt(tmp, out=tmp)
+            tmp *= sqrt_h
+            tmp *= z[:, j]
+            x_next += tmp
+        x, x_next = x_next, x
+        total = sums[j + 1] = x.sum()
+        if not math.isfinite(total):
+            bad = np.flatnonzero(~np.isfinite(x))
+            if bad.size:
+                raise SimulationBlowupError(path_index=lo + int(bad[0]), step=j + 1)
+        add_node(j + 1)
+    x_end[lo:hi] = x
 
 
 def _march_held(n_paths: int, n_steps: int, h: float, noise, rows, marches_of, body):
@@ -700,8 +692,7 @@ def _march_held(n_paths: int, n_steps: int, h: float, noise, rows, marches_of, b
     returns, per march, F (K, n_paths), the per-node ensemble mean and the
     final state, valid until the next request.  Every march reads the same
     normals Z (n_paths, n_steps), given by noise: None switches the noise
-    off, a matrix is read where it lies (fastest path_normals' step-major
-    one), and an int seed stands for path_normals(seed, n_paths, n_steps),
+    off, and an int seed stands for path_normals(seed, n_paths, n_steps),
     whose rows are drawn once, each by the process that marches them.
 
     From _FORK_MIN_PATHS paths, or with a seed from _FORK_MIN_DRAWS normals
@@ -709,33 +700,27 @@ def _march_held(n_paths: int, n_steps: int, h: float, noise, rows, marches_of, b
     the whole body, however many requests it makes.  This process holds
     paths [0, s) of the noise and the child holds [s, n), s =
     _pairwise_split(n).  Each request goes to the child over its line as
-    the float it is; both march their paths into the shared buffers, and
-    this process adds the child's per-step sums to its own.  A failed mmap
-    or fork, a half that raised, a child that ended or a joined sum that is
-    not finite (an overflow that only the whole sum may see) leaves the rest
-    of the body to this process alone, which draws all the normals and
-    reruns the request, so every value and every error is the one-process
-    one.  SimulationBlowupError names the first step that leaves a path
+    the float it is; both march their paths into the shared buffers, the
+    child answers on its line, and this process adds the child's per-step
+    sums to its own.  A failed mmap or fork, a half that raised, a child
+    that ended without answering or a joined sum that is not finite (an
+    overflow that only the whole sum may see) leaves the rest of the body
+    to this process alone, which draws all the normals and reruns the
+    request, so every value and every error is the one-process one.
+    SimulationBlowupError names the first step that leaves a path
     non-finite and the first such path, in the first march that has one.
     """
-    states = None
-    if isinstance(noise, np.ndarray):
-        if noise.shape != (n_paths, n_steps):
-            raise ParameterError(f"normals shape {noise.shape} != {(n_paths, n_steps)}")
-    elif noise is not None:
-        states = _path_states(noise, n_paths, n_steps)
+    states = None if noise is None else _path_states(noise, n_paths, n_steps)
     shapes = [shape for k in rows for shape in ((k, n_paths), (2, n_steps + 1), (n_paths,))]
 
     def normals(lo: int, hi: int) -> np.ndarray | None:
-        if states is None:
-            return None if noise is None else noise[lo:hi]
-        return _draw_rows(states, lo, hi, n_steps)
+        return None if states is None else _draw_rows(states, lo, hi, n_steps)
 
     def run(request: float, buffers, lo: int, hi: int, part: int, z) -> int:
         """Marches the request's marches on paths [lo, hi); returns how many buffers they fill."""
         marches = marches_of(request)
         for i, march in enumerate(marches):
-            _stepper(h, n_steps, *march)(buffers[3 * i : 3 * i + 3], lo, hi, part, z)
+            _stepper(march, h, n_steps, buffers[3 * i : 3 * i + 3], lo, hi, part, z)
         return 3 * len(marches)
 
     def results(buffers, used: int) -> list[tuple]:
@@ -778,16 +763,15 @@ def _march_held(n_paths: int, n_steps: int, h: float, noise, rows, marches_of, b
 
         return body(march)
 
-    ran = _in_two(shapes, here, there) if split < n_paths else None
-    return here(None, None) if ran is None else ran[0]
+    return _in_two(shapes, here, there) if split < n_paths else here(None, None)
 
 
 def _em_functionals(marches, h: float, n_paths: int, noise) -> list[tuple]:
     """The results of _stepper's marches on one noise: _march_held's one request.
 
     Returns, per march, F (K, n_paths), the per-node ensemble mean and the
-    final state; noise and the fork rule are _march_held's, so a call forks
-    at most once.
+    final state; noise (a seed, or None for none) and the fork rule are
+    _march_held's, so a call forks at most once.
     """
     return _march_held(n_paths, len(marches[0][0]) - 1, h, noise,
                        [len(march[4]) for march in marches],

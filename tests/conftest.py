@@ -1,3 +1,4 @@
+import contextlib
 import math
 import os
 from types import SimpleNamespace
@@ -16,6 +17,27 @@ from stackgame.numerics import TimeGrid, quad_simpson, rk4_solve_general
 def wright_fisher_sigma(x: np.ndarray) -> np.ndarray:
     """Clamped knowledge-stock noise coefficient sqrt(max(0, x(1-x))), as _stepper steps it."""
     return np.sqrt(np.maximum(0.0, x * (1.0 - x)))
+
+
+@contextlib.contextmanager
+def drawn_from(normals: np.ndarray):
+    """While active, a seed's draws (numerics._draw_rows) are slices of the given normals.
+
+    normals is a step-major (n_paths, n_steps) matrix such as path_normals
+    returns; the marches take a seed only, so a test that feeds them a
+    matrix passes any seed inside this.
+    """
+    draw = numerics._draw_rows
+
+    def rows(states, lo, hi, n_steps):
+        assert normals.shape == (len(states), n_steps)
+        return normals[lo:hi]
+
+    numerics._draw_rows = rows
+    try:
+        yield
+    finally:
+        numerics._draw_rows = draw
 
 
 def per_call_defection_payoff(p, k: float, t0: float, grid) -> float:

@@ -194,6 +194,27 @@ class TestMain:
         rc = main(["discrete", "verify", "--config", str(tmp_path / "absent.yaml")])
         assert rc == 2
 
+    def test_config_that_is_not_utf8_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "config.yaml"
+        cfg.write_bytes(b"# \xff\xfe\n" + DISCRETE_YAML.encode())
+        assert main(["discrete", "verify", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("error: config is not valid YAML: ")
+        cfg.write_bytes(DISCRETE_YAML.encode("utf-16"))  # with a byte-order mark
+        assert main(["discrete", "verify", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+
+    def test_dynamic_threshold_k_computes_the_equilibrium_payoff_once(
+            self, tmp_path, monkeypatch):
+        calls, payoff = [], dynamic.equilibrium_payoff
+
+        def counted(p, grid):
+            calls.append(grid)
+            return payoff(p, grid)
+
+        monkeypatch.setattr(dynamic, "equilibrium_payoff", counted)
+        cfg = self._write(tmp_path, DYNAMIC_YAML)
+        assert main(["dynamic", "threshold-k", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        assert len(calls) == 1
+
     def test_invalid_parameter_exits_2(self, tmp_path, capsys):
         cfg = self._write(tmp_path, DISCRETE_YAML.replace("b: 1.0", "b: 0.0"))
         rc = main(["discrete", "verify", "--config", str(cfg)])
@@ -556,9 +577,32 @@ class TestTableByHalves:
         assert self._written(tmp_path) == two_processes
         assert len(failed) == 1
 
-    def test_bytes_beyond_the_bound_write_in_process(self, tmp_path, processes, two_processes,
-                                                     monkeypatch):
-        monkeypatch.setattr(cli, "_FIELD_WIDTH", 1)
+    def test_child_exiting_0_without_answering_writes_in_process(
+            self, tmp_path, processes, two_processes, monkeypatch):
+        # Only the child's answer says that its bytes are in the file, not its exit status.
+        quiet = []
+
+        def quiet_fork():
+            pid = processes.real_fork()
+            if pid == 0:
+                os._exit(0)
+            quiet.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", quiet_fork)
+        assert self._written(tmp_path) == two_processes
+        assert len(quiet) == 1
+
+    def test_child_whose_write_raises_leaves_the_rest_to_this_process(
+            self, tmp_path, processes, two_processes, monkeypatch):
+        # The child writes half of its bytes and raises; this process writes over them.
+        real_pwrite = os.pwrite
+
+        def failing_pwrite(fd, data, offset):
+            real_pwrite(fd, data[: len(data) // 2], offset)
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(os, "pwrite", failing_pwrite)
         assert self._written(tmp_path) == two_processes
         assert len(processes.forks) == 1
 

@@ -42,6 +42,8 @@ from stackgame.numerics import (
 )
 from stackgame.results import PenaltySearchResult
 
+from conftest import drawn_from
+
 
 def mfg_with(base: dict, **overrides) -> MfgParams:
     return MfgParams(**{**base, **overrides})
@@ -580,15 +582,20 @@ def _bisection_oracle(p, mc, tol=0.01, k_max=1000.0):
     times = grid.times()
     sol = mean_field_bvp(p, grid)
     normals = path_normals(mc.seed, mc.n_paths, mc.n_steps)
+
+    def functionals(march):
+        with drawn_from(normals):
+            return numerics._em_functionals([march], grid.h, mc.n_paths, mc.seed)[0]
+
     leader = meanfield._leader_march(p, sol["u0_star"], sol["xbar"], grid)
-    (j_eq,), _, _ = numerics._em_functionals([leader], grid.h, mc.n_paths, normals)[0]
+    (j_eq,), _, _ = functionals(leader)
     j_eq = meanfield._estimate(j_eq)
     trace, marched, growth, verdict = [], {}, {}, {}
 
     def evaluate(k):
         if k not in marched:
             march = meanfield._defection_march(p, k, sol, grid)
-            (samples,), mean, _ = numerics._em_functionals([march], grid.h, mc.n_paths, normals)[0]
+            (samples,), mean, _ = functionals(march)
             ok, growth[k] = growth_order_check(times, mean, p.r + k)
             marched[k] = meanfield._estimate(samples), ok
         jd, ok = marched[k]
@@ -732,19 +739,13 @@ class TestPairedMarches:
                 bad.append(march[0])
             return march
 
-        def poisoned(h, n_steps, alpha, *rest):
-            march = stepper(h, n_steps, alpha, *rest)
-            if not any(alpha is a for a in bad):
-                return march
-
-            def run(buffers, lo, hi, part, z):
+        def poisoned(march, h, n_steps, buffers, lo, hi, part, z):
+            if any(march[0] is a for a in bad):
                 z = z.copy()
                 for path, step in paths.items():
                     if lo <= path < hi:
                         z[path - lo, step - 1] = np.nan
-                march(buffers, lo, hi, part, z)
-
-            return run
+            stepper(march, h, n_steps, buffers, lo, hi, part, z)
 
         monkeypatch.setattr(meanfield, "_defection_march", marked)
         monkeypatch.setattr(numerics, "_stepper", poisoned)
