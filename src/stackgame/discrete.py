@@ -13,6 +13,7 @@ Handy exact ratios (margin s = a + c1 - 2 c0):
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -133,6 +134,36 @@ def one_shot_defection(p: DuopolyParams) -> tuple[float, float, float]:
     return u0_hat, J0_hat, p.defection_gain
 
 
+# Points per block of the oracle's grid.  Its three 256 KiB float buffers stay
+# in a core's L2 cache, and it frees no block of 4-32 MiB, which would raise
+# glibc's mmap threshold for every later allocation in the process.
+_BLOCK = 2**15
+
+
+def _linspace_blocks(stop: float, n: int, out: np.ndarray):
+    """Yield np.linspace(0.0, stop, n) in consecutive blocks, each a view of out.
+
+    A block takes numpy's own formula: index * step + start, or index / (n - 1)
+    * (stop - start) where the step is 0, and the last point set to stop.
+    """
+    start = 0.0
+    step = (stop - start) / (n - 1)
+    # int32, half the bytes of a fourth float buffer; its cast to float is exact.
+    index = np.arange(len(out), dtype=np.int32)
+    for lo in range(0, n, len(out)):
+        x = out[: min(len(out), n - lo)]
+        np.add(index[: len(x)], lo, out=x, dtype=float)
+        if step == 0:
+            x /= n - 1
+            x *= stop - start
+        else:
+            x *= step
+        x += start
+        if lo + len(x) == n:
+            x[-1] = stop
+        yield x
+
+
 def brute_force_oracle(
     p: DuopolyParams, grid_resolution: int = 10**6, mode: str = "equilibrium"
 ) -> OneShotOutcome:
@@ -140,32 +171,41 @@ def brute_force_oracle(
 
     mode="equilibrium": the follower best-responds to every candidate u0.
     mode="defection": the follower output is frozen at its equilibrium value.
-    The follower outputs u1 and the payoffs J0 are each computed in one
-    buffer, in place, by the operations of u1 = max(0, (a - b u0 - c1) / 2b)
-    and J0 = u0 (a - b (u0 + u1) - c0) in that order.
+    The grid np.linspace(0, (a - c0) / b, grid_resolution) is searched
+    _BLOCK points at a time in three reused buffers, so the search holds
+    under 1 MiB at any resolution.  Each block computes u1 = max(0, (a - b u0
+    - c1) / 2b) and J0 = u0 (a - b (u0 + u1) - c0) in place, by those
+    operations in that order, so every value has the bits of the whole-grid
+    computation.  The running maximum keeps np.argmax's rule across blocks:
+    the first maximum wins, and so does the first NaN.
     """
-    if grid_resolution < 1000:
-        raise ParameterError(f"grid_resolution must be >= 1000, got {grid_resolution}")
-    u0_max = (p.a - p.c0) / p.b
-    u0 = np.linspace(0.0, u0_max, grid_resolution)
-    if mode == "equilibrium":
-        u1 = np.multiply(p.b, u0)
-        np.subtract(p.a, u1, out=u1)
-        u1 -= p.c1
-        u1 /= 2.0 * p.b
-        np.maximum(0.0, u1, out=u1)
-    elif mode == "defection":
-        u1 = np.full_like(u0, one_shot_equilibrium(p).u1)
-    else:
+    if mode not in ("equilibrium", "defection"):
         raise ParameterError(f"unknown oracle mode {mode!r}")
-    J0 = np.add(u0, u1)
-    J0 *= p.b
-    np.subtract(p.a, J0, out=J0)
-    J0 -= p.c0
-    J0 *= u0
-    i = int(np.argmax(J0))
-    J1 = u1[i] * (p.a - p.b * (u0[i] + u1[i]) - p.c1)
-    return OneShotOutcome(u0=float(u0[i]), u1=float(u1[i]), J0=float(J0[i]), J1=float(J1))
+    n = grid_resolution
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1000:
+        raise ParameterError(f"grid_resolution must be an int >= 1000, got {n!r}")
+    u0, J0 = np.empty(_BLOCK), np.empty(_BLOCK)
+    u1 = np.empty(_BLOCK) if mode == "equilibrium" else np.full(_BLOCK, one_shot_equilibrium(p).u1)
+    best = None
+    for x in _linspace_blocks((p.a - p.c0) / p.b, int(n), u0):
+        y, J = u1[: len(x)], J0[: len(x)]
+        if mode == "equilibrium":
+            np.multiply(p.b, x, out=y)
+            np.subtract(p.a, y, out=y)
+            y -= p.c1
+            y /= 2.0 * p.b
+            np.maximum(0.0, y, out=y)
+        np.add(x, y, out=J)
+        J *= p.b
+        np.subtract(p.a, J, out=J)
+        J -= p.c0
+        J *= x
+        i = int(np.argmax(J))
+        if best is None or (not math.isnan(best[2]) and not J[i] <= best[2]):
+            best = float(x[i]), float(y[i]), float(J[i])
+    u0_i, u1_i, J0_i = best
+    J1 = u1_i * (p.a - p.b * (u0_i + u1_i) - p.c1)
+    return OneShotOutcome(u0=u0_i, u1=u1_i, J0=J0_i, J1=J1)
 
 
 def _recursive_factors(k: float, d: float, n: int) -> np.ndarray:

@@ -27,6 +27,7 @@ from .numerics import (
     AffineSystem,
     TimeGrid,
     TrajectoryGrid,
+    _simpson_rule,
     eig_2x2,
     find_root_bisect,
     quad_simpson,
@@ -272,9 +273,10 @@ def defection_payoffs(p: DynamicParams, t0: float, grid: TimeGrid):
     each on its own even Simpson sub-grid, so t0 is always a node.  The
     state and costate are unchanged by the defection (x1 is driven by the
     follower's output only).  Only rho depends on k, so the first piece's
-    value and t - t0, e^{-rt} and (3X - lam)^2 on the second are computed
-    here once and held until the function is dropped.  A call computes the
-    integrand in the order written, so it has the bits of a fresh quadrature.
+    value and t - t0, e^{-rt}, (3X - lam)^2 and the Simpson weights on the
+    second are computed here once and held until the function is dropped.
+    A call computes the integrand in the order written, so it has the bits
+    of a fresh quadrature.
     """
     _require_horizon(p, grid)
     if not 0.0 <= t0 <= p.T:
@@ -292,11 +294,12 @@ def defection_payoffs(p: DynamicParams, t0: float, grid: TimeGrid):
     if t0 < p.T:
         t, x1, lam, h = nodes(t0, p.T)
         dt, e, sq = t - t0, np.exp(-p.r * t), (3.0 * p.margin(x1) - lam) ** 2
+        simpson = _simpson_rule(len(t))
 
     def payoff(k: float) -> float:
         if not (math.isfinite(k) and k >= 0):
             raise ParameterError(f"penalty rate k={k} must be finite and >= 0")
-        after = quad_simpson(e * np.exp(-k * dt) * sq / (64.0 * p.b), h) if t0 < p.T else 0.0
+        after = simpson(e * np.exp(-k * dt) * sq / (64.0 * p.b), h) if t0 < p.T else 0.0
         return before + after
 
     return payoff

@@ -337,18 +337,30 @@ def _affine_recurrence(a: list[float], b: list[float], y0: float) -> np.ndarray:
     return np.fromiter(steps(), float, count=len(a) + 1)
 
 
+def _simpson_rule(n_nodes: int):
+    """Composite Simpson rule on n_nodes uniformly spaced samples: (values, h) -> integral.
+
+    The 1, 4, 2, ..., 4, 1 weights are built once, for every call of the rule.
+    """
+    n = n_nodes - 1
+    if n < 2 or n % 2 != 0:
+        raise ConfigurationError(f"Simpson rule needs an even number of intervals, got {n}")
+    w = np.ones(n_nodes)
+    w[1:-1:2] = 4.0
+    w[2:-1:2] = 2.0
+
+    def integral(values: np.ndarray, h: float) -> float:
+        # numpy's pairwise sum, not np.dot: a threaded BLAS sums in an order
+        # that depends on its thread count.
+        return float(h / 3.0 * (w * values).sum())
+
+    return integral
+
+
 def quad_simpson(values: np.ndarray, h: float) -> float:
     """Composite Simpson rule over uniformly spaced samples (even interval count)."""
     values = np.asarray(values, dtype=float)
-    n = len(values) - 1
-    if n < 2 or n % 2 != 0:
-        raise ConfigurationError(f"Simpson rule needs an even number of intervals, got {n}")
-    w = np.ones(n + 1)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    # numpy's pairwise sum, not np.dot: a threaded BLAS sums in an order that
-    # depends on its thread count.
-    return float(h / 3.0 * (w * values).sum())
+    return _simpson_rule(len(values))(values, h)
 
 
 _BISECT_MAX_ITER = 200

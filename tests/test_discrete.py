@@ -1,6 +1,7 @@
 """Unit and property tests for the repeated discrete duopoly model."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +23,8 @@ from stackgame.discrete import (
 from stackgame.errors import ParameterError
 
 from conftest import expression_oracle
+
+BLOCK = discrete._BLOCK
 
 
 @st.composite
@@ -95,15 +98,59 @@ class TestOracle:
 
     @pytest.mark.parametrize("mode", ["equilibrium", "defection"])
     def test_in_place_search_equals_the_expressions(self, duopoly, mode):
-        # The benchmark's follower output clamps at zero for u0 > 8 of [0, 9].
-        for p in (duopoly, DuopolyParams(a=7.3, b=0.6, c0=0.4, c1=1.1)):
-            assert brute_force_oracle(p, 10**6, mode) == expression_oracle(p, 10**6, mode)
+        # The benchmark's follower output clamps at zero for u0 > 8 of [0, 9];
+        # then a zero follower output, c1 = (a + 2 c0) / 3, and a zero-width
+        # grid, c0 = c1 = a, where numpy's linspace takes its zero-step branch.
+        for p in (duopoly, DuopolyParams(a=7.3, b=0.6, c0=0.4, c1=1.1),
+                  DuopolyParams(a=10.0, b=1.0, c0=1.0, c1=4.0),
+                  DuopolyParams(a=3.0, b=2.0, c0=3.0, c1=3.0)):
+            for n in (BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1, 10**6):
+                assert brute_force_oracle(p, n, mode) == expression_oracle(p, n, mode)
+
+    @pytest.mark.parametrize("n", [1000, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1, 10**6])
+    def test_blocks_assemble_numpy_linspace(self, n):
+        # Bit for bit: (n - 1) * step misses the last point of 7.9854... at
+        # 1000 and 10^6 points, a negative stop makes 0 * step = -0.0 before
+        # the start is added, and a subnormal stop takes the zero-step branch.
+        for stop in (9.0, 7.985497628118029, 0.0, -1.0, 2.2e-320):
+            blocks = discrete._linspace_blocks(stop, n, np.empty(BLOCK))
+            grid = np.concatenate([x.copy() for x in blocks])
+            assert grid.tobytes() == np.linspace(0.0, stop, n).tobytes()
+
+    def test_first_of_two_maxima_across_a_block_edge(self, duopoly, monkeypatch):
+        # On 1003 points the defection payoff peaks at u0 = 3.75, halfway
+        # between points 417 and 418, which round to the same J0.
+        u0 = np.linspace(0.0, 9.0, 1003)
+        J0 = u0 * (10.0 - (u0 + 1.5) - 1.0)
+        assert np.flatnonzero(J0 == J0.max()).tolist() == [417, 418]
+        monkeypatch.setattr(discrete, "_BLOCK", 418)
+        oracle = brute_force_oracle(duopoly, 1003, "defection")
+        assert oracle == expression_oracle(duopoly, 1003, "defection")
+        assert oracle.u0 == u0[417]
+
+    def test_memory_does_not_grow_with_the_grid(self, duopoly):
+        tracemalloc.start()
+        try:
+            brute_force_oracle(duopoly, 10**6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_rejects_tiny_grids_and_bad_modes(self, duopoly):
         with pytest.raises(ParameterError):
             brute_force_oracle(duopoly, grid_resolution=10)
         with pytest.raises(ParameterError):
             brute_force_oracle(duopoly, mode="nonsense")
+        # Before, a float resolution ended in numpy's TypeError from linspace,
+        # and an unknown mode was refused only after the grid was built.
+        for n in (1e6, 10**6 + 0.5, True, np.bool_(True), "1000"):
+            with pytest.raises(ParameterError, match="grid_resolution"):
+                brute_force_oracle(duopoly, n)
+        with pytest.raises(ParameterError, match="mode"):
+            brute_force_oracle(duopoly, 1e6, mode="nonsense")
+        for n in (np.int64(1000), np.int32(1000), np.uint64(1000)):
+            assert brute_force_oracle(duopoly, n) == brute_force_oracle(duopoly, 1000)
 
 
 class TestDiscountSchedule:

@@ -147,6 +147,18 @@ class TestDefectionPayoffs:
                 assert payoff(k) == expected
                 assert defection_payoff(dyn, k, t0, grid) == expected
 
+    def test_simpson_weights_built_once_per_evaluator(self, dyn, monkeypatch):
+        builds = []
+        rule = dynamic._simpson_rule
+        monkeypatch.setattr(dynamic, "_simpson_rule", lambda n: builds.append(n) or rule(n))
+        grid = TimeGrid(0.0, dyn.T, 2000)
+        for t0 in (0.0, dyn.T / 2):
+            builds.clear()
+            payoff = dynamic.defection_payoffs(dyn, t0, grid)
+            for k in (0.0, 0.05, 0.3):
+                assert payoff(k) == per_call_defection_payoff(dyn, k, t0, grid)
+            assert len(builds) == 1
+
     def test_rate_validated_per_call(self, dyn, grid):
         payoff = dynamic.defection_payoffs(dyn, dyn.T / 2, grid)
         for k in (-0.1, math.nan, math.inf):
