@@ -223,15 +223,14 @@ def _run_dynamic(cfg: RunConfig):
             f"grid.n_steps must be even for the dynamic model's Simpson rule, got {n_steps}")
     p = _params(dynamic.DynamicParams, cfg)
     grid = TimeGrid(0.0, p.T, n_steps)
-    results, certs, warnings, traj_out, sweep = {}, {}, [], None, None
+    results, certs, traj_out, sweep = {}, {}, None, None
     ss = p.saddle
     results.update(Delta=ss.Delta, s1=ss.s1, s2=ss.s2, lambda0=ss.lambda0)
-    traj = dynamic.equilibrium_trajectories(p, grid)
-    warnings.extend(traj.warnings)
+    traj, warnings = dynamic.equilibrium_trajectories(p, grid)
     res = dynamic.min_k_dynamic(p, grid) if cfg.action == "threshold-k" else None
     j_star = results["J0_star"] = res.j_star if res else dynamic.equilibrium_payoff(p, grid)
     if cfg.action in ("equilibrium", "defect"):
-        traj_out = {"t": grid.times(), **traj.channels}
+        traj_out = {"t": grid.times(), **traj}
     if cfg.action in ("equilibrium", "verify"):
         oracle = dynamic.bvp_oracle_trajectories(p, grid)
         sup = max(
@@ -451,7 +450,7 @@ def _write_table(path: Path, header: list[str], cols: list[np.ndarray]) -> None:
             if offset is not None and os.pwrite(fh.fileno(), data, int(offset)) == len(data):
                 line.send(len(data))
 
-        if n * text_cols.count(False) >= numerics._FORK_MIN_FIELDS and numerics._can_fork():
+        if n * text_cols.count(False) >= numerics._FORK_MIN_FIELDS:
             numerics._in_two([], here, there)
         else:
             here(None, None)

@@ -96,9 +96,6 @@ class OneShotOutcome:
 class DiscountSchedule:
     """Penalty factors rho(1..N) and the per-period payoff ledger they produce."""
 
-    k: float
-    m: int
-    N: int
     rho: np.ndarray
     ledger: np.ndarray
     total: float
@@ -271,9 +268,7 @@ def discount_schedule(p: DuopolyParams, k: float, m: int, N: int) -> DiscountSch
     deposit = m == N
     if deposit:
         total -= d
-    return DiscountSchedule(
-        k=k, m=m, N=N, rho=rho, ledger=ledger, total=total, deposit_forfeited=deposit
-    )
+    return DiscountSchedule(rho=rho, ledger=ledger, total=total, deposit_forfeited=deposit)
 
 
 def ledger_totals(p: DuopolyParams, k: float, N: int) -> np.ndarray:
@@ -374,5 +369,5 @@ def min_k_discrete(
         j_star=N * j_star,
         j_tilde_at_k=max(totals.values()),
         deterred=deterred,
-        details={"mode": mode, "m_range": ms, "ledger_totals": totals},
+        details={"mode": mode, "ledger_totals": totals},
     )

@@ -26,7 +26,6 @@ from .errors import HypothesisViolationError, NoDeterrentError, ParameterError, 
 from .numerics import (
     AffineSystem,
     TimeGrid,
-    TrajectoryGrid,
     _simpson_rule,
     eig_2x2,
     find_root_bisect,
@@ -156,7 +155,6 @@ class AppendixConstants:
 
     values: tuple[float, ...]
     exponents: tuple[float, ...]
-    resonant: tuple[bool, ...]
 
 
 def system_matrix(p: DynamicParams) -> np.ndarray:
@@ -209,13 +207,15 @@ def saddle_structure(p: DynamicParams) -> SaddleStructure:
     )
 
 
-def equilibrium_trajectories(p: DynamicParams, grid: TimeGrid) -> TrajectoryGrid:
-    """Closed-form equilibrium trajectories and controls on the grid.
+def equilibrium_trajectories(
+    p: DynamicParams, grid: TimeGrid
+) -> tuple[dict[str, np.ndarray], list[str]]:
+    """Closed-form equilibrium trajectories and controls on the grid, and their warnings.
 
-    Channels: x1, lam, u0 (leader), u1 (follower), u0_hat (leader's pointwise
-    best reply against the frozen follower strategy).  The trajectory carries
-    warning flags for negative controls and for the follower cost crossing the
-    linear-branch kink.
+    Returns (channels, warnings).  Channels by name: x1, lam, u0 (leader),
+    u1 (follower), u0_hat (leader's pointwise best reply against the frozen
+    follower strategy).  The warnings flag negative controls and the
+    follower cost crossing the linear-branch kink.
     """
     t = grid.times()
     x1, lam = p.saddle.states(t)
@@ -230,12 +230,10 @@ def equilibrium_trajectories(p: DynamicParams, grid: TimeGrid) -> TrajectoryGrid
     if np.any(x1 >= p.kink_level):
         t_cross = float(t[np.argmax(x1 >= p.kink_level)])
         warnings.append(f"cost-kink-crossing at t={t_cross:.6g} (linear-branch extrapolation)")
-    return TrajectoryGrid(
-        grid, {"x1": x1, "lam": lam, "u0": u0, "u1": u1, "u0_hat": u0_hat}, warnings
-    )
+    return {"x1": x1, "lam": lam, "u0": u0, "u1": u1, "u0_hat": u0_hat}, warnings
 
 
-def bvp_oracle_trajectories(p: DynamicParams, grid: TimeGrid) -> TrajectoryGrid:
+def bvp_oracle_trajectories(p: DynamicParams, grid: TimeGrid) -> dict[str, np.ndarray]:
     """Independent oracle: the same two-point problem, x1(0) = x1_0 and
     lambda(T) = 0, via the generic BVP solver."""
     system = AffineSystem(
@@ -360,8 +358,8 @@ def appendix_constants(p: DynamicParams, k: float) -> AppendixConstants:
     The equilibrium-minus-defection integrand (times 64 b), with rho = e^{-kt},
     expands over the twelve exponentials e^{(mu_n) t}; the coefficients are
     computed exactly from the trajectory coefficients.  The exponent
-    s1 + s2 - r vanishes identically (s1 + s2 = r), so its term is always
-    the removable-singularity limit and is flagged as resonant.
+    s1 + s2 - r vanishes identically (s1 + s2 = r), so _phi always takes
+    its term as the removable-singularity limit.
     """
     ss = p.saddle
     cx, cl, g = ss.cx, ss.cl, p.gamma
@@ -381,8 +379,7 @@ def appendix_constants(p: DynamicParams, k: float) -> AppendixConstants:
         [base[i] - r for i in order] + [base[i] - r - k for i in order]
     )
     values = tuple([float(eq_part[i]) for i in order] + [float(def_part[i]) for i in order])
-    resonant = tuple(abs(mu) < RESONANCE_TOL for mu in exponents)
-    return AppendixConstants(values=values, exponents=exponents, resonant=resonant)
+    return AppendixConstants(values=values, exponents=exponents)
 
 
 def theorem2_lhs(p: DynamicParams, k: float) -> float:

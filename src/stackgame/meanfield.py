@@ -38,7 +38,6 @@ from .errors import (
 from .numerics import (
     AffineSystem,
     TimeGrid,
-    TrajectoryGrid,
     _affine_march,
     _em_functionals,
     _march_held,
@@ -302,8 +301,8 @@ def mean_field_bvp(p: MfgParams, grid: TimeGrid) -> MeanFieldSolution:
         ],
         names=_EQ_NAMES,
     )
-    traj = solve_affine_bvp(system, grid)
-    ch = dict(traj.channels)
+    ch = solve_affine_bvp(system, grid)
+    ode = _ode_residuals(matrix, offset, ch, grid)
 
     u0 = (p.B0 / p.a0) * ch["p0"] - (p.B * p.sigma / (p.a * p.a0)) * ch["lam"]
     ui = -(1.0 / p.a) * (
@@ -334,7 +333,6 @@ def mean_field_bvp(p: MfgParams, grid: TimeGrid) -> MeanFieldSolution:
         "xi(0)": abs(ch["xi"][0]),
         "fbar(T)": abs(ch["fbar"][-1]),
     }
-    ode = _ode_residuals(matrix, offset, traj, grid)
     # Self-consistency of the two pbar representations.
     ode["pbar-feedback"] = float(
         np.abs(ch["pbar"] - (F * ch["xbar"] + ch["fbar"])).max()
@@ -344,9 +342,9 @@ def mean_field_bvp(p: MfgParams, grid: TimeGrid) -> MeanFieldSolution:
     )
 
 
-def _ode_residuals(matrix, offset, traj: TrajectoryGrid, grid: TimeGrid) -> dict[str, float]:
+def _ode_residuals(matrix, offset, traj: dict[str, np.ndarray], grid: TimeGrid) -> dict[str, float]:
     """Central-difference drift residual per channel, scaled O(h^2)."""
-    names = list(traj.channels)
+    names = list(traj)
     Y = np.stack([traj[n] for n in names])  # (d, n+1)
     h = grid.h
     dY = (Y[:, 2:] - Y[:, :-2]) / (2.0 * h)
@@ -425,7 +423,7 @@ def _noise(mc: McConfig) -> int | None:
     return None if mc.zero_noise else mc.seed
 
 
-def _follower_response(p: MfgParams, u0: np.ndarray, grid: TimeGrid) -> TrajectoryGrid:
+def _follower_response(p: MfgParams, u0: np.ndarray, grid: TimeGrid) -> dict[str, np.ndarray]:
     """Mean follower system (m0, xbar, pbar) reacting to an open-loop u0."""
     Ba = p.B**2 / p.a
     m = np.array([
@@ -497,7 +495,7 @@ def mc_payoffs(
         sol = mean_field_bvp(p, grid)
     marches = [_leader_march(p, sol["u0_star"], sol["xbar"], grid),
                _defection_march(p, k, sol, grid)]
-    ((j_eq,), _, _), ((j_def,), _, _) = _em_functionals(marches, grid.h, mc.n_paths, _noise(mc))
+    ((j_eq,), _), ((j_def,), _) = _em_functionals(marches, grid.h, mc.n_paths, _noise(mc))
     return _estimate(j_eq), _estimate(j_def)
 
 
@@ -537,16 +535,19 @@ def follower_feedback_check(p: MfgParams, sol: MeanFieldSolution, mc: McConfig) 
     Along each path p_i = F x_i + fbar is reconstructed; its ensemble mean
     must match the Euler-discretized deterministic mean of the same dynamics
     (exactly, up to Monte Carlo error, because the feedback drift is affine).
-    The residual is averaged over time per path.
+    The residual is averaged over time per path.  Returns its mean
+    ("mean_residual"), standard error ("stderr") and whether the mean lies
+    within 3 of them ("within_3se").  The adjoint at T needs no check: F(T)
+    and fbar(T) are exactly 0.0, the starts of their backward marches.
     """
     grid = _mc_grid(p, mc, sol)
-    F, fbar = sol["F"], sol["fbar"]
+    F = sol["F"]
     alpha, beta = _follower_drift(p, sol)
     m = euler_mean(alpha, beta, p.xbar_init, grid.h)
     zero = np.zeros_like(F)
     # Per-path time average of p_i - (F m + fbar) = F (x_i - m).
     coef = [[zero, F / len(F), zero]]
-    (avg,), mean, x_end = _em_functionals(
+    (avg,), mean = _em_functionals(
         [(alpha, beta, p.xbar_init, m, coef)], grid.h, mc.n_paths, _noise(mc)
     )[0]
     mean_resid = float(avg.mean())
@@ -557,7 +558,6 @@ def follower_feedback_check(p: MfgParams, sol: MeanFieldSolution, mc: McConfig) 
         "mean_residual": mean_resid,
         "stderr": se,
         "within_3se": bool(within),
-        "terminal_adjoint": float(np.abs(F[-1] * x_end + fbar[-1]).max()),
     }
 
 
@@ -592,7 +592,7 @@ def euler_condition_check(
         return _leader_march(p, u0, _follower_response(p, u0, grid)["xbar"], grid, split=True)
 
     marches = [march(control + theta * perturbation), march(control - theta * perturbation)]
-    (plus, _, _), (minus, _, _) = _em_functionals(marches, grid.h, mc.n_paths, _noise(mc))
+    (plus, _), (minus, _) = _em_functionals(marches, grid.h, mc.n_paths, _noise(mc))
     return _split_estimate(plus, minus, theta)
 
 
@@ -634,7 +634,7 @@ def follower_euler_check(
         return _payoff_march(alpha, beta + p.B * shift * perturbation, p.xbar_init, grid,
                              integrand, p.r, split=True)
 
-    (plus, _, _), (minus, _, _) = _em_functionals(
+    (plus, _), (minus, _) = _em_functionals(
         [march(theta), march(-theta)], grid.h, mc.n_paths, _noise(mc))
     return _split_estimate(plus, minus, theta)
 
@@ -734,7 +734,7 @@ def min_k_meanfield(
     def deters(k: float, marched: list[tuple]) -> bool:
         """Records k's marches, the equilibrium's too at k = 0, and gives the verdict on k."""
         nonlocal j_eq
-        *leader, ((samples,), mean, _) = marched
+        *leader, ((samples,), mean) = marched
         if leader:
             j_eq = _estimate(leader[0][0][0])
         jd = _estimate(samples)

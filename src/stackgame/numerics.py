@@ -8,13 +8,15 @@ Two processes go through one call, _in_two: it runs work in a forked child
 and in this process on buffers in a shared anonymous mmap, gives each side
 a line (_Line) that carries floats to the other over a pipe, and reaps the
 child before it returns.  The line is the only way the child reports, and
-where no child can be made _in_two runs this process's side alone.
-_march_held splits a large ensemble there at numpy's own pairwise-sum
-split, so the halves' per-step sums add up to the one-process sum bit for
-bit: each process draws and keeps the normals of its own half, and every
-march request goes to the child as a float, so a threshold search forks
-once.  cli._write_table has the child format half of a large table's rows
-and write them into the file at the offset this process sends.  A failed
+_in_two alone decides whether a child can be made: where the platform
+cannot fork or this process may use only one CPU, it runs this process's
+side alone.  _march_held splits a large ensemble there at numpy's own
+pairwise-sum split, so the halves' per-step sums add up to the one-process
+sum bit for bit: each process draws and keeps the normals of its own half
+and writes its paths' functionals F and per-step sums, and every march
+request goes to the child as a float, so a threshold search forks once.
+cli._write_table has the child format half of a large table's rows and
+write them into the file at the offset this process sends.  A failed
 mmap, pipe or fork, or a child that does not answer, leaves the work to
 this process, so every value, byte and error is the one-process one.
 """
@@ -26,7 +28,7 @@ import math
 import operator
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -46,7 +48,6 @@ from .errors import (
 __all__ = [
     "TimeGrid",
     "AffineSystem",
-    "TrajectoryGrid",
     "PathEnsemble",
     "rk4_solve_general",
     "solve_affine_bvp",
@@ -120,18 +121,6 @@ class AffineSystem:
             )
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "offset", offset)
-
-
-@dataclass
-class TrajectoryGrid:
-    """Time-gridded samples of named channels (states, adjoints, controls...)."""
-
-    grid: TimeGrid
-    channels: dict[str, np.ndarray] = field(default_factory=dict)
-    warnings: list[str] = field(default_factory=list)
-
-    def __getitem__(self, name: str) -> np.ndarray:
-        return self.channels[name]
 
 
 @dataclass
@@ -260,14 +249,15 @@ def _affine_march(
     return vals
 
 
-def solve_affine_bvp(system: AffineSystem, grid: TimeGrid) -> TrajectoryGrid:
+def solve_affine_bvp(system: AffineSystem, grid: TimeGrid) -> dict[str, np.ndarray]:
     """Two-point solve of an affine system by fundamental-matrix superposition.
 
     Marches one particular solution (zero initial data) plus d homogeneous
     basis solutions together through the RK4 step map, then solves the d x d
     linear system the boundary constraints impose on the superposition
-    coefficients.  The march is _affine_march's block scan.  A boundary
-    matrix with condition number above 1e12 raises IllPosedBVPError.
+    coefficients.  The march is _affine_march's block scan.  Returns each
+    variable's node values by name (system.names, or x0, x1, ...).  A
+    boundary matrix with condition number above 1e12 raises IllPosedBVPError.
     """
     d = len(system.matrix)
     # Columns: 0 = particular (with offset), 1..d = homogeneous basis e_i.
@@ -288,7 +278,7 @@ def solve_affine_bvp(system: AffineSystem, grid: TimeGrid) -> TrajectoryGrid:
 
     traj = vals[:, :, 0] + vals[:, :, 1:] @ c  # (n+1, d)
     names = [f"x{i}" for i in range(d)] if system.names is None else system.names
-    return TrajectoryGrid(grid, {n: traj[:, i].copy() for i, n in enumerate(names)})
+    return {n: traj[:, i].copy() for i, n in enumerate(names)}
 
 
 def _rk4_linear_backward(
@@ -428,12 +418,6 @@ def _pairwise_split(n: int) -> int:
     return half - half % 8
 
 
-def _can_fork() -> bool:
-    """True where this platform can fork and this process may run on two or more CPUs."""
-    affinity = getattr(os, "sched_getaffinity", None)
-    return hasattr(os, "fork") and affinity is not None and len(affinity(0)) >= 2
-
-
 class _Line:
     """One process's end of _in_two's two pipes: floats to the other process and from it."""
 
@@ -459,9 +443,13 @@ def _in_two(shapes, here, there):
     side's, and is the only way the child reports.  This process closes its
     line when here ends, so a child that waits on its line ends too, and
     reaps the child before this returns; if here raised, the child is
-    killed first and the error raised again.  If the mmap, a pipe or the
-    fork failed, there is no child: this returns here(None, None).
+    killed first and the error raised again.  Where this platform cannot
+    fork or this process may run on fewer than two CPUs, or if the mmap, a
+    pipe or the fork failed, there is no child: this returns here(None, None).
     """
+    affinity = getattr(os, "sched_getaffinity", None)
+    if not hasattr(os, "fork") or affinity is None or len(affinity(0)) < 2:
+        return here(None, None)
     import mmap  # only a forking call needs it, and importing stackgame need not
 
     sizes = [math.prod(shape) for shape in shapes]
@@ -563,29 +551,14 @@ def path_normals(seed: int, n_paths: int, n_steps: int) -> np.ndarray:
     return _draw_rows(_path_states(seed, n_paths, n_steps), 0, n_paths, n_steps)
 
 
-def em_paths(
-    drift,
-    diffusion,
-    x0: float,
-    grid: TimeGrid,
-    n_paths: int,
-    seed: int,
-    normals: np.ndarray | None = None,
-) -> PathEnsemble:
+def em_paths(drift, diffusion, x0: float, grid: TimeGrid, n_paths: int, seed: int) -> PathEnsemble:
     """Euler-Maruyama ensemble for dx = drift(t, x) dt + diffusion(t, x) dW.
 
     drift and diffusion must accept a scalar t and a vector of path values.
-    Pass a precomputed `normals` matrix (from path_normals) to share noise
-    across evaluations (common random numbers).
+    The noise is path_normals(seed, n_paths, grid.n_steps), so two calls
+    with one seed share their noise (common random numbers).
     """
-    if n_paths < 1:
-        raise ParameterError(f"n_paths must be >= 1, got {n_paths}")
-    if normals is None:
-        normals = path_normals(seed, n_paths, grid.n_steps)
-    elif normals.shape != (n_paths, grid.n_steps):
-        raise ParameterError(
-            f"normals shape {normals.shape} != {(n_paths, grid.n_steps)}"
-        )
+    normals = path_normals(seed, n_paths, grid.n_steps)
     times = grid.times()
     h = grid.h
     sqrt_h = np.sqrt(h)
@@ -641,16 +614,16 @@ def _stepper(march, h: float, n_steps: int, buffers, lo: int, hi: int, part: int
     outputs depend only on that path's normals, and no input is written to.
 
     The paths' normals z are (hi - lo, n_steps) with contiguous columns, or
-    None for no noise.  The march writes into buffers (F (K, n_paths),
-    per-step sums (2, n_steps + 1) of which it writes row part, final
-    states (n_paths,)).  It raises SimulationBlowupError at the first step
-    that leaves a path non-finite, naming the first such path.
+    None for no noise.  The march writes into buffers, F (K, n_paths) and
+    per-step sums (2, n_steps + 1) of which it writes row part.  It raises
+    SimulationBlowupError at the first step that leaves a path non-finite,
+    naming the first such path.
     """
     alpha, beta, x0, center, coef = march
     if len(alpha) != n_steps + 1:
         raise ParameterError(f"a march has {len(alpha)} nodes, the first one {n_steps + 1}")
     coef = np.asarray(coef, dtype=float)
-    out, sums, x_end = buffers
+    out, sums = buffers
     out[:, lo:hi] = coef[:, 0].sum(axis=1)[:, None]
     rows = [(out[k, lo:hi], c1.tolist() if c1.any() else None, c2.tolist() if c2.any() else None)
             for k, (c1, c2) in enumerate(zip(coef[:, 1], coef[:, 2])) if c1.any() or c2.any()]
@@ -693,7 +666,6 @@ def _stepper(march, h: float, n_steps: int, buffers, lo: int, hi: int, part: int
             if bad.size:
                 raise SimulationBlowupError(path_index=lo + int(bad[0]), step=j + 1)
         add_node(j + 1)
-    x_end[lo:hi] = x
 
 
 def _march_held(n_paths: int, n_steps: int, h: float, noise, rows, marches_of, body):
@@ -701,16 +673,16 @@ def _march_held(n_paths: int, n_steps: int, h: float, noise, rows, marches_of, b
 
     A request is a float.  marches_of(request) gives _stepper's marches on
     n_steps steps, march i with rows[i] functionals, and march(request)
-    returns, per march, F (K, n_paths), the per-node ensemble mean and the
-    final state, valid until the next request.  Every march reads the same
-    normals Z (n_paths, n_steps), given by noise: None switches the noise
-    off, and an int seed stands for path_normals(seed, n_paths, n_steps),
-    whose rows are drawn once, each by the process that marches them.
+    returns, per march, F (K, n_paths) and the per-node ensemble mean,
+    valid until the next request.  Every march reads the same normals Z
+    (n_paths, n_steps), given by noise: None switches the noise off, and an
+    int seed stands for path_normals(seed, n_paths, n_steps), whose rows
+    are drawn once, each by the process that marches them.
 
     From _FORK_MIN_PATHS paths, or with a seed from _FORK_MIN_DRAWS normals
-    on, with more than _PAIRWISE_BLOCK paths and two CPUs, one _in_two runs
-    the whole body, however many requests it makes.  This process holds
-    paths [0, s) of the noise and the child holds [s, n), s =
+    on, with more than _PAIRWISE_BLOCK paths, one _in_two runs the whole
+    body, however many requests it makes.  Where it makes a child, this
+    process holds paths [0, s) of the noise and the child holds [s, n), s =
     _pairwise_split(n).  Each request goes to the child over its line as
     the float it is; both march their paths into the shared buffers, the
     child answers on its line, and this process adds the child's per-step
@@ -723,7 +695,7 @@ def _march_held(n_paths: int, n_steps: int, h: float, noise, rows, marches_of, b
     non-finite and the first such path, in the first march that has one.
     """
     states = None if noise is None else _path_states(noise, n_paths, n_steps)
-    shapes = [shape for k in rows for shape in ((k, n_paths), (2, n_steps + 1), (n_paths,))]
+    shapes = [shape for k in rows for shape in ((k, n_paths), (2, n_steps + 1))]
 
     def normals(lo: int, hi: int) -> np.ndarray | None:
         return None if states is None else _draw_rows(states, lo, hi, n_steps)
@@ -732,14 +704,13 @@ def _march_held(n_paths: int, n_steps: int, h: float, noise, rows, marches_of, b
         """Marches the request's marches on paths [lo, hi); returns how many buffers they fill."""
         marches = marches_of(request)
         for i, march in enumerate(marches):
-            _stepper(march, h, n_steps, buffers[3 * i : 3 * i + 3], lo, hi, part, z)
-        return 3 * len(marches)
+            _stepper(march, h, n_steps, buffers[2 * i : 2 * i + 2], lo, hi, part, z)
+        return 2 * len(marches)
 
     def results(buffers, used: int) -> list[tuple]:
-        return [(out, sums[0] / n_paths, x_end) for out, sums, x_end
-                in zip(buffers[0:used:3], buffers[1:used:3], buffers[2:used:3])]
+        return [(out, sums[0] / n_paths) for out, sums in zip(buffers[0:used:2], buffers[1:used:2])]
 
-    fork = n_paths > _PAIRWISE_BLOCK and _can_fork() and (n_paths >= _FORK_MIN_PATHS or (
+    fork = n_paths > _PAIRWISE_BLOCK and (n_paths >= _FORK_MIN_PATHS or (
         states is not None and n_paths * n_steps >= _FORK_MIN_DRAWS))
     split = _pairwise_split(n_paths) if fork else n_paths
 
@@ -764,9 +735,9 @@ def _march_held(n_paths: int, n_steps: int, h: float, noise, rows, marches_of, b
                     used = 0
                 if used and line.receive() is not None:
                     with np.errstate(all="ignore"):
-                        for sums in buffers[1:used:3]:
+                        for sums in buffers[1:used:2]:
                             sums[0] += sums[1]
-                    if all(np.isfinite(sums[0]).all() for sums in buffers[1:used:3]):
+                    if all(np.isfinite(sums[0]).all() for sums in buffers[1:used:2]):
                         return results(buffers, used)
                 hi, z = n_paths, None  # the child is given up: drop this half, draw the whole
             z = normals(0, hi) if z is None else z
@@ -781,9 +752,9 @@ def _march_held(n_paths: int, n_steps: int, h: float, noise, rows, marches_of, b
 def _em_functionals(marches, h: float, n_paths: int, noise) -> list[tuple]:
     """The results of _stepper's marches on one noise: _march_held's one request.
 
-    Returns, per march, F (K, n_paths), the per-node ensemble mean and the
-    final state; noise (a seed, or None for none) and the fork rule are
-    _march_held's, so a call forks at most once.
+    Returns, per march, F (K, n_paths) and the per-node ensemble mean;
+    noise (a seed, or None for none) and the fork rule are _march_held's,
+    so a call forks at most once.
     """
     return _march_held(n_paths, len(marches[0][0]) - 1, h, noise,
                        [len(march[4]) for march in marches],

@@ -93,7 +93,7 @@ def test_03_discrete_worst_case_threshold():
 def test_04_dynamic_closed_form_vs_bvp_oracle():
     def body():
         grid = TimeGrid(0.0, DYN.T, 2000)
-        traj = dynamic.equilibrium_trajectories(DYN, grid)
+        traj, _ = dynamic.equilibrium_trajectories(DYN, grid)
         oracle = dynamic.bvp_oracle_trajectories(DYN, grid)
         sup = max(
             float(np.abs(traj["x1"] - oracle["x1"]).max()),

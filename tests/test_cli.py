@@ -215,6 +215,30 @@ class TestMain:
         assert main(["dynamic", "threshold-k", "--config", str(cfg), "--out", str(tmp_path)]) == 0
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("model, action, overrides, warnings", [
+        ("dynamic", "equilibrium", {"x1_0": 150.0},
+         ["cost-kink-crossing at t=0 (linear-branch extrapolation)"]),
+        ("dynamic", "threshold-k", {"x1_0": 150.0},
+         ["cost-kink-crossing at t=0 (linear-branch extrapolation)",
+          "threshold certified for a defection at t0=0 only; later defection times stay "
+          "profitable at this rate (penalty clock restarts at t0)"]),
+        # a < 3 cbar1 puts the follower's unconstrained output below zero.
+        ("dynamic", "equilibrium", {"cbar1": 4.0}, ["negative-control"]),
+        ("discrete", "equilibrium", {"c1": 4.0},
+         ["boundary-equilibrium (an output clamped at zero)"]),
+    ])
+    def test_every_warning_reaches_the_report(self, tmp_path, model, action, overrides, warnings):
+        doc = yaml.safe_load(DYNAMIC_YAML if model == "dynamic" else DISCRETE_YAML)
+        doc["params"].update(overrides)
+        if model == "dynamic":
+            doc["grid"]["n_steps"] = 100
+        cfg = self._write(tmp_path, yaml.safe_dump(doc))
+        out = tmp_path / "out"
+        assert main([model, action, "--config", str(cfg), "--out", str(out)]) == 0
+        report = (out / "report.txt").read_text()
+        listed = report.split("[warnings]\n")[1].split("\n\n")[0]
+        assert listed.splitlines() == [f"- {w}" for w in warnings]
+
     def test_invalid_parameter_exits_2(self, tmp_path, capsys):
         cfg = self._write(tmp_path, DISCRETE_YAML.replace("b: 1.0", "b: 0.0"))
         rc = main(["discrete", "verify", "--config", str(cfg)])

@@ -74,13 +74,13 @@ class TestSaddleStructure:
 
 class TestTrajectories:
     def test_closed_form_matches_bvp_oracle(self, dyn, grid):
-        traj = equilibrium_trajectories(dyn, grid)
+        traj, _ = equilibrium_trajectories(dyn, grid)
         oracle = bvp_oracle_trajectories(dyn, grid)
         assert np.abs(traj["x1"] - oracle["x1"]).max() < 1e-8
         assert np.abs(traj["lam"] - oracle["lam"]).max() < 1e-8
 
     def test_boundary_values(self, dyn, grid):
-        traj = equilibrium_trajectories(dyn, grid)
+        traj, _ = equilibrium_trajectories(dyn, grid)
         assert abs(traj["x1"][0] - dyn.x1_0) < 1e-12
         assert abs(traj["lam"][-1]) < 1e-10
 
@@ -91,10 +91,10 @@ class TestTrajectories:
         assert abs(ss.cx.sum() - dyn.x1_0) < 1e-12
         lam_T = ss.cl[0] + ss.cl[1] * math.exp(ss.s1 * dyn.T) + ss.cl[2] * math.exp(ss.s2 * dyn.T)
         assert abs(lam_T) < 1e-10
-        assert abs(ss.lambda0 - equilibrium_trajectories(dyn, grid)["lam"][0]) < 1e-12
+        assert abs(ss.lambda0 - equilibrium_trajectories(dyn, grid)[0]["lam"][0]) < 1e-12
 
     def test_controls_satisfy_first_order_relations(self, dyn, grid):
-        traj = equilibrium_trajectories(dyn, grid)
+        traj, _ = equilibrium_trajectories(dyn, grid)
         X = dyn.a_eff + dyn.c1_eff - dyn.gamma * traj["x1"]
         np.testing.assert_allclose(traj["u0"], (X - traj["lam"]) / (2 * dyn.b), atol=1e-12)
         np.testing.assert_allclose(traj["u0_hat"], (3 * X - traj["lam"]) / (8 * dyn.b), atol=1e-12)
@@ -107,8 +107,8 @@ class TestTrajectories:
             a=dyn.a, b=dyn.b, cbar1=dyn.cbar1, gamma=dyn.gamma, delta=dyn.delta,
             r=dyn.r, T=dyn.T, x1_0=150.0,
         )
-        traj = equilibrium_trajectories(p, TimeGrid(0.0, p.T, 100))
-        assert any("cost-kink" in w for w in traj.warnings)
+        _, warnings = equilibrium_trajectories(p, TimeGrid(0.0, p.T, 100))
+        assert any("cost-kink" in w for w in warnings)
 
 
 class TestPayoffs:
@@ -195,7 +195,7 @@ class TestIdentityAndClosedForm:
         assert len(ac.values) == 12 and len(ac.exponents) == 12
         # The fifth exponent is s1 + s2 - r, which vanishes identically.
         assert abs(ac.exponents[4]) < 1e-12
-        assert ac.resonant[4]
+        assert dynamic._phi(ac.exponents[4], dyn.T) == dyn.T
         # With k = 0 the shifted block coincides with the unshifted one.
         ac0 = appendix_constants(dyn, 0.0)
         np.testing.assert_allclose(ac0.exponents[6:], ac0.exponents[:6], atol=1e-15)

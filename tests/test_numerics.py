@@ -51,7 +51,7 @@ def _functionals(marches, h, n_paths, noise):
 
 
 def _march(alpha, beta, x0, h, n_paths, noise, center, coef):
-    """_em_functionals with one march: its (F, mean path, final state)."""
+    """_em_functionals with one march: its (F, mean path)."""
     return _functionals([(alpha, beta, x0, center, coef)], h, n_paths, noise)[0]
 
 
@@ -457,17 +457,10 @@ class TestPathNoise:
         grid = TimeGrid(0.0, 1.0, 50)
         normals = path_normals(3, 4, 50)
         kw = dict(x0=0.5, grid=grid, n_paths=4, seed=3)
-        a = em_paths(lambda t, x: 0.1 * x, lambda t, x: wright_fisher_sigma(x), normals=normals, **kw)
-        b = em_paths(lambda t, x: 0.1 * x, lambda t, x: wright_fisher_sigma(x), normals=normals, **kw)
+        with drawn_from(normals):
+            a = em_paths(lambda t, x: 0.1 * x, lambda t, x: wright_fisher_sigma(x), **kw)
+            b = em_paths(lambda t, x: 0.1 * x, lambda t, x: wright_fisher_sigma(x), **kw)
         assert np.array_equal(a.paths, b.paths)
-
-    def test_wrong_normals_shape_rejected(self):
-        grid = TimeGrid(0.0, 1.0, 50)
-        with pytest.raises(ParameterError):
-            em_paths(
-                lambda t, x: x, lambda t, x: np.zeros_like(x), 0.5, grid, 4,
-                seed=3, normals=np.zeros((4, 49)),
-            )
 
     def test_wright_fisher_clamp(self):
         x = np.array([-0.5, 0.0, 0.5, 1.0, 1.5])
@@ -530,7 +523,7 @@ class TestStreamedKernel:
             x = step
             sums[j + 1] = x.sum()
             add_node(j + 1)
-        return out, sums / n_paths, x
+        return out, sums / n_paths
 
     @pytest.mark.parametrize("n_paths", [1, 2, 50, 2000])
     @pytest.mark.parametrize("rows", ["linear", "quadratic", "mixed", "all three"])
@@ -560,35 +553,33 @@ class TestStreamedKernel:
     def test_payoff_matches_trapezoid_of_full_paths(self):
         grid, alpha, beta, reward, rate, m, coef, normals = _kernel_case()
         t = grid.times()
-        (payoff,), mean, x_end = _march(
+        (payoff,), mean = _march(
             alpha, beta, 0.5, grid.h, 50, normals, m, coef
         )
-        ens = em_paths(
-            lambda s, x: np.interp(s, t, alpha) * x + np.interp(s, t, beta),
-            lambda s, x: wright_fisher_sigma(x), 0.5, grid, 50, seed=5, normals=normals,
-        )
+        with drawn_from(normals):
+            ens = em_paths(
+                lambda s, x: np.interp(s, t, alpha) * x + np.interp(s, t, beta),
+                lambda s, x: wright_fisher_sigma(x), 0.5, grid, 50, seed=5,
+            )
         y = np.exp(-rate * t) * reward(ens.paths)
         reference = (np.diff(t) * (y[:, 1:] + y[:, :-1]) / 2.0).sum(axis=1)  # the trapezoid rule
         np.testing.assert_allclose(payoff, reference, rtol=1e-12, atol=0.0)
         np.testing.assert_allclose(mean, ens.paths.mean(axis=0), rtol=1e-13, atol=0.0)
-        np.testing.assert_allclose(x_end, ens.paths[:, -1], rtol=1e-13, atol=0.0)
 
     def test_per_path_outputs_are_chunk_invariant(self):
         grid, alpha, beta, _, _, m, coef, normals = _kernel_case(n_paths=8)
-        many, _, x_many = _march(alpha, beta, 0.5, grid.h, 8, normals, m, coef)
-        few, _, x_few = _march(
+        many, _ = _march(alpha, beta, 0.5, grid.h, 8, normals, m, coef)
+        few, _ = _march(
             alpha, beta, 0.5, grid.h, 3, path_normals(5, 3, grid.n_steps), m, coef
         )
         assert np.array_equal(many[:, :3], few)
-        assert np.array_equal(x_many[:3], x_few)
 
     def test_zero_noise_path_is_the_euler_mean(self):
         grid, alpha, beta, _, _, m, coef, _ = _kernel_case()
         zero = np.zeros_like(m)
         stack = [[zero, np.ones_like(m), zero], [zero, zero, np.ones_like(m)]]
-        (lin, quad), mean, x_end = _march(alpha, beta, 0.5, grid.h, 4, None, m, stack)
+        (lin, quad), mean = _march(alpha, beta, 0.5, grid.h, 4, None, m, stack)
         assert np.array_equal(mean, m)
-        assert np.all(x_end == m[-1])
         assert np.all(lin == 0.0) and np.all(quad == 0.0)
 
     def test_non_finite_state_names_path_and_step(self):
@@ -601,9 +592,9 @@ class TestStreamedKernel:
             with pytest.raises(SimulationBlowupError) as streamed:
                 _march(alpha, beta, 0.5, grid.h, 6, normals, m, coef)
             assert (streamed.value.path_index, streamed.value.step) == (first, step)
-            with pytest.raises(SimulationBlowupError) as full:
+            with drawn_from(normals), pytest.raises(SimulationBlowupError) as full:
                 em_paths(lambda s, x: 0.0 * x, lambda s, x: wright_fisher_sigma(x), 0.5,
-                         grid, 6, seed=5, normals=normals)
+                         grid, 6, seed=5)
             assert (full.value.path_index, full.value.step) == (first, step)
 
 
@@ -735,8 +726,8 @@ class TestTwoProcesses:
             with np.errstate(over="raise"), pytest.raises(FloatingPointError):
                 _march(*args)
             with np.errstate(over="ignore"):
-                _, mean, x_end = _march(*args)
-            assert np.all(mean == np.inf) and np.all(x_end == 1e306)
+                _, mean = _march(*args)
+            assert np.all(mean == np.inf)
         assert len(processes.forks) == 2
 
     def test_no_child_is_left(self, processes):
@@ -873,8 +864,8 @@ class TestTwoProcesses:
                 _em_functionals([big], 1.0 / n, 300, 5)
             draws.clear()
             with np.errstate(over="ignore"):
-                ((_, mean, x_end),) = _em_functionals([big], 1.0 / n, 300, 5)
-            assert np.all(mean == np.inf) and np.all(x_end == 1e306)
+                ((_, mean),) = _em_functionals([big], 1.0 / n, 300, 5)
+            assert np.all(mean == np.inf)
             # This process's draws: the whole, or its half and then the whole.
             assert draws == ([(0, 300)] if cpus == 1 else [(0, 144), (0, 300)])
         assert len(processes.forks) == 2
