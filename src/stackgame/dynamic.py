@@ -11,7 +11,9 @@ inequality) is assembled from the closed-form exponential representation
     lambda(t) = cl0 + cl1 e^{s1 t} + cl2 e^{s2 t}
 obtained by solving the two boundary conditions x1(0) = x1_0, lambda(T) = 0.
 saddle_structure builds it, and DynamicParams.saddle keeps it on the record,
-so every function here reads one copy per parameter record.
+so every function here reads one copy per parameter record.  On the basis
+v = (1, e^{s1 t}, e^{s2 t}) every payoff integrand is a quadratic form in v,
+so the deterrence inequality (theorem2_lhs) is a 3x3 sum of exact integrals.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ from .numerics import (
     AffineSystem,
     TimeGrid,
     _simpson_rule,
-    eig_2x2,
     find_root_bisect,
     quad_simpson,
     solve_affine_bvp,
@@ -37,7 +38,6 @@ from .results import PenaltySearchResult
 __all__ = [
     "DynamicParams",
     "SaddleStructure",
-    "AppendixConstants",
     "saddle_structure",
     "system_matrix",
     "equilibrium_trajectories",
@@ -45,7 +45,6 @@ __all__ = [
     "defection_payoffs",
     "defection_payoff",
     "check_equ20_identity",
-    "appendix_constants",
     "theorem2_lhs",
     "min_k_dynamic",
 ]
@@ -140,23 +139,6 @@ class SaddleStructure:
         return cx[0] + cx[1] * e1 + cx[2] * e2, cl[0] + cl[1] * e1 + cl[2] * e2
 
 
-@dataclass(frozen=True)
-class AppendixConstants:
-    """Coefficients of the twelve exponential terms in the deterrence inequality.
-
-    Convention: lhs = sum_n A_n * phi(mu_n, T) with phi(mu, T) = (e^{mu T}-1)/mu
-    (limit T at mu = 0) and exponents
-        mu_1..mu_6  = s1-r, s2-r, 2s1-r, 2s2-r, s1+s2-r, -r
-        mu_7..mu_12 = the same shifted by -k.
-    All signs are folded into the A_n themselves; they are derived from the
-    trajectory coefficients, not transcribed, so the quadrature cross-check
-    holds to integration error.
-    """
-
-    values: tuple[float, ...]
-    exponents: tuple[float, ...]
-
-
 def system_matrix(p: DynamicParams) -> np.ndarray:
     """State-costate matrix of the equilibrium system (x1' ; lambda')."""
     b, g, d, r = p.b, p.gamma, p.delta, p.r
@@ -189,7 +171,9 @@ def saddle_structure(p: DynamicParams) -> SaddleStructure:
         raise HypothesisViolationError(
             f"saddle hypothesis fails: Delta={Delta:.6g} <= r^2={p.r * p.r:.6g}"
         )
-    s1, s2 = eig_2x2(m)
+    tr = m[0, 0] + m[1, 1]
+    root = math.sqrt(tr * tr - 4.0 * (m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]))
+    s1, s2 = float((tr - root) / 2.0), float((tr + root) / 2.0)
     b, g, d = p.b, p.gamma, p.delta
     q1 = 4.0 * b * (s1 + d - 3.0 * g / (4.0 * b))
     q2 = 4.0 * b * (s2 + d - 3.0 * g / (4.0 * b))
@@ -328,23 +312,6 @@ def check_equ20_identity(p: DynamicParams, k: float, grid: TimeGrid) -> float:
     return float(np.abs(lhs - rhs).max() / scale)
 
 
-def _product_coeffs(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Coefficients of (u . basis)(v . basis) on [1, e^{s1 t}, e^{s2 t}]^2.
-
-    Output order: [const, s1, s2, 2 s1, 2 s2, s1+s2].
-    """
-    return np.array(
-        [
-            u[0] * v[0],
-            u[0] * v[1] + u[1] * v[0],
-            u[0] * v[2] + u[2] * v[0],
-            u[1] * v[1],
-            u[2] * v[2],
-            u[1] * v[2] + u[2] * v[1],
-        ]
-    )
-
-
 def _phi(mu: float, T: float) -> float:
     """(e^{mu T} - 1)/mu with the removable singularity evaluated as T."""
     if abs(mu) < RESONANCE_TOL:
@@ -352,40 +319,30 @@ def _phi(mu: float, T: float) -> float:
     return (math.exp(mu * T) - 1.0) / mu
 
 
-def appendix_constants(p: DynamicParams, k: float) -> AppendixConstants:
-    """Derive the twelve exponential coefficients of the deterrence inequality.
+def theorem2_lhs(p: DynamicParams, k: float) -> float:
+    """Closed-form 64 b (J0* - J0~(t0=0, k)); >= 0 iff defection does not pay.
 
-    The equilibrium-minus-defection integrand (times 64 b), with rho = e^{-kt},
-    expands over the twelve exponentials e^{(mu_n) t}; the coefficients are
-    computed exactly from the trajectory coefficients.  The exponent
-    s1 + s2 - r vanishes identically (s1 + s2 = r), so _phi always takes
-    its term as the removable-singularity limit.
+    The difference is the integral over [0, T] of
+        8 e^{-rt} (X^2 - lambda^2) - e^{-(r+k)t} (3X - lambda)^2,
+    and X = cX . v(t), lambda = cl . v(t) on v = (1, e^{s1 t}, e^{s2 t}), so it
+    is a quadratic form: with e = (0, s1, s2), the entry (i, j) of
+        G_eq = 8 (cX cX^T - cl cl^T)
+        G_def = 9 cX cX^T - 3 (cX cl^T + cl cX^T) + cl cl^T
+    integrates to phi(e_i + e_j - r, T) and phi(e_i + e_j - r - k, T).
     """
     ss = p.saddle
-    cx, cl, g = ss.cx, ss.cl, p.gamma
-    # X = a + c1 - gamma x1 over the same exponential basis.
-    cX = np.array([p.margin(cx[0]), -g * cx[1], -g * cx[2]])
-    XX = _product_coeffs(cX, cX)
-    LL = _product_coeffs(cl, cl)
-    XL = _product_coeffs(cX, cl)
-    # 64 b (eq - def) = e^{-rt} (8 XX - 8 LL) - e^{-(r+k)t} (9 XX - 6 XL + LL)
-    eq_part = 8.0 * XX - 8.0 * LL
-    def_part = -(9.0 * XX - 6.0 * XL + LL)
-    s1, s2, r = ss.s1, ss.s2, p.r
-    base = [0.0, s1, s2, 2.0 * s1, 2.0 * s2, s1 + s2]
-    # Reorder to the conventional listing s1-r, s2-r, 2s1-r, 2s2-r, s1+s2-r, -r.
-    order = [1, 2, 3, 4, 5, 0]
-    exponents = tuple(
-        [base[i] - r for i in order] + [base[i] - r - k for i in order]
-    )
-    values = tuple([float(eq_part[i]) for i in order] + [float(def_part[i]) for i in order])
-    return AppendixConstants(values=values, exponents=exponents)
+    cX = np.array([p.margin(ss.cx[0]), -p.gamma * ss.cx[1], -p.gamma * ss.cx[2]])
+    XX, XL, LL = np.outer(cX, cX), np.outer(cX, ss.cl), np.outer(ss.cl, ss.cl)
+    e = np.array([0.0, ss.s1, ss.s2])
+    mu = e[:, None] + e - p.r
 
+    def integrals(rates: np.ndarray) -> np.ndarray:
+        # _phi is scalar: a vectorised (e^{mu T} - 1)/mu divides by the resonant zero.
+        return np.array([[_phi(m, p.T) for m in row] for row in rates.tolist()])
 
-def theorem2_lhs(p: DynamicParams, k: float) -> float:
-    """Closed-form 64 b (J0* - J0~(t0=0, k)); >= 0 iff defection does not pay."""
-    ac = appendix_constants(p, k)
-    return float(sum(A * _phi(mu, p.T) for A, mu in zip(ac.values, ac.exponents)))
+    g_eq = 8.0 * (XX - LL)
+    g_def = 9.0 * XX - 3.0 * (XL + XL.T) + LL
+    return float(np.sum(g_eq * integrals(mu) - g_def * integrals(mu - k)))
 
 
 def min_k_dynamic(

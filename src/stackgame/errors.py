@@ -42,10 +42,6 @@ class BracketError(StackgameError):
     """Bisection bracket does not enclose a sign change."""
 
 
-class SpectralError(StackgameError):
-    """2x2 matrix has complex or repeated eigenvalues."""
-
-
 class HypothesisViolationError(StackgameError):
     """Model-2 saddle hypothesis (negative determinant of the state-costate
     matrix, i.e. discriminant > r^2) fails for the given parameters."""

@@ -40,7 +40,6 @@ from .errors import (
     IntegrationBlowupError,
     ParameterError,
     SimulationBlowupError,
-    SpectralError,
     require_finite,
     require_int,
 )
@@ -53,7 +52,6 @@ __all__ = [
     "solve_affine_bvp",
     "quad_simpson",
     "find_root_bisect",
-    "eig_2x2",
     "em_paths",
 ]
 
@@ -131,11 +129,16 @@ class PathEnsemble:
     paths: np.ndarray
 
 
-def _rk4_march(f, y0: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """Classical RK4 over the given (uniform or not) node sequence."""
-    out = np.empty((len(times),) + np.shape(y0), dtype=float)
-    out[0] = y0
-    y = np.array(y0, dtype=float)
+def rk4_solve_general(f, y0, grid: TimeGrid, backward: bool = False) -> np.ndarray:
+    """Classical RK4 for a general ODE y' = f(t, y).
+
+    With backward=True the terminal value y0 is imposed at t1 and the march
+    runs from t1 down to t0; the returned array is still ordered t0..t1.
+    """
+    times = grid.times()[::-1] if backward else grid.times()
+    y = np.atleast_1d(np.array(y0, dtype=float))
+    out = np.empty((len(times),) + y.shape, dtype=float)
+    out[0] = y
     for j in range(len(times) - 1):
         t, h = times[j], times[j + 1] - times[j]
         k1 = f(t, y)
@@ -146,20 +149,7 @@ def _rk4_march(f, y0: np.ndarray, times: np.ndarray) -> np.ndarray:
         if not np.all(np.isfinite(y)):
             raise IntegrationBlowupError(step=j + 1, t=float(times[j + 1]))
         out[j + 1] = y
-    return out
-
-
-def rk4_solve_general(f, y0, grid: TimeGrid, backward: bool = False) -> np.ndarray:
-    """RK4 for a general ODE y' = f(t, y).
-
-    With backward=True the terminal value y0 is imposed at t1 and the march
-    runs from t1 down to t0; the returned array is still ordered t0..t1.
-    """
-    times = grid.times()
-    if backward:
-        vals = _rk4_march(f, np.atleast_1d(np.asarray(y0, dtype=float)), times[::-1])
-        return vals[::-1]
-    return _rk4_march(f, np.atleast_1d(np.asarray(y0, dtype=float)), times)
+    return out[::-1] if backward else out
 
 
 def _rk4_step_map(
@@ -375,24 +365,6 @@ def find_root_bisect(f, lo: float, hi: float, tol: float) -> float:
         else:
             hi = mid
     return 0.5 * (lo + hi)
-
-
-def eig_2x2(m: np.ndarray) -> tuple[float, float]:
-    """Eigenvalues (s1, s2), s1 < s2, of a 2x2 matrix with distinct real eigenvalues.
-
-    Raises SpectralError when the discriminant is non-positive.
-    """
-    m = np.asarray(m, dtype=float)
-    if m.shape != (2, 2):
-        raise ParameterError(f"expected a 2x2 matrix, got shape {m.shape}")
-    tr = m[0, 0] + m[1, 1]
-    det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-    disc = tr * tr - 4.0 * det
-    scale = max(1.0, float(np.abs(m).max()))
-    if disc <= 1e-14 * scale * scale:
-        raise SpectralError(f"complex or repeated eigenvalues (discriminant {disc:.3e})")
-    root = np.sqrt(disc)
-    return float((tr - root) / 2.0), float((tr + root) / 2.0)
 
 
 _NORMALS_BLOCK = 256

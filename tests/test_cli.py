@@ -369,8 +369,8 @@ class TestMain:
     def test_one_closed_form_build_per_dynamic_job(self, tmp_path, monkeypatch, action):
         # Every consumer reads the structure kept on the parameter record.
         calls = []
-        eig = dynamic.eig_2x2
-        monkeypatch.setattr(dynamic, "eig_2x2", lambda m: calls.append(1) or eig(m))
+        build = dynamic.saddle_structure
+        monkeypatch.setattr(dynamic, "saddle_structure", lambda p: calls.append(1) or build(p))
         cfg = self._write(tmp_path, DYNAMIC_YAML.replace("n_steps: 1000", "n_steps: 50"))
         assert main(["dynamic", action, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
         assert len(calls) == 1

@@ -8,7 +8,6 @@ import pytest
 from stackgame import dynamic
 from stackgame.dynamic import (
     DynamicParams,
-    appendix_constants,
     bvp_oracle_trajectories,
     check_equ20_identity,
     defection_payoff,
@@ -31,6 +30,10 @@ BENCH_S1 = -0.08488630487917956
 BENCH_S2 = 0.13488630487917954
 BENCH_K_MIN = 0.029320752490263433
 BENCH = dict(a=10.0, b=1.0, cbar1=2.0, gamma=0.02, delta=0.1, r=0.05)
+# The benchmark horizon T = 10 and changes to it: a start off the steady
+# state, no learning, a short horizon with fast rates, a long horizon.
+VARIANTS = [{}, {"x1_0": 3.0}, {"gamma": 0.0}, {"T": 0.5, "gamma": 0.3, "delta": 0.8, "r": 0.2},
+            {"T": 30.0, "x1_0": 0.5}]
 
 
 @pytest.fixture
@@ -49,6 +52,12 @@ class TestSaddleStructure:
     def test_eigenvalues_sum_to_discount_rate(self, dyn):
         ss = saddle_structure(dyn)
         assert abs((ss.s1 + ss.s2) - dyn.r) < 1e-14
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_eigenvalues_match_numpy(self, variant):
+        p = DynamicParams(**{**BENCH, "T": 10.0, **variant})
+        ref = np.sort(np.linalg.eigvals(system_matrix(p)).real)
+        assert abs(p.saddle.s1 - ref[0]) < 1e-12 and abs(p.saddle.s2 - ref[1]) < 1e-12
 
     def test_eigenvector_slopes_solve_the_matrix(self, dyn):
         ss = saddle_structure(dyn)
@@ -190,15 +199,21 @@ class TestIdentityAndClosedForm:
         quad = 64.0 * dyn.b * (j_star - defection_payoff(dyn, k, 0.0, grid))
         assert abs(lhs - quad) / (abs(quad) + 1e-30) < 1e-6
 
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_quadratic_form_matches_fine_quadrature(self, variant):
+        p = DynamicParams(**{**BENCH, "T": 10.0, **variant})
+        grid = TimeGrid(0.0, p.T, 20_000)
+        j_star = equilibrium_payoff(p, grid)
+        payoff = dynamic.defection_payoffs(p, 0.0, grid)
+        for k in (0.0, 0.01, 0.3, 2.0):
+            quad = 64.0 * p.b * (j_star - payoff(k))
+            assert abs(theorem2_lhs(p, k) - quad) <= 1e-10 * abs(quad)
+
     def test_resonant_exponent_flagged(self, dyn):
-        ac = appendix_constants(dyn, 0.3)
-        assert len(ac.values) == 12 and len(ac.exponents) == 12
-        # The fifth exponent is s1 + s2 - r, which vanishes identically.
-        assert abs(ac.exponents[4]) < 1e-12
-        assert dynamic._phi(ac.exponents[4], dyn.T) == dyn.T
-        # With k = 0 the shifted block coincides with the unshifted one.
-        ac0 = appendix_constants(dyn, 0.0)
-        np.testing.assert_allclose(ac0.exponents[6:], ac0.exponents[:6], atol=1e-15)
+        # The exponent s1 + s2 - r of the (s1, s2) entries vanishes identically.
+        mu = dyn.saddle.s1 + dyn.saddle.s2 - dyn.r
+        assert abs(mu) < 1e-12
+        assert dynamic._phi(mu, dyn.T) == dyn.T
 
     def test_deterrence_sign_structure(self, dyn):
         assert theorem2_lhs(dyn, 0.0) < 0.0  # unpunished defection pays

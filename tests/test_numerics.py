@@ -23,13 +23,11 @@ from stackgame.errors import (
     IntegrationBlowupError,
     ParameterError,
     SimulationBlowupError,
-    SpectralError,
 )
 from stackgame.numerics import (
     AffineSystem,
     TimeGrid,
     _em_functionals,
-    eig_2x2,
     em_paths,
     euler_mean,
     find_root_bisect,
@@ -316,18 +314,6 @@ class TestBisection:
     def test_no_sign_change_raises(self):
         with pytest.raises(BracketError):
             find_root_bisect(lambda x: x * x + 1.0, -1.0, 1.0, 1e-8)
-
-
-class TestEig2x2:
-    def test_matches_numpy(self):
-        m = np.array([[1.0, 2.0], [3.0, -1.0]])
-        s1, s2 = eig_2x2(m)
-        ref = np.sort(np.linalg.eigvals(m).real)
-        assert abs(s1 - ref[0]) < 1e-12 and abs(s2 - ref[1]) < 1e-12
-
-    def test_complex_spectrum_raises(self):
-        with pytest.raises(SpectralError):
-            eig_2x2(np.array([[0.0, 1.0], [-1.0, 0.0]]))
 
 
 SPAWN_SEEDS = [0, 2**32 - 1, 2**32, 2**64 + 5, 2**127 + 9, 2**130 + 7, 2**200 + 17]
