@@ -252,7 +252,6 @@ def _run_dynamic(cfg: RunConfig):
         k_quad = res.details["k_min_quadrature"]
         results.update(k_min=res.k_min, k_min_quadrature=k_quad, J_tilde_at_k=res.j_tilde_at_k)
         certs["closed_vs_quadrature"] = _cert(res.k_min, k_quad, 1e-6, op="~")
-        certs["deterred_t0_0"] = _cert(res.j_tilde_at_k, j_star, 1e-9)
         for t0, j in res.details["t0_scan"].items():
             certs[f"deterred_t0_{t0:g}"] = _cert(j, j_star, 1e-9)
         if not res.deterred:
@@ -398,6 +397,9 @@ def write_report(report: RunReport, out_dir: Path) -> None:
 
 
 _BLOCK = 1024  # rows per .tolist() conversion in _block_rows
+# _write_table writes a table of at least this many "%.12g" fields (rows x
+# columns) by halves on two CPUs: a child formats the second half of the rows.
+_FORK_MIN_FIELDS = 50_000
 
 
 def _block_rows(cols: list[np.ndarray]):
@@ -416,7 +418,7 @@ def _write_table(path: Path, header: list[str], cols: list[np.ndarray]) -> None:
     A float column's fields are "%.12g"; a string column's (numpy dtype
     "U") are its values as they are.  The bytes are csv.writer's, because
     no header name or field that the program writes needs quoting.  From
-    numerics._FORK_MIN_FIELDS "%.12g" fields on two CPUs, numerics._in_two
+    _FORK_MIN_FIELDS "%.12g" fields on two CPUs, numerics._in_two
     runs a child that formats rows [n // 2, n) while this process writes the
     header and rows [0, n // 2).  This process then sends the child the byte
     offset where its rows end, and the child writes its bytes there
@@ -435,7 +437,7 @@ def _write_table(path: Path, header: list[str], cols: list[np.ndarray]) -> None:
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
 
-        def here(_, line) -> None:
+        def here(line) -> None:
             done = 0
             if line is not None:
                 fh.writelines(rows(0, half))
@@ -444,16 +446,16 @@ def _write_table(path: Path, header: list[str], cols: list[np.ndarray]) -> None:
                 done = half if line.receive() is None else n
             fh.writelines(rows(done, n))
 
-        def there(_, line) -> None:
+        def there(line) -> None:
             data = "".join(rows(half, n)).encode()
             offset = line.receive()
             if offset is not None and os.pwrite(fh.fileno(), data, int(offset)) == len(data):
                 line.send(len(data))
 
-        if n * text_cols.count(False) >= numerics._FORK_MIN_FIELDS:
-            numerics._in_two([], here, there)
+        if n * text_cols.count(False) >= _FORK_MIN_FIELDS:
+            numerics._in_two(here, there)
         else:
-            here(None, None)
+            here(None)
 
 
 def _build_parser() -> argparse.ArgumentParser:

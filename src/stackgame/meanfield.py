@@ -745,7 +745,7 @@ def min_k_meanfield(
         verdict[k] = margins[k][0] > 0.0 and margins[k][1] > 0.0
         return verdict[k]
 
-    k_min = _march_held(mc.n_paths, mc.n_steps, grid.h, _noise(mc), [1, 1], marches,
+    k_min = _march_held(mc.n_paths, mc.n_steps, grid.h, _noise(mc), marches,
                         lambda march: _search(lambda k: deters(k, march(k)), tol, k_max))
     if k_min is None:
         raise NoDeterrentError(f"defection stays profitable up to k = {k_max:g}")

@@ -5,20 +5,21 @@ including the Monte Carlo routines (per-path seeding, fixed-order reduction),
 so results never depend on scheduling or on the number of processes.
 
 Two processes go through one call, _in_two: it runs work in a forked child
-and in this process on buffers in a shared anonymous mmap, gives each side
-a line (_Line) that carries floats to the other over a pipe, and reaps the
-child before it returns.  The line is the only way the child reports, and
-_in_two alone decides whether a child can be made: where the platform
-cannot fork or this process may use only one CPU, it runs this process's
-side alone.  _march_held splits a large ensemble there at numpy's own
-pairwise-sum split, so the halves' per-step sums add up to the one-process
-sum bit for bit: each process draws and keeps the normals of its own half
-and writes its paths' functionals F and per-step sums, and every march
-request goes to the child as a float, so a threshold search forks once.
-cli._write_table has the child format half of a large table's rows and
-write them into the file at the offset this process sends.  A failed
-mmap, pipe or fork, or a child that does not answer, leaves the work to
-this process, so every value, byte and error is the one-process one.
+and in this process, gives each side a line (_Line) that carries floats
+and float arrays to the other over a pipe, and reaps the child before it
+returns.  The line is the only way the child reports, and _in_two alone
+decides whether a child can be made: where the platform cannot fork or
+this process may use only one CPU, it runs this process's side alone.
+_march_held splits a large ensemble there at numpy's own pairwise-sum
+split, so the halves' per-step sums add up to the one-process sum bit for
+bit: each process draws and keeps the normals of its own half, every
+march request goes to the child as a float, so a threshold search forks
+once, and the child answers each request on its line with its paths'
+functionals F and per-step sums.  cli._write_table has the child format
+half of a large table's rows and write them into the file at the offset
+this process sends.  A failed pipe or fork, or a child that does not
+answer, leaves the work to this process, so every value, byte and error
+is the one-process one.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ import contextlib
 import math
 import operator
 import os
-import struct
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -374,9 +374,6 @@ _NORMALS_BLOCK = 256
 # against 29.9-39.2 ms) and 4/4 at 2^21; at 1000 steps 0/4, 2/4 and 4/4.
 _FORK_MIN_DRAWS = 1 << 20
 _FORK_MIN_PATHS = 20_000
-# cli writes a trajectory table of at least this many "%.12g" fields (rows x
-# columns) by halves on two CPUs: a child formats the second half of the rows.
-_FORK_MIN_FIELDS = 50_000
 _PAIRWISE_BLOCK = 128  # numpy sums up to this many elements without splitting
 
 
@@ -396,47 +393,48 @@ class _Line:
     def __init__(self, inbox: int, outbox: int):
         self.fds = (inbox, outbox)
 
-    def send(self, value: float) -> None:
-        """Sends value; if the other process has ended, its next receive says so."""
+    def send(self, *values) -> None:
+        """Sends the floats of values, numbers or float arrays, in order; if the other
+        process has ended, its next receive says so."""
+        data = memoryview(b"".join(np.asarray(v, dtype=float).tobytes() for v in values))
         with contextlib.suppress(BrokenPipeError):
-            os.write(self.fds[1], struct.pack("d", value))
+            while data:
+                data = data[os.write(self.fds[1], data):]
 
-    def receive(self) -> float | None:
-        """The next value sent, or None once the other process has closed its end."""
-        data = os.read(self.fds[0], 8)  # a pipe write of 8 bytes arrives whole
-        return struct.unpack("d", data)[0] if data else None
+    def receive(self, n: int = 1):
+        """The next float sent, or with n > 1 an array of the next n, or None once
+        the other process has closed its end before n floats arrived."""
+        data = bytearray()
+        while len(data) < 8 * n and (chunk := os.read(self.fds[0], 8 * n - len(data))):
+            data += chunk
+        if len(data) < 8 * n:
+            return None
+        return np.frombuffer(data) if n > 1 else float(np.frombuffer(data)[0])
 
 
-def _in_two(shapes, here, there):
-    """Runs there(buffers, line) in a forked child and returns here(buffers, line) from this one.
+def _in_two(here, there):
+    """Runs there(line) in a forked child and returns here(line) from this one.
 
-    The buffers are new float arrays of the given shapes in one shared
-    anonymous mmap; each side's line (_Line) sends floats to the other
-    side's, and is the only way the child reports.  This process closes its
-    line when here ends, so a child that waits on its line ends too, and
-    reaps the child before this returns; if here raised, the child is
-    killed first and the error raised again.  Where this platform cannot
-    fork or this process may run on fewer than two CPUs, or if the mmap, a
-    pipe or the fork failed, there is no child: this returns here(None, None).
+    Each side's line (_Line) sends floats to the other side's, and is the
+    only way the child reports.  This process closes its line when here
+    ends, so a child that waits on its line ends too, and reaps the child
+    before this returns; if here raised, the child is killed first and the
+    error raised again.  Where this platform cannot fork or this process
+    may run on fewer than two CPUs, or if a pipe or the fork failed, there
+    is no child: this returns here(None).
     """
     affinity = getattr(os, "sched_getaffinity", None)
     if not hasattr(os, "fork") or affinity is None or len(affinity(0)) < 2:
-        return here(None, None)
-    import mmap  # only a forking call needs it, and importing stackgame need not
-
-    sizes = [math.prod(shape) for shape in shapes]
+        return here(None)
     fds: list[int] = []
-    try:  # mmap(-1, 0) raises EINVAL, so no shapes still map one float
-        shared = np.frombuffer(mmap.mmap(-1, 8 * max(1, sum(sizes))), dtype=float)
-        buffers = [chunk.reshape(shape) for chunk, shape
-                   in zip(np.split(shared, np.cumsum(sizes)[:-1]), shapes)]
+    try:
         for _ in range(2):
             fds += os.pipe()
         pid = os.fork()
     except OSError:
         for fd in fds:
             os.close(fd)
-        return here(None, None)
+        return here(None)
     # The child reads at fds[0] what this process writes at fds[1], and the other pipe
     # carries the child's floats back.  Each process closes the other one's ends.
     child, parent = _Line(fds[0], fds[3]), _Line(fds[2], fds[1])
@@ -444,14 +442,14 @@ def _in_two(shapes, here, there):
         try:
             for fd in parent.fds:
                 os.close(fd)
-            there(buffers, child)
+            there(child)
             os._exit(0)
         finally:
             os._exit(1)
     for fd in child.fds:
         os.close(fd)
     try:
-        return here(buffers, parent)
+        return here(parent)
     except BaseException:
         import signal
 
@@ -570,7 +568,7 @@ def euler_mean(alpha: np.ndarray, beta: np.ndarray, x0: float, h: float) -> np.n
     return _affine_recurrence(*_euler_factors(alpha, beta, h), x0)
 
 
-def _stepper(march, h: float, n_steps: int, buffers, lo: int, hi: int, part: int, z) -> None:
+def _stepper(march, h: float, n_steps: int, lo: int, hi: int, z) -> tuple[np.ndarray, np.ndarray]:
     """One streamed Euler-Maruyama march of paths [lo, hi), keeping per-path quadratic functionals.
 
     The march (alpha, beta, x0, center, coef) starts every path at x0 and
@@ -586,23 +584,21 @@ def _stepper(march, h: float, n_steps: int, buffers, lo: int, hi: int, part: int
     outputs depend only on that path's normals, and no input is written to.
 
     The paths' normals z are (hi - lo, n_steps) with contiguous columns, or
-    None for no noise.  The march writes into buffers, F (K, n_paths) and
-    per-step sums (2, n_steps + 1) of which it writes row part.  It raises
-    SimulationBlowupError at the first step that leaves a path non-finite,
-    naming the first such path.
+    None for no noise.  Returns the paths' F (K, hi - lo) and their per-step
+    sums (n_steps + 1,).  It raises SimulationBlowupError at the first step
+    that leaves a path non-finite, naming the first such path.
     """
     alpha, beta, x0, center, coef = march
     if len(alpha) != n_steps + 1:
         raise ParameterError(f"a march has {len(alpha)} nodes, the first one {n_steps + 1}")
     coef = np.asarray(coef, dtype=float)
-    out, sums = buffers
-    out[:, lo:hi] = coef[:, 0].sum(axis=1)[:, None]
-    rows = [(out[k, lo:hi], c1.tolist() if c1.any() else None, c2.tolist() if c2.any() else None)
+    out = np.repeat(coef[:, 0].sum(axis=1)[:, None], hi - lo, axis=1)
+    rows = [(out[k], c1.tolist() if c1.any() else None, c2.tolist() if c2.any() else None)
             for k, (c1, c2) in enumerate(zip(coef[:, 1], coef[:, 2])) if c1.any() or c2.any()]
     drift_a, drift_b = _euler_factors(alpha, beta, h)
     centers = center.tolist()
     sqrt_h = math.sqrt(h)
-    sums = sums[part]
+    sums = np.empty(n_steps + 1)
     x, x_next, d, tmp = (np.empty(hi - lo) for _ in range(4))
     x.fill(float(x0))
 
@@ -638,15 +634,15 @@ def _stepper(march, h: float, n_steps: int, buffers, lo: int, hi: int, part: int
             if bad.size:
                 raise SimulationBlowupError(path_index=lo + int(bad[0]), step=j + 1)
         add_node(j + 1)
+    return out, sums
 
 
-def _march_held(n_paths: int, n_steps: int, h: float, noise, rows, marches_of, body):
+def _march_held(n_paths: int, n_steps: int, h: float, noise, marches_of, body):
     """body(march), where march(request) runs the marches marches_of(request) on one noise.
 
     A request is a float.  marches_of(request) gives _stepper's marches on
-    n_steps steps, march i with rows[i] functionals, and march(request)
-    returns, per march, F (K, n_paths) and the per-node ensemble mean,
-    valid until the next request.  Every march reads the same normals Z
+    n_steps steps, and march(request) returns, per march, F (K, n_paths)
+    and the per-node ensemble mean.  Every march reads the same normals Z
     (n_paths, n_steps), given by noise: None switches the noise off, and an
     int seed stands for path_normals(seed, n_paths, n_steps), whose rows
     are drawn once, each by the process that marches them.
@@ -656,43 +652,37 @@ def _march_held(n_paths: int, n_steps: int, h: float, noise, rows, marches_of, b
     body, however many requests it makes.  Where it makes a child, this
     process holds paths [0, s) of the noise and the child holds [s, n), s =
     _pairwise_split(n).  Each request goes to the child over its line as
-    the float it is; both march their paths into the shared buffers, the
-    child answers on its line, and this process adds the child's per-step
-    sums to its own.  A failed mmap or fork, a half that raised, a child
-    that ended without answering or a joined sum that is not finite (an
-    overflow that only the whole sum may see) leaves the rest of the body
-    to this process alone, which draws all the normals and reruns the
-    request, so every value and every error is the one-process one.
-    SimulationBlowupError names the first step that leaves a path
-    non-finite and the first such path, in the first march that has one.
+    the float it is; both march their paths, the child answers on its line
+    with each march's F columns and per-step sums, and this process puts
+    the child's columns after its own and adds the child's sums to its own.
+    A failed pipe or fork, a half that raised, a child that ended without
+    answering or a joined sum that is not finite (an overflow that only
+    the whole sum may see) leaves the rest of the body to this process
+    alone, which draws all the normals and reruns the request, so every
+    value and every error is the one-process one.  SimulationBlowupError
+    names the first step that leaves a path non-finite and the first such
+    path, in the first march that has one.
     """
     states = None if noise is None else _path_states(noise, n_paths, n_steps)
-    shapes = [shape for k in rows for shape in ((k, n_paths), (2, n_steps + 1))]
 
     def normals(lo: int, hi: int) -> np.ndarray | None:
         return None if states is None else _draw_rows(states, lo, hi, n_steps)
 
-    def run(request: float, buffers, lo: int, hi: int, part: int, z) -> int:
-        """Marches the request's marches on paths [lo, hi); returns how many buffers they fill."""
-        marches = marches_of(request)
-        for i, march in enumerate(marches):
-            _stepper(march, h, n_steps, buffers[2 * i : 2 * i + 2], lo, hi, part, z)
-        return 2 * len(marches)
-
-    def results(buffers, used: int) -> list[tuple]:
-        return [(out, sums[0] / n_paths) for out, sums in zip(buffers[0:used:2], buffers[1:used:2])]
+    def run(request: float, lo: int, hi: int, z) -> list[tuple]:
+        """The (F, per-step sums) of the request's marches on paths [lo, hi)."""
+        return [_stepper(march, h, n_steps, lo, hi, z) for march in marches_of(request)]
 
     fork = n_paths > _PAIRWISE_BLOCK and (n_paths >= _FORK_MIN_PATHS or (
         states is not None and n_paths * n_steps >= _FORK_MIN_DRAWS))
     split = _pairwise_split(n_paths) if fork else n_paths
 
-    def there(buffers, line: _Line) -> None:
+    def there(line: _Line) -> None:
         z = normals(split, n_paths)
         while (request := line.receive()) is not None:
-            run(request, buffers, split, n_paths, 1, z)
-            line.send(0.0)
+            for out, sums in run(request, split, n_paths, z):
+                line.send(sums, out)
 
-    def here(buffers, line: _Line | None):
+    def here(line: _Line | None):
         """body(march) with the child holding paths [hi, n), or with no line in one process."""
         hi, z = (split if line else n_paths), None  # z: this process's normals, drawn once
 
@@ -702,23 +692,24 @@ def _march_held(n_paths: int, n_steps: int, h: float, noise, rows, marches_of, b
                 line.send(request)  # first, so the child never waits for this process's draw
                 try:
                     z = normals(0, hi) if z is None else z
-                    used = run(request, buffers, 0, hi, 0, z)
+                    ours = run(request, 0, hi, z)
                 except Exception:  # one process reruns the request below and raises it again
-                    used = 0
-                if used and line.receive() is not None:
+                    ours = []
+                # Per march, the child's per-step sums and then its F columns.
+                theirs = [line.receive(n_steps + 1 + len(out) * (n_paths - hi)) for out, _ in ours]
+                if ours and all(answer is not None for answer in theirs):
                     with np.errstate(all="ignore"):
-                        for sums in buffers[1:used:2]:
-                            sums[0] += sums[1]
-                    if all(np.isfinite(sums[0]).all() for sums in buffers[1:used:2]):
-                        return results(buffers, used)
+                        sums = [s + a[: n_steps + 1] for (_, s), a in zip(ours, theirs)]
+                    if all(np.isfinite(s).all() for s in sums):
+                        return [(np.hstack((out, a[n_steps + 1 :].reshape(len(out), -1))),
+                                 s / n_paths) for (out, _), a, s in zip(ours, theirs, sums)]
                 hi, z = n_paths, None  # the child is given up: drop this half, draw the whole
             z = normals(0, hi) if z is None else z
-            whole = [np.empty(shape) for shape in shapes]
-            return results(whole, run(request, whole, 0, hi, 0, z))
+            return [(out, sums / n_paths) for out, sums in run(request, 0, hi, z)]
 
         return body(march)
 
-    return _in_two(shapes, here, there) if split < n_paths else here(None, None)
+    return _in_two(here, there) if split < n_paths else here(None)
 
 
 def _em_functionals(marches, h: float, n_paths: int, noise) -> list[tuple]:
@@ -729,5 +720,4 @@ def _em_functionals(marches, h: float, n_paths: int, noise) -> list[tuple]:
     so a call forks at most once.
     """
     return _march_held(n_paths, len(marches[0][0]) - 1, h, noise,
-                       [len(march[4]) for march in marches],
                        lambda request: marches, lambda march: march(0.0))

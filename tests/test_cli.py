@@ -3,14 +3,13 @@
 import csv
 import errno
 import math
-import mmap
 import os
 
 import numpy as np
 import pytest
 import yaml
 
-from stackgame import cli, dynamic, numerics
+from stackgame import cli, dynamic
 from stackgame.cli import RunConfig, RunReport, emit_config, main, parse_config, run, write_report
 from stackgame.errors import ConfigurationError
 
@@ -553,7 +552,7 @@ class TestTableByHalves:
         path = tmp_path / "one.csv"
         with open(path, "w", newline="") as fh:
             csv.writer(fh).writerows([names] + [["%.12g" % v for v in row] for row in zip(*cols)])
-        monkeypatch.setattr(numerics, "_FORK_MIN_FIELDS", 1)
+        monkeypatch.setattr(cli, "_FORK_MIN_FIELDS", 1)
         return path.read_bytes()
 
     @staticmethod
@@ -578,11 +577,11 @@ class TestTableByHalves:
         monkeypatch.setattr(os, "fork", no_fork)
         assert self._written(tmp_path) == two_processes
 
-    def test_failed_mmap_writes_in_process(self, tmp_path, processes, two_processes, monkeypatch):
-        def no_memory(*args):
-            raise OSError(errno.ENOMEM, "Cannot allocate memory")
+    def test_failed_pipe_writes_in_process(self, tmp_path, processes, two_processes, monkeypatch):
+        def no_pipe():
+            raise OSError(errno.EMFILE, "Too many open files")
 
-        monkeypatch.setattr(mmap, "mmap", no_memory)
+        monkeypatch.setattr(os, "pipe", no_pipe)
         assert self._written(tmp_path) == two_processes
         assert processes.forks == []
 

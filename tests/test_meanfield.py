@@ -2,7 +2,6 @@
 
 import errno
 import math
-import mmap
 import os
 
 import numpy as np
@@ -703,14 +702,14 @@ class TestPairedMarches:
         monkeypatch.setattr(os, "fork", no_fork)
         _assert_as_oracle(min_k_meanfield(mfg, self.TINY), oracle)
 
-    def test_failed_mmap_marches_in_process(self, mfg, processes, monkeypatch):
+    def test_failed_pipe_marches_in_process(self, mfg, processes, monkeypatch):
         oracle = _bisection_oracle(mfg, self.TINY)
         processes.forks.clear()
 
-        def no_memory(*args):
-            raise OSError(errno.ENOMEM, "Cannot allocate memory")
+        def no_pipe():
+            raise OSError(errno.EMFILE, "Too many open files")
 
-        monkeypatch.setattr(mmap, "mmap", no_memory)
+        monkeypatch.setattr(os, "pipe", no_pipe)
         _assert_as_oracle(min_k_meanfield(mfg, self.TINY), oracle)
         assert processes.forks == []
 
@@ -756,13 +755,13 @@ class TestPairedMarches:
                 bad.append(march[0])
             return march
 
-        def poisoned(march, h, n_steps, buffers, lo, hi, part, z):
+        def poisoned(march, h, n_steps, lo, hi, z):
             if any(march[0] is a for a in bad):
                 z = z.copy()
                 for path, step in paths.items():
                     if lo <= path < hi:
                         z[path - lo, step - 1] = np.nan
-            stepper(march, h, n_steps, buffers, lo, hi, part, z)
+            return stepper(march, h, n_steps, lo, hi, z)
 
         monkeypatch.setattr(meanfield, "_defection_march", marked)
         monkeypatch.setattr(numerics, "_stepper", poisoned)
@@ -841,7 +840,7 @@ class TestPairedMarches:
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
                                 raising=False)
             forks.clear()
-            numerics._march_held(n_paths, n_steps, 0.1, noise, [1], None, lambda march: None)
+            numerics._march_held(n_paths, n_steps, 0.1, noise, None, lambda march: None)
             assert forks == [1] * fork
 
 

@@ -4,7 +4,6 @@ import ast
 import errno
 import itertools
 import math
-import mmap
 import os
 import re
 import subprocess
@@ -728,13 +727,32 @@ class TestTwoProcesses:
             os.waitpid(-1, os.WNOHANG)
 
     def test_child_is_killed_when_this_side_raises(self, processes):
-        def here(buffers, line):
+        def here(line):
             raise ValueError("this side failed")
 
         start = time.monotonic()
         with pytest.raises(ValueError, match="this side failed"):
-            numerics._in_two([(2,)], here, lambda buffers, line: time.sleep(60.0))
+            numerics._in_two(here, lambda line: time.sleep(60.0))
         assert time.monotonic() - start < 30.0
+        assert len(processes.forks) == 1
+
+    def test_line_carries_more_than_a_pipe_buffer(self, processes):
+        # 2^17 floats are 1 MiB, sixteen 64 KiB pipe buffers, each way.
+        values = np.random.default_rng(3).standard_normal(1 << 17)
+        values[:5] = [-0.0, np.inf, -np.inf, np.nan, 5e-324]
+
+        def there(line):  # answers only what arrived whole, so neither side waits forever
+            got = line.receive(len(values))
+            if got is not None and got.tobytes() == values.tobytes():
+                line.send(values[::-1])
+
+        def here(line):
+            line.send(values)
+            return line.receive(len(values)), line.receive()
+
+        back, after = numerics._in_two(here, there)
+        assert back is not None and back.tobytes() == values[::-1].tobytes()
+        assert after is None  # the child has ended and closed its end
         assert len(processes.forks) == 1
 
     def test_small_ensembles_and_one_cpu_stay_in_process(self, processes, monkeypatch):
@@ -774,6 +792,28 @@ class TestTwoProcesses:
             processes.forks.clear()
             self._same(_em_functionals(marches, h, n_paths, 5), want)
             assert len(processes.forks) == cpus - 1  # one fork draws and runs both marches
+
+    def test_answer_larger_than_a_pipe_buffer_is_joined(self, processes, monkeypatch):
+        # At 6,000 paths the child marches 3,008 and answers each march with
+        # their three functionals and its per-step sums: 72 KB, more than one
+        # 64 KiB pipe buffer.  The answer is joined, not given up, so this
+        # process draws only its own half.
+        marches, h, normals = self._seed_case(6000, 20)
+        want = self._one_process(processes, lambda: _functionals(marches, h, 6000, normals))
+        draw, draws = numerics._draw_rows, []
+
+        def counted(states, lo, hi, n_steps):
+            draws.append((lo, hi))
+            return draw(states, lo, hi, n_steps)
+
+        monkeypatch.setattr(numerics, "_draw_rows", counted)
+        for cpus in (1, 2):
+            processes.cpus(cpus)
+            processes.forks.clear()
+            draws.clear()
+            self._same(_em_functionals(marches, h, 6000, 5), want)
+            assert draws == ([(0, 6000)] if cpus == 1 else [(0, numerics._pairwise_split(6000))])
+            assert len(processes.forks) == cpus - 1
 
     def test_public_setter_draws_the_same_bits(self, processes, monkeypatch):
         # Where the state written in place does not read back (another numpy
@@ -875,17 +915,17 @@ class TestTwoProcesses:
         self._same(_em_functionals(marches, h, 300, 5), want)
         assert len(failed) == (failure == "child")
 
-    def test_failed_mmap_runs_in_process(self, processes, monkeypatch):
-        # Without memory to share there is no child: every call gives the
+    def test_failed_pipe_runs_in_process(self, processes, monkeypatch):
+        # Without a pipe to the child there is no child: every call gives the
         # one-process values, and none of them forks.
         marches, h, normals = self._seed_case(300, 40)
         want = self._one_process(processes, lambda: _functionals(marches, h, 300, normals))
         processes.forks.clear()
 
-        def no_memory(*args):
-            raise OSError(errno.ENOMEM, "Cannot allocate memory")
+        def no_pipe():
+            raise OSError(errno.EMFILE, "Too many open files")
 
-        monkeypatch.setattr(mmap, "mmap", no_memory)
+        monkeypatch.setattr(os, "pipe", no_pipe)
         self._same(_em_functionals(marches, h, 300, 5), want)
         self._same(_functionals(marches, h, 300, normals), want)
         assert path_normals(5, 300, 40).tobytes() == normals.tobytes()
@@ -914,8 +954,8 @@ class TestTwoProcesses:
 
 
 def test_every_fork_goes_through_in_two():
-    # The README's rule: one scoped call forks, opens the pipes and the shared
-    # mmap, and ends the child; no process pool, nothing pickled.
+    # The README's rule: one scoped call forks, opens the pipes and ends the
+    # child; no process pool, no shared memory, nothing pickled.
     class Finder(ast.NodeVisitor):
         def __init__(self, module):
             self.where, self.hits = [module], []
@@ -947,6 +987,5 @@ def test_every_fork_goes_through_in_two():
     names = {"mmap", "pickle", "multiprocessing", "concurrent", "fork", "forkpty", "pipe", "_exit"}
     forking = [(where, what) for where, what in hits
                if what.startswith("os.") or names & set(re.split(r"[ .]", what))]
-    assert sorted(forking) == [("numerics._in_two", "import mmap"),
-                               ("numerics._in_two", "os._exit"), ("numerics._in_two", "os._exit"),
+    assert sorted(forking) == [("numerics._in_two", "os._exit"), ("numerics._in_two", "os._exit"),
                                ("numerics._in_two", "os.fork"), ("numerics._in_two", "os.pipe")]
