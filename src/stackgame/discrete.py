@@ -19,7 +19,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import NoDeterrentError, ParameterError, require_finite
-from .numerics import find_root_bisect
+from .numerics import _BLOCK, find_root_bisect
 from .results import PenaltySearchResult
 
 __all__ = [
@@ -129,12 +129,6 @@ def one_shot_defection(p: DuopolyParams) -> tuple[float, float, float]:
     u0_hat = 3.0 * p.margin / (8.0 * p.b)
     J0_hat = 9.0 * p.margin**2 / (64.0 * p.b)
     return u0_hat, J0_hat, p.defection_gain
-
-
-# Points per block of the oracle's grid.  Its three 256 KiB float buffers stay
-# in a core's L2 cache, and it frees no block of 4-32 MiB, which would raise
-# glibc's mmap threshold for every later allocation in the process.
-_BLOCK = 2**15
 
 
 def _linspace_blocks(stop: float, n: int, out: np.ndarray):

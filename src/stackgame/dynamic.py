@@ -24,7 +24,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import HypothesisViolationError, NoDeterrentError, ParameterError, require_finite
+from .errors import ClosedFormOverflowError, HypothesisViolationError, NoDeterrentError
+from .errors import ParameterError, require_finite
 from .numerics import (
     AffineSystem,
     TimeGrid,
@@ -181,7 +182,7 @@ def saddle_structure(p: DynamicParams) -> SaddleStructure:
     T = p.T
     # Unknown weights (c1, c2): x1(0) = yp_x + c1 + c2 = x1_0;
     # lambda(T) = yp_l + c1 q1 e^{s1 T} + c2 q2 e^{s2 T} = 0.
-    B = np.array([[1.0, 1.0], [q1 * math.exp(s1 * T), q2 * math.exp(s2 * T)]])
+    B = np.array([[1.0, 1.0], [q1 * _exp(s1 * T), q2 * _exp(s2 * T)]])
     rhs = np.array([p.x1_0 - yp[0], -yp[1]])
     c = np.linalg.solve(B, rhs)
     cx = np.array([yp[0], c[0], c[1]])
@@ -312,11 +313,19 @@ def check_equ20_identity(p: DynamicParams, k: float, grid: TimeGrid) -> float:
     return float(np.abs(lhs - rhs).max() / scale)
 
 
+def _exp(x: float) -> float:
+    """math.exp, raising ClosedFormOverflowError where the value leaves the float range."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        raise ClosedFormOverflowError(f"e^{x:.6g} leaves the float range") from None
+
+
 def _phi(mu: float, T: float) -> float:
     """(e^{mu T} - 1)/mu with the removable singularity evaluated as T."""
     if abs(mu) < RESONANCE_TOL:
         return T
-    return (math.exp(mu * T) - 1.0) / mu
+    return (_exp(mu * T) - 1.0) / mu
 
 
 def theorem2_lhs(p: DynamicParams, k: float) -> float:

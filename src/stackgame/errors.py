@@ -56,6 +56,10 @@ class IntegrationBlowupError(StackgameError):
         super().__init__(f"non-finite state at step {step} (t={t:.6g})")
 
 
+class ClosedFormOverflowError(StackgameError):
+    """An exponential of a closed-form solution leaves the float range."""
+
+
 class IllPosedBVPError(StackgameError):
     """Singular (or numerically singular) boundary matrix in a two-point solve."""
 

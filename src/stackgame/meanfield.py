@@ -19,6 +19,7 @@ removes every explicit e^{-rt} factor from the drift terms.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass, fields
 
@@ -499,22 +500,30 @@ def mc_payoffs(
     return _estimate(j_eq), _estimate(j_def)
 
 
+def _mean_payoff(march: tuple) -> float:
+    """A payoff march's value at zero noise, without marching.
+
+    Every path is then the Euler mean itself, so its functional is exactly
+    the march's constant term sum_j c0_j; an Euler mean that leaves the
+    float range raises the zero-noise march's SimulationBlowupError.
+    """
+    *_, m, rows = march
+    if not np.isfinite(m).all():
+        raise SimulationBlowupError(path_index=0, step=int(np.argmin(np.isfinite(m))))
+    return float(rows[0][0].sum())
+
+
 def mean_payoffs(p: MfgParams, k: float, sol: MeanFieldSolution) -> tuple[float, float]:
     """Deterministic (noise-free) counterpart of mc_payoffs on the grid of sol.
 
-    mc_payoffs' two payoff marches at zero noise, without marching: every
-    path is then the Euler mean itself, so each per-path functional is
-    exactly its march's constant term sum_j c0_j, which is returned.  A
+    mc_payoffs' two payoff marches at zero noise, by _mean_payoff: a
     zero-noise Monte Carlo run gives the same numbers bit for bit, and an
     Euler mean that leaves the float range raises its SimulationBlowupError.
     """
     grid = _mc_grid(p, McConfig(n_paths=2, n_steps=sol.grid.n_steps), sol)
     marches = [_leader_march(p, sol["u0_star"], sol["xbar"], grid),
                _defection_march(p, k, sol, grid)]
-    for _, _, _, m, _ in marches:
-        if not np.isfinite(m).all():
-            raise SimulationBlowupError(path_index=0, step=int(np.argmin(np.isfinite(m))))
-    return tuple(float(rows[0][0].sum()) for *_, rows in marches)
+    return tuple(_mean_payoff(march) for march in marches)
 
 
 def _follower_drift(p: MfgParams, sol: MeanFieldSolution) -> tuple[np.ndarray, np.ndarray]:
@@ -667,7 +676,9 @@ def _search(deters, tol: float, k_max: float) -> float | None:
     It asks deters about k = 0, then max(tol, 1) and its doublings while
     they stay at or below k_max, then the midpoints of [lo, hi], where lo
     fails and hi deters, until the bracket is tol wide or its midpoint rounds
-    onto an end.  It returns hi.
+    onto an end.  It returns hi.  min_k_meanfield runs it twice, through
+    _search_ahead: on the pilot's zero-noise verdict, then on the Monte Carlo
+    verdict, which alone decides the result.
     """
     if deters(0.0):
         return 0.0
@@ -679,6 +690,39 @@ def _search(deters, tol: float, k_max: float) -> float | None:
     while hi - lo > tol and lo < (mid := 0.5 * (lo + hi)) < hi:
         lo, hi = (lo, mid) if deters(mid) else (mid, hi)
     return hi
+
+
+def _search_ahead(foresee, ask, deters, tol: float, k_max: float) -> tuple:
+    """_search on deters(k, answer), with the rates a pilot foresees asked ahead in one request.
+
+    The pilot is _search on foresee(k), a verdict that needs no march; any
+    error ends it.  The rates it asked about, in its order, go to ask as one
+    tuple, and ask(rates) returns {rate: answer}.  The search then reads
+    each rate's answer from that request; a rate the pilot did not ask (a
+    miss), or every rate if the request raised, is asked alone, so nothing
+    is guessed after a miss.  The search gives deters only the rates it
+    reads, in its own order, so its result and its errors are _search's.
+    Returns the search's rate, the pilot's (None if it ended without one),
+    and {"requests": how many requests were sent, "marched": their rates in
+    order, "discarded": the rates marched and never read}.
+    """
+    foreseen, sent, discarded = [], [], []
+
+    def request(rates: tuple) -> dict:
+        sent.append(rates)
+        return ask(rates)
+
+    try:
+        k_hat = _search(lambda k: foreseen.append(k) or foresee(k), tol, k_max)
+    except Exception:  # the pilot only predicts: the search meets any error itself
+        k_hat = None
+    try:
+        held = request(tuple(foreseen)) if foreseen else {}
+    except Exception:  # an unread rate may not raise: the search asks its rates alone
+        held, discarded = {}, foreseen
+    k_min = _search(lambda k: deters(k, held.pop(k) if k in held else request((k,))[k]), tol, k_max)
+    return k_min, k_hat, {"requests": len(sent), "marched": [k for r in sent for k in r],
+                          "discarded": discarded + list(held)}
 
 
 def min_k_meanfield(
@@ -700,18 +744,24 @@ def min_k_meanfield(
     margin (J_eq - 3 SE) - (J_def + 3 SE) and the growth margin
     (r + k)/2 - 1e-6 - slope.  The bisection trace is checked for
     monotone-decreasing defection payoffs (up to 6 SE slack, two estimates).
-    Each distinct k is marched once; details["trace"] keeps one
-    (k, mean, stderr) row per evaluated k plus one more each for k = 0 and
-    k_min (three k = 0 rows when k_min = 0), and details["satisfied"] maps
-    each k to the search's verdict on it.  A certified rate above k_max
-    raises NoDeterrentError.  A given sol must have been solved on the Monte
-    Carlo grid.
+    Each rate the search reads is marched once, and the pilot's other rates
+    are discarded; details["trace"] keeps one (k, mean, stderr) row per
+    evaluated k plus one more each for k = 0 and k_min (three k = 0 rows
+    when k_min = 0), and details["satisfied"] maps each k to the search's
+    verdict on it.  A certified rate above k_max raises NoDeterrentError.  A
+    given sol must have been solved on the Monte Carlo grid.
 
-    Every requested rate is marched in turn, in one _march_held session on
-    mc.seed's normals: from 2^20 normals on two CPUs, one forked child
-    draws and holds half of the paths for the whole search and marches each
-    rate on them while this process marches the other half.  The first
-    request, k = 0, also marches the equilibrium payoff.
+    The rates are marched ahead (_search_ahead): a pilot runs the same
+    bisection on the zero-noise verdict, both margins with SE = 0 from the
+    marches' Euler means and their constant terms (_mean_payoff), which
+    draws nothing, and every rate it visits goes out in one request, with
+    the equilibrium march at k = 0, whose marches _stepper steps together.
+    details["pilot_k"] is the pilot's rate and details["marches"] counts the
+    requests and lists the rates marched and those discarded unread.  The
+    requests run in one _march_held session on mc.seed's normals: from 2^20
+    normals on two CPUs, one forked child draws and holds half of the paths
+    for the whole search and marches each request on them while this
+    process marches the other half.
     """
     require_positive(tol=tol, k_max=k_max)
     if mc.n_steps < 3:
@@ -726,10 +776,26 @@ def min_k_meanfield(
     verdict: dict[float, bool] = {}
     j_eq = None
 
-    def marches(k: float) -> list[tuple]:
-        """k's defection march, after the equilibrium march on the first request, k = 0."""
-        leader = [_leader_march(p, sol["u0_star"], sol["xbar"], grid)] if k == 0.0 else []
-        return leader + [_defection_march(p, k, sol, grid)]
+    @functools.cache
+    def build(k: float | None) -> tuple:
+        """k's defection march, or with k None the equilibrium march, built once."""
+        return (_leader_march(p, sol["u0_star"], sol["xbar"], grid) if k is None
+                else _defection_march(p, k, sol, grid))
+
+    def marches(rates: tuple) -> list[tuple]:
+        """Each rate's defection march, after the equilibrium march at k = 0."""
+        return [build(key) for k in rates for key in ((None, k) if k == 0.0 else (k,))]
+
+    def margins_of(k: float, jd: McEstimate, mean: np.ndarray, eq: McEstimate) -> tuple:
+        """(payoff margin, growth margin) of k, and the growth slope."""
+        _, slope = growth_order_check(times, mean, p.r + k)
+        return ((eq.mean - 3.0 * eq.stderr) - (jd.mean + 3.0 * jd.stderr),
+                (p.r + k) / 2.0 - _GROWTH_MARGIN - slope), slope
+
+    def foresee(k: float) -> bool:
+        """The pilot's verdict on k: both margins at zero noise."""
+        eq, jd = (McEstimate(_mean_payoff(build(key)), 0.0) for key in (None, k))
+        return all(m > 0.0 for m in margins_of(k, jd, build(k)[3], eq)[0])
 
     def deters(k: float, marched: list[tuple]) -> bool:
         """Records k's marches, the equilibrium's too at k = 0, and gives the verdict on k."""
@@ -738,15 +804,18 @@ def min_k_meanfield(
         if leader:
             j_eq = _estimate(leader[0][0][0])
         jd = _estimate(samples)
-        _, slope = growth_order_check(times, mean, p.r + k)
-        margins[k] = ((j_eq.mean - 3.0 * j_eq.stderr) - (jd.mean + 3.0 * jd.stderr),
-                      (p.r + k) / 2.0 - _GROWTH_MARGIN - slope)
+        margins[k], slope = margins_of(k, jd, mean, j_eq)
         evaluated[k] = jd, slope
         verdict[k] = margins[k][0] > 0.0 and margins[k][1] > 0.0
         return verdict[k]
 
-    k_min = _march_held(mc.n_paths, mc.n_steps, grid.h, _noise(mc), marches,
-                        lambda march: _search(lambda k: deters(k, march(k)), tol, k_max))
+    def ask(march, rates: tuple) -> dict:
+        answers = iter(march(rates))
+        return {k: [next(answers) for _ in range(1 + (k == 0.0))] for k in rates}
+
+    k_min, pilot_k, asked = _march_held(
+        mc.n_paths, mc.n_steps, grid.h, _noise(mc), marches,
+        lambda march: _search_ahead(foresee, lambda rates: ask(march, rates), deters, tol, k_max))
     if k_min is None:
         raise NoDeterrentError(f"defection stays profitable up to k = {k_max:g}")
     if k_min > k_max:
@@ -775,6 +844,8 @@ def min_k_meanfield(
             "trace": ordered,
             "satisfied": verdict,
             "margins": margins,
+            "pilot_k": pilot_k,
+            "marches": asked,
             "warnings": warnings,
         },
     )

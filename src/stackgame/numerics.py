@@ -13,9 +13,12 @@ this process may use only one CPU, it runs this process's side alone.
 _march_held splits a large ensemble there at numpy's own pairwise-sum
 split, so the halves' per-step sums add up to the one-process sum bit for
 bit: each process draws and keeps the normals of its own half, every
-march request goes to the child as a float, so a threshold search forks
-once, and the child answers each request on its line with its paths'
-functionals F and per-step sums.  cli._write_table has the child format
+march request goes to the child as its length and its floats, so a
+threshold search forks once, and the child answers each request on its
+line with its paths' functionals F and per-step sums.  _stepper is the
+one step loop: it steps a request's marches together as one (K, m) state,
+in groups that stay in a core's L2 cache, with the bits of one march at a
+time.  cli._write_table has the child format
 half of a large table's rows and write them into the file at the offset
 this process sends.  A failed pipe or fork, or a child that does not
 answer, leaves the work to this process, so every value, byte and error
@@ -367,6 +370,11 @@ def find_root_bisect(f, lo: float, hi: float, tol: float) -> float:
     return 0.5 * (lo + hi)
 
 
+# Floats in one working buffer of a blocked loop: the discrete oracle's blocks
+# and a stacked march's (K, m) state.  A 256 KiB buffer stays in a core's L2
+# cache, and no block of 4-32 MiB is freed, which would raise glibc's mmap
+# threshold for every later allocation in the process.
+_BLOCK = 2**15
 _NORMALS_BLOCK = 256
 # A fork costs 2-6 ms on a 2-vCPU VM; the README times the work that pays for it.
 # A seeded one-row march there, one process against two, won by two in 4 rounds
@@ -568,10 +576,10 @@ def euler_mean(alpha: np.ndarray, beta: np.ndarray, x0: float, h: float) -> np.n
     return _affine_recurrence(*_euler_factors(alpha, beta, h), x0)
 
 
-def _stepper(march, h: float, n_steps: int, lo: int, hi: int, z) -> tuple[np.ndarray, np.ndarray]:
-    """One streamed Euler-Maruyama march of paths [lo, hi), keeping per-path quadratic functionals.
+def _stepper(marches, h: float, n_steps: int, lo: int, hi: int, z) -> list[tuple]:
+    """Streamed Euler-Maruyama marches of paths [lo, hi), keeping per-path quadratic functionals.
 
-    The march (alpha, beta, x0, center, coef) starts every path at x0 and
+    Each march (alpha, beta, x0, center, coef) starts every path at x0 and
     steps
         x_{j+1} = a_j x_j + b_j + sqrt(max(0, x_j (1 - x_j))) sqrt(h) Z_j,
     with euler_mean's factors a_j = 1 + alpha_j h and b_j = beta_j h, so a
@@ -583,24 +591,46 @@ def _stepper(march, h: float, n_steps: int, lo: int, hi: int, z) -> tuple[np.nda
     over all nodes while it marches, and stores no path array.  Per-path
     outputs depend only on that path's normals, and no input is written to.
 
-    The paths' normals z are (hi - lo, n_steps) with contiguous columns, or
-    None for no noise.  Returns the paths' F (K, hi - lo) and their per-step
-    sums (n_steps + 1,).  It raises SimulationBlowupError at the first step
-    that leaves a path non-finite, naming the first such path.
+    Consecutive marches with the same rows (their count, and which c1 and c2
+    are zero) step together as one (K, m) state, m = hi - lo, in groups of
+    K <= _BLOCK // m, so that a group's buffers stay in a core's L2 cache.
+    Their factors, centres and coefficients are (K, 1) columns and Z_j is
+    broadcast over the K rows, so every element sees one march's operations
+    in the same order, and the per-step sums x.sum(axis=1) are each row's
+    own pairwise sum: every value is the one of marching them one at a time.
+
+    The paths' normals z are (m, n_steps) with contiguous columns, or None
+    for no noise.  Returns per march its paths' F (len(coef), m) and their
+    per-step sums (n_steps + 1,).  As if marching one at a time, it raises
+    the SimulationBlowupError of the first march with a step that leaves a
+    path non-finite, naming that step and the first such path.
     """
-    alpha, beta, x0, center, coef = march
-    if len(alpha) != n_steps + 1:
-        raise ParameterError(f"a march has {len(alpha)} nodes, the first one {n_steps + 1}")
-    coef = np.asarray(coef, dtype=float)
-    out = np.repeat(coef[:, 0].sum(axis=1)[:, None], hi - lo, axis=1)
-    rows = [(out[k], c1.tolist() if c1.any() else None, c2.tolist() if c2.any() else None)
-            for k, (c1, c2) in enumerate(zip(coef[:, 1], coef[:, 2])) if c1.any() or c2.any()]
-    drift_a, drift_b = _euler_factors(alpha, beta, h)
-    centers = center.tolist()
+    coefs = [np.asarray(march[4], dtype=float) for march in marches]
+    shapes = [(len(c), c[:, 1:].any(axis=2).tobytes()) for c in coefs]
+    group = min(next((i for i, s in enumerate(shapes) if s != shapes[0]), len(marches)),
+                max(1, _BLOCK // (hi - lo)))
+    if group < len(marches):
+        return (_stepper(marches[:group], h, n_steps, lo, hi, z)
+                + _stepper(marches[group:], h, n_steps, lo, hi, z))
+    for alpha, *_ in marches:
+        if len(alpha) != n_steps + 1:
+            raise ParameterError(f"a march has {len(alpha)} nodes, the first one {n_steps + 1}")
+
+    def columns(rows) -> list:  # K arrays over nodes or steps -> per node a (K, 1) column,
+        # or for one march a float, which costs a step no more than the one-march loop did
+        nodes = np.ascontiguousarray(np.array(rows).T)
+        return nodes[:, 0].tolist() if len(rows) == 1 else list(nodes[:, :, None])
+
+    drift_a, drift_b = map(columns, zip(*(_euler_factors(a, b, h) for a, b, *_ in marches)))
+    centers = columns([march[3] for march in marches])
+    coef = np.stack(coefs)  # (K, rows, 3, nodes)
+    out = np.stack([np.repeat(c[:, 0].sum(axis=1)[:, None], hi - lo, axis=1) for c in coefs])
+    rows = [(out[:, k], *(columns(c) if c.any() else None for c in coef[:, k, 1:].swapaxes(0, 1)))
+            for k in range(coef.shape[1]) if coef[:, k, 1:].any()]
     sqrt_h = math.sqrt(h)
-    sums = np.empty(n_steps + 1)
-    x, x_next, d, tmp = (np.empty(hi - lo) for _ in range(4))
-    x.fill(float(x0))
+    sums = np.empty((n_steps + 1, len(marches)))
+    x, x_next, d, tmp = (np.empty((len(marches), hi - lo)) for _ in range(4))
+    x[:] = np.array([float(march[2]) for march in marches])[:, None]
 
     def add_node(j: int) -> None:
         np.subtract(x, centers[j], out=d)
@@ -614,7 +644,7 @@ def _stepper(march, h: float, n_steps: int, lo: int, hi: int, z) -> tuple[np.nda
                 np.multiply(tmp, d, out=tmp)
             acc += tmp
 
-    sums[0] = x.sum()
+    x.sum(axis=1, out=sums[0])
     add_node(0)
     for j in range(n_steps):
         np.multiply(x, drift_a[j], out=x_next)
@@ -628,49 +658,53 @@ def _stepper(march, h: float, n_steps: int, lo: int, hi: int, z) -> tuple[np.nda
             tmp *= z[:, j]
             x_next += tmp
         x, x_next = x_next, x
-        total = sums[j + 1] = x.sum()
-        if not math.isfinite(total):
-            bad = np.flatnonzero(~np.isfinite(x))
-            if bad.size:
-                raise SimulationBlowupError(path_index=lo + int(bad[0]), step=j + 1)
+        if not all(map(math.isfinite, x.sum(axis=1, out=sums[j + 1]).tolist())):
+            bad = ~np.isfinite(x).all(axis=1)
+            if bad.any():
+                k = int(np.argmax(bad))
+                error = SimulationBlowupError(
+                    path_index=lo + int(np.argmax(~np.isfinite(x[k]))), step=j + 1)
+                if k:  # an earlier march may leave the float range at a later step
+                    _stepper(marches[:k], h, n_steps, lo, hi, z)
+                raise error
         add_node(j + 1)
-    return out, sums
+    return list(zip(out, sums.T))
 
 
 def _march_held(n_paths: int, n_steps: int, h: float, noise, marches_of, body):
     """body(march), where march(request) runs the marches marches_of(request) on one noise.
 
-    A request is a float.  marches_of(request) gives _stepper's marches on
-    n_steps steps, and march(request) returns, per march, F (K, n_paths)
-    and the per-node ensemble mean.  Every march reads the same normals Z
-    (n_paths, n_steps), given by noise: None switches the noise off, and an
-    int seed stands for path_normals(seed, n_paths, n_steps), whose rows
-    are drawn once, each by the process that marches them.
+    A request is a tuple of floats.  marches_of(request) gives _stepper's
+    marches on n_steps steps, and march(request) returns, per march, F
+    (rows, n_paths) and the per-node ensemble mean.  Every march reads the same
+    normals Z (n_paths, n_steps), given by noise: None switches the noise
+    off, and an int seed stands for path_normals(seed, n_paths, n_steps),
+    whose rows are drawn once, each by the process that marches them.
 
     From _FORK_MIN_PATHS paths, or with a seed from _FORK_MIN_DRAWS normals
     on, with more than _PAIRWISE_BLOCK paths, one _in_two runs the whole
     body, however many requests it makes.  Where it makes a child, this
     process holds paths [0, s) of the noise and the child holds [s, n), s =
-    _pairwise_split(n).  Each request goes to the child over its line as
-    the float it is; both march their paths, the child answers on its line
-    with each march's F columns and per-step sums, and this process puts
-    the child's columns after its own and adds the child's sums to its own.
-    A failed pipe or fork, a half that raised, a child that ended without
-    answering or a joined sum that is not finite (an overflow that only
-    the whole sum may see) leaves the rest of the body to this process
-    alone, which draws all the normals and reruns the request, so every
-    value and every error is the one-process one.  SimulationBlowupError
-    names the first step that leaves a path non-finite and the first such
-    path, in the first march that has one.
+    _pairwise_split(n).  Each request goes to the child over its line as its
+    length and then its floats; both march their paths, the child answers
+    on its line with each march's F columns and per-step sums, and this
+    process puts the child's columns after its own and adds the child's
+    sums to its own.  A failed pipe or fork, a half that raised, a child
+    that ended without answering or a joined sum that is not finite (an
+    overflow that only the whole sum may see) leaves the rest of the body to
+    this process alone, which draws all the normals and reruns the request,
+    so every value and every error is the one-process one.
+    SimulationBlowupError names the first step that leaves a path
+    non-finite and the first such path, in the first march that has one.
     """
     states = None if noise is None else _path_states(noise, n_paths, n_steps)
 
     def normals(lo: int, hi: int) -> np.ndarray | None:
         return None if states is None else _draw_rows(states, lo, hi, n_steps)
 
-    def run(request: float, lo: int, hi: int, z) -> list[tuple]:
+    def run(request: tuple, lo: int, hi: int, z) -> list[tuple]:
         """The (F, per-step sums) of the request's marches on paths [lo, hi)."""
-        return [_stepper(march, h, n_steps, lo, hi, z) for march in marches_of(request)]
+        return _stepper(marches_of(request), h, n_steps, lo, hi, z)
 
     fork = n_paths > _PAIRWISE_BLOCK and (n_paths >= _FORK_MIN_PATHS or (
         states is not None and n_paths * n_steps >= _FORK_MIN_DRAWS))
@@ -678,18 +712,20 @@ def _march_held(n_paths: int, n_steps: int, h: float, noise, marches_of, body):
 
     def there(line: _Line) -> None:
         z = normals(split, n_paths)
-        while (request := line.receive()) is not None:
-            for out, sums in run(request, split, n_paths, z):
+        while (size := line.receive()) is not None and (
+                request := line.receive(int(size))) is not None:
+            for out, sums in run(tuple(np.atleast_1d(request).tolist()), split, n_paths, z):
                 line.send(sums, out)
 
     def here(line: _Line | None):
         """body(march) with the child holding paths [hi, n), or with no line in one process."""
         hi, z = (split if line else n_paths), None  # z: this process's normals, drawn once
 
-        def march(request: float) -> list[tuple]:
+        def march(request: tuple) -> list[tuple]:
             nonlocal hi, z
             if hi < n_paths:
-                line.send(request)  # first, so the child never waits for this process's draw
+                # First, so the child never waits for this process's draw.
+                line.send(len(request), *request)
                 try:
                     z = normals(0, hi) if z is None else z
                     ours = run(request, 0, hi, z)
@@ -720,4 +756,4 @@ def _em_functionals(marches, h: float, n_paths: int, noise) -> list[tuple]:
     so a call forks at most once.
     """
     return _march_held(n_paths, len(marches[0][0]) - 1, h, noise,
-                       lambda request: marches, lambda march: march(0.0))
+                       lambda request: marches, lambda march: march((0.0,)))

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import yaml
 
 from stackgame import dynamic
 from stackgame.dynamic import (
@@ -18,7 +19,14 @@ from stackgame.dynamic import (
     system_matrix,
     theorem2_lhs,
 )
-from stackgame.errors import HypothesisViolationError, NoDeterrentError, ParameterError
+from stackgame.cli import main
+from stackgame.errors import (
+    ClosedFormOverflowError,
+    HypothesisViolationError,
+    NoDeterrentError,
+    ParameterError,
+    StackgameError,
+)
 from stackgame.numerics import TimeGrid
 
 from conftest import per_call_defection_payoff
@@ -291,6 +299,35 @@ class TestMinK:
         p = DynamicParams(a=10.0, b=1.0, cbar1=2.0, gamma=0.0, delta=0.1, r=0.05, T=10.0)
         res = min_k_dynamic(p)
         assert res.k_min > 0.0
+
+
+class TestLongHorizon:
+    """On the benchmark parameters e^{(2 s2 - r) T} leaves the float range from T = 3300
+    (theorem2_lhs) and e^{s2 T} from T = 5300 (saddle_structure): a StackgameError, exit 3."""
+
+    def test_overflow_raises_a_stackgame_error(self):
+        assert theorem2_lhs(DynamicParams(**BENCH, T=3200.0), 0.1) > 0.0
+        assert issubclass(ClosedFormOverflowError, StackgameError)
+        assert not issubclass(ClosedFormOverflowError, ArithmeticError)
+        at_3300, at_5300 = DynamicParams(**BENCH, T=3300.0), DynamicParams(**BENCH, T=5300.0)
+        saddle_structure(at_3300)
+        for call in (lambda: theorem2_lhs(at_3300, 0.1), lambda: min_k_dynamic(at_3300),
+                     lambda: saddle_structure(at_5300), lambda: theorem2_lhs(at_5300, 0.1),
+                     lambda: equilibrium_trajectories(at_5300, TimeGrid(0.0, 5300.0, 100))):
+            with pytest.raises(ClosedFormOverflowError, match="leaves the float range"):
+                call()
+
+    @pytest.mark.parametrize("T, actions", [
+        (3300.0, ["threshold-k"]), (5300.0, ["threshold-k", "equilibrium", "verify"]),
+    ])
+    def test_cli_exits_3(self, tmp_path, capsys, T, actions):
+        cfg = tmp_path / "dynamic.yaml"
+        cfg.write_text(yaml.safe_dump({"params": {**BENCH, "T": T}}))
+        for action in actions:
+            assert main(["dynamic", action, "--config", str(cfg), "--steps", "2000",
+                         "--out", str(tmp_path / action)]) == 3
+            assert "leaves the float range" in capsys.readouterr().err
+            assert not (tmp_path / action).exists()
 
 
 class TestParamValidation:

@@ -478,6 +478,8 @@ class TestMinK:
 
     def test_one_march_per_distinct_rate(self, mfg, monkeypatch):
         # k = 0 and k_min are evaluated twice each; the trace keeps both rows.
+        # Each rate is built and marched once: the pilot's nine, of which the
+        # search reads seven and discards two, and the search's two misses.
         calls = []
         march = meanfield._defection_march
         monkeypatch.setattr(meanfield, "_defection_march",
@@ -485,8 +487,12 @@ class TestMinK:
         res = min_k_meanfield(mfg, McConfig(n_paths=200, n_steps=50, seed=3), tol=0.01)
         assert res.k_min == 0.4140625
         assert len(res.details["trace"]) == 11
-        assert len(calls) == len(set(calls)) == 9
-        assert sorted(res.details["satisfied"]) == sorted(calls)
+        assert len(calls) == len(set(calls)) == 11
+        marches = res.details["marches"]
+        assert marches["marched"] == calls and marches["requests"] == 3
+        assert marches["discarded"] == [0.390625, 0.3828125]
+        assert sorted(res.details["satisfied"]) == sorted(set(calls) - {0.390625, 0.3828125})
+        assert len(res.details["satisfied"]) == 9
 
     def test_bisection_ends_below_the_float_spacing(self):
         # At tol = 1e-300 the bracket narrows to two neighbouring floats,
@@ -581,6 +587,73 @@ class TestMinK:
         with pytest.raises(ParameterError, match="grid"):
             min_k_meanfield(mfg, McConfig(n_paths=200, n_steps=50, seed=3), sol=sol)
 
+    @pytest.mark.parametrize("off", [0, 10, -10, 200, -200])
+    def test_piloted_search_is_the_bisection(self, off):
+        # The pilot's threshold is `off` cells of the search's grid (1/128 at
+        # tol = 0.01) from the real one.  The search reads the bisection's
+        # rates in its order, and marches those and the rates of the first
+        # request it does not read: at most twice the bisection's count.
+        threshold, cell = 0.3828125 + 1e-9, 1.0 / 128
+        plain, asked, read = [], [], []
+        k_min = meanfield._search(lambda k: plain.append(k) or k >= threshold, 0.01, 1000.0)
+
+        def ask(rates):
+            asked.append(rates)
+            return {k: k >= threshold for k in rates}
+
+        got, k_hat, marches = meanfield._search_ahead(
+            lambda k: k >= threshold + off * cell, ask, lambda k, ok: read.append(k) or ok,
+            0.01, 1000.0)
+        marched = [k for rates in asked for k in rates]
+        assert got == k_min == 0.390625 and read == plain
+        assert k_hat == meanfield._search(lambda k: k >= threshold + off * cell, 0.01, 1000.0)
+        assert marches == {"requests": len(asked), "marched": marched,
+                           "discarded": [k for k in asked[0] if k not in read]}
+        assert len(marched) == len(set(marched)) == len(plain) + len(marches["discarded"])
+        assert len(marched) <= 2 * len(plain)
+        if off == 0:
+            assert asked == [tuple(plain)]
+        else:  # the search misses and asks the rest of its rates alone
+            assert len(asked) > 1
+
+    def test_zero_noise_search_is_its_own_pilot(self, mfg):
+        # Without noise every path is the Euler mean and every SE is 0, so each
+        # Monte Carlo verdict is the pilot's: one request, nothing discarded.
+        for n_steps, k_min in [(50, 0.390625), (1000, 0.3828125)]:
+            mc = McConfig(n_paths=2, n_steps=n_steps, zero_noise=True)
+            res = min_k_meanfield(mfg, mc)
+            sol = mean_field_bvp(mfg, TimeGrid(0.0, mfg.T, n_steps))
+            assert res.k_min == res.details["pilot_k"] == k_min
+            assert res.details["marches"]["requests"] == 1
+            assert res.details["marches"]["discarded"] == []
+            assert (res.j_star, res.j_tilde_at_k) == mean_payoffs(mfg, res.k_min, sol)
+
+    def test_errors_ahead_of_the_search_are_not_raised(self):
+        # A pilot that raises stops predicting, and a first request that raises
+        # leaves every rate the search reads to a request of its own.
+        threshold = 0.3828125 + 1e-9
+        plain = []
+        k_min = meanfield._search(lambda k: plain.append(k) or k >= threshold, 0.01, 1000.0)
+
+        def foresee(k):
+            if k == 0.375:
+                raise SimulationBlowupError(path_index=0, step=1)
+            return k >= threshold
+
+        def ask(rates):
+            if len(rates) > 1:
+                raise FloatingPointError("overflow")
+            return {rates[0]: rates[0] >= threshold}
+
+        for pilot, request in [(foresee, lambda rates: {k: k >= threshold for k in rates}),
+                               (lambda k: k >= threshold, ask)]:
+            read = []
+            got, _, marches = meanfield._search_ahead(
+                pilot, request, lambda k, ok: read.append(k) or ok, 0.01, 1000.0)
+            assert got == k_min and read == plain
+        assert marches["requests"] == 1 + len(plain)
+        assert marches["discarded"] == plain  # the pilot was right: it asked the same rates
+
     def test_margins_give_the_verdict(self, mfg):
         # Exact: x - y > 0 exactly when y < x, so the margins carry the verdict.
         for seed in range(20):
@@ -665,6 +738,8 @@ def _bisection_oracle(p, mc, tol=0.01, k_max=1000.0):
 def _assert_as_oracle(res, oracle):
     details = dict(res.details)
     margins = details.pop("margins")
+    details.pop("pilot_k")
+    details.pop("marches")
     assert list(margins) == list(details["satisfied"]) == list(oracle.details["satisfied"])
     assert PenaltySearchResult(res.k_min, res.j_star, res.j_tilde_at_k, res.deterred,
                                details) == oracle
@@ -677,9 +752,12 @@ class TestPairedMarches:
     TINY = McConfig(n_paths=200, n_steps=50, seed=3)  # this process marches paths 0..95
 
     @pytest.mark.parametrize("n_paths, n_steps, seeds", [
-        (200, 50, range(6)), (2000, 400, (42, 7)),
+        (200, 50, range(20)), (2000, 400, (0, 1, 9, 14, 15, 19, 42, 7)),
     ])
     def test_one_cpu_and_two_match_the_bisection(self, mfg, processes, n_paths, n_steps, seeds):
+        # The pilot misses at 17 of these 20 seeds at 200 x 50, and at each of
+        # the 2000 x 400 seeds but 42 and 7, discarding one to four rates.
+        missed = []
         for seed in seeds:
             mc = McConfig(n_paths=n_paths, n_steps=n_steps, seed=seed)
             processes.cpus(1)
@@ -688,10 +766,12 @@ class TestPairedMarches:
             assert processes.forks == []
             processes.cpus(2)
             two = min_k_meanfield(mfg, mc)
-            assert len(processes.forks) == 1  # one child for all 10 marches
+            assert len(processes.forks) == 1  # one child for every request
             processes.forks.clear()
             assert two == one
             _assert_as_oracle(two, oracle)
+            missed += [seed] * (two.details["marches"]["requests"] > 1)
+        assert len(missed) == {200: 17, 2000: 6}[n_paths]
 
     def test_failed_fork_marches_in_process(self, mfg, processes, monkeypatch):
         oracle = _bisection_oracle(mfg, self.TINY)
@@ -729,7 +809,9 @@ class TestPairedMarches:
         assert len(failed) == 1
 
     def test_child_exiting_mid_search_marches_in_process(self, mfg, processes, monkeypatch):
-        # The child serves k = 0 and k = 1, then ends while it builds the march of k = 0.5.
+        # The child ends while it builds the marches of the pilot's one request,
+        # at k = 0.5, its third rate; this process marches that request and the
+        # search's single-rate requests alone.
         oracle = _bisection_oracle(mfg, self.TINY)
         assert list(oracle.details["satisfied"])[:3] == [0.0, 1.0, 0.5]
         processes.forks.clear()
@@ -755,13 +837,17 @@ class TestPairedMarches:
                 bad.append(march[0])
             return march
 
-        def poisoned(march, h, n_steps, lo, hi, z):
-            if any(march[0] is a for a in bad):
-                z = z.copy()
-                for path, step in paths.items():
-                    if lo <= path < hi:
-                        z[path - lo, step - 1] = np.nan
-            return stepper(march, h, n_steps, lo, hi, z)
+        def poisoned(marches, h, n_steps, lo, hi, z):
+            out = []
+            for march in marches:  # one at a time, the poisoned march on its own noise
+                noise = z
+                if any(march[0] is a for a in bad):
+                    noise = z.copy()
+                    for path, step in paths.items():
+                        if lo <= path < hi:
+                            noise[path - lo, step - 1] = np.nan
+                out += stepper([march], h, n_steps, lo, hi, noise)
+            return out
 
         monkeypatch.setattr(meanfield, "_defection_march", marked)
         monkeypatch.setattr(numerics, "_stepper", poisoned)
@@ -779,6 +865,23 @@ class TestPairedMarches:
                         min_k_meanfield(mfg, self.TINY)
                     assert (err.value.path_index, err.value.step) == first
         assert len(processes.forks) == 4
+
+    def test_blowup_at_a_discarded_rate_raises_nothing(self, mfg, processes, monkeypatch):
+        # The pilot asks about k = 0.390625, which the search never reads at
+        # seed 3; its march blows up in both halves, and the search still
+        # gives the bisection's result, with every rate it reads asked alone.
+        oracle = _bisection_oracle(mfg, self.TINY)
+        assert 0.390625 in min_k_meanfield(mfg, self.TINY).details["marches"]["discarded"]
+        processes.forks.clear()
+        self._poison(monkeypatch, 0.390625, {17: 30, 150: 20})
+        for cpus in (1, 2):
+            processes.cpus(cpus)
+            res = min_k_meanfield(mfg, self.TINY)
+            _assert_as_oracle(res, oracle)
+            marches = res.details["marches"]
+            assert marches["requests"] == 1 + len(res.details["satisfied"])
+            assert 0.390625 in marches["discarded"]
+        assert len(processes.forks) == 1
 
     @pytest.mark.parametrize("case", ["k_max", "profitable", "leader", "march"])
     def test_no_child_is_left(self, mfg, mfg_kwargs, processes, monkeypatch, case):

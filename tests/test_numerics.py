@@ -588,6 +588,124 @@ def _split_rows(c):
     return [c, c * [[1.0], [1.0], [0.0]], c * [[0.0], [0.0], [1.0]]]
 
 
+def _one_march(march, h, n_steps, lo, hi, z):
+    """Oracle for numerics._stepper: the step loop of a single march, its factors as Python floats.
+
+    Returns the march's (F, per-step sums); raises SimulationBlowupError at
+    the first step that leaves a path non-finite, naming the first such path.
+    """
+    alpha, beta, x0, center, coef = march
+    coef = np.asarray(coef, dtype=float)
+    out = np.repeat(coef[:, 0].sum(axis=1)[:, None], hi - lo, axis=1)
+    rows = [(out[k], c1.tolist() if c1.any() else None, c2.tolist() if c2.any() else None)
+            for k, (c1, c2) in enumerate(zip(coef[:, 1], coef[:, 2])) if c1.any() or c2.any()]
+    drift_a, drift_b = (1.0 + alpha[:-1] * h).tolist(), (beta[:-1] * h).tolist()
+    centers, sqrt_h = center.tolist(), math.sqrt(h)
+    sums = np.empty(n_steps + 1)
+    x = np.full(hi - lo, float(x0))
+
+    def add_node(j):
+        d = x - centers[j]
+        for acc, c1, c2 in rows:
+            if c2 is None:
+                acc += d * c1[j]
+            elif c1 is None:
+                acc += d * c2[j] * d
+            else:
+                acc += (d * c2[j] + c1[j]) * d
+
+    sums[0] = x.sum()
+    add_node(0)
+    for j in range(n_steps):
+        x_next = x * drift_a[j] + drift_b[j]
+        if z is not None:
+            x_next += np.sqrt(np.maximum(0.0, (1.0 - x) * x)) * sqrt_h * z[:, j]
+        x = x_next
+        sums[j + 1] = x.sum()
+        if not math.isfinite(sums[j + 1]):
+            bad = np.flatnonzero(~np.isfinite(x))
+            if bad.size:
+                raise SimulationBlowupError(path_index=lo + int(bad[0]), step=j + 1)
+        add_node(j + 1)
+    return out, sums
+
+
+class TestStackedMarches:
+    """_stepper steps consecutive marches of one shape as one (K, m) state, at most
+    _BLOCK // m of them at a time; every value and error is one march's at a time."""
+
+    N_STEPS = 40
+
+    @classmethod
+    def _marches(cls, kind, K=10):
+        """K marches of one kind, each with its own drift, start and centre."""
+        grid, alpha, beta, _, _, m, (c,), _ = _kernel_case(n_paths=2, n_steps=cls.N_STEPS)
+        zero = np.zeros_like(m)
+        coef = {"payoff": [c], "split": _split_rows(c), "feedback": [[zero, c[1], zero]]}[kind]
+        return [((1.0 + 0.1 * i) * alpha, beta - 0.05 * i, 0.5 - 0.02 * i, m + 0.01 * i, coef)
+                for i in range(K)], grid.h
+
+    @pytest.mark.parametrize("m", [129, 1001, 4999, 5000, 8193, 10_000, 16_384, 16_385, 20_000])
+    def test_row_sums_are_each_rows_own_sum(self, m):
+        # The per-step sums of a stacked state are x.sum(axis=1); each must
+        # have the bits of the row's own pairwise sum.
+        rng = np.random.default_rng(m)
+        x = rng.standard_normal((7, m)) * np.exp(rng.uniform(-20.0, 20.0, (7, m)))
+        out = np.empty((7, 3))
+        x.sum(axis=1, out=out[:, 1])
+        assert [row.sum() for row in x] == out[:, 1].tolist()
+
+    @pytest.mark.parametrize("m", [129, 4999, 5000])
+    @pytest.mark.parametrize("kind", ["payoff", "split", "feedback"])
+    @pytest.mark.parametrize("group", [1, 3, 10, None])
+    def test_matches_one_march_at_a_time(self, monkeypatch, m, kind, group):
+        marches, h = self._marches(kind)
+        z = path_normals(7, m + 100, self.N_STEPS)[100:]  # paths [100, m + 100)
+        want = [_one_march(march, h, self.N_STEPS, 100, m + 100, z) for march in marches]
+        if group is not None:  # groups of `group` marches, else _BLOCK's own
+            monkeypatch.setattr(numerics, "_BLOCK", group * m)
+        for K in range(1, 11):
+            got = numerics._stepper(marches[:K], h, self.N_STEPS, 100, m + 100, z)
+            assert len(got) == K
+            for (f, sums), (f_one, sums_one) in zip(got, want):
+                assert f.tobytes() == f_one.tobytes() and sums.tobytes() == sums_one.tobytes()
+
+    def test_marches_of_another_shape_march_apart(self):
+        # payoff, split, split, feedback, payoff: a group ends where the rows change.
+        marches = [self._marches(kind, 1)[0][0]
+                   for kind in ("payoff", "split", "split", "feedback", "payoff")]
+        h, z = 1.0 / self.N_STEPS, path_normals(3, 300, self.N_STEPS)
+        got = numerics._stepper(marches, h, self.N_STEPS, 0, 300, z)
+        for (f, sums), march in zip(got, marches, strict=True):
+            f_one, sums_one = _one_march(march, h, self.N_STEPS, 0, 300, z)
+            assert f.tobytes() == f_one.tobytes() and sums.tobytes() == sums_one.tobytes()
+
+    @pytest.mark.parametrize("noise_at, beta_at, first", [
+        ((117, 30), {}, (117, 30)),  # every march leaves at once: march 0's
+        ((117, 30), {2: 10}, (117, 30)),  # march 2 leaves first, march 0's is raised
+        ((117, 30), {0: 25, 2: 10}, (100, 25)),  # march 0 leaves before the noise does
+        (None, {1: 20, 3: 5}, (100, 20)),  # march 0 stays finite, march 1 is the first
+    ])
+    def test_blowup_is_the_first_marchs(self, monkeypatch, noise_at, beta_at, first):
+        # Paths [100, 400); a NaN drift at node j - 1 turns every path of its march at step j.
+        marches, h = self._marches("payoff", 5)
+        marches = [(alpha, beta.copy(), *rest) for alpha, beta, *rest in marches]
+        for i, step in beta_at.items():
+            marches[i][1][step - 1] = np.nan
+        z = path_normals(7, 400, self.N_STEPS)[100:]
+        if noise_at is not None:
+            z[noise_at[0] - 100, noise_at[1] - 1] = np.nan
+        with pytest.raises(SimulationBlowupError) as one:
+            for march in marches:
+                _one_march(march, h, self.N_STEPS, 100, 400, z)
+        assert (one.value.path_index, one.value.step) == first
+        for group in (1, 2, 5):
+            monkeypatch.setattr(numerics, "_BLOCK", group * 300)
+            with pytest.raises(SimulationBlowupError) as err:
+                numerics._stepper(marches, h, self.N_STEPS, 100, 400, z)
+            assert (err.value.path_index, err.value.step) == first
+
+
 class TestTwoProcesses:
     """A forked child fills the second half of large ensembles; nothing else may change."""
 
