@@ -488,8 +488,8 @@ def mc_payoffs(
     Both estimates use the same driving normals (common random numbers);
     the defection side runs the affine feedback (Q, q) against the frozen
     equilibrium mean path xbar*.  Both marches run in one _em_functionals
-    call on mc.seed's normals, which each process draws for its own paths,
-    so a large ensemble forks once.
+    call on mc.seed's normals, which each process draws for its own paths
+    block by block, so a large ensemble forks once.
     """
     grid = _mc_grid(p, mc, sol)
     if sol is None:

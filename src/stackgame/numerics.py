@@ -10,15 +10,18 @@ and float arrays to the other over a pipe, and reaps the child before it
 returns.  The line is the only way the child reports, and _in_two alone
 decides whether a child can be made: where the platform cannot fork or
 this process may use only one CPU, it runs this process's side alone.
-_march_held splits a large ensemble there at numpy's own pairwise-sum
-split, so the halves' per-step sums add up to the one-process sum bit for
-bit: each process draws and keeps the normals of its own half, every
-march request goes to the child as its length and its floats, so a
-threshold search forks once, and the child answers each request on its
-line with its paths' functionals F and per-step sums.  _stepper is the
-one step loop: it steps a request's marches together as one (K, m) state,
-in groups that stay in a core's L2 cache, with the bits of one march at a
-time.  cli._write_table has the child format
+The child runs on the other CPUs.  _march_held splits a large ensemble
+there at numpy's own pairwise-sum split, so the halves' per-step sums add
+up to the one-process sum bit for bit.  Every march request goes to the
+child as its length and its floats, so a threshold search forks once, and
+the child answers each request on its line with its paths' functionals F
+and per-step sums.  Each process of a threshold search draws the normals
+of its own half once and keeps them for every request; a single-use march
+(_em_functionals) streams them, block by block at the leaves of the same
+pairwise-sum tree (_streamed), so no process holds its half.  _stepper is
+the one step loop: it steps a request's marches together as one (K, m)
+state, in groups that stay in a core's L2 cache, with the bits of one march
+at a time.  cli._write_table has the child format
 half of a large table's rows and write them into the file at the offset
 this process sends.  A failed pipe or fork, or a child that does not
 answer, leaves the work to this process, so every value, byte and error
@@ -383,6 +386,13 @@ _NORMALS_BLOCK = 256
 _FORK_MIN_DRAWS = 1 << 20
 _FORK_MIN_PATHS = 20_000
 _PAIRWISE_BLOCK = 128  # numpy sums up to this many elements without splitting
+# A streamed block holds at most about _STREAM_DRAWS normals (16 MiB) on at least
+# about _STREAM_MIN_PATHS paths, so that its per-step work stays long.  Its buffer
+# takes more than glibc's largest dynamic mmap threshold (32 MiB), so that freeing
+# it moves no later allocation; only the pages a block touches become resident.
+_STREAM_DRAWS = 1 << 21
+_STREAM_MIN_PATHS = 4096
+_STREAM_BUFFER = (32 << 20) // 8 + 512
 
 
 def _pairwise_split(n: int) -> int:
@@ -393,6 +403,21 @@ def _pairwise_split(n: int) -> int:
     """
     half = n // 2
     return half - half % 8
+
+
+def _stream_split(m: int, n_steps: int) -> int:
+    """Where a streamed block of m paths splits, at _pairwise_split(m), or 0 if it does not."""
+    s = _pairwise_split(m)
+    return s if m * n_steps > _STREAM_DRAWS and s >= _STREAM_MIN_PATHS else 0
+
+
+def _this_cpu() -> int | None:
+    """The CPU this process runs on (field 39 of /proc/self/stat), or None if unreadable."""
+    try:
+        with open("/proc/self/stat", "rb") as stat:
+            return int(stat.read().rsplit(b")", 1)[1].split()[36])
+    except (OSError, ValueError, IndexError):
+        return None
 
 
 class _Line:
@@ -429,11 +454,16 @@ def _in_two(here, there):
     before this returns; if here raised, the child is killed first and the
     error raised again.  Where this platform cannot fork or this process
     may run on fewer than two CPUs, or if a pipe or the fork failed, there
-    is no child: this returns here(None).
+    is no child: this returns here(None).  The child restricts itself to
+    the CPUs of this process's affinity other than the one this process
+    ran on before the fork, since a kernel that does not balance the load
+    leaves a forked child on its parent's CPU; if that fails, it stays
+    where it is.  This process's affinity never changes.
     """
     affinity = getattr(os, "sched_getaffinity", None)
-    if not hasattr(os, "fork") or affinity is None or len(affinity(0)) < 2:
+    if not hasattr(os, "fork") or affinity is None or len(cpus := affinity(0)) < 2:
         return here(None)
+    cpus -= {_this_cpu()}
     fds: list[int] = []
     try:
         for _ in range(2):
@@ -450,6 +480,8 @@ def _in_two(here, there):
         try:
             for fd in parent.fds:
                 os.close(fd)
+            with contextlib.suppress(OSError):
+                os.sched_setaffinity(0, cpus)
             there(child)
             os._exit(0)
         finally:
@@ -486,15 +518,17 @@ def _path_states(seed: int, n_paths: int, n_steps: int) -> np.ndarray:
     return spawn_states(seed, n_paths)
 
 
-def _draw_rows(states: np.ndarray, lo: int, hi: int, n_steps: int) -> np.ndarray:
-    """Rows [lo, hi) of path_normals' matrix, drawn into a new step-major buffer.
+def _draw_rows(states: np.ndarray, lo: int, hi: int, n_steps: int,
+               buffer: np.ndarray | None = None) -> np.ndarray:
+    """Rows [lo, hi) of path_normals' matrix, drawn into a step-major buffer.
 
     One numpy PCG64 and normal sampler draw every row: each row's state
     (_seeding.state_setter) goes into the generator, which then fills the
     row of a small path-major block that is copied over block by block.
-    Column c of the (n_steps, hi - lo) buffer gets row lo + c.  Returns the
-    buffer's transpose, whose column j, which a march reads at step j, is
-    contiguous.
+    Column c of the (n_steps, hi - lo) buffer gets row lo + c.  The buffer
+    is new, or the start of the given flat float buffer, which must hold
+    (hi - lo) n_steps floats.  Returns the buffer's transpose, whose column
+    j, which a march reads at step j, is contiguous.
     """
     from ._seeding import state_setter
 
@@ -502,7 +536,7 @@ def _draw_rows(states: np.ndarray, lo: int, hi: int, n_steps: int) -> np.ndarray
     normal = np.random.Generator(bits).standard_normal
     put = state_setter(bits, states, lo)
     m = hi - lo
-    out = np.empty((n_steps, m))
+    out = np.empty((n_steps, m)) if buffer is None else buffer[: n_steps * m].reshape(n_steps, m)
     block = np.empty((min(m, _NORMALS_BLOCK), n_steps))
     for start in range(0, m, len(block)):
         rows = block[: min(len(block), m - start)]
@@ -671,7 +705,28 @@ def _stepper(marches, h: float, n_steps: int, lo: int, hi: int, z) -> list[tuple
     return list(zip(out, sums.T))
 
 
-def _march_held(n_paths: int, n_steps: int, h: float, noise, marches_of, body):
+def _streamed(marches, h: float, n_steps: int, states: np.ndarray, lo: int, hi: int,
+              buffer: np.ndarray | None = None) -> list[tuple]:
+    """_stepper's (F, per-step sums) of marches on paths [lo, hi), their normals drawn in blocks.
+
+    The blocks are the leaves of numpy's pairwise-sum tree over the paths,
+    cut at _stream_split.  Each block's rows of states' normals are drawn
+    into one buffer that every block reuses and marched; F is the blocks'
+    columns in order and the sums are added in the tree's order, so every
+    value is the one of marching [lo, hi) at once.  A block that raises
+    raises its own error, which need not be the first one of the whole.
+    """
+    if not (s := _stream_split(hi - lo, n_steps)):
+        return _stepper(marches, h, n_steps, lo, hi, _draw_rows(states, lo, hi, n_steps, buffer))
+    if buffer is None:  # a block either fits _STREAM_DRAWS or cannot split above _STREAM_MIN_PATHS
+        buffer = np.empty(max(_STREAM_BUFFER, min(hi - lo, 2 * _STREAM_MIN_PATHS + 15) * n_steps))
+    left = _streamed(marches, h, n_steps, states, lo, lo + s, buffer)
+    right = _streamed(marches, h, n_steps, states, lo + s, hi, buffer)
+    with np.errstate(all="ignore"):  # a sum that leaves the float range is the caller's to judge
+        return [(np.hstack((fa, fb)), sa + sb) for (fa, sa), (fb, sb) in zip(left, right)]
+
+
+def _march_held(n_paths: int, n_steps: int, h: float, noise, marches_of, body=None):
     """body(march), where march(request) runs the marches marches_of(request) on one noise.
 
     A request is a tuple of floats.  marches_of(request) gives _stepper's
@@ -680,11 +735,14 @@ def _march_held(n_paths: int, n_steps: int, h: float, noise, marches_of, body):
     normals Z (n_paths, n_steps), given by noise: None switches the noise
     off, and an int seed stands for path_normals(seed, n_paths, n_steps),
     whose rows are drawn once, each by the process that marches them.
+    Without a body the session is the one request (0.0,), whose results it
+    returns, and each process streams its normals (_streamed) instead of
+    holding them for later requests.
 
     From _FORK_MIN_PATHS paths, or with a seed from _FORK_MIN_DRAWS normals
     on, with more than _PAIRWISE_BLOCK paths, one _in_two runs the whole
     body, however many requests it makes.  Where it makes a child, this
-    process holds paths [0, s) of the noise and the child holds [s, n), s =
+    process marches paths [0, s) of the noise and the child [s, n), s =
     _pairwise_split(n).  Each request goes to the child over its line as its
     length and then its floats; both march their paths, the child answers
     on its line with each march's F columns and per-step sums, and this
@@ -693,42 +751,49 @@ def _march_held(n_paths: int, n_steps: int, h: float, noise, marches_of, body):
     that ended without answering or a joined sum that is not finite (an
     overflow that only the whole sum may see) leaves the rest of the body to
     this process alone, which draws all the normals and reruns the request,
-    so every value and every error is the one-process one.
+    so every value and every error is the one-process one.  So does a
+    streamed block that raised, or a streamed sum that is not finite, in a
+    session without a child.
     SimulationBlowupError names the first step that leaves a path
     non-finite and the first such path, in the first march that has one.
     """
     states = None if noise is None else _path_states(noise, n_paths, n_steps)
+    once = body is None and states is not None  # one request: its normals are streamed
+    held: dict = {}  # this process's normals, by their paths (lo, hi)
 
-    def normals(lo: int, hi: int) -> np.ndarray | None:
-        return None if states is None else _draw_rows(states, lo, hi, n_steps)
-
-    def run(request: tuple, lo: int, hi: int, z) -> list[tuple]:
-        """The (F, per-step sums) of the request's marches on paths [lo, hi)."""
-        return _stepper(marches_of(request), h, n_steps, lo, hi, z)
+    def run(request: tuple, lo: int, hi: int, streamed: bool = False) -> list[tuple]:
+        """The (F, per-step sums) of the request's marches on paths [lo, hi), on
+        streamed normals or on normals held for every request."""
+        if streamed:
+            return _streamed(marches_of(request), h, n_steps, states, lo, hi)
+        if (lo, hi) not in held:
+            held.clear()  # a half given up goes before the whole is drawn
+            held[lo, hi] = None if states is None else _draw_rows(states, lo, hi, n_steps)
+        return _stepper(marches_of(request), h, n_steps, lo, hi, held[lo, hi])
 
     fork = n_paths > _PAIRWISE_BLOCK and (n_paths >= _FORK_MIN_PATHS or (
         states is not None and n_paths * n_steps >= _FORK_MIN_DRAWS))
     split = _pairwise_split(n_paths) if fork else n_paths
 
     def there(line: _Line) -> None:
-        z = normals(split, n_paths)
+        if not once and states is not None:  # drawn while this process prepares its first request
+            held[split, n_paths] = _draw_rows(states, split, n_paths, n_steps)
         while (size := line.receive()) is not None and (
                 request := line.receive(int(size))) is not None:
-            for out, sums in run(tuple(np.atleast_1d(request).tolist()), split, n_paths, z):
+            for out, sums in run(tuple(np.atleast_1d(request).tolist()), split, n_paths, once):
                 line.send(sums, out)
 
     def here(line: _Line | None):
-        """body(march) with the child holding paths [hi, n), or with no line in one process."""
-        hi, z = (split if line else n_paths), None  # z: this process's normals, drawn once
+        """body(march) with the child marching paths [hi, n), or with no line in one process."""
+        hi = split if line else n_paths
 
         def march(request: tuple) -> list[tuple]:
-            nonlocal hi, z
+            nonlocal hi
             if hi < n_paths:
                 # First, so the child never waits for this process's draw.
                 line.send(len(request), *request)
                 try:
-                    z = normals(0, hi) if z is None else z
-                    ours = run(request, 0, hi, z)
+                    ours = run(request, 0, hi, once)
                 except Exception:  # one process reruns the request below and raises it again
                     ours = []
                 # Per march, the child's per-step sums and then its F columns.
@@ -739,11 +804,17 @@ def _march_held(n_paths: int, n_steps: int, h: float, noise, marches_of, body):
                     if all(np.isfinite(s).all() for s in sums):
                         return [(np.hstack((out, a[n_steps + 1 :].reshape(len(out), -1))),
                                  s / n_paths) for (out, _), a, s in zip(ours, theirs, sums)]
-                hi, z = n_paths, None  # the child is given up: drop this half, draw the whole
-            z = normals(0, hi) if z is None else z
-            return [(out, sums / n_paths) for out, sums in run(request, 0, hi, z)]
+                hi = n_paths  # the child is given up: drop this half, draw the whole
+            elif once and _stream_split(n_paths, n_steps):
+                # More than one block: a block's error, or a sum that only the join
+                # takes out of the float range, is the held rerun's to raise.
+                with contextlib.suppress(Exception):
+                    ours = run(request, 0, hi, True)
+                    if all(np.isfinite(sums).all() for _, sums in ours):
+                        return [(out, sums / n_paths) for out, sums in ours]
+            return [(out, sums / n_paths) for out, sums in run(request, 0, hi)]
 
-        return body(march)
+        return body(march) if body else march((0.0,))
 
     return _in_two(here, there) if split < n_paths else here(None)
 
@@ -753,7 +824,7 @@ def _em_functionals(marches, h: float, n_paths: int, noise) -> list[tuple]:
 
     Returns, per march, F (K, n_paths) and the per-node ensemble mean;
     noise (a seed, or None for none) and the fork rule are _march_held's,
-    so a call forks at most once.
+    so a call forks at most once, and each process streams its normals in
+    blocks (_streamed) instead of holding its whole share.
     """
-    return _march_held(n_paths, len(marches[0][0]) - 1, h, noise,
-                       lambda request: marches, lambda march: march((0.0,)))
+    return _march_held(n_paths, len(marches[0][0]) - 1, h, noise, lambda request: marches)

@@ -29,7 +29,7 @@ def drawn_from(normals: np.ndarray):
     """
     draw = numerics._draw_rows
 
-    def rows(states, lo, hi, n_steps):
+    def rows(states, lo, hi, n_steps, buffer=None):
         assert normals.shape == (len(states), n_steps)
         return normals[lo:hi]
 

@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -873,6 +874,31 @@ class TestTwoProcesses:
         assert after is None  # the child has ended and closed its end
         assert len(processes.forks) == 1
 
+    @pytest.mark.skipif(len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2,
+                        reason="the child can leave this process's CPU only with two CPUs")
+    @pytest.mark.parametrize("readable", [True, False])
+    def test_child_runs_on_the_other_cpus(self, monkeypatch, readable):
+        # The child reports its affinity on its line: this process's CPUs but the
+        # one it ran on at the fork, or all of them where that CPU is unknown.
+        cpus, this_cpu, read = os.sched_getaffinity(0), numerics._this_cpu, []
+
+        def cpu():
+            read.append(this_cpu() if readable else None)
+            return read[-1]
+
+        def there(line):
+            mask = sorted(os.sched_getaffinity(0))
+            line.send(len(mask), mask)
+
+        def here(line):
+            return set(np.atleast_1d(line.receive(int(line.receive()))).astype(int).tolist())
+
+        monkeypatch.setattr(numerics, "_this_cpu", cpu)
+        child = numerics._in_two(here, there)
+        assert len(read) == 1 and (read[0] in cpus) == readable
+        assert child == cpus - {read[0]}
+        assert os.sched_getaffinity(0) == cpus  # this process's own mask never changes
+
     def test_small_ensembles_and_one_cpu_stay_in_process(self, processes, monkeypatch):
         marches, h, _ = self._seed_case(300, 40)
         _em_functionals(marches, h, 128, 5)  # within numpy's unsplit pairwise block
@@ -920,9 +946,9 @@ class TestTwoProcesses:
         want = self._one_process(processes, lambda: _functionals(marches, h, 6000, normals))
         draw, draws = numerics._draw_rows, []
 
-        def counted(states, lo, hi, n_steps):
+        def counted(states, lo, hi, n_steps, buffer=None):
             draws.append((lo, hi))
-            return draw(states, lo, hi, n_steps)
+            return draw(states, lo, hi, n_steps, buffer)
 
         monkeypatch.setattr(numerics, "_draw_rows", counted)
         for cpus in (1, 2):
@@ -959,8 +985,8 @@ class TestTwoProcesses:
         """Makes the drawn normal of each path at each step NaN, in whichever process draws it."""
         draw = numerics._draw_rows
 
-        def poisoned(states, lo, hi, n_steps):
-            z = draw(states, lo, hi, n_steps)
+        def poisoned(states, lo, hi, n_steps, buffer=None):
+            z = draw(states, lo, hi, n_steps, buffer)
             for path, step in paths.items():
                 if lo <= path < hi:
                     z[path - lo, step - 1] = np.nan
@@ -997,9 +1023,9 @@ class TestTwoProcesses:
                [[np.zeros(n + 1), np.ones(n + 1), np.zeros(n + 1)]])
         draw, draws = numerics._draw_rows, []
 
-        def counted(states, lo, hi, n_steps):
+        def counted(states, lo, hi, n_steps, buffer=None):
             draws.append((lo, hi - lo))
-            return draw(states, lo, hi, n_steps)
+            return draw(states, lo, hi, n_steps, buffer)
 
         monkeypatch.setattr(numerics, "_draw_rows", counted)
         for cpus in (1, 2):
@@ -1069,6 +1095,114 @@ class TestTwoProcesses:
             processes.forks.clear()
             assert call() == one
             assert len(processes.forks) == 1
+
+    # A single-use call streams its normals: each process draws and marches
+    # its paths block by block, at the leaves of numpy's pairwise-sum tree.
+
+    @staticmethod
+    def _count_draws(monkeypatch):
+        """The (lo, hi) of every draw this process makes, in order."""
+        draw, draws = numerics._draw_rows, []
+
+        def counted(states, lo, hi, n_steps, buffer=None):
+            draws.append((lo, hi))
+            return draw(states, lo, hi, n_steps, buffer)
+
+        monkeypatch.setattr(numerics, "_draw_rows", counted)
+        return draws
+
+    @staticmethod
+    def _blocks_of(monkeypatch, m, n_steps, blocks):
+        """Sets the block budget so that m paths make 1, 2 or at least 4 blocks."""
+        monkeypatch.setattr(numerics, "_STREAM_MIN_PATHS", 256)
+        most = {1: m, 2: m - numerics._pairwise_split(m), 4: m // 4}[blocks]
+        monkeypatch.setattr(numerics, "_STREAM_DRAWS", most * n_steps)
+
+    @pytest.mark.parametrize("n_paths", [10_001, 2**15 + 3])
+    @pytest.mark.parametrize("blocks", [1, 2, 4])
+    def test_streamed_blocks_match_one_march(self, monkeypatch, n_paths, blocks):
+        marches, h, normals = self._seed_case(n_paths, 20)
+        want = numerics._stepper(marches, h, 20, 0, n_paths, normals)
+        self._blocks_of(monkeypatch, n_paths, 20, blocks)
+        draws = self._count_draws(monkeypatch)
+        got = numerics._streamed(marches, h, 20, numerics._path_states(5, n_paths, 20), 0, n_paths)
+        assert len(draws) == blocks if blocks < 4 else len(draws) >= 4
+        assert [lo for lo, _ in draws] == sorted(lo for lo, _ in draws)
+        assert draws[0][0] == 0 and draws[-1][1] == n_paths
+        self._same(got, want)
+
+    @pytest.mark.parametrize("n_paths", [10_001, 2**15 + 3])
+    @pytest.mark.parametrize("blocks", [1, 2, 4])
+    def test_streamed_call_matches_held_normals(self, processes, monkeypatch, n_paths, blocks):
+        # _em_functionals streams; the same request in a session with a body holds
+        # its normals.  Both give every bit of F and of the mean, on one CPU and on
+        # two, where each process cuts its own paths into blocks.
+        marches, h, _ = self._seed_case(n_paths, 20)
+        draws = self._count_draws(monkeypatch)
+        for cpus in (1, 2):
+            processes.cpus(cpus)
+            ours = n_paths if cpus == 1 else numerics._pairwise_split(n_paths)
+            self._blocks_of(monkeypatch, ours, 20, blocks)
+            held = numerics._march_held(n_paths, 20, h, 5, lambda request: marches,
+                                        lambda march: march((0.0,)))
+            draws.clear()
+            self._same(_em_functionals(marches, h, n_paths, 5), held)
+            assert len(draws) == blocks if blocks < 4 else len(draws) >= 4
+            assert draws[-1][1] == ours
+
+    def test_blowup_in_the_last_block_is_the_one_process_error(self, processes, monkeypatch):
+        # The last block's path leaves at step 7, a first block's path at step 12:
+        # the first block raises its own error, and one process reruns the whole.
+        n_paths = 10_001
+        marches, h, _ = self._seed_case(n_paths, 20)
+        self._poison_draws(monkeypatch, {3: 12, 5100: 12, n_paths - 1: 7})
+        draws = self._count_draws(monkeypatch)
+        for cpus in (1, 2):
+            processes.cpus(cpus)
+            self._blocks_of(monkeypatch, n_paths // cpus, 20, 4)
+            draws.clear()
+            with pytest.raises(SimulationBlowupError) as err:
+                _em_functionals(marches, h, n_paths, 5)
+            assert (err.value.path_index, err.value.step) == (n_paths - 1, 7)
+            assert len(draws) >= 2 and draws[-1] == (0, n_paths)  # blocks, then the whole
+            with pytest.raises(ChildProcessError):  # the child is reaped
+                os.waitpid(-1, os.WNOHANG)
+
+    def test_streamed_sum_only_the_whole_ensemble_overflows(self, processes, monkeypatch):
+        # test_seeded_sum_only_the_whole_ensemble_overflows in blocks of 72 to 84
+        # paths: every block's sums are finite, and the whole call is drawn and
+        # marched again in this process once their join is not.
+        n = 40
+        big = (np.zeros(n + 1), np.zeros(n + 1), 1e306, np.full(n + 1, 1e306),
+               [[np.zeros(n + 1), np.ones(n + 1), np.zeros(n + 1)]])
+        monkeypatch.setattr(numerics, "_STREAM_MIN_PATHS", 72)
+        monkeypatch.setattr(numerics, "_STREAM_DRAWS", 1)
+        draws = self._count_draws(monkeypatch)
+        for cpus in (1, 2):
+            processes.cpus(cpus)
+            with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+                _em_functionals([big], 1.0 / n, 300, 5)
+            draws.clear()
+            with np.errstate(over="ignore"):
+                ((_, mean),) = _em_functionals([big], 1.0 / n, 300, 5)
+            assert np.all(mean == np.inf)
+            blocks = [(0, 72), (72, 144)] + [(144, 216), (216, 300)] * (cpus == 1)
+            assert draws == blocks + [(0, 300)]
+
+    def test_single_use_call_never_holds_its_normals(self, processes):
+        # On one CPU, 2^15 + 3 paths x 250 steps are 65.5 MB of normals.  Streamed,
+        # the call's allocations peak at its block buffer (32 MiB, of which each
+        # block touches 8 MB) and some MB of states, functionals and sums.
+        n_paths, n_steps = 2**15 + 3, 250
+        marches, h, _ = self._seed_case(300, n_steps)
+        processes.cpus(1)
+        tracemalloc.start()
+        try:
+            _em_functionals(marches, h, n_paths, 5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 40 * 2**20 < 8 * n_paths * n_steps
 
 
 def test_every_fork_goes_through_in_two():
