@@ -117,6 +117,9 @@ class McConfig:
     """Monte Carlo settings: path count, grid resolution, base seed.
 
     The seed is a non-negative int, the entropy numpy's SeedSequence takes.
+    With zero_noise every path is the Euler mean, so a run marches one path
+    and neither n_paths nor the seed is read: every estimate is that path's
+    value, with a standard error of exactly 0.0.
     """
 
     n_paths: int = 10_000
@@ -376,9 +379,11 @@ def _defection_offset(
 
 
 def _estimate(samples: np.ndarray) -> McEstimate:
+    """Mean and standard error of per-path samples; one sample (zero noise) has an SE of 0.0."""
+    n = len(samples)
     return McEstimate(
         mean=float(samples.mean()),
-        stderr=float(samples.std(ddof=1) / math.sqrt(len(samples))),
+        stderr=float(samples.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0,
     )
 
 
@@ -517,8 +522,10 @@ def mean_payoffs(p: MfgParams, k: float, sol: MeanFieldSolution) -> tuple[float,
     """Deterministic (noise-free) counterpart of mc_payoffs on the grid of sol.
 
     mc_payoffs' two payoff marches at zero noise, by _mean_payoff: a
-    zero-noise Monte Carlo run gives the same numbers bit for bit, and an
-    Euler mean that leaves the float range raises its SimulationBlowupError.
+    zero-noise Monte Carlo run, which marches one path whatever mc.n_paths
+    says, gives the same numbers bit for bit with standard errors of 0.0,
+    and an Euler mean that leaves the float range raises its
+    SimulationBlowupError.
     """
     grid = _mc_grid(p, McConfig(n_paths=2, n_steps=sol.grid.n_steps), sol)
     marches = [_leader_march(p, sol["u0_star"], sol["xbar"], grid),
@@ -546,8 +553,10 @@ def follower_feedback_check(p: MfgParams, sol: MeanFieldSolution, mc: McConfig) 
     (exactly, up to Monte Carlo error, because the feedback drift is affine).
     The residual is averaged over time per path.  Returns its mean
     ("mean_residual"), standard error ("stderr") and whether the mean lies
-    within 3 of them ("within_3se").  The adjoint at T needs no check: F(T)
-    and fbar(T) are exactly 0.0, the starts of their backward marches.
+    within 3 of them ("within_3se").  Without noise the one marched path is
+    the Euler mean itself, so the residual and its standard error are 0.0.
+    The adjoint at T needs no check: F(T) and fbar(T) are exactly 0.0, the
+    starts of their backward marches.
     """
     grid = _mc_grid(p, mc, sol)
     F = sol["F"]
@@ -556,17 +565,13 @@ def follower_feedback_check(p: MfgParams, sol: MeanFieldSolution, mc: McConfig) 
     zero = np.zeros_like(F)
     # Per-path time average of p_i - (F m + fbar) = F (x_i - m).
     coef = [[zero, F / len(F), zero]]
-    (avg,), mean = _em_functionals(
-        [(alpha, beta, p.xbar_init, m, coef)], grid.h, mc.n_paths, _noise(mc)
-    )[0]
-    mean_resid = float(avg.mean())
-    se = float(avg.std(ddof=1) / math.sqrt(mc.n_paths)) if not mc.zero_noise else 0.0
-    # Without noise every path is the mean path.
-    within = abs(mean_resid) <= 3.0 * se if se > 0 else np.abs(F * (mean - m)).max() < 1e-6
+    (avg,), _ = _em_functionals(
+        [(alpha, beta, p.xbar_init, m, coef)], grid.h, mc.n_paths, _noise(mc))[0]
+    est = _estimate(avg)
     return {
-        "mean_residual": mean_resid,
-        "stderr": se,
-        "within_3se": bool(within),
+        "mean_residual": est.mean,
+        "stderr": est.stderr,
+        "within_3se": abs(est.mean) <= 3.0 * est.stderr,
     }
 
 
@@ -761,7 +766,9 @@ def min_k_meanfield(
     requests run in one _march_held session on mc.seed's normals: from 2^20
     normals on two CPUs, one forked child draws and holds half of the paths
     for the whole search and marches each request on them while this
-    process marches the other half.
+    process marches the other half.  At zero noise each request marches one
+    path in this process, so the search's verdicts, and k_min, are the
+    pilot's.
     """
     require_positive(tol=tol, k_max=k_max)
     if mc.n_steps < 3:

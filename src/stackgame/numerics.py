@@ -10,20 +10,22 @@ and float arrays to the other over a pipe, and reaps the child before it
 returns.  The line is the only way the child reports, and _in_two alone
 decides whether a child can be made: where the platform cannot fork or
 this process may use only one CPU, it runs this process's side alone.
-The child runs on the other CPUs.  _march_held splits a large ensemble
-there at numpy's own pairwise-sum split, so the halves' per-step sums add
-up to the one-process sum bit for bit.  Every march request goes to the
-child as its length and its floats, so a threshold search forks once, and
-the child answers each request on its line with its paths' functionals F
-and per-step sums.  Each process of a threshold search draws the normals
+The child runs on the other CPUs.  _march_held splits a large seeded
+ensemble there at numpy's own pairwise-sum split, so the halves' per-step
+sums add up to the one-process sum bit for bit.  Every march request goes
+to the child as its length and its floats, so a threshold search forks
+once, and the child answers each request on its line with its paths'
+functionals F and per-step sums.  Each process of a threshold search draws the normals
 of its own half once and keeps them for every request; a single-use march
 (_em_functionals) streams them, block by block at the leaves of the same
 pairwise-sum tree (_streamed), so no process holds its half.  _stepper is
 the one step loop: it steps a request's marches together as one (K, m)
 state, in groups that stay in a core's L2 cache, with the bits of one march
-at a time.  cli._write_table has the child format
-half of a large table's rows and write them into the file at the offset
-this process sends.  A failed pipe or fork, or a child that does not
+at a time.  Without noise every path is the Euler mean, so _march_held
+marches one path in this process, draws nothing and forks nothing, and
+the ensemble's path count is not read.  cli._write_table has the child
+format half of a large table's rows and write them into the file at the
+offset this process sends.  A failed pipe or fork, or a child that does not
 answer, leaves the work to this process, so every value, byte and error
 is the one-process one.
 """
@@ -384,7 +386,6 @@ _NORMALS_BLOCK = 256
 # of 7 (medians): at 250 steps 1/4 at 2^19 normals, 4/4 at 2^20 (36.5-45.2
 # against 29.9-39.2 ms) and 4/4 at 2^21; at 1000 steps 0/4, 2/4 and 4/4.
 _FORK_MIN_DRAWS = 1 << 20
-_FORK_MIN_PATHS = 20_000
 _PAIRWISE_BLOCK = 128  # numpy sums up to this many elements without splitting
 # A streamed block holds at most about _STREAM_DRAWS normals (16 MiB) on at least
 # about _STREAM_MIN_PATHS paths, so that its per-step work stays long.  Its buffer
@@ -732,22 +733,24 @@ def _march_held(n_paths: int, n_steps: int, h: float, noise, marches_of, body=No
     A request is a tuple of floats.  marches_of(request) gives _stepper's
     marches on n_steps steps, and march(request) returns, per march, F
     (rows, n_paths) and the per-node ensemble mean.  Every march reads the same
-    normals Z (n_paths, n_steps), given by noise: None switches the noise
-    off, and an int seed stands for path_normals(seed, n_paths, n_steps),
-    whose rows are drawn once, each by the process that marches them.
+    normals Z (n_paths, n_steps), given by noise: an int seed stands for
+    path_normals(seed, n_paths, n_steps), whose rows are drawn once, each by
+    the process that marches them.  noise None switches the noise off: every
+    path is then the Euler mean, so each request marches one path in this
+    process, its F has one column (n_paths is not read) and its mean is that
+    path, euler_mean's bits; nothing is drawn and nothing forks.
     Without a body the session is the one request (0.0,), whose results it
     returns, and each process streams its normals (_streamed) instead of
     holding them for later requests.
 
-    From _FORK_MIN_PATHS paths, or with a seed from _FORK_MIN_DRAWS normals
-    on, with more than _PAIRWISE_BLOCK paths, one _in_two runs the whole
-    body, however many requests it makes.  Where it makes a child, this
-    process marches paths [0, s) of the noise and the child [s, n), s =
-    _pairwise_split(n).  Each request goes to the child over its line as its
-    length and then its floats; both march their paths, the child answers
-    on its line with each march's F columns and per-step sums, and this
-    process puts the child's columns after its own and adds the child's
-    sums to its own.  A failed pipe or fork, a half that raised, a child
+    With a seed, from _FORK_MIN_DRAWS normals on and with more than
+    _PAIRWISE_BLOCK paths, one _in_two runs the whole body, however many
+    requests it makes.  Where it makes a child, this process marches paths
+    [0, s) of the noise and the child [s, n), s = _pairwise_split(n).  Each
+    request goes to the child over its line as its length and then its
+    floats; both march their paths, the child answers on its line with each
+    march's F columns and per-step sums, and this process puts the child's
+    columns after its own and adds the child's sums to its own.  A failed pipe or fork, a half that raised, a child
     that ended without answering or a joined sum that is not finite (an
     overflow that only the whole sum may see) leaves the rest of the body to
     this process alone, which draws all the normals and reruns the request,
@@ -757,8 +760,13 @@ def _march_held(n_paths: int, n_steps: int, h: float, noise, marches_of, body=No
     SimulationBlowupError names the first step that leaves a path
     non-finite and the first such path, in the first march that has one.
     """
-    states = None if noise is None else _path_states(noise, n_paths, n_steps)
-    once = body is None and states is not None  # one request: its normals are streamed
+    if noise is None:  # every path is the Euler mean: one path stands for all of them
+        def path(request: tuple) -> list[tuple]:
+            return _stepper(marches_of(request), h, n_steps, 0, 1, None)
+
+        return body(path) if body else path((0.0,))
+    states = _path_states(noise, n_paths, n_steps)
+    once = body is None  # one request: its normals are streamed
     held: dict = {}  # this process's normals, by their paths (lo, hi)
 
     def run(request: tuple, lo: int, hi: int, streamed: bool = False) -> list[tuple]:
@@ -768,15 +776,14 @@ def _march_held(n_paths: int, n_steps: int, h: float, noise, marches_of, body=No
             return _streamed(marches_of(request), h, n_steps, states, lo, hi)
         if (lo, hi) not in held:
             held.clear()  # a half given up goes before the whole is drawn
-            held[lo, hi] = None if states is None else _draw_rows(states, lo, hi, n_steps)
+            held[lo, hi] = _draw_rows(states, lo, hi, n_steps)
         return _stepper(marches_of(request), h, n_steps, lo, hi, held[lo, hi])
 
-    fork = n_paths > _PAIRWISE_BLOCK and (n_paths >= _FORK_MIN_PATHS or (
-        states is not None and n_paths * n_steps >= _FORK_MIN_DRAWS))
+    fork = n_paths > _PAIRWISE_BLOCK and n_paths * n_steps >= _FORK_MIN_DRAWS
     split = _pairwise_split(n_paths) if fork else n_paths
 
     def there(line: _Line) -> None:
-        if not once and states is not None:  # drawn while this process prepares its first request
+        if not once:  # drawn while this process prepares its first request
             held[split, n_paths] = _draw_rows(states, split, n_paths, n_steps)
         while (size := line.receive()) is not None and (
                 request := line.receive(int(size))) is not None:
@@ -825,6 +832,7 @@ def _em_functionals(marches, h: float, n_paths: int, noise) -> list[tuple]:
     Returns, per march, F (K, n_paths) and the per-node ensemble mean;
     noise (a seed, or None for none) and the fork rule are _march_held's,
     so a call forks at most once, and each process streams its normals in
-    blocks (_streamed) instead of holding its whole share.
+    blocks (_streamed) instead of holding its whole share.  Without noise
+    the call marches one path, whose F is one column, and forks nothing.
     """
     return _march_held(n_paths, len(marches[0][0]) - 1, h, noise, lambda request: marches)

@@ -109,7 +109,7 @@ MFG_BENCH = dict(
 
 @pytest.fixture
 def processes(monkeypatch):
-    """Every ensemble above numpy's pairwise-sum block forks on two CPUs.
+    """Every seeded ensemble above numpy's pairwise-sum block forks on two CPUs.
 
     The kernels see two CPUs until cpus(n) sets another count; forks lists
     the pid of each child made.  After the test no child may be left.
@@ -127,7 +127,6 @@ def processes(monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
 
     monkeypatch.setattr(numerics, "_FORK_MIN_DRAWS", 1)
-    monkeypatch.setattr(numerics, "_FORK_MIN_PATHS", 1)
     monkeypatch.setattr(os, "fork", counting_fork)
     cpus(2)
     yield SimpleNamespace(forks=forks, cpus=cpus, real_fork=real_fork)

@@ -317,15 +317,40 @@ class TestStepMapsMatchCallbacks:
 
 
 class TestMonteCarlo:
-    def test_zero_noise_reproduces_deterministic_reference(self, mfg):
+    def test_zero_noise_reproduces_deterministic_reference(self, mfg, monkeypatch):
         # mean_payoffs sums the marches' constant terms, and mc_payoffs marches.
-        for n_steps in (250, 300, 1000):
-            mc = McConfig(n_paths=4, n_steps=n_steps, seed=7, zero_noise=True)
-            j_eq, j_def = mc_payoffs(mfg, 0.2, mc)
-            sol = mean_field_bvp(mfg, TimeGrid(0.0, mfg.T, mc.n_steps))
-            je_ref, jd_ref = mean_payoffs(mfg, 0.2, sol)
-            assert j_eq.mean == je_ref and j_def.mean == jd_ref
-            assert j_eq.stderr == 0.0
+        # Without noise every path is the Euler mean, so a run marches one path
+        # whatever mc.n_paths says: every estimate is exact, with an SE of 0.0,
+        # nothing is drawn and nothing forks, on two CPUs too.
+        def refuse(*args):
+            raise AssertionError("a zero-noise run drew normals or forked")
+
+        monkeypatch.setattr(numerics, "_draw_rows", refuse)
+        monkeypatch.setattr(os, "fork", refuse)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        zero_feedback = {"mean_residual": 0.0, "stderr": 0.0, "within_3se": True}
+        for n_steps in (50, 250, 300, 1000):
+            sol = mean_field_bvp(mfg, TimeGrid(0.0, mfg.T, n_steps))
+            v = 1.0 + 0.5 * np.sin(3.0 * sol.grid.times())
+            euler = []  # both Euler checks' means, per path count
+            for n_paths in (2, 1000, 4097, 40_000):
+                mc = McConfig(n_paths=n_paths, n_steps=n_steps, seed=7, zero_noise=True)
+                for k in (0.0, 0.2, 0.3):
+                    j_eq, j_def = mc_payoffs(mfg, k, mc)
+                    assert (j_eq.mean, j_def.mean) == mean_payoffs(mfg, k, sol)
+                    assert j_eq.stderr == j_def.stderr == 0.0
+                ests = (euler_condition_check(mfg, sol["u0_star"], v, mc),
+                        follower_euler_check(mfg, sol, v, mc))
+                for est in ests:
+                    parts = (est, est.certainty_equivalent, est.variance_channel)
+                    assert [part.stderr for part in parts] == [0.0] * 3
+                euler.append([est.mean for est in ests])
+                assert follower_feedback_check(mfg, sol, mc) == zero_feedback
+                res = min_k_meanfield(mfg, mc, sol=sol)
+                assert res.k_min == res.details["pilot_k"]
+                assert (res.j_star, res.j_tilde_at_k) == mean_payoffs(mfg, res.k_min, sol)
+                assert res.details["j_star_stderr"] == res.details["j_tilde_stderr"] == 0.0
+            assert euler == euler[:1] * len(euler)
 
     def test_mean_payoffs_blowup_is_the_zero_noise_marchs(self, mfg):
         mc = McConfig(n_paths=2, n_steps=50, zero_noise=True)
@@ -890,7 +915,7 @@ class TestPairedMarches:
             k_max, error = 0.1, NoDeterrentError
         elif case == "profitable":  # see test_no_deterrent_raises_when_state_outgrows_every_rate
             p, k_max, error = mfg_with(mfg_kwargs, A0=3.0, B0=0.0), 4.0, NoDeterrentError
-            mc = McConfig(n_paths=200, n_steps=200, seed=1, zero_noise=True)
+            mc = McConfig(n_paths=200, n_steps=200, seed=1)  # seeded: zero noise never forks
         elif case == "leader":  # fails in both processes on the first request
             def leader(*args):
                 raise SimulationBlowupError(path_index=0, step=1)
@@ -921,7 +946,6 @@ class TestPairedMarches:
         min_k_meanfield(mfg, mc)
         processes.cpus(2)
         min_k_meanfield(mfg, McConfig(n_paths=128, n_steps=50, seed=3))  # numpy's unsplit block
-        monkeypatch.setattr(numerics, "_FORK_MIN_PATHS", mc.n_paths + 1)
         monkeypatch.setattr(numerics, "_FORK_MIN_DRAWS", mc.n_paths * mc.n_steps + 1)
         min_k_meanfield(mfg, mc)
         assert processes.forks == []
@@ -931,13 +955,14 @@ class TestPairedMarches:
         assert len(processes.forks) == 1
 
     def test_fork_rule_constants(self, monkeypatch):
-        # A search forks from 2^20 normals or 2 x 10^4 paths; mf-threshold has
-        # 10^7 normals.  The child draws its rows before any request.
+        # A seeded search forks from 2^20 normals; mf-threshold has 10^7.  The
+        # child draws its rows before any request.  Without noise one path is
+        # marched and nothing forks, however many paths the ensemble has.
         forks, real_fork = [], os.fork
         monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
         for cpus, n_paths, n_steps, noise, fork in [
             (2, 10_000, 105, 3, True), (2, 10_000, 104, 3, False),
-            (2, 20_000, 2, None, True), (2, 19_999, 100, None, False),
+            (2, 20_000, 2, None, False), (2, 10_000, 1000, None, False),
             (1, 10_000, 105, 3, False),
         ]:
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),

@@ -517,12 +517,20 @@ class TestStreamedKernel:
     def test_matches_allocating_loop(self, noise, rows, n_paths):
         # The drift factors and the one accumulate per row round differently
         # from the earlier loop; 7.9e-14 of the largest value was the worst seen.
+        # Without noise the program marches one path, so the noiseless loop is
+        # checked on _stepper itself, over every path.
         grid, alpha, beta, _, _, m, (c,), normals = _kernel_case(n_paths=n_paths)
         kinds = {"linear": c * [[1.0], [1.0], [0.0]], "quadratic": c * [[1.0], [0.0], [1.0]],
                  "mixed": c}
         coef = list(kinds.values()) if rows == "all three" else [kinds[rows]]
         args = (alpha, beta, 0.5, grid.h, n_paths, normals if noise else None, m, coef)
-        for new, old in zip(_march(*args), self._allocating_march(*args)):
+        if noise:
+            got = _march(*args)
+        else:
+            ((f, sums),) = numerics._stepper([(alpha, beta, 0.5, m, coef)], grid.h,
+                                             grid.n_steps, 0, n_paths, None)
+            got = f, sums / n_paths
+        for new, old in zip(got, self._allocating_march(*args)):
             _close(new, old)
 
     def test_march_writes_no_input_and_repeats_bit_for_bit(self):
@@ -744,15 +752,23 @@ class TestTwoProcesses:
     @pytest.mark.parametrize("rows", ["one", "split"])
     @pytest.mark.parametrize("noise", [True, False])
     def test_march_matches_one_process(self, processes, noise, rows, n_paths):
+        # Without noise the program marches one path and never forks, so the
+        # noiseless case is seeded and starts at 1.5: every path stays above 1,
+        # where sqrt(max(0, x (1 - x))) is exactly 0, and all paths are one.
         grid, alpha, beta, _, _, m, (c,), normals = _kernel_case(n_paths=n_paths, n_steps=60)
         coef = _split_rows(c) if rows == "split" else [c]
-        args = (alpha, beta, 0.5, grid.h, n_paths, normals if noise else None, m, coef)
+        x0 = 0.5 if noise else 1.5
+        if not noise:
+            m = euler_mean(alpha, beta, x0, grid.h)
+        args = (alpha, beta, x0, grid.h, n_paths, normals, m, coef)
         one = self._one_process(processes, lambda: _march(*args))
         before = len(processes.forks)
         two = _march(*args)
         assert len(processes.forks) == before + 1
         for forked, single in zip(two, one):
             assert forked.tobytes() == single.tobytes()
+        if not noise:  # every path's functionals are the first path's
+            assert np.all(two[0] == two[0][:, :1])
 
     @staticmethod
     def _march_case(processes):
@@ -818,13 +834,14 @@ class TestTwoProcesses:
         assert len(processes.forks) == 1
 
     def test_sum_only_the_whole_ensemble_overflows(self, processes):
-        # 300 paths held at 1e306: each half's sum (1.44e308, 1.56e308) is
-        # finite, the whole one is not.  One process raises under errstate
-        # and reads inf without it; two processes must do the same.
+        # 300 paths held at 1e306, where the clamp zeroes the seeded noise: each
+        # half's sum (1.44e308, 1.56e308) is finite, the whole one is not.  One
+        # process raises under errstate and reads inf without it; two processes
+        # must do the same.
         n = 40
         alpha, beta, big = np.zeros(n + 1), np.zeros(n + 1), np.full(n + 1, 1e306)
         coef = [[np.zeros(n + 1), np.ones(n + 1), np.zeros(n + 1)]]
-        args = (alpha, beta, 1e306, 1.0 / n, 300, None, big, coef)
+        args = (alpha, beta, 1e306, 1.0 / n, 300, path_normals(5, 300, n), big, coef)
         for forked in (False, True):
             processes.cpus(2 if forked else 1)
             with np.errstate(over="raise"), pytest.raises(FloatingPointError):
