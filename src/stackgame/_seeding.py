@@ -125,15 +125,16 @@ def _reads_back(bits, limbs: np.ndarray) -> bool:
 
 
 def state_setter(bits, states: np.ndarray, first: int):
-    """put(i), which makes the PCG64 bits continue from row i of states.
+    """(put, take): put(i) makes the PCG64 bits continue from row i of states,
+    and take(i) writes where bits has got to back into row i.
 
     put copies the row's 32 bytes into the generator's {state, inc} pair,
     which the first word of the struct at bits.ctypes.state_address points
-    to.  That layout is numpy's own, so it is checked here: row first is
-    written, and unless bits' public state then reads it back exactly (a
-    build that emulates 128-bit ints stores the high limb first), put sets
-    each row through the public state setter instead, which gives the
-    same stream more slowly.  states must be C-contiguous.
+    to, and take copies them back.  That layout is numpy's own, so it is
+    checked here: row first is written, and unless bits' public state then
+    reads it back exactly (a build that emulates 128-bit ints stores the
+    high limb first), both go through the public state instead, which gives
+    the same stream more slowly.  states must be C-contiguous and writable.
     """
     import ctypes  # only the draw needs it
 
@@ -144,9 +145,17 @@ def state_setter(bits, states: np.ndarray, first: int):
     def in_place(i: int, bits=bits) -> None:  # holding bits keeps target's memory alive
         target[:] = source[32 * i : 32 * i + 32]
 
+    def take_in_place(i: int, bits=bits) -> None:
+        source[32 * i : 32 * i + 32] = target
+
     def public(i: int) -> None:
         bits.state = {"bit_generator": "PCG64", "state": _state_ints(states[i]),
                       "has_uint32": 0, "uinteger": 0}
 
+    def take_public(i: int) -> None:
+        state = bits.state["state"]
+        states[i] = [value >> shift & (1 << 64) - 1
+                     for value in (state["state"], state["inc"]) for shift in (0, 64)]
+
     in_place(first)
-    return in_place if _reads_back(bits, states[first]) else public
+    return (in_place, take_in_place) if _reads_back(bits, states[first]) else (public, take_public)

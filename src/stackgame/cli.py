@@ -284,6 +284,9 @@ def _run_meanfield(cfg: RunConfig):
     mc = meanfield.McConfig(**cfg.mc)
     grid = TimeGrid(0.0, p.T, mc.n_steps)
     results, certs, warnings, traj_out, sweep = {}, {}, [], None, None
+    if mc.zero_noise and cfg.action != "equilibrium":
+        warnings.append("zero-noise: every path is the Euler mean, so one path is marched "
+                        "and mc.n_paths and mc.seed are not read")
     sol = meanfield.mean_field_bvp(p, grid)
     if cfg.action in ("equilibrium", "defect"):
         traj_out = {"t": grid.times(), **sol.channels}

@@ -131,6 +131,8 @@ class McConfig:
         require_int(self, "seed", 0)
         require_int(self, "n_paths", 2)
         require_int(self, "n_steps", 2)
+        if not isinstance(self.zero_noise, bool):  # a string such as "false" would read as true
+            raise ParameterError(f"zero_noise must be a bool, got {self.zero_noise!r}")
 
 
 @dataclass(frozen=True)
@@ -764,11 +766,12 @@ def min_k_meanfield(
     details["pilot_k"] is the pilot's rate and details["marches"] counts the
     requests and lists the rates marched and those discarded unread.  The
     requests run in one _march_held session on mc.seed's normals: from 2^20
-    normals on two CPUs, one forked child draws and holds half of the paths
-    for the whole search and marches each request on them while this
-    process marches the other half.  At zero noise each request marches one
-    path in this process, so the search's verdicts, and k_min, are the
-    pilot's.
+    normals on two CPUs, one forked child marches half of the paths for
+    every request while this process marches the other half.  The first
+    request streams each process's normals in blocks; only a rate the pilot
+    missed, asked alone, has them drawn again and held for the rest of the
+    search.  At zero noise each request marches one path in this process,
+    so the search's verdicts, and k_min, are the pilot's.
     """
     require_positive(tol=tol, k_max=k_max)
     if mc.n_steps < 3:

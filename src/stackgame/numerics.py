@@ -4,30 +4,15 @@ Everything here is pure: the same inputs always produce the same outputs,
 including the Monte Carlo routines (per-path seeding, fixed-order reduction),
 so results never depend on scheduling or on the number of processes.
 
-Two processes go through one call, _in_two: it runs work in a forked child
-and in this process, gives each side a line (_Line) that carries floats
-and float arrays to the other over a pipe, and reaps the child before it
-returns.  The line is the only way the child reports, and _in_two alone
-decides whether a child can be made: where the platform cannot fork or
-this process may use only one CPU, it runs this process's side alone.
-The child runs on the other CPUs.  _march_held splits a large seeded
-ensemble there at numpy's own pairwise-sum split, so the halves' per-step
-sums add up to the one-process sum bit for bit.  Every march request goes
-to the child as its length and its floats, so a threshold search forks
-once, and the child answers each request on its line with its paths'
-functionals F and per-step sums.  Each process of a threshold search draws the normals
-of its own half once and keeps them for every request; a single-use march
-(_em_functionals) streams them, block by block at the leaves of the same
-pairwise-sum tree (_streamed), so no process holds its half.  _stepper is
-the one step loop: it steps a request's marches together as one (K, m)
-state, in groups that stay in a core's L2 cache, with the bits of one march
-at a time.  Without noise every path is the Euler mean, so _march_held
-marches one path in this process, draws nothing and forks nothing, and
-the ensemble's path count is not read.  cli._write_table has the child
-format half of a large table's rows and write them into the file at the
-offset this process sends.  A failed pipe or fork, or a child that does not
-answer, leaves the work to this process, so every value, byte and error
-is the one-process one.
+_in_two runs work in a forked child on the other CPUs and in this process,
+joined by a line of floats (_Line), or in this process alone where it
+cannot fork or may use only one CPU.  _march_held splits a seeded ensemble
+there at numpy's pairwise-sum split, so the halves' sums add up to the
+one-process sum bit for bit.  Each process draws the normals of its own
+paths: a session's first request streams them in blocks of paths and
+steps (_streamed), and only a second request holds them.  _stepper is the
+one step loop.  A failed pipe, fork or child leaves the work to this
+process, so every value, byte and error is the one-process one.
 """
 
 from __future__ import annotations
@@ -380,17 +365,22 @@ def find_root_bisect(f, lo: float, hi: float, tol: float) -> float:
 # cache, and no block of 4-32 MiB is freed, which would raise glibc's mmap
 # threshold for every later allocation in the process.
 _BLOCK = 2**15
-_NORMALS_BLOCK = 256
+# Floats in a draw's path-major block (512 KiB), 256 rows at 250 steps.  At 1,000
+# steps its 65 rows drew 5,000 rows in 108 ms against 98 ms with 256 rows (2 MiB),
+# medians of 15 on a 2-vCPU VM; the normals held after a pilot miss are drawn so.
+_NORMALS_BLOCK = 2**16
 # A fork costs 2-6 ms on a 2-vCPU VM; the README times the work that pays for it.
 # A seeded one-row march there, one process against two, won by two in 4 rounds
 # of 7 (medians): at 250 steps 1/4 at 2^19 normals, 4/4 at 2^20 (36.5-45.2
 # against 29.9-39.2 ms) and 4/4 at 2^21; at 1000 steps 0/4, 2/4 and 4/4.
 _FORK_MIN_DRAWS = 1 << 20
 _PAIRWISE_BLOCK = 128  # numpy sums up to this many elements without splitting
-# A streamed block holds at most about _STREAM_DRAWS normals (16 MiB) on at least
-# about _STREAM_MIN_PATHS paths, so that its per-step work stays long.  Its buffer
-# takes more than glibc's largest dynamic mmap threshold (32 MiB), so that freeing
-# it moves no later allocation; only the pages a block touches become resident.
+# A streamed block holds at most _STREAM_DRAWS normals (16 MiB).  Its paths are cut
+# while each part keeps at least about _STREAM_MIN_PATHS paths, so that the per-step
+# work stays long (a step costs more per path on fewer paths), and then its steps.
+# Its buffer, with the draw's rows beside the block, takes more than glibc's largest
+# dynamic mmap threshold (32 MiB), so that freeing it moves no later allocation;
+# only the pages a block touches become resident.
 _STREAM_DRAWS = 1 << 21
 _STREAM_MIN_PATHS = 4096
 _STREAM_BUFFER = (32 << 20) // 8 + 512
@@ -519,31 +509,38 @@ def _path_states(seed: int, n_paths: int, n_steps: int) -> np.ndarray:
     return spawn_states(seed, n_paths)
 
 
-def _draw_rows(states: np.ndarray, lo: int, hi: int, n_steps: int,
+def _draw_rows(states: np.ndarray, lo: int, hi: int, j0: int, j1: int,
                buffer: np.ndarray | None = None) -> np.ndarray:
-    """Rows [lo, hi) of path_normals' matrix, drawn into a step-major buffer.
+    """Steps [j0, j1) of rows [lo, hi) of path_normals' matrix, drawn into a step-major buffer.
 
-    One numpy PCG64 and normal sampler draw every row: each row's state
-    (_seeding.state_setter) goes into the generator, which then fills the
-    row of a small path-major block that is copied over block by block.
-    Column c of the (n_steps, hi - lo) buffer gets row lo + c.  The buffer
-    is new, or the start of the given flat float buffer, which must hold
-    (hi - lo) n_steps floats.  Returns the buffer's transpose, whose column
-    j, which a march reads at step j, is contiguous.
+    Rows lo..hi - 1 of states stand at step j0 of their streams, and are
+    left at step j1, so the next block of steps continues each stream bit
+    for bit.  One numpy PCG64 and normal sampler draw every row: each row's
+    state (_seeding.state_setter) goes into the generator, which then fills
+    the row of a small path-major block that is copied over block by block.
+    Column c of the (j1 - j0, hi - lo) buffer gets row lo + c.  The buffer
+    and the block are new, or the start of the given flat float buffer and
+    the block's rows after it, so that buffer must hold (j1 - j0) (hi - lo)
+    floats and the block's, at most max(_NORMALS_BLOCK, j1 - j0).  Returns the buffer's transpose, whose column
+    j, which a march reads at step j0 + j, is contiguous.
     """
     from ._seeding import state_setter
 
     bits = np.random.PCG64(0)  # its seed is overwritten by put
     normal = np.random.Generator(bits).standard_normal
-    put = state_setter(bits, states, lo)
-    m = hi - lo
-    out = np.empty((n_steps, m)) if buffer is None else buffer[: n_steps * m].reshape(n_steps, m)
-    block = np.empty((min(m, _NORMALS_BLOCK), n_steps))
+    put, take = state_setter(bits, states, lo)
+    m, n = hi - lo, j1 - j0
+    k = min(m, max(1, _NORMALS_BLOCK // n))
+    if buffer is None:
+        out, block = np.empty((n, m)), np.empty((k, n))
+    else:
+        out, block = buffer[: n * m].reshape(n, m), buffer[n * m : (m + k) * n].reshape(k, n)
     for start in range(0, m, len(block)):
         rows = block[: min(len(block), m - start)]
         for i, row in enumerate(rows, lo + start):
             put(i)
             normal(out=row)
+            take(i)
         out[:, start : start + len(rows)] = rows.T
     return out.T
 
@@ -561,7 +558,7 @@ def path_normals(seed: int, n_paths: int, n_steps: int) -> np.ndarray:
     and em_paths build the whole matrix.  Raises ParameterError for a
     negative seed or an empty matrix.
     """
-    return _draw_rows(_path_states(seed, n_paths, n_steps), 0, n_paths, n_steps)
+    return _draw_rows(_path_states(seed, n_paths, n_steps), 0, n_paths, 0, n_steps)
 
 
 def em_paths(drift, diffusion, x0: float, grid: TimeGrid, n_paths: int, seed: int) -> PathEnsemble:
@@ -634,37 +631,69 @@ def _stepper(marches, h: float, n_steps: int, lo: int, hi: int, z) -> list[tuple
     in the same order, and the per-step sums x.sum(axis=1) are each row's
     own pairwise sum: every value is the one of marching them one at a time.
 
-    The paths' normals z are (m, n_steps) with contiguous columns, or None
-    for no noise.  Returns per march its paths' F (len(coef), m) and their
-    per-step sums (n_steps + 1,).  As if marching one at a time, it raises
-    the SimulationBlowupError of the first march with a step that leaves a
-    path non-finite, naming that step and the first such path.
+    The paths' normals z are (m, n_steps) with contiguous columns, None for
+    no noise, or draw(j0), which gives the (m, w) normals of steps
+    [j0, j0 + w) and starts over at j0 = 0; every group then marches each
+    block of steps before the next block is drawn.  Returns per march its
+    paths' F (len(coef), m) and their per-step sums (n_steps + 1,).  As if
+    marching one at a time, it raises the SimulationBlowupError of the first
+    march with a step that leaves a path non-finite, naming that step and
+    the first such path.
     """
-    coefs = [np.asarray(march[4], dtype=float) for march in marches]
-    shapes = [(len(c), c[:, 1:].any(axis=2).tobytes()) for c in coefs]
-    group = min(next((i for i, s in enumerate(shapes) if s != shapes[0]), len(marches)),
-                max(1, _BLOCK // (hi - lo)))
-    if group < len(marches):
-        return (_stepper(marches[:group], h, n_steps, lo, hi, z)
-                + _stepper(marches[group:], h, n_steps, lo, hi, z))
     for alpha, *_ in marches:
         if len(alpha) != n_steps + 1:
             raise ParameterError(f"a march has {len(alpha)} nodes, the first one {n_steps + 1}")
+    coefs = [np.asarray(march[4], dtype=float) for march in marches]
+    shapes = [(len(c), c[:, 1:].any(axis=2).tobytes()) for c in coefs]
+    most, groups, a = max(1, _BLOCK // (hi - lo)), [], 0
+    scratch = np.empty((2, min(most, len(marches)), hi - lo))  # every group's d and tmp
+    while a < len(marches):
+        b = a + 1
+        while b < min(len(marches), a + most) and shapes[b] == shapes[a]:
+            b += 1
+        groups.append((a, *_group(marches[a:b], coefs[a:b], h, n_steps, lo, scratch)))
+        a = b
+    draw = z if callable(z) else lambda j0: z
+    j0 = 0
+    while j0 < n_steps:
+        block = draw(j0)
+        j1 = n_steps if block is None else j0 + block.shape[1]
+        for a, advance, _ in groups:
+            if bad := advance(j0, j1, block):
+                k, error = bad
+                if a + k:  # an earlier march may leave the float range at a later step
+                    _stepper(marches[: a + k], h, n_steps, lo, hi, z)
+                raise error
+        j0 = j1
+    return [result for *_, results in groups for result in results]
 
-    def columns(rows) -> list:  # K arrays over nodes or steps -> per node a (K, 1) column,
+
+def _group(marches, coefs, h: float, n_steps: int, lo: int, scratch: np.ndarray) -> tuple:
+    """(advance, results) of _stepper's marches of one group, stepped as one (K, m) state.
+
+    advance(j0, j1, z) marches steps [j0, j1) on the normals z of those
+    steps (None for none) and returns (k, error) for the first march k with
+    a path that one of them leaves non-finite, or None.  results holds per
+    march its F and its per-step sums, complete once steps reach n_steps.
+    The first K rows of scratch's two planes are the work arrays d and tmp,
+    which every group of a _stepper call shares.
+    """
+    def columns(rows):  # K arrays over nodes or steps -> per node a (K, 1) column,
         # or for one march a float, which costs a step no more than the one-march loop did
         nodes = np.ascontiguousarray(np.array(rows).T)
-        return nodes[:, 0].tolist() if len(rows) == 1 else list(nodes[:, :, None])
+        return nodes[:, 0].tolist() if len(rows) == 1 else nodes[:, :, None]
 
     drift_a, drift_b = map(columns, zip(*(_euler_factors(a, b, h) for a, b, *_ in marches)))
     centers = columns([march[3] for march in marches])
     coef = np.stack(coefs)  # (K, rows, 3, nodes)
-    out = np.stack([np.repeat(c[:, 0].sum(axis=1)[:, None], hi - lo, axis=1) for c in coefs])
+    d, tmp = scratch[:, : len(marches)]
+    m = d.shape[1]
+    out = np.stack([np.repeat(c[:, 0].sum(axis=1)[:, None], m, axis=1) for c in coefs])
     rows = [(out[:, k], *(columns(c) if c.any() else None for c in coef[:, k, 1:].swapaxes(0, 1)))
             for k in range(coef.shape[1]) if coef[:, k, 1:].any()]
     sqrt_h = math.sqrt(h)
     sums = np.empty((n_steps + 1, len(marches)))
-    x, x_next, d, tmp = (np.empty((len(marches), hi - lo)) for _ in range(4))
+    x, x_next = np.empty_like(d), np.empty_like(d)
     x[:] = np.array([float(march[2]) for march in marches])[:, None]
 
     def add_node(j: int) -> None:
@@ -679,52 +708,78 @@ def _stepper(marches, h: float, n_steps: int, lo: int, hi: int, z) -> list[tuple
                 np.multiply(tmp, d, out=tmp)
             acc += tmp
 
+    def advance(j0: int, j1: int, z) -> tuple | None:
+        nonlocal x, x_next, tmp  # swapped, or updated in place by augmented assignment
+        for j in range(j0, j1):
+            np.multiply(x, drift_a[j], out=x_next)
+            x_next += drift_b[j]
+            if z is not None:  # sqrt(max(0, x (1 - x))) * sqrt_h * Z_j, in place
+                np.subtract(1.0, x, out=tmp)
+                tmp *= x
+                np.maximum(0.0, tmp, out=tmp)
+                np.sqrt(tmp, out=tmp)
+                tmp *= sqrt_h
+                tmp *= z[:, j - j0]
+                x_next += tmp
+            x, x_next = x_next, x
+            if not all(map(math.isfinite, x.sum(axis=1, out=sums[j + 1]).tolist())):
+                bad = ~np.isfinite(x).all(axis=1)
+                if bad.any():
+                    k = int(np.argmax(bad))
+                    return k, SimulationBlowupError(
+                        path_index=lo + int(np.argmax(~np.isfinite(x[k]))), step=j + 1)
+            add_node(j + 1)
+        return None
+
     x.sum(axis=1, out=sums[0])
     add_node(0)
-    for j in range(n_steps):
-        np.multiply(x, drift_a[j], out=x_next)
-        x_next += drift_b[j]
-        if z is not None:  # sqrt(max(0, x (1 - x))) * sqrt_h * Z_j, in place
-            np.subtract(1.0, x, out=tmp)
-            tmp *= x
-            np.maximum(0.0, tmp, out=tmp)
-            np.sqrt(tmp, out=tmp)
-            tmp *= sqrt_h
-            tmp *= z[:, j]
-            x_next += tmp
-        x, x_next = x_next, x
-        if not all(map(math.isfinite, x.sum(axis=1, out=sums[j + 1]).tolist())):
-            bad = ~np.isfinite(x).all(axis=1)
-            if bad.any():
-                k = int(np.argmax(bad))
-                error = SimulationBlowupError(
-                    path_index=lo + int(np.argmax(~np.isfinite(x[k]))), step=j + 1)
-                if k:  # an earlier march may leave the float range at a later step
-                    _stepper(marches[:k], h, n_steps, lo, hi, z)
-                raise error
-        add_node(j + 1)
-    return list(zip(out, sums.T))
+    return advance, list(zip(out, sums.T))
 
 
 def _streamed(marches, h: float, n_steps: int, states: np.ndarray, lo: int, hi: int,
               buffer: np.ndarray | None = None) -> list[tuple]:
     """_stepper's (F, per-step sums) of marches on paths [lo, hi), their normals drawn in blocks.
 
-    The blocks are the leaves of numpy's pairwise-sum tree over the paths,
-    cut at _stream_split.  Each block's rows of states' normals are drawn
-    into one buffer that every block reuses and marched; F is the blocks'
-    columns in order and the sums are added in the tree's order, so every
-    value is the one of marching [lo, hi) at once.  A block that raises
+    The blocks cut the paths at the leaves of numpy's pairwise-sum tree
+    (_stream_split), and a leaf's steps into blocks of _STREAM_DRAWS // m
+    steps, which its marches step in lockstep.  Each block's normals are
+    drawn into one buffer that every block reuses and marched; F is the
+    leaves' columns in order and the sums are added in the tree's order, so
+    every value is the one of marching [lo, hi) at once.  A leaf that raises
     raises its own error, which need not be the first one of the whole.
+    states is left as it was found.
     """
-    if not (s := _stream_split(hi - lo, n_steps)):
-        return _stepper(marches, h, n_steps, lo, hi, _draw_rows(states, lo, hi, n_steps, buffer))
-    if buffer is None:  # a block either fits _STREAM_DRAWS or cannot split above _STREAM_MIN_PATHS
-        buffer = np.empty(max(_STREAM_BUFFER, min(hi - lo, 2 * _STREAM_MIN_PATHS + 15) * n_steps))
-    left = _streamed(marches, h, n_steps, states, lo, lo + s, buffer)
-    right = _streamed(marches, h, n_steps, states, lo + s, hi, buffer)
-    with np.errstate(all="ignore"):  # a sum that leaves the float range is the caller's to judge
-        return [(np.hstack((fa, fb)), sa + sb) for (fa, sa), (fb, sb) in zip(left, right)]
+    m = hi - lo
+    if buffer is None and m * n_steps > _STREAM_DRAWS:
+        buffer = np.empty(_STREAM_BUFFER)
+    if s := _stream_split(m, n_steps):
+        left = _streamed(marches, h, n_steps, states, lo, lo + s, buffer)
+        right = _streamed(marches, h, n_steps, states, lo + s, hi, buffer)
+        with np.errstate(all="ignore"):  # a sum that leaves the float range is the caller's
+            return [(np.hstack((fa, fb)), sa + sb) for (fa, sa), (fb, sb) in zip(left, right)]
+    start, width = states[lo:hi].copy(), max(1, _STREAM_DRAWS // m)
+
+    def draw(j0: int) -> np.ndarray:
+        if not j0:  # every pass over the steps starts the rows' streams afresh
+            states[lo:hi] = start
+        return _draw_rows(states, lo, hi, j0, min(j0 + width, n_steps), buffer)
+
+    try:
+        return _stepper(marches, h, n_steps, lo, hi, draw(0) if width >= n_steps else draw)
+    finally:
+        states[lo:hi] = start
+
+
+def _release_free_heap() -> None:
+    """Gives the pages of freed heap memory back to the system, where the C library
+    can (glibc's malloc_trim): what the first request freed then does not stay
+    resident under the normals held after it."""
+    import ctypes
+
+    with contextlib.suppress(OSError, AttributeError):  # no such C library or function
+        trim = ctypes.CDLL(None).malloc_trim
+        trim.argtypes, trim.restype = [ctypes.c_size_t], ctypes.c_int
+        trim(0)
 
 
 def _march_held(n_paths: int, n_steps: int, h: float, noise, marches_of, body=None):
@@ -732,32 +787,31 @@ def _march_held(n_paths: int, n_steps: int, h: float, noise, marches_of, body=No
 
     A request is a tuple of floats.  marches_of(request) gives _stepper's
     marches on n_steps steps, and march(request) returns, per march, F
-    (rows, n_paths) and the per-node ensemble mean.  Every march reads the same
-    normals Z (n_paths, n_steps), given by noise: an int seed stands for
-    path_normals(seed, n_paths, n_steps), whose rows are drawn once, each by
-    the process that marches them.  noise None switches the noise off: every
-    path is then the Euler mean, so each request marches one path in this
-    process, its F has one column (n_paths is not read) and its mean is that
-    path, euler_mean's bits; nothing is drawn and nothing forks.
-    Without a body the session is the one request (0.0,), whose results it
-    returns, and each process streams its normals (_streamed) instead of
-    holding them for later requests.
+    (rows, n_paths) and the per-node ensemble mean.  Every march reads the
+    same normals Z (n_paths, n_steps), given by noise: an int seed stands
+    for path_normals(seed, n_paths, n_steps), whose rows each process draws
+    for the paths it marches.  The first request streams them (_streamed);
+    only a second request draws them again and holds them for the rest of
+    the session.  Without a body the session is the one request
+    (0.0,), whose results it returns.  noise None switches the noise off:
+    every path is then the Euler mean, so each request marches one path in
+    this process, its F has one column (n_paths is not read) and its mean
+    is that path, euler_mean's bits; nothing is drawn and nothing forks.
 
     With a seed, from _FORK_MIN_DRAWS normals on and with more than
     _PAIRWISE_BLOCK paths, one _in_two runs the whole body, however many
     requests it makes.  Where it makes a child, this process marches paths
-    [0, s) of the noise and the child [s, n), s = _pairwise_split(n).  Each
-    request goes to the child over its line as its length and then its
-    floats; both march their paths, the child answers on its line with each
-    march's F columns and per-step sums, and this process puts the child's
-    columns after its own and adds the child's sums to its own.  A failed pipe or fork, a half that raised, a child
-    that ended without answering or a joined sum that is not finite (an
-    overflow that only the whole sum may see) leaves the rest of the body to
-    this process alone, which draws all the normals and reruns the request,
-    so every value and every error is the one-process one.  So does a
-    streamed block that raised, or a streamed sum that is not finite, in a
-    session without a child.
-    SimulationBlowupError names the first step that leaves a path
+    [0, s) and the child [s, n), s = _pairwise_split(n).  Each request goes
+    to the child over its line as its length and then its floats; the child
+    answers with each march's per-step sums and F columns, and this process
+    puts the child's columns after its own and adds the sums to its own.  A
+    failed pipe or fork, a half that raised, a child that ended without
+    answering or a joined sum that is not finite (an overflow that only the
+    whole sum may see) leaves the rest of the body to this process alone,
+    which holds all the normals and reruns the request, so every value and
+    every error is the one-process one.  So does a streamed leaf that
+    raised, or a streamed sum that is not finite, in a session without a
+    child.  SimulationBlowupError names the first step that leaves a path
     non-finite and the first such path, in the first march that has one.
     """
     if noise is None:  # every path is the Euler mean: one path stands for all of them
@@ -766,28 +820,29 @@ def _march_held(n_paths: int, n_steps: int, h: float, noise, marches_of, body=No
 
         return body(path) if body else path((0.0,))
     states = _path_states(noise, n_paths, n_steps)
-    once = body is None  # one request: its normals are streamed
-    held: dict = {}  # this process's normals, by their paths (lo, hi)
+    held: dict = {}  # this process's normals, by their paths (lo, hi), from its second request on
+    asked = False  # whether this process has marched a request; each process keeps its own
 
-    def run(request: tuple, lo: int, hi: int, streamed: bool = False) -> list[tuple]:
-        """The (F, per-step sums) of the request's marches on paths [lo, hi), on
-        streamed normals or on normals held for every request."""
-        if streamed:
+    def run(request: tuple, lo: int, hi: int) -> list[tuple]:
+        """The (F, per-step sums) of the request's marches on paths [lo, hi): on
+        streamed normals for the first request, on held normals after it."""
+        nonlocal asked
+        first, asked = not asked, True
+        if first:
             return _streamed(marches_of(request), h, n_steps, states, lo, hi)
         if (lo, hi) not in held:
             held.clear()  # a half given up goes before the whole is drawn
-            held[lo, hi] = _draw_rows(states, lo, hi, n_steps)
+            _release_free_heap()
+            held[lo, hi] = _draw_rows(states.copy(), lo, hi, 0, n_steps)
         return _stepper(marches_of(request), h, n_steps, lo, hi, held[lo, hi])
 
     fork = n_paths > _PAIRWISE_BLOCK and n_paths * n_steps >= _FORK_MIN_DRAWS
     split = _pairwise_split(n_paths) if fork else n_paths
 
     def there(line: _Line) -> None:
-        if not once:  # drawn while this process prepares its first request
-            held[split, n_paths] = _draw_rows(states, split, n_paths, n_steps)
         while (size := line.receive()) is not None and (
                 request := line.receive(int(size))) is not None:
-            for out, sums in run(tuple(np.atleast_1d(request).tolist()), split, n_paths, once):
+            for out, sums in run(tuple(np.atleast_1d(request).tolist()), split, n_paths):
                 line.send(sums, out)
 
     def here(line: _Line | None):
@@ -800,7 +855,7 @@ def _march_held(n_paths: int, n_steps: int, h: float, noise, marches_of, body=No
                 # First, so the child never waits for this process's draw.
                 line.send(len(request), *request)
                 try:
-                    ours = run(request, 0, hi, once)
+                    ours = run(request, 0, hi)
                 except Exception:  # one process reruns the request below and raises it again
                     ours = []
                 # Per march, the child's per-step sums and then its F columns.
@@ -812,11 +867,11 @@ def _march_held(n_paths: int, n_steps: int, h: float, noise, marches_of, body=No
                         return [(np.hstack((out, a[n_steps + 1 :].reshape(len(out), -1))),
                                  s / n_paths) for (out, _), a, s in zip(ours, theirs, sums)]
                 hi = n_paths  # the child is given up: drop this half, draw the whole
-            elif once and _stream_split(n_paths, n_steps):
-                # More than one block: a block's error, or a sum that only the join
+            elif not asked and _stream_split(n_paths, n_steps):
+                # More than one leaf: a leaf's error, or a sum that only the join
                 # takes out of the float range, is the held rerun's to raise.
                 with contextlib.suppress(Exception):
-                    ours = run(request, 0, hi, True)
+                    ours = run(request, 0, hi)
                     if all(np.isfinite(sums).all() for _, sums in ours):
                         return [(out, sums / n_paths) for out, sums in ours]
             return [(out, sums / n_paths) for out, sums in run(request, 0, hi)]

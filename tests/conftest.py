@@ -21,7 +21,8 @@ def wright_fisher_sigma(x: np.ndarray) -> np.ndarray:
 
 @contextlib.contextmanager
 def drawn_from(normals: np.ndarray):
-    """While active, a seed's draws (numerics._draw_rows) are slices of the given normals.
+    """While active, a seed's draws (numerics._draw_rows) are slices of the given normals,
+    copied into the draw's buffer where it has one.
 
     normals is a step-major (n_paths, n_steps) matrix such as path_normals
     returns; the marches take a seed only, so a test that feeds them a
@@ -29,9 +30,13 @@ def drawn_from(normals: np.ndarray):
     """
     draw = numerics._draw_rows
 
-    def rows(states, lo, hi, n_steps, buffer=None):
-        assert normals.shape == (len(states), n_steps)
-        return normals[lo:hi]
+    def rows(states, lo, hi, j0, j1, buffer=None):
+        assert len(normals) == len(states) and j1 <= normals.shape[1]
+        if buffer is None:
+            return normals[lo:hi, j0:j1]
+        out = buffer[: (j1 - j0) * (hi - lo)].reshape(j1 - j0, hi - lo)
+        out[:] = normals[lo:hi, j0:j1].T
+        return out.T
 
     numerics._draw_rows = rows
     try:

@@ -270,6 +270,23 @@ class TestMain:
         se = [float(line.split(" = ")[1]) for line in lines if line.startswith("J0_star_se")]
         assert se and se[0] < 1e-12  # every path is the mean path
 
+    @pytest.mark.parametrize("action", ["threshold-k", "verify"])
+    @pytest.mark.parametrize("zero_noise", [True, False])
+    def test_zero_noise_report_says_paths_and_seed_are_not_read(
+            self, tmp_path, action, zero_noise):
+        # The report echoes mc.n_paths and mc.seed; without noise the run reads neither.
+        doc = yaml.safe_load(MEANFIELD_YAML)
+        doc["mc"].update(n_paths=40, n_steps=50, zero_noise=zero_noise)
+        cfg = self._write(tmp_path, yaml.safe_dump(doc))
+        out = tmp_path / "out"
+        assert main(["meanfield", action, "--config", str(cfg), "--out", str(out)]) == 0
+        report = (out / "report.txt").read_text()
+        listed = report.split("[warnings]\n")[1].split("\n\n")[0].splitlines()
+        warning = ("- zero-noise: every path is the Euler mean, so one path is marched "
+                   "and mc.n_paths and mc.seed are not read")
+        assert "mc.n_paths = 40" in report.splitlines()
+        assert (warning in listed) == zero_noise
+
     @pytest.mark.parametrize("text, extra", [
         (MEANFIELD_YAML.replace("seed: 42", "seed: -1"), []),
         (MEANFIELD_YAML, ["--seed", "-1"]),

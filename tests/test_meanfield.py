@@ -3,6 +3,7 @@
 import errno
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -956,7 +957,7 @@ class TestPairedMarches:
 
     def test_fork_rule_constants(self, monkeypatch):
         # A seeded search forks from 2^20 normals; mf-threshold has 10^7.  The
-        # child draws its rows before any request.  Without noise one path is
+        # child draws nothing before a request.  Without noise one path is
         # marched and nothing forks, however many paths the ensemble has.
         forks, real_fork = [], os.fork
         monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
@@ -970,6 +971,22 @@ class TestPairedMarches:
             forks.clear()
             numerics._march_held(n_paths, n_steps, 0.1, noise, None, lambda march: None)
             assert forks == [1] * fork
+
+    def test_search_without_a_miss_never_holds_its_normals(self, mfg, processes):
+        # On one CPU, 5,000 x 1,000 normals are 40 MB.  At seed 3 the pilot is
+        # right, so the search makes one request, which streams them: its
+        # allocations peak at its block buffer (32 MiB of address space, of which
+        # a block touches 16 MiB) and about 3 MiB of states, marches and
+        # functionals.
+        processes.cpus(1)
+        tracemalloc.start()
+        try:
+            res = min_k_meanfield(mfg, McConfig(n_paths=5000, n_steps=1000, seed=3))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert res.details["marches"]["requests"] == 1
+        assert peak < 37 * 2**20 < 8 * 5000 * 1000
 
 
 class TestParamValidation:
@@ -999,3 +1016,7 @@ class TestParamValidation:
             with pytest.raises(ParameterError, match="seed"):
                 McConfig(seed=seed)
         assert McConfig(seed=2**130 + 7).seed == 2**130 + 7
+        for flag in ("false", "true", "", 0, 1, None, np.bool_(True)):  # "false" is truthy
+            with pytest.raises(ParameterError, match="zero_noise"):
+                McConfig(zero_noise=flag)
+        assert McConfig(zero_noise=True).zero_noise is True

@@ -403,6 +403,23 @@ class TestPathNoise:
             bits = np.random.PCG64(_GivenWords(row))
             assert bits.state["state"] == _seeding._state_ints(limbs)
 
+    @pytest.mark.parametrize("setter", ["in place", "public"])
+    def test_draws_continue_across_uneven_step_blocks(self, monkeypatch, setter):
+        # Rows 10..289 drawn as 333 + 1 + 666 steps are the rows drawn at once: each
+        # block leaves its rows' PCG64 states where the next block starts, and no
+        # other row's state moves.
+        want = path_normals(3, 300, 1000)
+        if setter == "public":  # the state written in place does not read back
+            monkeypatch.setattr(_seeding, "_reads_back", lambda bits, limbs: False)
+        states = numerics._path_states(3, 300, 1000)
+        start = states.copy()
+        blocks = [numerics._draw_rows(states, 10, 290, j0, j1).copy()
+                  for j0, j1 in [(0, 333), (333, 334), (334, 1000)]]
+        assert np.hstack(blocks).tobytes() == want[10:290].tobytes()
+        assert states[:10].tobytes() + states[290:].tobytes() == (
+            start[:10].tobytes() + start[290:].tobytes())
+        assert not (states[10:290] == start[10:290]).all(axis=1).any()
+
     def test_one_generator_per_draw(self, monkeypatch):
         made, pcg64 = [], np.random.PCG64
 
@@ -689,6 +706,46 @@ class TestStackedMarches:
             f_one, sums_one = _one_march(march, h, self.N_STEPS, 0, 300, z)
             assert f.tobytes() == f_one.tobytes() and sums.tobytes() == sums_one.tobytes()
 
+    @pytest.mark.parametrize("group", [1, 3, None])
+    def test_step_blocks_match_one_unblocked_march(self, monkeypatch, group):
+        # With a draw for blocks of steps, the groups march each block in lockstep
+        # on one draw: uneven blocks give every bit of F and of the sums.
+        marches, h = self._marches("split")
+        z = path_normals(7, 300, self.N_STEPS)
+        if group is not None:  # groups of `group` marches, else one group of all ten
+            monkeypatch.setattr(numerics, "_BLOCK", group * 300)
+        want = numerics._stepper(marches, h, self.N_STEPS, 0, 300, z)
+        edges, drawn = [0, 7, 8, 21, self.N_STEPS], []
+
+        def draw(j0):
+            drawn.append(j0)
+            return z[:, j0 : edges[edges.index(j0) + 1]]
+
+        got = numerics._stepper(marches, h, self.N_STEPS, 0, 300, draw)
+        assert drawn == edges[:-1]  # each block is drawn once for every group
+        for (f, sums), (f_one, sums_one) in zip(got, want, strict=True):
+            assert f.tobytes() == f_one.tobytes() and sums.tobytes() == sums_one.tobytes()
+
+    def test_later_groups_blowup_in_an_earlier_step_block_is_the_first_marchs(
+            self, monkeypatch):
+        # Groups of two over blocks of ten steps: march 3, in the second group,
+        # leaves at step 5, in the first block; march 0 leaves at step 30, in the
+        # third.  March 0's error is raised, as marching one at a time raises it.
+        marches, h = self._marches("payoff", 5)
+        marches = [(alpha, beta.copy(), *rest) for alpha, beta, *rest in marches]
+        marches[3][1][4] = np.nan
+        marches[0][1][29] = np.nan
+        z = path_normals(7, 300, self.N_STEPS)
+        with pytest.raises(SimulationBlowupError) as one:
+            for march in marches:
+                _one_march(march, h, self.N_STEPS, 0, 300, z)
+        assert (one.value.path_index, one.value.step) == (0, 30)
+        monkeypatch.setattr(numerics, "_BLOCK", 2 * 300)
+        with pytest.raises(SimulationBlowupError) as err:
+            numerics._stepper(marches, h, self.N_STEPS, 0, 300,
+                              lambda j0: z[:, j0 : min(j0 + 10, self.N_STEPS)])
+        assert (err.value.path_index, err.value.step) == (0, 30)
+
     @pytest.mark.parametrize("noise_at, beta_at, first", [
         ((117, 30), {}, (117, 30)),  # every march leaves at once: march 0's
         ((117, 30), {2: 10}, (117, 30)),  # march 2 leaves first, march 0's is raised
@@ -963,9 +1020,9 @@ class TestTwoProcesses:
         want = self._one_process(processes, lambda: _functionals(marches, h, 6000, normals))
         draw, draws = numerics._draw_rows, []
 
-        def counted(states, lo, hi, n_steps, buffer=None):
+        def counted(states, lo, hi, j0, j1, buffer=None):
             draws.append((lo, hi))
-            return draw(states, lo, hi, n_steps, buffer)
+            return draw(states, lo, hi, j0, j1, buffer)
 
         monkeypatch.setattr(numerics, "_draw_rows", counted)
         for cpus in (1, 2):
@@ -1002,11 +1059,11 @@ class TestTwoProcesses:
         """Makes the drawn normal of each path at each step NaN, in whichever process draws it."""
         draw = numerics._draw_rows
 
-        def poisoned(states, lo, hi, n_steps, buffer=None):
-            z = draw(states, lo, hi, n_steps, buffer)
+        def poisoned(states, lo, hi, j0, j1, buffer=None):
+            z = draw(states, lo, hi, j0, j1, buffer)
             for path, step in paths.items():
-                if lo <= path < hi:
-                    z[path - lo, step - 1] = np.nan
+                if lo <= path < hi and j0 < step <= j1:
+                    z[path - lo, step - 1 - j0] = np.nan
             return z
 
         monkeypatch.setattr(numerics, "_draw_rows", poisoned)
@@ -1040,9 +1097,9 @@ class TestTwoProcesses:
                [[np.zeros(n + 1), np.ones(n + 1), np.zeros(n + 1)]])
         draw, draws = numerics._draw_rows, []
 
-        def counted(states, lo, hi, n_steps, buffer=None):
+        def counted(states, lo, hi, j0, j1, buffer=None):
             draws.append((lo, hi - lo))
-            return draw(states, lo, hi, n_steps, buffer)
+            return draw(states, lo, hi, j0, j1, buffer)
 
         monkeypatch.setattr(numerics, "_draw_rows", counted)
         for cpus in (1, 2):
@@ -1121,9 +1178,9 @@ class TestTwoProcesses:
         """The (lo, hi) of every draw this process makes, in order."""
         draw, draws = numerics._draw_rows, []
 
-        def counted(states, lo, hi, n_steps, buffer=None):
+        def counted(states, lo, hi, j0, j1, buffer=None):
             draws.append((lo, hi))
-            return draw(states, lo, hi, n_steps, buffer)
+            return draw(states, lo, hi, j0, j1, buffer)
 
         monkeypatch.setattr(numerics, "_draw_rows", counted)
         return draws
@@ -1148,11 +1205,23 @@ class TestTwoProcesses:
         assert draws[0][0] == 0 and draws[-1][1] == n_paths
         self._same(got, want)
 
+    def test_streamed_leaf_cuts_its_steps(self, monkeypatch):
+        # A leaf of 3,001 paths that may not split draws blocks of 7, 7 and 6 steps
+        # into one buffer, and leaves the states as it found them.
+        marches, h, normals = self._seed_case(3001, 20)
+        want = numerics._stepper(marches, h, 20, 0, 3001, normals)
+        monkeypatch.setattr(numerics, "_STREAM_DRAWS", 7 * 3001)
+        draws, states = self._count_draws(monkeypatch), numerics._path_states(5, 3001, 20)
+        start = states.copy()
+        got = numerics._streamed(marches, h, 20, states, 0, 3001)
+        assert draws == [(0, 3001)] * 3 and states.tobytes() == start.tobytes()
+        self._same(got, want)
+
     @pytest.mark.parametrize("n_paths", [10_001, 2**15 + 3])
     @pytest.mark.parametrize("blocks", [1, 2, 4])
     def test_streamed_call_matches_held_normals(self, processes, monkeypatch, n_paths, blocks):
-        # _em_functionals streams; the same request in a session with a body holds
-        # its normals.  Both give every bit of F and of the mean, on one CPU and on
+        # _em_functionals streams; a session's second request marches on held
+        # normals.  Both give every bit of F and of the mean, on one CPU and on
         # two, where each process cuts its own paths into blocks.
         marches, h, _ = self._seed_case(n_paths, 20)
         draws = self._count_draws(monkeypatch)
@@ -1161,7 +1230,7 @@ class TestTwoProcesses:
             ours = n_paths if cpus == 1 else numerics._pairwise_split(n_paths)
             self._blocks_of(monkeypatch, ours, 20, blocks)
             held = numerics._march_held(n_paths, 20, h, 5, lambda request: marches,
-                                        lambda march: march((0.0,)))
+                                        lambda march: march((0.0,)) and march((0.0,)))
             draws.clear()
             self._same(_em_functionals(marches, h, n_paths, 5), held)
             assert len(draws) == blocks if blocks < 4 else len(draws) >= 4
@@ -1187,8 +1256,9 @@ class TestTwoProcesses:
 
     def test_streamed_sum_only_the_whole_ensemble_overflows(self, processes, monkeypatch):
         # test_seeded_sum_only_the_whole_ensemble_overflows in blocks of 72 to 84
-        # paths: every block's sums are finite, and the whole call is drawn and
-        # marched again in this process once their join is not.
+        # paths, each drawn one step at a time: every block's sums are finite, and
+        # the whole call is drawn and marched again in this process once their
+        # join is not.
         n = 40
         big = (np.zeros(n + 1), np.zeros(n + 1), 1e306, np.full(n + 1, 1e306),
                [[np.zeros(n + 1), np.ones(n + 1), np.zeros(n + 1)]])
@@ -1204,7 +1274,7 @@ class TestTwoProcesses:
                 ((_, mean),) = _em_functionals([big], 1.0 / n, 300, 5)
             assert np.all(mean == np.inf)
             blocks = [(0, 72), (72, 144)] + [(144, 216), (216, 300)] * (cpus == 1)
-            assert draws == blocks + [(0, 300)]
+            assert draws == [block for block in blocks for _ in range(n)] + [(0, 300)]
 
     def test_single_use_call_never_holds_its_normals(self, processes):
         # On one CPU, 2^15 + 3 paths x 250 steps are 65.5 MB of normals.  Streamed,
