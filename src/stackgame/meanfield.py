@@ -683,9 +683,9 @@ def _search(deters, tol: float, k_max: float) -> float | None:
     It asks deters about k = 0, then max(tol, 1) and its doublings while
     they stay at or below k_max, then the midpoints of [lo, hi], where lo
     fails and hi deters, until the bracket is tol wide or its midpoint rounds
-    onto an end.  It returns hi.  min_k_meanfield runs it twice, through
-    _search_ahead: on the pilot's zero-noise verdict, then on the Monte Carlo
-    verdict, which alone decides the result.
+    onto an end.  It returns hi.  min_k_meanfield runs it twice: on the
+    zero-noise verdict (_pilot), then on the Monte Carlo verdict
+    (_search_ahead), which alone decides the result.
     """
     if deters(0.0):
         return 0.0
@@ -699,37 +699,41 @@ def _search(deters, tol: float, k_max: float) -> float | None:
     return hi
 
 
-def _search_ahead(foresee, ask, deters, tol: float, k_max: float) -> tuple:
-    """_search on deters(k, answer), with the rates a pilot foresees asked ahead in one request.
+def _pilot(foresee, tol: float, k_max: float) -> tuple:
+    """_search on foresee(k), a verdict that needs no march: its rate, or None if it
+    raised, and the rates it asked about, in its order."""
+    foreseen = []
+    try:
+        return _search(lambda k: foreseen.append(k) or foresee(k), tol, k_max), foreseen
+    except Exception:  # the pilot only predicts: the search meets any error itself
+        return None, foreseen
 
-    The pilot is _search on foresee(k), a verdict that needs no march; any
-    error ends it.  The rates it asked about, in its order, go to ask as one
-    tuple, and ask(rates) returns {rate: answer}.  The search then reads
-    each rate's answer from that request; a rate the pilot did not ask (a
-    miss), or every rate if the request raised, is asked alone, so nothing
-    is guessed after a miss.  The search gives deters only the rates it
-    reads, in its own order, so its result and its errors are _search's.
-    Returns the search's rate, the pilot's (None if it ended without one),
-    and {"requests": how many requests were sent, "marched": their rates in
+
+def _search_ahead(foreseen, ask, deters, tol: float, k_max: float) -> tuple:
+    """_search on deters(k, answer), with the rates a pilot foresaw asked ahead in one request.
+
+    foreseen, the rates of _pilot, go to ask as one tuple, and ask(rates)
+    returns {rate: answer}.  The search then reads each rate's answer from
+    that request; a rate the pilot did not ask (a miss), or every rate if
+    the request raised, is asked alone, so nothing is guessed after a miss.
+    The search gives deters only the rates it reads, in its own order, so
+    its result and its errors are _search's.  Returns the search's rate and
+    {"requests": how many requests were sent, "marched": their rates in
     order, "discarded": the rates marched and never read}.
     """
-    foreseen, sent, discarded = [], [], []
+    sent, discarded = [], []
 
     def request(rates: tuple) -> dict:
         sent.append(rates)
         return ask(rates)
 
     try:
-        k_hat = _search(lambda k: foreseen.append(k) or foresee(k), tol, k_max)
-    except Exception:  # the pilot only predicts: the search meets any error itself
-        k_hat = None
-    try:
         held = request(tuple(foreseen)) if foreseen else {}
     except Exception:  # an unread rate may not raise: the search asks its rates alone
         held, discarded = {}, foreseen
     k_min = _search(lambda k: deters(k, held.pop(k) if k in held else request((k,))[k]), tol, k_max)
-    return k_min, k_hat, {"requests": len(sent), "marched": [k for r in sent for k in r],
-                          "discarded": discarded + list(held)}
+    return k_min, {"requests": len(sent), "marched": [k for r in sent for k in r],
+                   "discarded": discarded + list(held)}
 
 
 def min_k_meanfield(
@@ -758,20 +762,22 @@ def min_k_meanfield(
     verdict on it.  A certified rate above k_max raises NoDeterrentError.  A
     given sol must have been solved on the Monte Carlo grid.
 
-    The rates are marched ahead (_search_ahead): a pilot runs the same
+    The rates are marched ahead: a pilot (_pilot) first runs the same
     bisection on the zero-noise verdict, both margins with SE = 0 from the
     marches' Euler means and their constant terms (_mean_payoff), which
-    draws nothing, and every rate it visits goes out in one request, with
-    the equilibrium march at k = 0, whose marches _stepper steps together.
-    details["pilot_k"] is the pilot's rate and details["marches"] counts the
-    requests and lists the rates marched and those discarded unread.  The
-    requests run in one _march_held session on mc.seed's normals: from 2^20
-    normals on two CPUs, one forked child marches half of the paths for
-    every request while this process marches the other half.  The first
-    request streams each process's normals in blocks; only a rate the pilot
-    missed, asked alone, has them drawn again and held for the rest of the
-    search.  At zero noise each request marches one path in this process,
-    so the search's verdicts, and k_min, are the pilot's.
+    draws nothing and builds each rate's march once.  Then one _march_held
+    session on mc.seed's normals runs the search (_search_ahead): every rate
+    the pilot visited goes out in one request, with the equilibrium march
+    at k = 0, whose marches _stepper steps together.  details["pilot_k"] is
+    the pilot's rate and details["marches"] counts the requests and lists
+    the rates marched and those discarded unread.  From 2^20 normals on two
+    CPUs, one child forked after the pilot marches half of the paths for
+    every request while this process marches the other half; it inherits
+    the pilot's marches, so only a rate the pilot missed is built in each
+    process.  The first request streams each process's normals in blocks;
+    only a missed rate, asked alone, has them drawn again and held for the
+    rest of the search.  At zero noise each request marches one path in
+    this process, so the search's verdicts, and k_min, are the pilot's.
     """
     require_positive(tol=tol, k_max=k_max)
     if mc.n_steps < 3:
@@ -823,9 +829,10 @@ def min_k_meanfield(
         answers = iter(march(rates))
         return {k: [next(answers) for _ in range(1 + (k == 0.0))] for k in rates}
 
-    k_min, pilot_k, asked = _march_held(
+    pilot_k, foreseen = _pilot(foresee, tol, k_max)  # before a fork, which inherits build's marches
+    k_min, asked = _march_held(
         mc.n_paths, mc.n_steps, grid.h, _noise(mc), marches,
-        lambda march: _search_ahead(foresee, lambda rates: ask(march, rates), deters, tol, k_max))
+        lambda march: _search_ahead(foreseen, lambda rates: ask(march, rates), deters, tol, k_max))
     if k_min is None:
         raise NoDeterrentError(f"defection stays profitable up to k = {k_max:g}")
     if k_min > k_max:

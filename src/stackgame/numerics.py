@@ -365,25 +365,16 @@ def find_root_bisect(f, lo: float, hi: float, tol: float) -> float:
 # cache, and no block of 4-32 MiB is freed, which would raise glibc's mmap
 # threshold for every later allocation in the process.
 _BLOCK = 2**15
-# Floats in a draw's path-major block (512 KiB), 256 rows at 250 steps.  At 1,000
-# steps its 65 rows drew 5,000 rows in 108 ms against 98 ms with 256 rows (2 MiB),
-# medians of 15 on a 2-vCPU VM; the normals held after a pilot miss are drawn so.
+# Floats in a draw's path-major staging block (512 KiB), 256 rows at 250 steps.
 _NORMALS_BLOCK = 2**16
-# A fork costs 2-6 ms on a 2-vCPU VM; the README times the work that pays for it.
-# A seeded one-row march there, one process against two, won by two in 4 rounds
-# of 7 (medians): at 250 steps 1/4 at 2^19 normals, 4/4 at 2^20 (36.5-45.2
-# against 29.9-39.2 ms) and 4/4 at 2^21; at 1000 steps 0/4, 2/4 and 4/4.
+# Normals a seeded march needs before it forks; the README times the work that pays for a fork.
 _FORK_MIN_DRAWS = 1 << 20
 _PAIRWISE_BLOCK = 128  # numpy sums up to this many elements without splitting
-# A streamed block holds at most _STREAM_DRAWS normals (16 MiB).  Its paths are cut
-# while each part keeps at least about _STREAM_MIN_PATHS paths, so that the per-step
-# work stays long (a step costs more per path on fewer paths), and then its steps.
-# Its buffer, with the draw's rows beside the block, takes more than glibc's largest
-# dynamic mmap threshold (32 MiB), so that freeing it moves no later allocation;
-# only the pages a block touches become resident.
-_STREAM_DRAWS = 1 << 21
-_STREAM_MIN_PATHS = 4096
-_STREAM_BUFFER = (32 << 20) // 8 + 512
+_STREAM_DRAWS = 1 << 21  # normals in a streamed block, at most (16 MiB)
+_STREAM_MIN_PATHS = 4096  # a streamed block's paths split while each part keeps this many
+# Steps x marches a streamed block feeds: a row's sampler call costs about a tenth of that work.
+_STREAM_MARCH_STEPS = 2048
+_STREAM_BUFFER = (32 << 20) // 8 + 512  # above glibc's largest dynamic mmap threshold
 
 
 def _pairwise_split(n: int) -> int:
@@ -510,19 +501,21 @@ def _path_states(seed: int, n_paths: int, n_steps: int) -> np.ndarray:
 
 
 def _draw_rows(states: np.ndarray, lo: int, hi: int, j0: int, j1: int,
-               buffer: np.ndarray | None = None) -> np.ndarray:
+               buffer: np.ndarray | None = None, advance: bool = True) -> np.ndarray:
     """Steps [j0, j1) of rows [lo, hi) of path_normals' matrix, drawn into a step-major buffer.
 
-    Rows lo..hi - 1 of states stand at step j0 of their streams, and are
-    left at step j1, so the next block of steps continues each stream bit
-    for bit.  One numpy PCG64 and normal sampler draw every row: each row's
-    state (_seeding.state_setter) goes into the generator, which then fills
-    the row of a small path-major block that is copied over block by block.
+    Rows lo..hi - 1 of states stand at step j0 of their streams.  With
+    advance they are left at step j1, so the next block of steps continues
+    each stream bit for bit; without it states is not written to.  One
+    numpy PCG64 and normal sampler draw every row: each row's state
+    (_seeding.state_setter) goes into the generator, which then fills the
+    row of a small path-major block that is copied over block by block.
     Column c of the (j1 - j0, hi - lo) buffer gets row lo + c.  The buffer
     and the block are new, or the start of the given flat float buffer and
     the block's rows after it, so that buffer must hold (j1 - j0) (hi - lo)
-    floats and the block's, at most max(_NORMALS_BLOCK, j1 - j0).  Returns the buffer's transpose, whose column
-    j, which a march reads at step j0 + j, is contiguous.
+    floats and the block's, at most max(_NORMALS_BLOCK, j1 - j0).  Returns
+    the buffer's transpose, whose column j, which a march reads at step
+    j0 + j, is contiguous.
     """
     from ._seeding import state_setter
 
@@ -540,7 +533,8 @@ def _draw_rows(states: np.ndarray, lo: int, hi: int, j0: int, j1: int,
         for i, row in enumerate(rows, lo + start):
             put(i)
             normal(out=row)
-            take(i)
+            if advance:
+                take(i)
         out[:, start : start + len(rows)] = rows.T
     return out.T
 
@@ -558,7 +552,8 @@ def path_normals(seed: int, n_paths: int, n_steps: int) -> np.ndarray:
     and em_paths build the whole matrix.  Raises ParameterError for a
     negative seed or an empty matrix.
     """
-    return _draw_rows(_path_states(seed, n_paths, n_steps), 0, n_paths, 0, n_steps)
+    return _draw_rows(_path_states(seed, n_paths, n_steps), 0, n_paths, 0, n_steps,
+                      advance=False)
 
 
 def em_paths(drift, diffusion, x0: float, grid: TimeGrid, n_paths: int, seed: int) -> PathEnsemble:
@@ -741,28 +736,34 @@ def _streamed(marches, h: float, n_steps: int, states: np.ndarray, lo: int, hi: 
     """_stepper's (F, per-step sums) of marches on paths [lo, hi), their normals drawn in blocks.
 
     The blocks cut the paths at the leaves of numpy's pairwise-sum tree
-    (_stream_split), and a leaf's steps into blocks of _STREAM_DRAWS // m
-    steps, which its marches step in lockstep.  Each block's normals are
-    drawn into one buffer that every block reuses and marched; F is the
+    (_stream_split), and a leaf's steps into equal blocks that the marches
+    step in lockstep.  A leaf of m paths and K marches takes blocks of at
+    most min(_STREAM_DRAWS // m, ceil(_STREAM_MARCH_STEPS / K)) steps: each
+    row's sampler call then feeds enough marching to pay for itself.  Where
+    the paths split or a leaf takes more than one block, every block is
+    drawn into one buffer (_STREAM_BUFFER), so no block is freed.  F is the
     leaves' columns in order and the sums are added in the tree's order, so
     every value is the one of marching [lo, hi) at once.  A leaf that raises
     raises its own error, which need not be the first one of the whole.
     states is left as it was found.
     """
-    m = hi - lo
-    if buffer is None and m * n_steps > _STREAM_DRAWS:
+    m, s = hi - lo, _stream_split(hi - lo, n_steps)
+    most = min(max(1, _STREAM_DRAWS // m), -(-_STREAM_MARCH_STEPS // len(marches)))
+    width = -(-n_steps // -(-n_steps // most))  # the fewest blocks of at most `most` steps
+    if buffer is None and (s or width < n_steps):
         buffer = np.empty(_STREAM_BUFFER)
-    if s := _stream_split(m, n_steps):
+    if s:
         left = _streamed(marches, h, n_steps, states, lo, lo + s, buffer)
         right = _streamed(marches, h, n_steps, states, lo + s, hi, buffer)
         with np.errstate(all="ignore"):  # a sum that leaves the float range is the caller's
             return [(np.hstack((fa, fb)), sa + sb) for (fa, sa), (fb, sb) in zip(left, right)]
-    start, width = states[lo:hi].copy(), max(1, _STREAM_DRAWS // m)
+    start = states[lo:hi].copy()
 
     def draw(j0: int) -> np.ndarray:
         if not j0:  # every pass over the steps starts the rows' streams afresh
             states[lo:hi] = start
-        return _draw_rows(states, lo, hi, j0, min(j0 + width, n_steps), buffer)
+        j1 = min(j0 + width, n_steps)
+        return _draw_rows(states, lo, hi, j0, j1, buffer, advance=j1 < n_steps)
 
     try:
         return _stepper(marches, h, n_steps, lo, hi, draw(0) if width >= n_steps else draw)
@@ -801,18 +802,21 @@ def _march_held(n_paths: int, n_steps: int, h: float, noise, marches_of, body=No
     With a seed, from _FORK_MIN_DRAWS normals on and with more than
     _PAIRWISE_BLOCK paths, one _in_two runs the whole body, however many
     requests it makes.  Where it makes a child, this process marches paths
-    [0, s) and the child [s, n), s = _pairwise_split(n).  Each request goes
-    to the child over its line as its length and then its floats; the child
-    answers with each march's per-step sums and F columns, and this process
-    puts the child's columns after its own and adds the sums to its own.  A
-    failed pipe or fork, a half that raised, a child that ended without
-    answering or a joined sum that is not finite (an overflow that only the
-    whole sum may see) leaves the rest of the body to this process alone,
-    which holds all the normals and reruns the request, so every value and
-    every error is the one-process one.  So does a streamed leaf that
-    raised, or a streamed sum that is not finite, in a session without a
-    child.  SimulationBlowupError names the first step that leaves a path
-    non-finite and the first such path, in the first march that has one.
+    [0, s) and the child [s, n), s = _pairwise_split(n).  The child is a
+    copy of this process as the session opens, so marches that marches_of
+    built and kept before the call are the child's without a build.  Each
+    request goes to the child over its line as its length and then its
+    floats; the child calls marches_of and answers with each march's
+    per-step sums and F columns, and this process puts the child's columns
+    after its own and adds the sums to its own.  A failed pipe or fork, a
+    half that raised, a child that ended without answering or a joined sum
+    that is not finite (an overflow that only the whole sum may see) leaves
+    the rest of the body to this process alone, which holds all the normals
+    and reruns the request, so every value and every error is the
+    one-process one.  So does a streamed leaf that raised, or a streamed sum
+    that is not finite, in a session without a child.  SimulationBlowupError
+    names the first step that leaves a path non-finite and the first such
+    path, in the first march that has one.
     """
     if noise is None:  # every path is the Euler mean: one path stands for all of them
         def path(request: tuple) -> list[tuple]:
@@ -833,7 +837,7 @@ def _march_held(n_paths: int, n_steps: int, h: float, noise, marches_of, body=No
         if (lo, hi) not in held:
             held.clear()  # a half given up goes before the whole is drawn
             _release_free_heap()
-            held[lo, hi] = _draw_rows(states.copy(), lo, hi, 0, n_steps)
+            held[lo, hi] = _draw_rows(states, lo, hi, 0, n_steps, advance=False)
         return _stepper(marches_of(request), h, n_steps, lo, hi, held[lo, hi])
 
     fork = n_paths > _PAIRWISE_BLOCK and n_paths * n_steps >= _FORK_MIN_DRAWS

@@ -30,7 +30,7 @@ def drawn_from(normals: np.ndarray):
     """
     draw = numerics._draw_rows
 
-    def rows(states, lo, hi, j0, j1, buffer=None):
+    def rows(states, lo, hi, j0, j1, buffer=None, advance=True):
         assert len(normals) == len(states) and j1 <= normals.shape[1]
         if buffer is None:
             return normals[lo:hi, j0:j1]

@@ -39,8 +39,11 @@ def _run(tmp_path: Path, name: str, args: list[str], one_cpu: bool) -> dict[str,
     return outputs
 
 
-@pytest.mark.skipif(len(CPUS) < 2, reason="this process may use only one CPU, so there "
-                                          "is no two-CPU run to compare with the one-CPU run")
+two_cpus = pytest.mark.skipif(len(CPUS) < 2, reason="this process may use only one CPU, so "
+                              "there is no two-CPU run to compare with the one-CPU run")
+
+
+@two_cpus
 @pytest.mark.parametrize("seed", [3, 11])  # the pilot is right at 3 and misses at 11
 def test_threshold_search_is_the_same_on_two_cpus_and_one(tmp_path, seed):
     args = ["meanfield", "threshold-k", "--paths", "10000", "--steps", "1000",
@@ -48,4 +51,29 @@ def test_threshold_search_is_the_same_on_two_cpus_and_one(tmp_path, seed):
     two = _run(tmp_path, "two", args, one_cpu=False)
     one = _run(tmp_path, "one", args, one_cpu=True)
     assert sorted(two) == ["report.txt", "sweep.csv"]
+    assert two == one
+
+
+@two_cpus
+@pytest.mark.parametrize("args, files", [
+    # 5,000 x 250 (1.25e6 normals) forks once on two CPUs.  The search's
+    # 2,496 and 2,504 paths per process, and its 5,000 on one CPU, step the
+    # ten marches of its first request in two blocks of 125 steps; at seed 15
+    # its zero-noise pilot misses, so each process then draws and holds its
+    # normals.
+    (["defect", "--paths", "5000", "--steps", "250"], ["report.txt", "trajectory.csv"]),
+    (["threshold-k", "--paths", "5000", "--steps", "250"], ["report.txt", "sweep.csv"]),
+    (["threshold-k", "--paths", "5000", "--steps", "250", "--seed", "15"],
+     ["report.txt", "sweep.csv"]),
+    # At 40,000 x 250 a single-use march streams each process's 20,000 paths
+    # in four blocks of 5,000, and one process's 40,000 in eight.
+    (["defect", "--paths", "40000", "--steps", "250"], ["report.txt", "trajectory.csv"]),
+    (["verify", "--paths", "40000", "--steps", "250"], ["report.txt"]),
+], ids=["defect-5000", "threshold-k-5000", "threshold-k-5000-seed-15", "defect-40000",
+        "verify-40000"])
+def test_monte_carlo_run_is_the_same_on_two_cpus_and_one(tmp_path, args, files):
+    args = ["meanfield", *args]
+    two = _run(tmp_path, "two", args, one_cpu=False)
+    one = _run(tmp_path, "one", args, one_cpu=True)
+    assert sorted(two) == files
     assert two == one

@@ -627,9 +627,9 @@ class TestMinK:
             asked.append(rates)
             return {k: k >= threshold for k in rates}
 
-        got, k_hat, marches = meanfield._search_ahead(
-            lambda k: k >= threshold + off * cell, ask, lambda k, ok: read.append(k) or ok,
-            0.01, 1000.0)
+        k_hat, foreseen = meanfield._pilot(lambda k: k >= threshold + off * cell, 0.01, 1000.0)
+        got, marches = meanfield._search_ahead(
+            foreseen, ask, lambda k, ok: read.append(k) or ok, 0.01, 1000.0)
         marched = [k for rates in asked for k in rates]
         assert got == k_min == 0.390625 and read == plain
         assert k_hat == meanfield._search(lambda k: k >= threshold + off * cell, 0.01, 1000.0)
@@ -674,9 +674,11 @@ class TestMinK:
         for pilot, request in [(foresee, lambda rates: {k: k >= threshold for k in rates}),
                                (lambda k: k >= threshold, ask)]:
             read = []
-            got, _, marches = meanfield._search_ahead(
-                pilot, request, lambda k, ok: read.append(k) or ok, 0.01, 1000.0)
+            k_hat, foreseen = meanfield._pilot(pilot, 0.01, 1000.0)
+            got, marches = meanfield._search_ahead(
+                foreseen, request, lambda k, ok: read.append(k) or ok, 0.01, 1000.0)
             assert got == k_min and read == plain
+            assert (k_hat is None) == (pilot is foresee)
         assert marches["requests"] == 1 + len(plain)
         assert marches["discarded"] == plain  # the pilot was right: it asked the same rates
 
@@ -835,22 +837,51 @@ class TestPairedMarches:
         assert len(failed) == 1
 
     def test_child_exiting_mid_search_marches_in_process(self, mfg, processes, monkeypatch):
-        # The child ends while it builds the marches of the pilot's one request,
-        # at k = 0.5, its third rate; this process marches that request and the
-        # search's single-rate requests alone.
+        # The child is forked after the pilot and inherits its marches, so at
+        # seed 3 it builds only the rates the pilot missed.  It ends while it
+        # builds the first of them, k = 0.421875, alone in the search's second
+        # request; this process marches that request and the later one alone.
         oracle = _bisection_oracle(mfg, self.TINY)
-        assert list(oracle.details["satisfied"])[:3] == [0.0, 1.0, 0.5]
+        marched = min_k_meanfield(mfg, self.TINY).details["marches"]["marched"]
+        assert marched.index(0.421875) == len(marched) - 2
         processes.forks.clear()
         march, parent = meanfield._defection_march, os.getpid()
 
         def ending(p, k, *rest):
-            if k == 0.5 and os.getpid() != parent:
+            if k == 0.421875 and os.getpid() != parent:
                 os._exit(3)
             return march(p, k, *rest)
 
         monkeypatch.setattr(meanfield, "_defection_march", ending)
         _assert_as_oracle(min_k_meanfield(mfg, self.TINY), oracle)
         assert len(processes.forks) == 1
+
+    @pytest.mark.parametrize("seed, missed", [(8, []), (3, [0.421875, 0.4140625])])
+    def test_child_builds_only_the_rates_the_pilot_missed(
+            self, mfg, processes, monkeypatch, tmp_path, seed, missed):
+        # The pilot builds every rate it foresees before the child is forked.  At
+        # seed 8 it is right, and the child builds no march; at seed 3 it misses
+        # two rates, and each process builds those.  The values are one process's.
+        mc = McConfig(n_paths=200, n_steps=50, seed=seed)
+        processes.cpus(1)
+        one = min_k_meanfield(mfg, mc)
+        processes.cpus(2)
+        built, march, parent = tmp_path / "built", meanfield._defection_march, os.getpid()
+
+        def logged(p, k, *rest):  # each process appends its own lines
+            with open(built, "a") as log:
+                log.write(f"{os.getpid() != parent} {k!r}\n")
+            return march(p, k, *rest)
+
+        monkeypatch.setattr(meanfield, "_defection_march", logged)
+        two = min_k_meanfield(mfg, mc)
+        assert two == one and len(processes.forks) == 1
+        rows = [line.split() for line in built.read_text().splitlines()]
+        marches = two.details["marches"]
+        foreseen = marches["marched"][: len(marches["marched"]) - len(missed)]
+        assert marches["requests"] == 1 + len(missed)
+        assert [float(k) for there, k in rows if there == "False"] == foreseen + missed
+        assert [float(k) for there, k in rows if there == "True"] == missed
 
     @staticmethod
     def _poison(monkeypatch, bad_k, paths):
@@ -976,8 +1007,8 @@ class TestPairedMarches:
         # On one CPU, 5,000 x 1,000 normals are 40 MB.  At seed 3 the pilot is
         # right, so the search makes one request, which streams them: its
         # allocations peak at its block buffer (32 MiB of address space, of which
-        # a block touches 16 MiB) and about 3 MiB of states, marches and
-        # functionals.
+        # each of its five blocks touches 8 MB) and about 3 MiB of states,
+        # marches and functionals.
         processes.cpus(1)
         tracemalloc.start()
         try:

@@ -1020,9 +1020,9 @@ class TestTwoProcesses:
         want = self._one_process(processes, lambda: _functionals(marches, h, 6000, normals))
         draw, draws = numerics._draw_rows, []
 
-        def counted(states, lo, hi, j0, j1, buffer=None):
+        def counted(states, lo, hi, j0, j1, buffer=None, advance=True):
             draws.append((lo, hi))
-            return draw(states, lo, hi, j0, j1, buffer)
+            return draw(states, lo, hi, j0, j1, buffer, advance)
 
         monkeypatch.setattr(numerics, "_draw_rows", counted)
         for cpus in (1, 2):
@@ -1059,8 +1059,8 @@ class TestTwoProcesses:
         """Makes the drawn normal of each path at each step NaN, in whichever process draws it."""
         draw = numerics._draw_rows
 
-        def poisoned(states, lo, hi, j0, j1, buffer=None):
-            z = draw(states, lo, hi, j0, j1, buffer)
+        def poisoned(states, lo, hi, j0, j1, buffer=None, advance=True):
+            z = draw(states, lo, hi, j0, j1, buffer, advance)
             for path, step in paths.items():
                 if lo <= path < hi and j0 < step <= j1:
                     z[path - lo, step - 1 - j0] = np.nan
@@ -1097,9 +1097,9 @@ class TestTwoProcesses:
                [[np.zeros(n + 1), np.ones(n + 1), np.zeros(n + 1)]])
         draw, draws = numerics._draw_rows, []
 
-        def counted(states, lo, hi, j0, j1, buffer=None):
+        def counted(states, lo, hi, j0, j1, buffer=None, advance=True):
             draws.append((lo, hi - lo))
-            return draw(states, lo, hi, j0, j1, buffer)
+            return draw(states, lo, hi, j0, j1, buffer, advance)
 
         monkeypatch.setattr(numerics, "_draw_rows", counted)
         for cpus in (1, 2):
@@ -1178,9 +1178,9 @@ class TestTwoProcesses:
         """The (lo, hi) of every draw this process makes, in order."""
         draw, draws = numerics._draw_rows, []
 
-        def counted(states, lo, hi, j0, j1, buffer=None):
+        def counted(states, lo, hi, j0, j1, buffer=None, advance=True):
             draws.append((lo, hi))
-            return draw(states, lo, hi, j0, j1, buffer)
+            return draw(states, lo, hi, j0, j1, buffer, advance)
 
         monkeypatch.setattr(numerics, "_draw_rows", counted)
         return draws
@@ -1215,6 +1215,47 @@ class TestTwoProcesses:
         start = states.copy()
         got = numerics._streamed(marches, h, 20, states, 0, 3001)
         assert draws == [(0, 3001)] * 3 and states.tobytes() == start.tobytes()
+        self._same(got, want)
+
+    @pytest.mark.parametrize("n_marches, n_paths, n_steps, edges, buffered", [
+        (10, 5000, 1000, [0, 200, 400, 600, 800, 1000], True),  # the search's request
+        (1, 5000, 1000, [0, 334, 668, 1000], True),  # one march: three blocks, as _STREAM_DRAWS cuts
+        (2, 5000, 250, [0, 250], False),  # mc_payoffs' leaf at 40,000 x 250: one block
+        (10, 2500, 250, [0, 125, 250], True),  # only the march rule cuts this leaf
+    ])
+    def test_step_blocks_follow_the_marches_they_feed(
+            self, monkeypatch, n_marches, n_paths, n_steps, edges, buffered):
+        # A leaf of m paths and K marches takes the fewest equal blocks of at most
+        # min(_STREAM_DRAWS // m, ceil(2048 / K)) steps, every one drawn into the
+        # stream buffer where there is more than one.  Only the last block leaves
+        # the rows' PCG64 states unwritten, and the values are one march's.
+        grid, alpha, beta, _, _, m, (c,), normals = _kernel_case(n_paths=n_paths, n_steps=n_steps)
+        marches = [((1.0 + 0.1 * i) * alpha, beta - 0.05 * i, 0.5 - 0.02 * i, m, [c])
+                   for i in range(n_marches)]
+        want = numerics._stepper(marches, grid.h, n_steps, 0, n_paths, normals)
+        draw, draws = numerics._draw_rows, []
+
+        def counted(states, lo, hi, j0, j1, buffer=None, advance=True):
+            draws.append((lo, hi, j0, j1, buffer, advance))
+            return draw(states, lo, hi, j0, j1, buffer, advance)
+
+        monkeypatch.setattr(numerics, "_draw_rows", counted)
+        states = numerics._path_states(5, n_paths, n_steps)
+        start = states.copy()
+        got = numerics._streamed(marches, grid.h, n_steps, states, 0, n_paths)
+        per_row = np.zeros(n_paths, dtype=int)
+        for lo, hi, *_ in draws:
+            per_row[lo:hi] += 1
+        assert per_row.tolist() == [len(edges) - 1] * n_paths
+        assert [(j0, j1) for _, _, j0, j1, _, _ in draws] == list(zip(edges, edges[1:]))
+        assert [advance for *_, advance in draws] == [True] * (len(edges) - 2) + [False]
+        buffers = [buffer for *_, buffer, _ in draws]
+        if buffered:
+            assert len(buffers[0]) == numerics._STREAM_BUFFER
+            assert all(buffer is buffers[0] for buffer in buffers)
+        else:
+            assert buffers == [None]
+        assert states.tobytes() == start.tobytes()
         self._same(got, want)
 
     @pytest.mark.parametrize("n_paths", [10_001, 2**15 + 3])
