@@ -361,9 +361,10 @@ def find_root_bisect(f, lo: float, hi: float, tol: float) -> float:
 
 
 # Floats in one working buffer of a blocked loop: the discrete oracle's blocks
-# and a stacked march's (K, m) state.  A 256 KiB buffer stays in a core's L2
-# cache, and no block of 4-32 MiB is freed, which would raise glibc's mmap
-# threshold for every later allocation in the process.
+# and a stacked march's (K, m) state, whose marches a streamed leaf keeps in
+# one group (_stream_split).  A 256 KiB buffer stays in a core's L2 cache, and
+# no block of 4-32 MiB is freed, which would raise glibc's mmap threshold for
+# every later allocation in the process.
 _BLOCK = 2**15
 # Floats in a draw's path-major staging block (512 KiB), 256 rows at 250 steps.
 _NORMALS_BLOCK = 2**16
@@ -371,7 +372,7 @@ _NORMALS_BLOCK = 2**16
 _FORK_MIN_DRAWS = 1 << 20
 _PAIRWISE_BLOCK = 128  # numpy sums up to this many elements without splitting
 _STREAM_DRAWS = 1 << 21  # normals in a streamed block, at most (16 MiB)
-_STREAM_MIN_PATHS = 4096  # a streamed block's paths split while each part keeps this many
+_STREAM_MIN_PATHS = 4096  # a block over _STREAM_DRAWS splits while each part keeps this many
 # Steps x marches a streamed block feeds: a row's sampler call costs about a tenth of that work.
 _STREAM_MARCH_STEPS = 2048
 _STREAM_BUFFER = (32 << 20) // 8 + 512  # above glibc's largest dynamic mmap threshold
@@ -387,10 +388,26 @@ def _pairwise_split(n: int) -> int:
     return half - half % 8
 
 
-def _stream_split(m: int, n_steps: int) -> int:
-    """Where a streamed block of m paths splits, at _pairwise_split(m), or 0 if it does not."""
+def _block_steps(m: int, n_steps: int, k: int) -> int:
+    """The steps of each block of a streamed leaf of m paths and k marches: the
+    fewest equal blocks of at most min(_STREAM_DRAWS // m, ceil(_STREAM_MARCH_STEPS / k))."""
+    most = min(max(1, _STREAM_DRAWS // m), -(-_STREAM_MARCH_STEPS // k))
+    return -(-n_steps // -(-n_steps // most))
+
+
+def _stream_split(m: int, n_steps: int, k: int) -> int:
+    """Where a streamed block of m paths and k marches splits, at _pairwise_split(m), or 0.
+
+    It splits while it holds more than _STREAM_DRAWS normals and each part
+    keeps _STREAM_MIN_PATHS paths, and while it takes more than one block
+    of steps (_block_steps) and its marches overflow one _BLOCK group
+    (k m > _BLOCK); never at _PAIRWISE_BLOCK paths or fewer, which numpy
+    sums without splitting.
+    """
     s = _pairwise_split(m)
-    return s if m * n_steps > _STREAM_DRAWS and s >= _STREAM_MIN_PATHS else 0
+    wide = m * n_steps > _STREAM_DRAWS and s >= _STREAM_MIN_PATHS
+    grouped = k * m > _BLOCK and _block_steps(m, n_steps, k) < n_steps
+    return s if m > _PAIRWISE_BLOCK and (wide or grouped) else 0
 
 
 def _this_cpu() -> int | None:
@@ -603,6 +620,24 @@ def euler_mean(alpha: np.ndarray, beta: np.ndarray, x0: float, h: float) -> np.n
     return _affine_recurrence(*_euler_factors(alpha, beta, h), x0)
 
 
+def _march_bufsize(m: int) -> int:
+    """numpy's ufunc buffer size, in elements, for a march of m paths: the largest
+    multiple of 16 below two rows (2 m), but at least 16 and at most the size in
+    force.  numpy takes multiples of 16 from 16 to 10^7."""
+    return min(np.getbufsize(), max(16, (2 * m - 1) // 16 * 16))
+
+
+@contextlib.contextmanager
+def _march_buffer(m: int):
+    """Runs its body with numpy's ufunc buffer at _march_bufsize(m), and sets the
+    size it found back however the body ends."""
+    old = np.setbufsize(_march_bufsize(m))
+    try:
+        yield
+    finally:
+        np.setbufsize(old)
+
+
 def _stepper(marches, h: float, n_steps: int, lo: int, hi: int, z) -> list[tuple]:
     """Streamed Euler-Maruyama marches of paths [lo, hi), keeping per-path quadratic functionals.
 
@@ -625,6 +660,12 @@ def _stepper(marches, h: float, n_steps: int, lo: int, hi: int, z) -> list[tuple
     broadcast over the K rows, so every element sees one march's operations
     in the same order, and the per-step sums x.sum(axis=1) are each row's
     own pairwise sum: every value is the one of marching them one at a time.
+    The groups march with numpy's ufunc buffer below two rows of m floats
+    (_march_buffer): from two rows on, numpy copies every broadcast (K, 1)
+    column into it, and a path-step costs half as much again (the README
+    times it).  Elementwise ufuncs do not depend on the buffer, and a
+    contiguous row's pairwise sum is not cut by it, so no value moves.  The
+    draw stays outside: its transposing copy is no ufunc.
 
     The paths' normals z are (m, n_steps) with contiguous columns, None for
     no noise, or draw(j0), which gives the (m, w) normals of steps
@@ -653,12 +694,15 @@ def _stepper(marches, h: float, n_steps: int, lo: int, hi: int, z) -> list[tuple
     while j0 < n_steps:
         block = draw(j0)
         j1 = n_steps if block is None else j0 + block.shape[1]
-        for a, advance, _ in groups:
-            if bad := advance(j0, j1, block):
-                k, error = bad
-                if a + k:  # an earlier march may leave the float range at a later step
-                    _stepper(marches[: a + k], h, n_steps, lo, hi, z)
-                raise error
+        with _march_buffer(hi - lo):
+            for a, advance, _ in groups:
+                if bad := advance(j0, j1, block):
+                    break
+        if bad:
+            k, error = bad
+            if a + k:  # an earlier march may leave the float range at a later step
+                _stepper(marches[: a + k], h, n_steps, lo, hi, z)
+            raise error
         j0 = j1
     return [result for *_, results in groups for result in results]
 
@@ -739,7 +783,11 @@ def _streamed(marches, h: float, n_steps: int, states: np.ndarray, lo: int, hi: 
     (_stream_split), and a leaf's steps into equal blocks that the marches
     step in lockstep.  A leaf of m paths and K marches takes blocks of at
     most min(_STREAM_DRAWS // m, ceil(_STREAM_MARCH_STEPS / K)) steps: each
-    row's sampler call then feeds enough marching to pay for itself.  Where
+    row's sampler call then feeds enough marching to pay for itself.  A
+    part that takes more than one block splits while its marches overflow
+    one _stepper group, so ten marches on 5,000 paths stream as leaves of
+    2,496 and 2,504 paths, one group each, in five blocks of 200 steps
+    (4 MB), and each row's sampler calls stay five.  Where
     the paths split or a leaf takes more than one block, every block is
     drawn into one buffer (_STREAM_BUFFER), so no block is freed.  F is the
     leaves' columns in order and the sums are added in the tree's order, so
@@ -747,9 +795,8 @@ def _streamed(marches, h: float, n_steps: int, states: np.ndarray, lo: int, hi: 
     raises its own error, which need not be the first one of the whole.
     states is left as it was found.
     """
-    m, s = hi - lo, _stream_split(hi - lo, n_steps)
-    most = min(max(1, _STREAM_DRAWS // m), -(-_STREAM_MARCH_STEPS // len(marches)))
-    width = -(-n_steps // -(-n_steps // most))  # the fewest blocks of at most `most` steps
+    m, k = hi - lo, len(marches)
+    s, width = _stream_split(m, n_steps, k), _block_steps(m, n_steps, k)
     if buffer is None and (s or width < n_steps):
         buffer = np.empty(_STREAM_BUFFER)
     if s:
@@ -871,7 +918,7 @@ def _march_held(n_paths: int, n_steps: int, h: float, noise, marches_of, body=No
                         return [(np.hstack((out, a[n_steps + 1 :].reshape(len(out), -1))),
                                  s / n_paths) for (out, _), a, s in zip(ours, theirs, sums)]
                 hi = n_paths  # the child is given up: drop this half, draw the whole
-            elif not asked and _stream_split(n_paths, n_steps):
+            elif not asked and _stream_split(n_paths, n_steps, len(marches_of(request))):
                 # More than one leaf: a leaf's error, or a sum that only the join
                 # takes out of the float range, is the held rerun's to raise.
                 with contextlib.suppress(Exception):

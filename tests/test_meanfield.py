@@ -1019,6 +1019,30 @@ class TestPairedMarches:
         assert res.details["marches"]["requests"] == 1
         assert peak < 37 * 2**20 < 8 * 5000 * 1000
 
+    def test_search_streams_leaves_of_one_group(self, mfg, processes, monkeypatch):
+        # The same search: its ten marches overflow one _BLOCK group of 5,000
+        # paths, so the paths stream as leaves of 2,496 and 2,504, each one group
+        # in five blocks of 200 steps (4 MB), where a leaf of 5,000 took blocks of
+        # 8 MB.  The allocations peak at the block buffer (32 MiB of address
+        # space) and 3.75 MiB more, against 4.0 MiB in one leaf.
+        processes.cpus(1)
+        draw, blocks = numerics._draw_rows, set()
+
+        def counted(states, lo, hi, j0, j1, buffer=None, advance=True):
+            blocks.add((hi - lo, j1 - j0))
+            return draw(states, lo, hi, j0, j1, buffer, advance)
+
+        monkeypatch.setattr(numerics, "_draw_rows", counted)
+        tracemalloc.start()
+        try:
+            res = min_k_meanfield(mfg, McConfig(n_paths=5000, n_steps=1000, seed=3))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert res.details["marches"]["requests"] == 1
+        assert blocks == {(2496, 200), (2504, 200)}
+        assert peak < 36 * 2**20
+
 
 class TestParamValidation:
     def test_rejects_bad_parameters(self, mfg_kwargs):

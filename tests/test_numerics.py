@@ -772,6 +772,86 @@ class TestStackedMarches:
             assert (err.value.path_index, err.value.step) == first
 
 
+class TestMarchBuffer:
+    """_stepper marches with numpy's ufunc buffer below two rows of its paths
+    (_march_bufsize): where the buffer holds two rows, numpy copies each
+    broadcast (K, 1) column of the (K, m) state into it, and the march costs
+    half as much again.  No value may move."""
+
+    N_STEPS = 40
+
+    @pytest.mark.parametrize("m", [624, 1256, 2504, 5000])
+    @pytest.mark.parametrize("K", [1, 2, 10])
+    def test_values_are_the_default_buffers(self, monkeypatch, m, K):
+        marches, h = TestStackedMarches._marches("split", K)
+        z = path_normals(7, m, self.N_STEPS)
+        got = numerics._stepper(marches, h, self.N_STEPS, 0, m, z)
+        monkeypatch.setattr(numerics, "_march_bufsize", lambda m: np.getbufsize())
+        want = numerics._stepper(marches, h, self.N_STEPS, 0, m, z)
+        for (f, sums), (f_default, sums_default) in zip(got, want, strict=True):
+            assert f.tobytes() == f_default.tobytes()
+            assert sums.tobytes() == sums_default.tobytes()
+
+    @pytest.mark.parametrize("found", [8192, 4096, 16])
+    def test_buffer_size_is_set_back_on_return_and_on_a_raise(self, monkeypatch, found):
+        marches, h = TestStackedMarches._marches("payoff", 3)
+        z = path_normals(7, 1256, self.N_STEPS)
+        bad = [(alpha, beta.copy(), *rest) for alpha, beta, *rest in marches]
+        bad[1][1][20] = np.nan
+        setbufsize, sizes = np.setbufsize, []
+        monkeypatch.setattr(np, "setbufsize", lambda size: sizes.append(size) or setbufsize(size))
+
+        def blocks(j0):
+            return z[:, j0 : min(j0 + 15, self.N_STEPS)]
+
+        old = setbufsize(found)
+        try:
+            numerics._stepper(marches, h, self.N_STEPS, 0, 1256, blocks)
+            assert np.getbufsize() == found
+            assert sizes == [min(found, 2496), found] * 3  # three blocks, each under the size
+            with pytest.raises(SimulationBlowupError):
+                numerics._stepper(bad, h, self.N_STEPS, 0, 1256, z)
+            assert np.getbufsize() == found
+            # x (1 - x) overflows at the first step.  Not under np.errstate, whose
+            # exit would set back the buffer size too.
+            fast = (np.full(self.N_STEPS + 1, 1e200), *marches[0][1:])
+            err = np.seterr(over="raise")
+            try:
+                with pytest.raises(FloatingPointError):
+                    numerics._stepper([fast], h, self.N_STEPS, 0, 1256, z)
+            finally:
+                np.seterr(**err)
+            assert np.getbufsize() == found
+        finally:
+            setbufsize(old)
+
+    def test_a_long_row_sums_to_the_same_bits_under_both_sizes(self):
+        # A contiguous row needs no buffering, so numpy sums it whole, pairwise,
+        # whatever the buffer holds.
+        rng = np.random.default_rng(3)
+        x = rng.standard_normal((3, 200_003)) * np.exp(rng.uniform(-20.0, 20.0, (3, 200_003)))
+        want = (x.sum(axis=1), x[0].sum())
+        old = np.setbufsize(16)
+        try:
+            got = (x.sum(axis=1), x[0].sum())
+        finally:
+            np.setbufsize(old)
+        assert got[0].tobytes() == want[0].tobytes() and got[1] == want[1]
+
+    def test_size_is_one_numpy_takes_and_below_two_rows(self):
+        # numpy 1.x takes a multiple of 16 from 16 to 10^7.  The size never
+        # exceeds the one in force, and from 9 paths on it is below two rows.
+        for m in [*range(1, 9000), 10_000, 40_000, 10**8]:
+            size = numerics._march_bufsize(m)
+            assert size % 16 == 0 and 16 <= size <= min(10**7, np.getbufsize())
+            assert size < 2 * m or m <= 8
+        old = np.setbufsize(64)
+        try:
+            assert [numerics._march_bufsize(m) for m in (8, 9, 40, 5000)] == [16, 16, 64, 64]
+        finally:
+            np.setbufsize(old)
+
+
 class TestTwoProcesses:
     """A forked child fills the second half of large ensembles; nothing else may change."""
 
@@ -1222,13 +1302,16 @@ class TestTwoProcesses:
         (1, 5000, 1000, [0, 334, 668, 1000], True),  # one march: three blocks, as _STREAM_DRAWS cuts
         (2, 5000, 250, [0, 250], False),  # mc_payoffs' leaf at 40,000 x 250: one block
         (10, 2500, 250, [0, 125, 250], True),  # only the march rule cuts this leaf
+        (10, 5000, 250, [0, 125, 250], True),  # the search's request at 5,000 x 250 on one CPU
     ])
     def test_step_blocks_follow_the_marches_they_feed(
             self, monkeypatch, n_marches, n_paths, n_steps, edges, buffered):
         # A leaf of m paths and K marches takes the fewest equal blocks of at most
         # min(_STREAM_DRAWS // m, ceil(2048 / K)) steps, every one drawn into the
-        # stream buffer where there is more than one.  Only the last block leaves
-        # the rows' PCG64 states unwritten, and the values are one march's.
+        # stream buffer where there is more than one.  Where it takes more than
+        # one and K m > _BLOCK, its paths split first (ten marches on 5,000 paths:
+        # leaves of 2,496 and 2,504).  Only a leaf's last block leaves the rows'
+        # PCG64 states unwritten, and the values are one march's.
         grid, alpha, beta, _, _, m, (c,), normals = _kernel_case(n_paths=n_paths, n_steps=n_steps)
         marches = [((1.0 + 0.1 * i) * alpha, beta - 0.05 * i, 0.5 - 0.02 * i, m, [c])
                    for i in range(n_marches)]
@@ -1243,12 +1326,12 @@ class TestTwoProcesses:
         states = numerics._path_states(5, n_paths, n_steps)
         start = states.copy()
         got = numerics._streamed(marches, grid.h, n_steps, states, 0, n_paths)
-        per_row = np.zeros(n_paths, dtype=int)
-        for lo, hi, *_ in draws:
-            per_row[lo:hi] += 1
-        assert per_row.tolist() == [len(edges) - 1] * n_paths
-        assert [(j0, j1) for _, _, j0, j1, _, _ in draws] == list(zip(edges, edges[1:]))
-        assert [advance for *_, advance in draws] == [True] * (len(edges) - 2) + [False]
+        s = numerics._pairwise_split(n_paths) if n_marches * n_paths > numerics._BLOCK else 0
+        leaves = [(0, s), (s, n_paths)] if s else [(0, n_paths)]
+        assert [draw[:4] for draw in draws] == [
+            (lo, hi, j0, j1) for lo, hi in leaves for j0, j1 in zip(edges, edges[1:])]
+        blocks = len(edges) - 1
+        assert [advance for *_, advance in draws] == ([True] * (blocks - 1) + [False]) * len(leaves)
         buffers = [buffer for *_, buffer, _ in draws]
         if buffered:
             assert len(buffers[0]) == numerics._STREAM_BUFFER
@@ -1257,6 +1340,35 @@ class TestTwoProcesses:
             assert buffers == [None]
         assert states.tobytes() == start.tobytes()
         self._same(got, want)
+
+    @pytest.mark.parametrize("n_marches, n_paths, n_steps, leaves, edges", [
+        # The search's first request at 10^4 x 1000: two leaves per process.
+        (10, 10_000, 1000, [(0, 2496), (2496, 5000)], [0, 200, 400, 600, 800, 1000]),
+        # mc_payoffs and the single-use checks at 40,000 x 250: four leaves of 5,000.
+        *[(k, 40_000, 250, [(lo, lo + 5000) for lo in range(0, 20_000, 5000)], [0, 250])
+          for k in (1, 2)],
+    ], ids=["search-10000-1000", "one-march-40000-250", "two-marches-40000-250"])
+    def test_full_size_leaves_per_process(self, processes, monkeypatch,
+                                          n_marches, n_paths, n_steps, leaves, edges):
+        # The draws this process makes: its half's leaves on two CPUs, and on one
+        # CPU both halves', the other half in leaves of the same widths.
+        grid, alpha, beta, _, _, m, (c,), _ = _kernel_case(n_paths=1, n_steps=n_steps)
+        marches = [((1.0 + 0.1 * i) * alpha, beta - 0.05 * i, 0.5 - 0.02 * i, m, [c])
+                   for i in range(n_marches)]
+        draw, draws = numerics._draw_rows, []
+
+        def counted(states, lo, hi, j0, j1, buffer=None, advance=True):
+            draws.append((lo, hi, j0, j1))
+            return draw(states, lo, hi, j0, j1, buffer, advance)
+
+        monkeypatch.setattr(numerics, "_draw_rows", counted)
+        half = numerics._pairwise_split(n_paths)
+        for cpus in (2, 1):
+            processes.cpus(cpus)
+            draws.clear()
+            _em_functionals(marches, grid.h, n_paths, 5)
+            ours = leaves + [(lo + half, hi + half) for lo, hi in leaves] * (cpus == 1)
+            assert draws == [(lo, hi, j0, j1) for lo, hi in ours for j0, j1 in zip(edges, edges[1:])]
 
     @pytest.mark.parametrize("n_paths", [10_001, 2**15 + 3])
     @pytest.mark.parametrize("blocks", [1, 2, 4])
